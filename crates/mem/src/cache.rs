@@ -72,52 +72,6 @@ struct Way<K, V> {
     value: V,
 }
 
-/// Inverse record of one mutating cache operation, produced by
-/// [`SetAssocCache::get_recorded`] / [`SetAssocCache::insert_recorded`] and
-/// consumed by [`SetAssocCache::undo`].
-///
-/// Undo records must be applied in exact reverse order of the operations
-/// that produced them; doing so restores the cache — contents, LRU order
-/// within every set, and statistics — byte for byte. This powers
-/// speculative-execution rollback in the time-sharded runner at a cost
-/// proportional to the work undone instead of the cache size.
-#[derive(Clone, Debug)]
-pub enum CacheUndo<K, V> {
-    /// A `get` hit promoted the way at `pos` to MRU.
-    Hit {
-        /// Set index.
-        set: u32,
-        /// Position the way was promoted from.
-        pos: u16,
-    },
-    /// A `get` missed; only the miss counter moved.
-    Miss,
-    /// An `insert` placed a fresh key without displacing anything.
-    Inserted {
-        /// Set index.
-        set: u32,
-    },
-    /// An `insert` displaced the LRU way of a full set.
-    Evicted {
-        /// Set index.
-        set: u32,
-        /// Displaced key.
-        key: K,
-        /// Displaced value.
-        value: V,
-    },
-    /// An `insert` over an existing key promoted it from `pos` and
-    /// overwrote its value.
-    Replaced {
-        /// Set index.
-        set: u32,
-        /// Position the way was promoted from.
-        pos: u16,
-        /// The overwritten value.
-        value: V,
-    },
-}
-
 /// Set-associative cache with per-set true-LRU order (front = MRU).
 ///
 /// ```
@@ -186,88 +140,6 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         }
     }
 
-    /// [`SetAssocCache::get`] with an undo record; returns whether the key
-    /// hit. Designed for unit-payload caches, so the value itself is not
-    /// exposed.
-    pub fn get_recorded(&mut self, key: &K) -> (bool, CacheUndo<K, V>) {
-        let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| &w.key == key) {
-            self.stats.hits += 1;
-            let w = ways.remove(pos);
-            ways.insert(0, w);
-            (
-                true,
-                CacheUndo::Hit {
-                    set: set as u32,
-                    pos: pos as u16,
-                },
-            )
-        } else {
-            self.stats.misses += 1;
-            (false, CacheUndo::Miss)
-        }
-    }
-
-    /// [`SetAssocCache::insert`] with an undo record; the displaced entry
-    /// (if any) is captured in the record instead of being returned.
-    pub fn insert_recorded(&mut self, key: K, value: V) -> CacheUndo<K, V> {
-        let set = self.set_of(&key);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.key == key) {
-            let mut w = ways.remove(pos);
-            let prev = std::mem::replace(&mut w.value, value);
-            ways.insert(0, w);
-            return CacheUndo::Replaced {
-                set: set as u32,
-                pos: pos as u16,
-                value: prev,
-            };
-        }
-        if ways.len() == self.ways {
-            self.stats.evictions += 1;
-            let victim = ways.pop().expect("full set is non-empty");
-            ways.insert(0, Way { key, value });
-            CacheUndo::Evicted {
-                set: set as u32,
-                key: victim.key,
-                value: victim.value,
-            }
-        } else {
-            ways.insert(0, Way { key, value });
-            CacheUndo::Inserted { set: set as u32 }
-        }
-    }
-
-    /// Reverses one recorded operation. Records must be undone in exact
-    /// reverse order of the operations that produced them.
-    pub fn undo(&mut self, undo: CacheUndo<K, V>) {
-        match undo {
-            CacheUndo::Hit { set, pos } => {
-                self.stats.hits -= 1;
-                let ways = &mut self.sets[set as usize];
-                let w = ways.remove(0);
-                ways.insert(pos as usize, w);
-            }
-            CacheUndo::Miss => self.stats.misses -= 1,
-            CacheUndo::Inserted { set } => {
-                self.sets[set as usize].remove(0);
-            }
-            CacheUndo::Evicted { set, key, value } => {
-                self.stats.evictions -= 1;
-                let ways = &mut self.sets[set as usize];
-                ways.remove(0);
-                ways.push(Way { key, value });
-            }
-            CacheUndo::Replaced { set, pos, value } => {
-                let ways = &mut self.sets[set as usize];
-                let mut w = ways.remove(0);
-                w.value = value;
-                ways.insert(pos as usize, w);
-            }
-        }
-    }
-
     /// Looks the key up without touching recency or statistics.
     pub fn peek(&self, key: &K) -> Option<&V> {
         let set = self.set_of(key);
@@ -303,18 +175,6 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         Some(ways.remove(pos).value)
     }
 
-    /// Removes every entry for which `pred` returns true; returns how many
-    /// were removed. Used for flushing all lines/translations of a page.
-    pub fn invalidate_matching<F: FnMut(&K) -> bool>(&mut self, mut pred: F) -> usize {
-        let mut removed = 0;
-        for ways in &mut self.sets {
-            let before = ways.len();
-            ways.retain(|w| !pred(&w.key));
-            removed += before - ways.len();
-        }
-        removed
-    }
-
     /// Empties the cache (TLB shootdown / cache flush).
     pub fn clear(&mut self) {
         for ways in &mut self.sets {
@@ -345,15 +205,6 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
     /// Iterates all resident `(key, value)` pairs (no recency effect).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.sets.iter().flatten().map(|w| (&w.key, &w.value))
-    }
-
-    /// Drains every entry, returning them; used for write-back-all.
-    pub fn drain_all(&mut self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        for ways in &mut self.sets {
-            out.extend(ways.drain(..).map(|w| (w.key, w.value)));
-        }
-        out
     }
 }
 
@@ -407,16 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_matching() {
+    fn invalidate_removes_one_entry() {
         let mut c: SetAssocCache<u64, u32> = SetAssocCache::new(8, 2);
         for k in 0..10 {
             c.insert(k, k as u32);
         }
         assert_eq!(c.invalidate(&3), Some(3));
         assert_eq!(c.invalidate(&3), None);
-        let removed = c.invalidate_matching(|k| k % 2 == 0);
-        assert_eq!(removed, 5);
-        assert_eq!(c.len(), 4); // 1,5,7,9
+        assert_eq!(c.len(), 9);
+        assert!(c.peek(&3).is_none());
+        assert_eq!(c.peek(&4), Some(&4));
     }
 
     #[test]
@@ -432,68 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_returns_everything() {
-        let mut c: SetAssocCache<u64, u32> = SetAssocCache::new(4, 4);
-        for k in 0..8 {
-            c.insert(k, k as u32);
-        }
-        let drained = c.drain_all();
-        assert_eq!(drained.len(), 8);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_geometry_panics() {
         let _: SetAssocCache<u64, ()> = SetAssocCache::new(0, 4);
-    }
-
-    /// Full observable state: per-set way lists in recency order + stats.
-    fn fingerprint(c: &SetAssocCache<u64, u32>) -> (Vec<Vec<(u64, u32)>>, CacheStats) {
-        (
-            c.sets
-                .iter()
-                .map(|ways| ways.iter().map(|w| (w.key, w.value)).collect())
-                .collect(),
-            c.stats,
-        )
-    }
-
-    #[test]
-    fn recorded_ops_match_plain_ops() {
-        let mut a: SetAssocCache<u64, u32> = SetAssocCache::new(2, 2);
-        let mut b: SetAssocCache<u64, u32> = SetAssocCache::new(2, 2);
-        for k in [1u64, 3, 5, 1, 2, 3] {
-            assert_eq!(a.get_recorded(&k).0, b.get(&k).is_some());
-            a.insert_recorded(k, k as u32);
-            b.insert(k, k as u32);
-        }
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    fn undo_in_reverse_restores_exact_state() {
-        // A tiny geometry forces every undo variant: hits, misses, fresh
-        // inserts, evictions, and same-key replacements.
-        let mut c: SetAssocCache<u64, u32> = SetAssocCache::new(2, 2);
-        c.insert(1, 10);
-        c.insert(3, 30);
-        c.insert(2, 20);
-        c.get(&1);
-        let before = fingerprint(&c);
-        let mut undos = Vec::new();
-        // Deterministic mixed op sequence touching both sets.
-        for (i, k) in [1u64, 5, 2, 7, 1, 9, 4, 3, 5, 2].into_iter().enumerate() {
-            if i % 2 == 0 {
-                undos.push(c.get_recorded(&k).1);
-            } else {
-                undos.push(c.insert_recorded(k, (k * 100 + i as u64) as u32));
-            }
-        }
-        assert_ne!(fingerprint(&c), before);
-        for u in undos.into_iter().rev() {
-            c.undo(u);
-        }
-        assert_eq!(fingerprint(&c), before);
     }
 }

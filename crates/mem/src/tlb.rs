@@ -3,7 +3,7 @@
 
 use grit_sim::{Cycle, PageId, TlbGeometry};
 
-use crate::cache::{CacheStats, CacheUndo, SetAssocCache};
+use crate::cache::{CacheStats, SetAssocCache};
 
 /// Which level satisfied a translation request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,21 +40,6 @@ impl Tlb {
     /// Installs a translation.
     pub fn fill(&mut self, vpn: PageId) {
         self.cache.insert(vpn, ());
-    }
-
-    /// [`Tlb::access`] with an undo record for speculative rollback.
-    pub fn access_recorded(&mut self, vpn: PageId) -> (bool, CacheUndo<PageId, ()>) {
-        self.cache.get_recorded(&vpn)
-    }
-
-    /// [`Tlb::fill`] with an undo record for speculative rollback.
-    pub fn fill_recorded(&mut self, vpn: PageId) -> CacheUndo<PageId, ()> {
-        self.cache.insert_recorded(vpn, ())
-    }
-
-    /// Reverses one recorded operation (reverse order required).
-    pub fn undo(&mut self, undo: CacheUndo<PageId, ()>) {
-        self.cache.undo(undo);
     }
 
     /// Drops one translation (PTE invalidation); `true` if it was present.
@@ -108,21 +93,6 @@ pub struct TlbHierarchy {
     l2: Tlb,
 }
 
-/// Undo record for one [`TlbHierarchy::translate_recorded`] call.
-#[derive(Clone, Debug)]
-pub struct TlbTranslateUndo {
-    l1_get: CacheUndo<PageId, ()>,
-    l2_get: Option<CacheUndo<PageId, ()>>,
-    l1_fill: Option<CacheUndo<PageId, ()>>,
-}
-
-/// Undo record for one [`TlbHierarchy::fill_recorded`] call.
-#[derive(Clone, Debug)]
-pub struct TlbFillUndo {
-    l2: CacheUndo<PageId, ()>,
-    l1: CacheUndo<PageId, ()>,
-}
-
 impl TlbHierarchy {
     /// Builds the hierarchy from the two geometries.
     pub fn new(l1: TlbGeometry, l2: TlbGeometry) -> Self {
@@ -153,71 +123,6 @@ impl TlbHierarchy {
     pub fn fill(&mut self, vpn: PageId) {
         self.l2.fill(vpn);
         self.l1.fill(vpn);
-    }
-
-    /// [`TlbHierarchy::translate`] with an undo record.
-    pub fn translate_recorded(
-        &mut self,
-        vpn: PageId,
-    ) -> ((TranslationLevel, Cycle), TlbTranslateUndo) {
-        let l1_lat = self.l1.lookup_latency();
-        let (l1_hit, l1_get) = self.l1.access_recorded(vpn);
-        if l1_hit {
-            return (
-                (TranslationLevel::L1, l1_lat),
-                TlbTranslateUndo {
-                    l1_get,
-                    l2_get: None,
-                    l1_fill: None,
-                },
-            );
-        }
-        let l2_lat = self.l2.lookup_latency();
-        let (l2_hit, l2_get) = self.l2.access_recorded(vpn);
-        if l2_hit {
-            let l1_fill = self.l1.fill_recorded(vpn);
-            return (
-                (TranslationLevel::L2, l1_lat + l2_lat),
-                TlbTranslateUndo {
-                    l1_get,
-                    l2_get: Some(l2_get),
-                    l1_fill: Some(l1_fill),
-                },
-            );
-        }
-        (
-            (TranslationLevel::Walk, l1_lat + l2_lat),
-            TlbTranslateUndo {
-                l1_get,
-                l2_get: Some(l2_get),
-                l1_fill: None,
-            },
-        )
-    }
-
-    /// Reverses one [`TlbHierarchy::translate_recorded`] call.
-    pub fn undo_translate(&mut self, undo: TlbTranslateUndo) {
-        if let Some(u) = undo.l1_fill {
-            self.l1.undo(u);
-        }
-        if let Some(u) = undo.l2_get {
-            self.l2.undo(u);
-        }
-        self.l1.undo(undo.l1_get);
-    }
-
-    /// [`TlbHierarchy::fill`] with an undo record.
-    pub fn fill_recorded(&mut self, vpn: PageId) -> TlbFillUndo {
-        TlbFillUndo {
-            l2: self.l2.fill_recorded(vpn),
-            l1: self.l1.fill_recorded(vpn),
-        }
-    }
-
-    /// Reverses one [`TlbHierarchy::fill_recorded`] call.
-    pub fn undo_fill(&mut self, undo: TlbFillUndo) {
-        self.l1.undo(undo.l1);
-        self.l2.undo(undo.l2);
     }
 
     /// Invalidates one translation from both levels; `true` if either level
@@ -312,56 +217,6 @@ mod tests {
         t.fill(PageId(1));
         let (_, lat_l1) = t.translate(PageId(1));
         assert_eq!(lat_l1, 1);
-    }
-
-    #[test]
-    fn recorded_translate_and_fill_undo_exactly() {
-        // Tiny geometries force evictions so every undo variant exercises.
-        let geo = TlbGeometry {
-            entries: 4,
-            ways: 2,
-            lookup_latency: 1,
-        };
-        let mut t = TlbHierarchy::new(geo, geo);
-        let mut shadow = TlbHierarchy::new(geo, geo);
-        for p in [0u64, 1, 4, 0] {
-            t.fill(PageId(p));
-            shadow.fill(PageId(p));
-        }
-        let mut translate_undos = Vec::new();
-        let mut fill_undos = Vec::new();
-        for p in [0u64, 2, 5, 1, 4, 9, 0, 2] {
-            let (out, u) = t.translate_recorded(PageId(p));
-            assert_eq!(out, shadow.translate(PageId(p)));
-            translate_undos.push(u);
-            if out.0 == TranslationLevel::Walk {
-                fill_undos.push(Some(t.fill_recorded(PageId(p))));
-                shadow.fill(PageId(p));
-            } else {
-                fill_undos.push(None);
-            }
-        }
-        let reference = TlbHierarchy::new(geo, geo);
-        let mut reference = reference;
-        for p in [0u64, 1, 4, 0] {
-            reference.fill(PageId(p));
-        }
-        for (tu, fu) in translate_undos.into_iter().zip(fill_undos).rev() {
-            if let Some(f) = fu {
-                t.undo_fill(f);
-            }
-            t.undo_translate(tu);
-        }
-        let same = |a: &TlbHierarchy, b: &TlbHierarchy| {
-            assert_eq!(a.level_stats(), b.level_stats());
-            assert_eq!(a.l1().len(), b.l1().len());
-            assert_eq!(a.l2().len(), b.l2().len());
-        };
-        same(&t, &reference);
-        // The rolled-back hierarchy behaves identically going forward.
-        for p in [0u64, 2, 7] {
-            assert_eq!(t.translate(PageId(p)), reference.translate(PageId(p)));
-        }
     }
 
     #[test]

@@ -49,9 +49,6 @@ pub fn spec_to_json(spec: &RunSpec) -> Json {
     if spec.check_invariants {
         fields.push(("check_invariants".into(), Json::Bool(true)));
     }
-    if let Some(threads) = spec.sim_threads {
-        fields.push(("sim_threads".into(), Json::UInt(threads as u64)));
-    }
     if let Some(secs) = spec.timeout_secs {
         fields.push(("timeout_secs".into(), Json::Float(secs)));
     }
@@ -100,7 +97,6 @@ pub fn spec_from_json(v: &Json) -> Result<RunSpec, String> {
     spec.topology = v.get("topology").and_then(Json::as_str).map(String::from);
     spec.inject = v.get("inject").and_then(Json::as_str).map(String::from);
     spec.check_invariants = v.get("check_invariants").and_then(Json::as_bool).unwrap_or(false);
-    spec.sim_threads = v.get("sim_threads").and_then(Json::as_u64).map(|t| t as usize);
     spec.timeout_secs = v.get("timeout_secs").and_then(Json::as_f64);
     spec.trace = v.get("trace").and_then(Json::as_bool).unwrap_or(false);
     spec.trace_filter = v.get("trace_filter").and_then(Json::as_str).map(String::from);
@@ -429,7 +425,6 @@ mod tests {
             .topology("ring")
             .inject("retire@10:gpu=0:frames=1")
             .check_invariants(true)
-            .sim_threads(2)
             .timeout_secs(3.5)
             .trace(true)
             .trace_filter("fault,migration")

@@ -54,7 +54,7 @@ pub use grit_inject::{
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{GpuId, GpuSet, MemLoc, PageId};
-pub use mlp::{MlpIssueUndo, MlpWindow};
+pub use mlp::MlpWindow;
 pub use rng::SimRng;
 pub use scheme::{GroupSize, Scheme};
 pub use spec::RunSpec;

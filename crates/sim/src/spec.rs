@@ -77,8 +77,6 @@ pub struct RunSpec {
     pub inject: Option<String>,
     /// Opt release builds into per-event invariant checking.
     pub check_invariants: bool,
-    /// Intra-cell shard count override (`None` = engine default).
-    pub sim_threads: Option<usize>,
     /// Per-cell wall-clock budget in seconds (`None` = no timeout).
     pub timeout_secs: Option<f64>,
     /// Record structured trace events for this cell.
@@ -108,7 +106,6 @@ impl Default for RunSpec {
             topology: None,
             inject: None,
             check_invariants: false,
-            sim_threads: None,
             timeout_secs: None,
             trace: false,
             trace_filter: None,
@@ -196,9 +193,9 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the intra-cell shard count.
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = Some(threads);
+    /// Accepted for compatibility and ignored: every cell runs its
+    /// event loop on one thread (`--jobs` is the parallelism).
+    pub fn sim_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -237,7 +234,7 @@ impl RunSpec {
     /// `cfg`, parsing the
     /// string grammars and validating the result. Experiment knobs
     /// (`scale`/`intensity`/`seed`) and execution knobs
-    /// (`sim_threads`/`timeout_secs`/trace/profile) are untouched: they
+    /// (`timeout_secs`/trace/profile) are untouched: they
     /// belong to other layers.
     ///
     /// # Errors
@@ -291,8 +288,8 @@ impl RunSpec {
         }
         format!(
             "app={};policy={};scale={};intensity={};seed={};gpus={};page_size={};\
-             page_size_mode={};topology={};inject={};check_invariants={};sim_threads={};\
-             timeout_secs={};trace={};trace_filter={};trace_sample={};profile={}",
+             page_size_mode={};topology={};inject={};check_invariants={};timeout_secs={};\
+             trace={};trace_filter={};trace_sample={};profile={}",
             self.app,
             self.policy,
             self.scale,
@@ -304,7 +301,6 @@ impl RunSpec {
             opt(&self.topology),
             opt(&self.inject),
             self.check_invariants,
-            opt(&self.sim_threads),
             opt(&self.timeout_secs),
             self.trace,
             opt(&self.trace_filter),
@@ -376,8 +372,8 @@ mod tests {
         assert_eq!(
             a.canonical(),
             "app=Gemm;policy=grit;scale=0.1;intensity=2;seed=48879;gpus=-;page_size=-;\
-             page_size_mode=-;topology=-;inject=-;check_invariants=false;sim_threads=-;\
-             timeout_secs=-;trace=false;trace_filter=-;trace_sample=1;profile=false"
+             page_size_mode=-;topology=-;inject=-;check_invariants=false;timeout_secs=-;\
+             trace=false;trace_filter=-;trace_sample=1;profile=false"
         );
         let b = a.clone().gpus(8);
         assert_ne!(a.canonical(), b.canonical());
@@ -414,7 +410,8 @@ mod tests {
         assert_eq!(spec.app, "bfs");
         assert_eq!(spec.policy, "ideal");
         assert_eq!(spec.page_size_mode.as_deref(), Some("uniform2m"));
-        assert_eq!(spec.sim_threads, Some(4));
+        // The former shard-count knob still chains, as a no-op.
+        assert_eq!(spec, spec.clone().sim_threads(8));
         assert_eq!(spec.timeout_secs, Some(1.5));
         assert!(spec.trace && spec.profile && spec.check_invariants);
         assert_eq!(spec.trace_sample, 8);

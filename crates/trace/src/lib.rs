@@ -36,7 +36,7 @@ pub use json::Json;
 pub use report::{
     BatchProfile, BenchSummary, CellReport, CellTiming, CycleProfile, FabricReport,
     HeadlineSpeedups, HistReport, MetricsReport, PagesizeReport, PhaseEntry, ProfileReport,
-    ResilienceReport, RunReport, SeriesReport, SpeculationReport, StoreCounters, TargetTiming,
+    ResilienceReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
 };
 pub use sink::{TraceConfig, Tracer};
 pub use writer::CellMeta;

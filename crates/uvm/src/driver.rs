@@ -97,51 +97,6 @@ impl std::fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// A read-only view of the driver state a sharded round's parallel phase
-/// consults, frozen at the round boundary: the per-GPU local page tables
-/// (for pure translation) and the next cycle at which driver-side work —
-/// a policy epoch boundary or an injected fault transition — becomes due.
-///
-/// Workers use it to *classify* accesses: anything whose handling would
-/// mutate shared driver state (a fault, a collapse, a remote fetch, due
-/// epoch work) stops the speculation for that GPU instead of executing.
-pub struct DriverView<'a> {
-    local_pts: &'a [LocalPageTable],
-    large: &'a LargePageTable,
-    pending: Option<Cycle>,
-}
-
-impl DriverView<'_> {
-    /// Mirrors [`UvmDriver::translate`] against the frozen tables.
-    pub fn translate(&self, gpu: GpuId, vpn: PageId) -> Option<Mapping> {
-        self.local_pts[gpu.index()].lookup(vpn)
-    }
-
-    /// Mirrors [`UvmDriver::coalesced_frame`] against the frozen
-    /// large-page table: the 2 MB frame base when `vpn` lies inside a
-    /// coalesced frame. Coalescing and splintering happen only on serial
-    /// driver paths, so the answer is stable for a whole speculation
-    /// round.
-    pub fn coalesced_frame(&self, vpn: PageId) -> Option<PageId> {
-        self.large.coalesced_frame(vpn)
-    }
-
-    /// Mirrors [`UvmDriver::large_translation`] against the frozen
-    /// large-page table.
-    pub fn large_translation(&self, gpu: GpuId, vpn: PageId) -> Option<PageId> {
-        self.large
-            .coalesced_frame(vpn)
-            .filter(|_| self.large.frame_owner(vpn) == Some(gpu))
-    }
-
-    /// Whether driver-side work (an epoch or an injection) is due at or
-    /// before `now` — the serial loop would execute it inside
-    /// [`UvmDriver::maybe_run_epoch`] on the pop at `now`.
-    pub fn work_due(&self, now: Cycle) -> bool {
-        self.pending.is_some_and(|c| c <= now)
-    }
-}
-
 /// The UVM driver model.
 pub struct UvmDriver {
     cfg: SimConfig,
@@ -151,8 +106,7 @@ pub struct UvmDriver {
     fabric: Fabric,
     counters: AccessCounters,
     /// Which 2 MB frames are currently coalesced (inert under uniform
-    /// 4 KB pages). Mutated only on serial driver paths so the sharded
-    /// runner's speculation rounds observe frozen large-page state.
+    /// 4 KB pages).
     large: LargePageTable,
     policy: Box<dyn PlacementPolicy>,
     prefetcher: Option<Box<dyn Prefetcher>>,
@@ -338,50 +292,6 @@ impl UvmDriver {
     /// unset scheme bits report the baseline on-touch scheme.
     pub fn scheme_of(&self, vpn: PageId) -> Scheme {
         self.central.scheme_of(vpn).unwrap_or(Scheme::OnTouch)
-    }
-
-    /// The earliest cycle at which driver-side work is scheduled: the next
-    /// injected fault transition or the next policy epoch boundary,
-    /// whichever comes first. `None` when neither is pending.
-    fn pending_work_cycle(&self) -> Option<Cycle> {
-        let injection = self.plan.transitions().get(self.next_transition).map(|t| t.cycle);
-        let epoch = self.policy.epoch_len().and(self.next_epoch);
-        match (injection, epoch) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// A read-only snapshot view for the sharded runner's parallel phase:
-    /// pure translation against the frozen per-GPU page tables plus the
-    /// next cycle at which driver-side work becomes due. The view borrows
-    /// the driver immutably, so workers can share it across threads while
-    /// the round's speculation runs.
-    pub fn view(&self) -> DriverView<'_> {
-        DriverView {
-            local_pts: &self.local_pts,
-            large: &self.large,
-            pending: self.pending_work_cycle(),
-        }
-    }
-
-    /// Safe lookahead for time-sharded execution: the minimum one-way
-    /// fabric latency (any wire class, including host PCIe), never zero.
-    /// No cross-GPU interaction initiated inside a window can complete
-    /// sooner than this many cycles after it starts.
-    pub fn lookahead_bound(&self) -> Cycle {
-        self.fabric.min_wire_latency().max(1)
-    }
-
-    /// Applies the deferred memory side effects of one committed pure
-    /// local access: exactly what the serial loop's
-    /// [`UvmDriver::local_line_access`] + [`UvmDriver::mark_page_dirty`]
-    /// pair does to driver state on the warm local path.
-    pub fn commit_local_touch(&mut self, gpu: GpuId, vpn: PageId, write: bool) {
-        self.memories[gpu.index()].touch(vpn);
-        if write {
-            self.memories[gpu.index()].mark_dirty(vpn);
-        }
     }
 
     /// Write semantics of the active policy.

@@ -46,7 +46,7 @@ pub mod pte;
 
 pub use central::{CentralPageTable, PageState};
 pub use counters::AccessCounters;
-pub use driver::{DriverOutcome, DriverView, InvariantViolation, UvmDriver};
+pub use driver::{DriverOutcome, InvariantViolation, UvmDriver};
 pub use policy::{
     Directive, FaultInfo, FaultKind, PlacementPolicy, PolicyDecision, Resolution, StaticPolicy,
     WriteMode,

@@ -192,8 +192,8 @@ impl CellSpec {
     /// so the CLI, the store, the report, and the `grit-serve/v1` wire
     /// all name cells the same way.
     ///
-    /// Execution knobs that live outside the cell (`sim_threads`,
-    /// timeouts) are batch-level and stay unset here.
+    /// Execution knobs that live outside the cell (timeouts) are
+    /// batch-level and stay unset here.
     ///
     /// [`resume_key`]: CellSpec::resume_key
     pub fn to_run_spec(&self) -> RunSpec {
@@ -259,21 +259,17 @@ impl CellSpec {
     /// Panics on any simulation failure; batch execution goes through
     /// [`run_batch`], which isolates failures as [`CellError`] values.
     pub fn run(&self) -> RunOutput {
-        let sim_threads = clamp_sim_threads(1, effective_sim_threads());
-        let out = self
-            .run_inner(&CancelToken::new(), sim_threads)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let out = self.run_inner(&CancelToken::new()).unwrap_or_else(|e| panic!("{e}"));
         self.submit(&out);
         out
     }
 
     /// Runs the cell without submitting to the global sinks, threading a
-    /// cancellation token into the simulation loop and sharding the
-    /// cell's own event loop across `sim_threads` workers. The batch
-    /// executor uses this so it can submit results in declaration order
-    /// after the whole batch finishes, keeping the trace stream
-    /// byte-identical at any worker or thread count.
-    fn run_inner(&self, cancel: &CancelToken, sim_threads: usize) -> Result<RunOutput, CellError> {
+    /// cancellation token into the simulation loop. The batch executor
+    /// uses this so it can submit results in declaration order after the
+    /// whole batch finishes, keeping the trace stream byte-identical at
+    /// any worker count.
+    fn run_inner(&self, cancel: &CancelToken) -> Result<RunOutput, CellError> {
         let build_start = Instant::now();
         let (workload, cache_hit) = {
             let _prof = grit_prof::span(grit_prof::Phase::TraceBuild);
@@ -284,9 +280,8 @@ impl CellSpec {
             PolicySpec::Kind(kind) => kind.build(&self.cfg, workload.footprint_pages),
             PolicySpec::Factory(make) => make(&self.cfg, workload.footprint_pages),
         };
-        let mut builder = SimulationBuilder::new(self.cfg.clone(), workload, policy)
-            .cancel(cancel.clone())
-            .sim_threads(sim_threads);
+        let mut builder =
+            SimulationBuilder::new(self.cfg.clone(), workload, policy).cancel(cancel.clone());
         if let Some(obs) = &self.observer {
             builder = builder.observer(obs.clone());
         }
@@ -370,12 +365,6 @@ pub struct BatchOptions {
     /// Abort the batch on the first failed cell (remaining cells report
     /// [`CellError::Cancelled`]) instead of running everything.
     pub fail_fast: bool,
-    /// Worker threads sharding each cell's own event loop; `None`
-    /// resolves via [`effective_sim_threads`], where the product
-    /// `jobs × sim_threads` is capped at the machine's available
-    /// parallelism (warn and clamp). An explicit `Some(n)` is honored
-    /// verbatim. Output is byte-identical at any value.
-    pub sim_threads: Option<usize>,
     /// Size budget for the on-disk [`ResultStore`] in bytes; `None`
     /// means unbounded. After every save the store evicts oldest-first
     /// until it fits.
@@ -397,7 +386,6 @@ impl BatchOptions {
             timeout: default_timeout(),
             resume_dir: default_resume_dir(),
             fail_fast: FAIL_FAST_DEFAULT.load(Ordering::Relaxed),
-            sim_threads: None,
             store_max_bytes: default_store_max_bytes(),
         }
     }
@@ -426,9 +414,9 @@ impl BatchOptions {
         self
     }
 
-    /// Shards each cell's own event loop across `n` worker threads.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = Some(n);
+    /// Accepted for compatibility and ignored: every cell runs its event
+    /// loop on one thread; [`BatchOptions::jobs`] is the parallelism.
+    pub fn sim_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -440,17 +428,16 @@ impl BatchOptions {
 }
 
 impl From<&RunSpec> for BatchOptions {
-    /// Lifts the execution knobs (`timeout_secs`, `sim_threads`) out of a
-    /// spec. Batch-level knobs a single-cell spec cannot name (worker
-    /// count, resume directory, fail-fast, store budget) stay at their
-    /// defaults so the caller composes them explicitly.
+    /// Lifts the execution knob (`timeout_secs`) out of a spec.
+    /// Batch-level knobs a single-cell spec cannot name (worker count,
+    /// resume directory, fail-fast, store budget) stay at their defaults
+    /// so the caller composes them explicitly.
     fn from(spec: &RunSpec) -> Self {
         BatchOptions {
             jobs: None,
             timeout: spec.timeout_secs.map(Duration::from_secs_f64),
             resume_dir: None,
             fail_fast: false,
-            sim_threads: spec.sim_threads,
             store_max_bytes: None,
         }
     }
@@ -469,9 +456,9 @@ static RESUME_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 static STORE_MAX_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The process-wide override [`RunSpec`]: the single place the `repro`
 /// batch-override flags (`--topology`, `--inject`, `--check-invariants`,
-/// `--sim-threads`, `--cell-timeout`) land. Machine-shaping fields flow
-/// into every subsequently declared [`CellSpec`]; execution fields seed
-/// [`BatchOptions::from_defaults`] and [`effective_sim_threads`].
+/// `--cell-timeout`) land. Machine-shaping fields flow into every
+/// subsequently declared [`CellSpec`]; the timeout seeds
+/// [`BatchOptions::from_defaults`].
 static OVERRIDE_SPEC: Mutex<Option<RunSpec>> = Mutex::new(None);
 /// Process-wide progress-heartbeat opt-in (the `repro --progress` flag).
 static PROGRESS: AtomicBool = AtomicBool::new(false);
@@ -497,8 +484,7 @@ pub fn progress_enabled() -> bool {
 /// `inject`, `check_invariants`) are applied to every subsequently
 /// declared [`CellSpec`] — flowing into each cell's `SimConfig`, so
 /// resume keys and run reports distinguish overridden runs
-/// automatically — and its execution fields (`sim_threads`,
-/// `timeout_secs`) seed [`effective_sim_threads`] and
+/// automatically — and its `timeout_secs` seeds
 /// [`BatchOptions::from_defaults`]. The spec's `app`/`policy`/experiment
 /// knobs are ignored: cells already name those.
 pub fn set_override_spec(spec: Option<RunSpec>) {
@@ -587,42 +573,6 @@ pub fn fail_fast_triggered() -> bool {
     FAIL_FAST_TRIGGERED.load(Ordering::Relaxed)
 }
 
-/// The per-cell event-loop thread count: the override [`RunSpec`]'s
-/// `sim_threads` (the `repro --sim-threads N` flag), else
-/// `GRIT_SIM_THREADS`, else 1 (the serial engine). Unlike
-/// [`effective_jobs`] this does not default to the machine's parallelism:
-/// sharding one cell only pays off on big cells, and the batch layer
-/// already fans out across cells.
-pub fn effective_sim_threads() -> usize {
-    if let Some(n) = override_spec().sim_threads.filter(|&n| n > 0) {
-        return n;
-    }
-    std::env::var("GRIT_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Caps `jobs × sim_threads` at the machine's available parallelism so a
-/// batch of sharded cells does not oversubscribe cores and silently
-/// regress; warns on stderr when it clamps.
-fn clamp_sim_threads(jobs: usize, sim_threads: usize) -> usize {
-    if sim_threads <= 1 {
-        return sim_threads.max(1);
-    }
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if jobs.saturating_mul(sim_threads) <= avail {
-        return sim_threads;
-    }
-    let capped = (avail / jobs.max(1)).max(1);
-    eprintln!(
-        "sim-threads: {jobs} jobs x {sim_threads} sim-threads oversubscribes \
-         {avail} available cores; clamping to {capped} sim-threads per cell"
-    );
-    capped
-}
-
 /// The worker count [`run_batch`] will use: the [`set_jobs`] override,
 /// else `GRIT_JOBS`, else the machine's available parallelism.
 pub fn effective_jobs() -> usize {
@@ -675,13 +625,6 @@ pub fn run_batch_with_stats(
     let cache_before = workload_cache::global().stats();
     let start = Instant::now();
     let jobs = opts.jobs.unwrap_or_else(effective_jobs).clamp(1, cells.len().max(1));
-    // An explicit option is honored verbatim (benches and determinism
-    // tests need exact thread counts); only the ambient CLI/env setting
-    // is capped against the worker pool.
-    let sim_threads = match opts.sim_threads {
-        Some(t) => t.max(1),
-        None => clamp_sim_threads(jobs, effective_sim_threads()),
-    };
     // The store cannot reproduce trace events, so resumption is disabled
     // batch-wide while a global trace writer is active: a resumed run must
     // never silently drop cells from the event stream.
@@ -746,8 +689,8 @@ pub fn run_batch_with_stats(
             }
         }
         let token = batch_token.child(opts.timeout);
-        let result = catch_unwind(AssertUnwindSafe(|| cell.run_inner(&token, sim_threads)))
-            .unwrap_or_else(|payload| {
+        let result =
+            catch_unwind(AssertUnwindSafe(|| cell.run_inner(&token))).unwrap_or_else(|payload| {
                 let message = if let Some(s) = payload.downcast_ref::<String>() {
                     s.clone()
                 } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -826,7 +769,6 @@ pub fn run_batch_with_stats(
         report_sink::record_batch(BatchProfile {
             cells: cells.len() as u64,
             jobs: jobs as u64,
-            sim_threads: sim_threads as u64,
             wall_seconds: start.elapsed().as_secs_f64(),
             workload_cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
             workload_cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
@@ -931,58 +873,15 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_resolution_prefers_override_spec() {
-        // No override: at least the serial default of 1.
-        set_override_spec(None);
-        assert!(effective_sim_threads() >= 1);
-        set_override_spec(Some(RunSpec::default().sim_threads(3)));
-        assert_eq!(effective_sim_threads(), 3);
-        set_override_spec(None);
-    }
-
-    #[test]
     fn batch_options_lift_execution_knobs_from_spec() {
-        let spec = RunSpec::default().sim_threads(2).timeout_secs(1.5);
+        let spec = RunSpec::default().timeout_secs(1.5);
         let opts = BatchOptions::from(&spec);
-        assert_eq!(opts.sim_threads, Some(2));
         assert_eq!(opts.timeout, Some(Duration::from_secs_f64(1.5)));
         assert!(opts.jobs.is_none() && opts.resume_dir.is_none());
         assert!(!opts.fail_fast && opts.store_max_bytes.is_none());
         // A spec without execution knobs lifts to all-default options.
         let plain = BatchOptions::from(&RunSpec::default());
-        assert!(plain.timeout.is_none() && plain.sim_threads.is_none());
-    }
-
-    #[test]
-    fn thread_budget_clamps_oversubscription() {
-        // Serial cells are never clamped, whatever the job count.
-        assert_eq!(clamp_sim_threads(1, 1), 1);
-        assert_eq!(clamp_sim_threads(1024, 1), 1);
-        // A request that cannot fit next to the worker pool is capped to
-        // the per-job share of the machine, never below 1.
-        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(clamp_sim_threads(avail, avail * 4), 1);
-        let capped = clamp_sim_threads(1, avail * 4);
-        assert!(capped >= 1 && capped <= avail);
-    }
-
-    #[test]
-    fn sharded_batch_matches_serial_per_cell() {
-        // One worker, many event-loop threads per cell: the results must
-        // match the serial engine cell for cell. The options override the
-        // process-global setting, so this is race-free under the parallel
-        // test harness.
-        let cells = grid();
-        let serial = run_batch_with(&cells, &BatchOptions::new().jobs(1).sim_threads(1));
-        let sharded = run_batch_with(&cells, &BatchOptions::new().jobs(1).sim_threads(4));
-        assert_eq!(serial.len(), sharded.len());
-        for (s, p) in serial.iter().zip(sharded.iter()) {
-            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
-            assert_eq!(s.metrics.total_cycles, p.metrics.total_cycles);
-            assert_eq!(s.metrics.accesses, p.metrics.accesses);
-            assert_eq!(s.metrics.faults, p.metrics.faults);
-            assert_eq!(s.page_attrs, p.page_attrs);
-        }
+        assert!(plain.timeout.is_none());
     }
 
     #[test]

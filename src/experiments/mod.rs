@@ -42,10 +42,9 @@ pub mod result_store;
 pub mod workload_cache;
 
 pub use batch::{
-    effective_jobs, effective_sim_threads, fail_fast_triggered, override_spec, run_batch,
-    run_batch_with, run_batch_with_stats, run_grid, set_fail_fast, set_jobs, set_override_spec,
-    set_progress, set_resume_dir, set_store_max_bytes, BatchOptions, CellResultExt, CellSpec,
-    PolicySpec,
+    effective_jobs, fail_fast_triggered, override_spec, run_batch, run_batch_with,
+    run_batch_with_stats, run_grid, set_fail_fast, set_jobs, set_override_spec, set_progress,
+    set_resume_dir, set_store_max_bytes, BatchOptions, CellResultExt, CellSpec, PolicySpec,
 };
 
 use grit_baselines::{FirstTouchPolicy, GpsPolicy, GriffinDpcPolicy, IdealPolicy};

@@ -13,8 +13,7 @@ use std::sync::Mutex;
 use grit_sim::CellError;
 use grit_trace::{
     BatchProfile, BenchSummary, CellReport, CycleProfile, HeadlineSpeedups, MetricsReport,
-    PhaseEntry, ProfileReport, RunReport, SeriesReport, SpeculationReport, StoreCounters,
-    TargetTiming,
+    PhaseEntry, ProfileReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
 };
 
 use crate::runner::RunOutput;
@@ -188,7 +187,6 @@ pub fn build_report(exp: &ExpConfig, jobs: usize, total_seconds: f64) -> RunRepo
         intensity: exp.intensity,
         seed: exp.seed,
         jobs: jobs as u64,
-        sim_threads: super::batch::effective_sim_threads() as u64,
         total_seconds,
         system: grit_sim::SimConfig::default()
             .describe()
@@ -203,10 +201,10 @@ pub fn build_report(exp: &ExpConfig, jobs: usize, total_seconds: f64) -> RunRepo
     }
 }
 
-/// Assembles the report's `profile` object: wall-clock phase totals and
-/// speculation telemetry from the process-wide `grit-prof` accumulators,
-/// and the deterministic cycle-domain sections merged from every
-/// successful cell's `prof_*` aux series in sequence order.
+/// Assembles the report's `profile` object: wall-clock phase totals from
+/// the process-wide `grit-prof` accumulators, and the deterministic
+/// cycle-domain sections merged from every successful cell's `prof_*`
+/// aux series in sequence order.
 fn build_profile(cells: &[CellReport]) -> ProfileReport {
     let wall: Vec<PhaseEntry> = grit_prof::phase_totals()
         .iter()
@@ -217,28 +215,11 @@ fn build_profile(cells: &[CellReport]) -> ProfileReport {
             count: t.count,
         })
         .collect();
-    let spec = grit_prof::spec_stats();
-    let speculation = (spec.rounds > 0).then(|| SpeculationReport {
-        rounds: spec.rounds,
-        speculated: spec.speculated,
-        committed: spec.committed,
-        rewound: spec.rewound,
-        serial_burst_steps: spec.serial,
-        horizon_stalls: spec.horizon_stalls,
-        horizon_stall_cycles: spec.horizon_stall_cycles,
-        rollback_rate: spec.rollback_rate(),
-        load_imbalance: spec.load_imbalance(),
-        per_gpu_committed: spec.per_gpu_committed.clone(),
-    });
     let mut cycle = CycleProfile::default();
     for cell in cells.iter().filter(|c| c.status == "ok" || c.status == "resumed") {
         cycle.absorb_aux(&cell.metrics.aux);
     }
-    ProfileReport {
-        wall,
-        speculation,
-        cycle,
-    }
+    ProfileReport { wall, cycle }
 }
 
 /// Assembles the compact `BENCH_run.json` document.
@@ -260,7 +241,6 @@ pub fn build_bench_summary(exp: &ExpConfig, jobs: usize, total_seconds: f64) -> 
         intensity: exp.intensity,
         seed: exp.seed,
         jobs: jobs as u64,
-        sim_threads: super::batch::effective_sim_threads() as u64,
         total_seconds,
         cells_run: st.cells.len() as u64,
         fault_totals,

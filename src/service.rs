@@ -58,11 +58,10 @@ pub fn parse_spec_cell(spec: &RunSpec) -> Result<CellSpec, String> {
 }
 
 /// Runs one spec through the batch engine, honoring the spec's own
-/// execution knobs (`sim_threads`, `timeout_secs`) plus the server's
-/// shared store. When the spec carries no deadline, `default_timeout`
-/// (if any) is applied as a batch-level timeout — *not* written into
-/// the spec, which would change its canonical store key and break the
-/// resubmit-hits-the-store guarantee.
+/// `timeout_secs` plus the server's shared store. When the spec carries
+/// no deadline, `default_timeout` (if any) is applied as a batch-level
+/// timeout — *not* written into the spec, which would change its
+/// canonical store key and break the resubmit-hits-the-store guarantee.
 pub fn run_spec(
     spec: &RunSpec,
     store_dir: Option<&Path>,

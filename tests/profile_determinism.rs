@@ -1,9 +1,10 @@
 //! Determinism pin for the profiler's cycle-domain sections: the
 //! `prof_*` aux series (fault-handler occupancy, migration latency,
 //! fabric queue wait, MLP stall cycles) and the merged `CycleProfile`
-//! they roll up into must be byte-identical at any `--sim-threads` and
-//! any `--jobs`. Wall-clock phase timers and speculation telemetry are
-//! thread-count-dependent by design and live outside this surface.
+//! they roll up into must be byte-identical at any `--jobs`, and with or
+//! without the ignored `sim_threads` builder setting. Wall-clock
+//! phase timers are thread-dependent by design and live outside this
+//! surface.
 
 use grit::experiments::{run_batch_with, BatchOptions, CellSpec, ExpConfig, PolicyKind};
 use grit::runner::RunOutput;
@@ -56,27 +57,26 @@ fn merged_cycle_json(outs: &[RunOutput]) -> String {
     }
     ProfileReport {
         wall: Vec::new(),
-        speculation: None,
         cycle,
     }
     .to_json()
     .to_string()
 }
 
-fn run(cells: &[CellSpec], jobs: usize, sim_threads: usize) -> Vec<RunOutput> {
-    run_batch_with(
-        cells,
-        &BatchOptions::new().jobs(jobs).sim_threads(sim_threads),
-    )
-    .into_iter()
-    .map(|r| r.expect("cell must succeed"))
-    .collect()
+fn run(cells: &[CellSpec], jobs: usize) -> Vec<RunOutput> {
+    run_batch_with(cells, &BatchOptions::new().jobs(jobs))
+        .into_iter()
+        .map(|r| r.expect("cell must succeed"))
+        .collect()
 }
 
+/// `BatchOptions::sim_threads` is kept as an ignored builder method for
+/// callers written against the sharded engine; setting it must leave every
+/// cycle-domain profile series byte-identical to a run that never set it.
 #[test]
 fn cycle_profile_byte_identical_across_sim_threads() {
     let cells = grid();
-    let serial = run(&cells, 1, 1);
+    let serial = run(&cells, 1);
     for out in &serial {
         assert_eq!(
             prof_aux(out).len(),
@@ -85,18 +85,22 @@ fn cycle_profile_byte_identical_across_sim_threads() {
         );
     }
     for threads in [2usize, 4] {
-        let sharded = run(&cells, 1, threads);
-        for (i, (s, p)) in serial.iter().zip(sharded.iter()).enumerate() {
+        let legacy: Vec<RunOutput> =
+            run_batch_with(&cells, &BatchOptions::new().jobs(1).sim_threads(threads))
+                .into_iter()
+                .map(|r| r.expect("cell must succeed"))
+                .collect();
+        for (i, (s, p)) in serial.iter().zip(legacy.iter()).enumerate() {
             assert_eq!(
                 prof_aux(s),
                 prof_aux(p),
-                "cell {i} prof_* aux diverge at --sim-threads {threads}"
+                "cell {i} prof_* aux diverge with sim_threads({threads})"
             );
         }
         assert_eq!(
             merged_cycle_json(&serial),
-            merged_cycle_json(&sharded),
-            "merged cycle profile diverges at --sim-threads {threads}"
+            merged_cycle_json(&legacy),
+            "merged cycle profile diverges with sim_threads({threads})"
         );
     }
 }
@@ -104,8 +108,8 @@ fn cycle_profile_byte_identical_across_sim_threads() {
 #[test]
 fn cycle_profile_byte_identical_across_jobs() {
     let cells = grid();
-    let one = run(&cells, 1, 1);
-    let four = run(&cells, 4, 1);
+    let one = run(&cells, 1);
+    let four = run(&cells, 4);
     for (i, (a, b)) in one.iter().zip(four.iter()).enumerate() {
         assert_eq!(
             prof_aux(a),
@@ -120,28 +124,16 @@ fn cycle_profile_byte_identical_across_jobs() {
     );
 }
 
-/// With profiling enabled, a sharded run must deposit speculation
-/// telemetry and wall-clock spans into the process-wide accumulators —
-/// the source of the report's `speculation` and `wall` sections.
+/// With profiling enabled, a run must deposit wall-clock spans into the
+/// process-wide accumulators — the source of the report's `wall`
+/// section.
 #[test]
-fn profiled_sharded_run_records_speculation_and_spans() {
+fn profiled_run_records_wall_clock_spans() {
     grit_prof::set_enabled(true);
     let cells =
         vec![CellSpec::new(App::Bfs, PolicyKind::GRIT, &exp()).with_cfg(SimConfig::with_gpus(4))];
-    let _ = run(&cells, 1, 4);
+    let _ = run(&cells, 1);
     grit_prof::set_enabled(false);
-    let spec = grit_prof::spec_stats();
-    assert!(spec.rounds > 0, "sharded run must count optimistic rounds");
-    assert!(
-        spec.committed > 0,
-        "sharded run must commit speculated events"
-    );
-    assert_eq!(spec.per_gpu_committed.len(), 4);
-    assert!(
-        spec.rollback_rate() >= 0.0 && spec.rollback_rate() <= 1.0,
-        "rollback rate must be a fraction, got {}",
-        spec.rollback_rate()
-    );
     let totals = grit_prof::phase_totals();
     assert!(
         totals.iter().any(|t| t.count > 0),

@@ -208,6 +208,39 @@ fn profile_flags_end_to_end() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A v8 report written while the sharded event loop existed carries
+/// `sim_threads` (top level and per batch), a `profile.speculation`
+/// object and `spec_*` wall phases. It still loads, and `repro profile`
+/// renders it without the removed section.
+#[test]
+fn profile_renders_reports_with_sharded_engine_fields() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_report_v8_sharded.json");
+    let text = fs::read_to_string(&path).expect("fixture present");
+    assert!(text.contains("\"sim_threads\":2") && text.contains("\"speculation\":{"));
+    let report = RunReport::from_json(&Json::parse(&text).expect("valid JSON"))
+        .expect("old report still matches the schema");
+    assert_eq!(report.batches.len(), 1);
+    let profile = report.profile.expect("profile object");
+    assert!(profile.wall.iter().any(|p| p.phase == "spec_execute"));
+    assert_eq!(profile.cycle.mlp_stall_cycles, 4_166_018);
+
+    let rendered = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["profile", path.to_str().unwrap()])
+        .output()
+        .expect("repro profile runs");
+    assert!(
+        rendered.status.success(),
+        "{}",
+        String::from_utf8_lossy(&rendered.stderr)
+    );
+    let out = String::from_utf8_lossy(&rendered.stdout);
+    assert!(out.contains("wall-clock phases"), "{out}");
+    assert!(out.contains("spec_execute"), "{out}");
+    assert!(out.contains("fault_occupancy"), "{out}");
+    assert!(!out.contains("speculation"), "{out}");
+}
+
 /// `bench-diff` flags regressions past the threshold and passes clean runs.
 #[test]
 fn bench_diff_gates_on_threshold() {
@@ -219,7 +252,6 @@ fn bench_diff_gates_on_threshold() {
         intensity: 1.0,
         seed: 7,
         jobs: 1,
-        sim_threads: 1,
         total_seconds: seconds,
         cells_run: 8,
         targets: vec![TargetTiming {

@@ -147,3 +147,54 @@ fn traced_cells_stream_their_events_before_the_result() {
     }
     handle.join().expect("server thread");
 }
+
+/// Clients written while the sharded event loop existed may still send
+/// `"sim_threads"` in a spec. The server must accept the line and answer
+/// with exactly the counters of the same spec without the field.
+#[test]
+fn submits_carrying_sim_threads_run_like_submits_without_it() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server =
+        Server::start(&ServeOptions::new().jobs(2), spec_runner(None, None)).expect("start server");
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run());
+
+    let spec = r#""app":"FIR","policy":"grit","scale":0.02,"intensity":0.5,"seed":24082"#;
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let lines = format!(
+        "{{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":0,\"spec\":{{{spec}}}}}\n\
+         {{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":1,\"spec\":{{{spec},\"sim_threads\":2}}}}\n\
+         {{\"schema\":\"grit-serve/v1\",\"type\":\"shutdown\"}}\n"
+    );
+    stream.write_all(lines.as_bytes()).expect("send");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut results = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        let v = grit_trace::Json::parse(&line.expect("recv")).expect("JSON line");
+        match grit_serve::Response::from_json(&v).expect("v1 response") {
+            grit_serve::Response::Result(r) => results.push(r),
+            grit_serve::Response::Done { .. } => break,
+            _ => {}
+        }
+    }
+    handle.join().expect("server thread");
+
+    results.sort_by_key(|r| r.id);
+    let [plain, legacy] = &results[..] else {
+        panic!("expected two results, got {results:?}")
+    };
+    assert_eq!(plain.status, "ok", "{:?}", plain.error);
+    assert_eq!(legacy.status, "ok", "{:?}", legacy.error);
+    assert!(plain.total_cycles > 0);
+    let counters = |r: &grit_serve::CellResult| {
+        (
+            r.total_cycles,
+            r.accesses,
+            r.local_faults,
+            r.migrations,
+            r.store_hit,
+        )
+    };
+    assert_eq!(counters(plain), counters(legacy));
+}

@@ -29,7 +29,6 @@ fn exemplar_lines() -> Vec<String> {
         .topology("nvswitch")
         .inject("retire@10:gpu=0:frames=1")
         .check_invariants(true)
-        .sim_threads(2)
         .timeout_secs(30.0)
         .trace(true)
         .trace_filter("fault,migration")
