@@ -420,8 +420,9 @@ impl Backoff {
 }
 
 /// Counters of injected faults and the degradation machinery's responses;
-/// surfaced as the `resilience_counters` aux series and the report's
-/// `resilience` object. [`ResilienceCounters::as_aux`] fixes the order.
+/// recorded as the `resilience_counters` aux series of a run's metrics.
+/// [`ResilienceCounters::as_aux`] fixes the slot order and
+/// [`ResilienceCounters::from_aux`] reads it back.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ResilienceCounters {
     /// Fault events that took effect (window starts + retirements).
@@ -468,6 +469,35 @@ impl ResilienceCounters {
             self.host_staged as f64,
             self.invariant_checks as f64,
         ]
+    }
+
+    /// Decodes a `resilience_counters` aux series written by
+    /// [`ResilienceCounters::as_aux`]; missing slots read as zero, so an
+    /// empty series (an uninjected run) decodes to all zeros.
+    pub fn from_aux(series: &[f64]) -> Self {
+        let mut slots = [0u64; Self::AUX_LEN];
+        for (slot, v) in slots.iter_mut().zip(series) {
+            *slot = *v as u64;
+        }
+        ResilienceCounters {
+            faults_injected: slots[0],
+            recoveries: slots[1],
+            frames_retired: slots[2],
+            pages_force_evicted: slots[3],
+            storm_stalled_faults: slots[4],
+            migrations_blocked: slots[5],
+            migration_retries: slots[6],
+            retry_successes: slots[7],
+            fallback_remote: slots[8],
+            host_staged: slots[9],
+            invariant_checks: slots[10],
+        }
+    }
+
+    /// Whether every blocked migration resolved: retried to success, fell
+    /// back to remote access, or was staged through the host.
+    pub fn all_blocked_resolved(&self) -> bool {
+        self.migrations_blocked <= self.retry_successes + self.fallback_remote + self.host_staged
     }
 }
 
@@ -939,6 +969,42 @@ mod tests {
         assert_eq!(aux[1], 2.0);
         assert_eq!(aux[9], 9.0);
         assert_eq!(aux[10], 10.0);
+    }
+
+    #[test]
+    fn counters_decode_from_their_aux_series() {
+        let c = ResilienceCounters {
+            faults_injected: 4,
+            recoveries: 3,
+            frames_retired: 2,
+            pages_force_evicted: 5,
+            storm_stalled_faults: 7,
+            migrations_blocked: 6,
+            migration_retries: 9,
+            retry_successes: 4,
+            fallback_remote: 1,
+            host_staged: 1,
+            invariant_checks: 12,
+        };
+        assert_eq!(ResilienceCounters::from_aux(&c.as_aux()), c);
+        assert!(c.all_blocked_resolved());
+        assert_eq!(
+            ResilienceCounters::from_aux(&[]),
+            ResilienceCounters::default(),
+            "an absent series reads as an uninjected run"
+        );
+    }
+
+    #[test]
+    fn unresolved_blocked_migrations_are_detected() {
+        let c = ResilienceCounters {
+            migrations_blocked: 5,
+            retry_successes: 2,
+            fallback_remote: 1,
+            host_staged: 1,
+            ..ResilienceCounters::default()
+        };
+        assert!(!c.all_blocked_resolved());
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl SchemeMix {
 }
 
 /// Everything one simulation run produces.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMetrics {
     /// Simulated execution time (max over GPUs of their finish cycle).
     pub total_cycles: u64,

@@ -73,8 +73,7 @@ pub struct BasePageView {
 }
 
 /// Cumulative multi-page-size activity counters, reported through the
-/// `pagesize_counters` aux series and the run report's `pagesize`
-/// object.
+/// `pagesize_counters` aux series of a run's metrics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PageSizeCounters {
     /// Frames coalesced into a large mapping.
@@ -103,7 +102,7 @@ impl PageSizeCounters {
     /// series: `[coalesces, splinters_false_sharing, splinters_eviction,
     /// splinters_retirement, counter_trips_base, counter_trips_large,
     /// counter_groups_aliased, coalesced_peak, coalesced_now]`. The
-    /// report parser in `grit-trace` depends on this order.
+    /// `ext-pagesize` study and `perfbench` read slots by this order.
     pub fn to_series(&self, coalesced_now: u64) -> Vec<f64> {
         vec![
             self.coalesces as f64,

@@ -34,9 +34,9 @@ pub use event::{
 };
 pub use json::Json;
 pub use report::{
-    BatchProfile, BenchSummary, CellReport, CellTiming, CycleProfile, FabricReport,
-    HeadlineSpeedups, HistReport, MetricsReport, PagesizeReport, PhaseEntry, ProfileReport,
-    ResilienceReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
+    metrics_from_json, metrics_to_json, BatchProfile, BenchSummary, CellReport, CellTiming,
+    CycleProfile, HeadlineSpeedups, HistReport, PhaseEntry, ProfileReport, RunReport, SeriesReport,
+    StoreCounters, TargetTiming,
 };
 pub use sink::{TraceConfig, Tracer};
 pub use writer::CellMeta;

@@ -7,6 +7,8 @@
 //! and parse from [`Json`] with exact round-tripping, so regressions can be
 //! diffed across commits.
 
+use std::collections::HashMap;
+
 use grit_metrics::{
     FaultCounters, IntervalSeries, LatencyBreakdown, LatencyClass, RunMetrics, SchemeMix,
 };
@@ -14,36 +16,12 @@ use grit_sim::Cycle;
 
 use crate::json::Json;
 
-/// Schema tag written into every [`RunReport`]. Bumped to v2 when cells
-/// gained `status` / `error` fields (resilient batch execution), to v3
-/// when cell metrics gained the per-class `fabric` traffic object
-/// (topology-driven interconnect), to v4 when injected-fault runs
-/// gained the `resilience` counter object (emitted only when fault
-/// injection ran, so uninjected documents stay v3-shaped), and to v5
-/// when profiled runs gained the top-level `profile` object (emitted
-/// only when self-profiling ran, so unprofiled documents stay
-/// v4-shaped), and to v6 when cells gained the optional canonical
-/// `spec` string (the serialized `RunSpec` the cell ran under, also the
-/// result-store key), and to v7 when multi-page-size runs gained the
-/// `pagesize` counter object (emitted only when large pages are enabled,
-/// so uniform-4 KB documents stay v6-shaped), and to v8 when runs that
-/// touch a result store gained the top-level `store` counter object
-/// (hits / misses / quarantined files; emitted only when a store was in
-/// play, so store-less documents stay v7-shaped). Older documents still
-/// parse: absent objects default to zeros or `None`.
-pub const RUN_REPORT_SCHEMA: &str = "grit-run-report/v8";
-/// v7 run-report schema tag, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V7: &str = "grit-run-report/v7";
-/// v6 run-report schema tag, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V6: &str = "grit-run-report/v6";
-/// v5 run-report schema tag, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V5: &str = "grit-run-report/v5";
-/// v4 run-report schema tag, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V4: &str = "grit-run-report/v4";
-/// v3 run-report schema tag, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V3: &str = "grit-run-report/v3";
-/// v2 run-report schema tag, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V2: &str = "grit-run-report/v2";
+/// Schema tag written into every [`RunReport`]; v9 writes each per-layer
+/// counter once, as an aux series of the cell's metrics.
+pub const RUN_REPORT_SCHEMA: &str = "grit-run-report/v9";
+/// The previous tag, still read: [`RunReport::from_json`] skips the
+/// per-layer metric objects v8 wrote next to the aux series.
+const RUN_REPORT_SCHEMA_PREV: &str = "grit-run-report/v8";
 /// Schema tag written into every [`BenchSummary`].
 pub const BENCH_SCHEMA: &str = "grit-bench/v1";
 
@@ -114,537 +92,95 @@ pub struct CellTiming {
     pub resumed: bool,
 }
 
-/// Per-class fabric traffic of one cell (grit-run-report/v3): how many
-/// payload bytes crossed each wire class and how long transfers queued
-/// behind busy wires, accumulated hop by hop on routed topologies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FabricReport {
-    /// Bytes over direct GPU↔GPU NVLinks.
-    pub nvlink_bytes: u64,
-    /// Bytes over switch uplinks/trunks (NvSwitch, hierarchical routers).
-    pub switch_bytes: u64,
-    /// Bytes over the hierarchical inter-node bottleneck.
-    pub inter_node_bytes: u64,
-    /// Bytes over host PCIe (data + control).
-    pub pcie_bytes: u64,
-    /// Queueing cycles on NVLink hops.
-    pub nvlink_queue_cycles: u64,
-    /// Queueing cycles on switch hops.
-    pub switch_queue_cycles: u64,
-    /// Queueing cycles on inter-node hops.
-    pub inter_node_queue_cycles: u64,
-    /// Queueing cycles on PCIe links.
-    pub pcie_queue_cycles: u64,
+/// Serializes a cell's metrics to the object form stored in
+/// `run_report.json` and in result-store files. Aux series are sorted by
+/// name, so two identical runs serialize identically.
+pub fn metrics_to_json(m: &RunMetrics) -> Json {
+    let breakdown = Json::Obj(
+        LatencyClass::ALL
+            .iter()
+            .map(|&c| (c.label().to_string(), Json::UInt(m.breakdown.get(c))))
+            .collect(),
+    );
+    let scheme_mix = Json::Obj(vec![
+        ("on_touch".into(), Json::UInt(m.scheme_mix.on_touch)),
+        (
+            "access_counter".into(),
+            Json::UInt(m.scheme_mix.access_counter),
+        ),
+        ("duplication".into(), Json::UInt(m.scheme_mix.duplication)),
+    ]);
+    let mut aux: Vec<(&String, &Vec<f64>)> = m.aux.iter().collect();
+    aux.sort_by(|a, b| a.0.cmp(b.0));
+    let aux = Json::Obj(
+        aux.into_iter()
+            .map(|(k, vs)| {
+                (
+                    k.clone(),
+                    Json::Arr(vs.iter().map(|&v| Json::Float(v)).collect()),
+                )
+            })
+            .collect(),
+    );
+    Json::Obj(vec![
+        ("total_cycles".into(), Json::UInt(m.total_cycles)),
+        ("accesses".into(), Json::UInt(m.accesses)),
+        ("local_accesses".into(), Json::UInt(m.local_accesses)),
+        ("remote_accesses".into(), Json::UInt(m.remote_accesses)),
+        ("breakdown".into(), breakdown),
+        ("faults".into(), faults_to_json(&m.faults)),
+        ("scheme_mix".into(), scheme_mix),
+        ("nvlink_bytes".into(), Json::UInt(m.nvlink_bytes)),
+        ("pcie_bytes".into(), Json::UInt(m.pcie_bytes)),
+        (
+            "oversubscription_rate".into(),
+            Json::Float(m.oversubscription_rate),
+        ),
+        ("aux".into(), aux),
+    ])
 }
 
-impl FabricReport {
-    /// Extracts the snapshot from the `fabric_class_bytes` /
-    /// `fabric_queue_cycles` aux series the runner records (class order:
-    /// nvlink, switch, inter-node, pcie); zeros when the series are absent
-    /// (e.g. pre-topology reports or synthetic metrics).
-    pub fn from_aux(aux: &[(String, Vec<f64>)]) -> Self {
-        let series = |name: &str| -> [u64; 4] {
-            let mut out = [0u64; 4];
-            if let Some((_, vs)) = aux.iter().find(|(k, _)| k == name) {
-                for (slot, v) in out.iter_mut().zip(vs) {
-                    *slot = *v as u64;
-                }
-            }
-            out
-        };
-        let bytes = series("fabric_class_bytes");
-        let queue = series("fabric_queue_cycles");
-        FabricReport {
-            nvlink_bytes: bytes[0],
-            switch_bytes: bytes[1],
-            inter_node_bytes: bytes[2],
-            pcie_bytes: bytes[3],
-            nvlink_queue_cycles: queue[0],
-            switch_queue_cycles: queue[1],
-            inter_node_queue_cycles: queue[2],
-            pcie_queue_cycles: queue[3],
-        }
-    }
-
-    /// Total queueing cycles across every wire class.
-    pub fn total_queue_cycles(&self) -> u64 {
-        self.nvlink_queue_cycles
-            + self.switch_queue_cycles
-            + self.inter_node_queue_cycles
-            + self.pcie_queue_cycles
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("nvlink_bytes".into(), Json::UInt(self.nvlink_bytes)),
-            ("switch_bytes".into(), Json::UInt(self.switch_bytes)),
-            ("inter_node_bytes".into(), Json::UInt(self.inter_node_bytes)),
-            ("pcie_bytes".into(), Json::UInt(self.pcie_bytes)),
-            (
-                "nvlink_queue_cycles".into(),
-                Json::UInt(self.nvlink_queue_cycles),
-            ),
-            (
-                "switch_queue_cycles".into(),
-                Json::UInt(self.switch_queue_cycles),
-            ),
-            (
-                "inter_node_queue_cycles".into(),
-                Json::UInt(self.inter_node_queue_cycles),
-            ),
-            (
-                "pcie_queue_cycles".into(),
-                Json::UInt(self.pcie_queue_cycles),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(FabricReport {
-            nvlink_bytes: req_u64(v, "nvlink_bytes")?,
-            switch_bytes: req_u64(v, "switch_bytes")?,
-            inter_node_bytes: req_u64(v, "inter_node_bytes")?,
-            pcie_bytes: req_u64(v, "pcie_bytes")?,
-            nvlink_queue_cycles: req_u64(v, "nvlink_queue_cycles")?,
-            switch_queue_cycles: req_u64(v, "switch_queue_cycles")?,
-            inter_node_queue_cycles: req_u64(v, "inter_node_queue_cycles")?,
-            pcie_queue_cycles: req_u64(v, "pcie_queue_cycles")?,
-        })
-    }
-}
-
-/// Fault-injection outcome counters of one cell (grit-run-report/v4):
-/// what was injected, how the system degraded, and that every blocked
-/// operation resolved. Zeros — and omitted from the JSON — when the run
-/// had no fault plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResilienceReport {
-    /// Fault windows that became active.
-    pub faults_injected: u64,
-    /// Fault windows that closed (component recovered).
-    pub recoveries: u64,
-    /// DRAM page frames retired by injected ECC faults.
-    pub frames_retired: u64,
-    /// Resident pages force-evicted by frame retirement.
-    pub pages_force_evicted: u64,
-    /// Faults serviced while a handler stall storm was active.
-    pub storm_stalled_faults: u64,
-    /// Migrations that found their route down on first attempt.
-    pub migrations_blocked: u64,
-    /// Backoff retries scheduled for blocked migrations.
-    pub migration_retries: u64,
-    /// Blocked migrations that eventually succeeded over a recovered or
-    /// rerouted path.
-    pub retry_successes: u64,
-    /// Blocked migrations that gave up and left the page remote.
-    pub fallback_remote: u64,
-    /// Blocked transfers staged through host memory.
-    pub host_staged: u64,
-    /// Invariant sweeps run (epoch boundaries + post-fault checks).
-    pub invariant_checks: u64,
-}
-
-impl ResilienceReport {
-    /// Extracts the snapshot from the `resilience_counters` aux series the
-    /// runner records (field order above); zeros when the series is absent
-    /// (uninjected runs, older reports).
-    pub fn from_aux(aux: &[(String, Vec<f64>)]) -> Self {
-        let mut out = [0u64; 11];
-        if let Some((_, vs)) = aux.iter().find(|(k, _)| k == "resilience_counters") {
-            for (slot, v) in out.iter_mut().zip(vs) {
-                *slot = *v as u64;
-            }
-        }
-        ResilienceReport {
-            faults_injected: out[0],
-            recoveries: out[1],
-            frames_retired: out[2],
-            pages_force_evicted: out[3],
-            storm_stalled_faults: out[4],
-            migrations_blocked: out[5],
-            migration_retries: out[6],
-            retry_successes: out[7],
-            fallback_remote: out[8],
-            host_staged: out[9],
-            invariant_checks: out[10],
-        }
-    }
-
-    /// Whether every blocked migration resolved: retried to success, fell
-    /// back to remote access, or was staged through the host.
-    pub fn all_blocked_resolved(&self) -> bool {
-        self.migrations_blocked <= self.retry_successes + self.fallback_remote + self.host_staged
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("faults_injected".into(), Json::UInt(self.faults_injected)),
-            ("recoveries".into(), Json::UInt(self.recoveries)),
-            ("frames_retired".into(), Json::UInt(self.frames_retired)),
-            (
-                "pages_force_evicted".into(),
-                Json::UInt(self.pages_force_evicted),
-            ),
-            (
-                "storm_stalled_faults".into(),
-                Json::UInt(self.storm_stalled_faults),
-            ),
-            (
-                "migrations_blocked".into(),
-                Json::UInt(self.migrations_blocked),
-            ),
-            (
-                "migration_retries".into(),
-                Json::UInt(self.migration_retries),
-            ),
-            ("retry_successes".into(), Json::UInt(self.retry_successes)),
-            ("fallback_remote".into(), Json::UInt(self.fallback_remote)),
-            ("host_staged".into(), Json::UInt(self.host_staged)),
-            ("invariant_checks".into(), Json::UInt(self.invariant_checks)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(ResilienceReport {
-            faults_injected: req_u64(v, "faults_injected")?,
-            recoveries: req_u64(v, "recoveries")?,
-            frames_retired: req_u64(v, "frames_retired")?,
-            pages_force_evicted: req_u64(v, "pages_force_evicted")?,
-            storm_stalled_faults: req_u64(v, "storm_stalled_faults")?,
-            migrations_blocked: req_u64(v, "migrations_blocked")?,
-            migration_retries: req_u64(v, "migration_retries")?,
-            retry_successes: req_u64(v, "retry_successes")?,
-            fallback_remote: req_u64(v, "fallback_remote")?,
-            host_staged: req_u64(v, "host_staged")?,
-            invariant_checks: req_u64(v, "invariant_checks")?,
-        })
-    }
-}
-
-/// Multi-page-size activity counters of one cell (grit-run-report/v7):
-/// how often 2 MB frames coalesced and splintered, why they splintered,
-/// and what coalescing did to access-counter granularity. Zeros — and
-/// omitted from the JSON — when the run managed uniform 4 KB pages.
+/// Parses the object form produced by [`metrics_to_json`]. Unknown keys
+/// are ignored, so v8 documents, which also carry `fabric`, `resilience`
+/// and `pagesize` objects, parse to the same metrics.
 ///
-/// The field order mirrors the `pagesize_counters` aux series recorded
-/// by the runner (`grit_pagesize::PageSizeCounters::to_series`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PagesizeReport {
-    /// Frames coalesced into a 2 MB mapping.
-    pub coalesces: u64,
-    /// Frames splintered because a peer GPU started sharing the range.
-    pub splinters_false_sharing: u64,
-    /// Frames splintered by partial capacity eviction / host staging.
-    pub splinters_eviction: u64,
-    /// Frames splintered by ECC frame retirement.
-    pub splinters_retirement: u64,
-    /// Access-counter trips on ordinary 64 KB groups.
-    pub counter_trips_base: u64,
-    /// Access-counter trips on coalesced frame-granularity groups.
-    pub counter_trips_large: u64,
-    /// Total 64 KB groups aliased into tripped frame groups.
-    pub counter_groups_aliased: u64,
-    /// Highest number of simultaneously coalesced frames observed.
-    pub coalesced_peak: u64,
-    /// Frames still coalesced when the run finished.
-    pub coalesced_final: u64,
-}
-
-impl PagesizeReport {
-    /// Extracts the snapshot from the `pagesize_counters` aux series the
-    /// runner records (field order above); zeros when the series is
-    /// absent (uniform-4 KB runs, older reports).
-    pub fn from_aux(aux: &[(String, Vec<f64>)]) -> Self {
-        let mut out = [0u64; 9];
-        if let Some((_, vs)) = aux.iter().find(|(k, _)| k == "pagesize_counters") {
-            for (slot, v) in out.iter_mut().zip(vs) {
-                *slot = *v as u64;
-            }
-        }
-        PagesizeReport {
-            coalesces: out[0],
-            splinters_false_sharing: out[1],
-            splinters_eviction: out[2],
-            splinters_retirement: out[3],
-            counter_trips_base: out[4],
-            counter_trips_large: out[5],
-            counter_groups_aliased: out[6],
-            coalesced_peak: out[7],
-            coalesced_final: out[8],
-        }
+/// # Errors
+///
+/// Returns a description of the first missing or mistyped field.
+pub fn metrics_from_json(v: &Json) -> Result<RunMetrics, String> {
+    let bd = req(v, "breakdown")?;
+    let mut breakdown = LatencyBreakdown::default();
+    for class in LatencyClass::ALL {
+        breakdown.record(class, req_u64(bd, class.label())?);
     }
-
-    /// Total splinters across every cause.
-    pub fn splinters(&self) -> u64 {
-        self.splinters_false_sharing + self.splinters_eviction + self.splinters_retirement
+    let sm = req(v, "scheme_mix")?;
+    let aux_obj = req(v, "aux")?.as_obj().ok_or("field \"aux\" is not an object")?;
+    let mut aux = HashMap::with_capacity(aux_obj.len());
+    for (k, vs) in aux_obj {
+        let vs = vs.as_arr().ok_or_else(|| format!("aux series {k:?} is not an array"))?;
+        let series: Result<Vec<f64>, String> = vs
+            .iter()
+            .map(|x| x.as_f64().ok_or_else(|| format!("aux series {k:?} has a non-number")))
+            .collect();
+        aux.insert(k.clone(), series?);
     }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("coalesces".into(), Json::UInt(self.coalesces)),
-            (
-                "splinters_false_sharing".into(),
-                Json::UInt(self.splinters_false_sharing),
-            ),
-            (
-                "splinters_eviction".into(),
-                Json::UInt(self.splinters_eviction),
-            ),
-            (
-                "splinters_retirement".into(),
-                Json::UInt(self.splinters_retirement),
-            ),
-            (
-                "counter_trips_base".into(),
-                Json::UInt(self.counter_trips_base),
-            ),
-            (
-                "counter_trips_large".into(),
-                Json::UInt(self.counter_trips_large),
-            ),
-            (
-                "counter_groups_aliased".into(),
-                Json::UInt(self.counter_groups_aliased),
-            ),
-            ("coalesced_peak".into(), Json::UInt(self.coalesced_peak)),
-            ("coalesced_final".into(), Json::UInt(self.coalesced_final)),
-            // Derived, for human readers; ignored when parsing.
-            ("splinters_total".into(), Json::UInt(self.splinters())),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(PagesizeReport {
-            coalesces: req_u64(v, "coalesces")?,
-            splinters_false_sharing: req_u64(v, "splinters_false_sharing")?,
-            splinters_eviction: req_u64(v, "splinters_eviction")?,
-            splinters_retirement: req_u64(v, "splinters_retirement")?,
-            counter_trips_base: req_u64(v, "counter_trips_base")?,
-            counter_trips_large: req_u64(v, "counter_trips_large")?,
-            counter_groups_aliased: req_u64(v, "counter_groups_aliased")?,
-            coalesced_peak: req_u64(v, "coalesced_peak")?,
-            coalesced_final: req_u64(v, "coalesced_final")?,
-        })
-    }
-}
-
-/// A `RunMetrics` snapshot in plain-data form.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsReport {
-    /// Simulated execution time in cycles.
-    pub total_cycles: u64,
-    /// Total accesses replayed.
-    pub accesses: u64,
-    /// Accesses satisfied locally.
-    pub local_accesses: u64,
-    /// Accesses that crossed to a peer.
-    pub remote_accesses: u64,
-    /// Latency attribution in [`LatencyClass::ALL`] order.
-    pub breakdown: [u64; 6],
-    /// Fault/event counters.
-    pub faults: FaultCounters,
-    /// Scheme usage at L2 TLB misses: `[on_touch, access_counter,
-    /// duplication]`.
-    pub scheme_mix: [u64; 3],
-    /// NVLink payload bytes.
-    pub nvlink_bytes: u64,
-    /// PCIe payload bytes.
-    pub pcie_bytes: u64,
-    /// Peak page-oversubscription ratio.
-    pub oversubscription_rate: f64,
-    /// Per-class fabric traffic (v3; zeros when absent from older reports).
-    pub fabric: FabricReport,
-    /// Fault-injection outcomes (v4; zeros when the run was uninjected or
-    /// the report predates v4).
-    pub resilience: ResilienceReport,
-    /// Multi-page-size activity (v7; zeros when the run managed uniform
-    /// 4 KB pages or the report predates v7).
-    pub pagesize: PagesizeReport,
-    /// Auxiliary named series, sorted by name for deterministic output.
-    pub aux: Vec<(String, Vec<f64>)>,
-}
-
-impl MetricsReport {
-    /// Snapshots live run metrics (aux series are sorted by name so two
-    /// identical runs serialize identically).
-    pub fn from_metrics(m: &RunMetrics) -> Self {
-        let mut breakdown = [0u64; 6];
-        for (slot, class) in breakdown.iter_mut().zip(LatencyClass::ALL) {
-            *slot = m.breakdown.get(class);
-        }
-        let mut aux: Vec<(String, Vec<f64>)> =
-            m.aux.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        aux.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsReport {
-            total_cycles: m.total_cycles,
-            accesses: m.accesses,
-            local_accesses: m.local_accesses,
-            remote_accesses: m.remote_accesses,
-            breakdown,
-            faults: m.faults,
-            scheme_mix: [
-                m.scheme_mix.on_touch,
-                m.scheme_mix.access_counter,
-                m.scheme_mix.duplication,
-            ],
-            nvlink_bytes: m.nvlink_bytes,
-            pcie_bytes: m.pcie_bytes,
-            oversubscription_rate: m.oversubscription_rate,
-            fabric: FabricReport::from_aux(&aux),
-            resilience: ResilienceReport::from_aux(&aux),
-            pagesize: PagesizeReport::from_aux(&aux),
-            aux,
-        }
-    }
-
-    /// Serializes to a JSON object.
-    pub fn to_json(&self) -> Json {
-        let breakdown = Json::Obj(
-            LatencyClass::ALL
-                .iter()
-                .zip(self.breakdown)
-                .map(|(c, v)| (c.label().to_string(), Json::UInt(v)))
-                .collect(),
-        );
-        let scheme_mix = Json::Obj(vec![
-            ("on_touch".into(), Json::UInt(self.scheme_mix[0])),
-            ("access_counter".into(), Json::UInt(self.scheme_mix[1])),
-            ("duplication".into(), Json::UInt(self.scheme_mix[2])),
-        ]);
-        let aux = Json::Obj(
-            self.aux
-                .iter()
-                .map(|(k, vs)| {
-                    (
-                        k.clone(),
-                        Json::Arr(vs.iter().map(|&v| Json::Float(v)).collect()),
-                    )
-                })
-                .collect(),
-        );
-        let mut obj = Json::Obj(vec![
-            ("total_cycles".into(), Json::UInt(self.total_cycles)),
-            ("accesses".into(), Json::UInt(self.accesses)),
-            ("local_accesses".into(), Json::UInt(self.local_accesses)),
-            ("remote_accesses".into(), Json::UInt(self.remote_accesses)),
-            ("breakdown".into(), breakdown),
-            ("faults".into(), faults_to_json(&self.faults)),
-            ("scheme_mix".into(), scheme_mix),
-            ("nvlink_bytes".into(), Json::UInt(self.nvlink_bytes)),
-            ("pcie_bytes".into(), Json::UInt(self.pcie_bytes)),
-            (
-                "oversubscription_rate".into(),
-                Json::Float(self.oversubscription_rate),
-            ),
-            ("fabric".into(), self.fabric.to_json()),
-            ("aux".into(), aux),
-        ]);
-        // The resilience object appears only on injected runs, keeping
-        // uninjected documents v3-shaped for older consumers.
-        if self.resilience != ResilienceReport::default() {
-            if let Json::Obj(fields) = &mut obj {
-                let at = fields.len() - 1; // before "aux"
-                fields.insert(at, ("resilience".into(), self.resilience.to_json()));
-            }
-        }
-        // Likewise, the pagesize object appears only on runs that
-        // managed large pages, keeping uniform-4 KB documents v6-shaped.
-        if self.pagesize != PagesizeReport::default() {
-            if let Json::Obj(fields) = &mut obj {
-                let at = fields.len() - 1; // before "aux"
-                fields.insert(at, ("pagesize".into(), self.pagesize.to_json()));
-            }
-        }
-        obj
-    }
-
-    /// Parses the object form produced by [`MetricsReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let bd = req(v, "breakdown")?;
-        let mut breakdown = [0u64; 6];
-        for (slot, class) in breakdown.iter_mut().zip(LatencyClass::ALL) {
-            *slot = req_u64(bd, class.label())?;
-        }
-        let sm = req(v, "scheme_mix")?;
-        let aux_obj = req(v, "aux")?.as_obj().ok_or("field \"aux\" is not an object")?;
-        let mut aux = Vec::with_capacity(aux_obj.len());
-        for (k, vs) in aux_obj {
-            let vs = vs.as_arr().ok_or_else(|| format!("aux series {k:?} is not an array"))?;
-            let series: Result<Vec<f64>, String> = vs
-                .iter()
-                .map(|x| x.as_f64().ok_or_else(|| format!("aux series {k:?} has a non-number")))
-                .collect();
-            aux.push((k.clone(), series?));
-        }
-        Ok(MetricsReport {
-            total_cycles: req_u64(v, "total_cycles")?,
-            accesses: req_u64(v, "accesses")?,
-            local_accesses: req_u64(v, "local_accesses")?,
-            remote_accesses: req_u64(v, "remote_accesses")?,
-            breakdown,
-            faults: faults_from_json(req(v, "faults")?)?,
-            scheme_mix: [
-                req_u64(sm, "on_touch")?,
-                req_u64(sm, "access_counter")?,
-                req_u64(sm, "duplication")?,
-            ],
-            nvlink_bytes: req_u64(v, "nvlink_bytes")?,
-            pcie_bytes: req_u64(v, "pcie_bytes")?,
-            oversubscription_rate: req_f64(v, "oversubscription_rate")?,
-            // v2 documents predate the fabric object; default to zeros.
-            fabric: match v.get("fabric") {
-                Some(f) => FabricReport::from_json(f)?,
-                None => FabricReport::default(),
-            },
-            // Present only on injected v4 runs; default to zeros.
-            resilience: match v.get("resilience") {
-                Some(r) => ResilienceReport::from_json(r)?,
-                None => ResilienceReport::default(),
-            },
-            // Present only on large-page v7 runs; default to zeros.
-            pagesize: match v.get("pagesize") {
-                Some(p) => PagesizeReport::from_json(p)?,
-                None => PagesizeReport::default(),
-            },
-            aux,
-        })
-    }
-
-    /// Rebuilds a live [`RunMetrics`] from the snapshot — the exact
-    /// inverse of [`MetricsReport::from_metrics`] up to aux-map ordering
-    /// (which `from_metrics` canonicalizes by sorting).
-    pub fn to_metrics(&self) -> RunMetrics {
-        RunMetrics {
-            total_cycles: self.total_cycles,
-            accesses: self.accesses,
-            local_accesses: self.local_accesses,
-            remote_accesses: self.remote_accesses,
-            breakdown: self.breakdown_struct(),
-            faults: self.faults,
-            scheme_mix: SchemeMix {
-                on_touch: self.scheme_mix[0],
-                access_counter: self.scheme_mix[1],
-                duplication: self.scheme_mix[2],
-            },
-            nvlink_bytes: self.nvlink_bytes,
-            pcie_bytes: self.pcie_bytes,
-            oversubscription_rate: self.oversubscription_rate,
-            aux: self.aux.iter().cloned().collect(),
-        }
-    }
-
-    /// Rebuilds the latency breakdown accumulator from the snapshot.
-    pub fn breakdown_struct(&self) -> LatencyBreakdown {
-        let mut b = LatencyBreakdown::default();
-        for (class, &v) in LatencyClass::ALL.iter().zip(&self.breakdown) {
-            b.record(*class, v);
-        }
-        b
-    }
+    Ok(RunMetrics {
+        total_cycles: req_u64(v, "total_cycles")?,
+        accesses: req_u64(v, "accesses")?,
+        local_accesses: req_u64(v, "local_accesses")?,
+        remote_accesses: req_u64(v, "remote_accesses")?,
+        breakdown,
+        faults: faults_from_json(req(v, "faults")?)?,
+        scheme_mix: SchemeMix {
+            on_touch: req_u64(sm, "on_touch")?,
+            access_counter: req_u64(sm, "access_counter")?,
+            duplication: req_u64(sm, "duplication")?,
+        },
+        nvlink_bytes: req_u64(v, "nvlink_bytes")?,
+        pcie_bytes: req_u64(v, "pcie_bytes")?,
+        oversubscription_rate: req_f64(v, "oversubscription_rate")?,
+        aux,
+    })
 }
 
 /// A named interval time series in plain-data form.
@@ -736,12 +272,12 @@ pub struct CellReport {
     pub status: String,
     /// Human-readable failure description when the cell failed.
     pub error: Option<String>,
-    /// Canonical `RunSpec` string the cell ran under (v6; also the
-    /// result-store cache key). `None` in pre-v6 documents and for
-    /// producers that do not know the spec.
+    /// Canonical `RunSpec` string the cell ran under (also the
+    /// result-store cache key). `None` for producers that do not know the
+    /// spec.
     pub spec: Option<String>,
     /// Full metrics snapshot (all-zero for failed cells).
-    pub metrics: MetricsReport,
+    pub metrics: RunMetrics,
     /// Observer time series, when an observer was attached.
     pub series: Vec<SeriesReport>,
 }
@@ -772,14 +308,13 @@ impl CellReport {
                     None => Json::Null,
                 },
             ),
-            ("metrics".into(), self.metrics.to_json()),
+            ("metrics".into(), metrics_to_json(&self.metrics)),
             (
                 "series".into(),
                 Json::Arr(self.series.iter().map(SeriesReport::to_json).collect()),
             ),
         ];
-        // Like `profile`: the key exists only when known, so v5
-        // consumers never see it on documents that predate specs.
+        // Like `profile`: the key exists only when known.
         if let Some(spec) = &self.spec {
             fields.push(("spec".into(), Json::Str(spec.clone())));
         }
@@ -808,7 +343,7 @@ impl CellReport {
                 e => Some(e.as_str().ok_or("field \"error\" is not a string or null")?.to_string()),
             },
             spec: v.get("spec").and_then(Json::as_str).map(String::from),
-            metrics: MetricsReport::from_json(req(v, "metrics")?)?,
+            metrics: metrics_from_json(req(v, "metrics")?)?,
             series: series?,
         })
     }
@@ -1014,9 +549,9 @@ pub struct CycleProfile {
 }
 
 impl CycleProfile {
-    /// Accumulates one cell's `prof_*` aux series (sorted-aux form).
-    pub fn absorb_aux(&mut self, aux: &[(String, Vec<f64>)]) {
-        let find = |name: &str| aux.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_slice());
+    /// Accumulates one cell's `prof_*` aux series.
+    pub fn absorb_aux(&mut self, aux: &HashMap<String, Vec<f64>>) {
+        let find = |name: &str| aux.get(name).map(Vec::as_slice);
         if let Some(vs) = find("prof_fault_occupancy_hist") {
             self.fault_occupancy.merge(&HistReport::from_flat(vs));
         }
@@ -1050,7 +585,7 @@ impl CycleProfile {
     }
 }
 
-/// The run's self-profile (grit-run-report/v5), emitted only when
+/// The run's self-profile, emitted only when
 /// profiling was enabled. `wall` is wall-clock and thread-dependent;
 /// `cycle` is the deterministic comparison surface.
 ///
@@ -1091,7 +626,7 @@ impl ProfileReport {
     }
 }
 
-/// Aggregated result-store traffic of one run (v8): how often cells
+/// Aggregated result-store traffic of one run: how often cells
 /// were answered from the store, how often they had to simulate, and
 /// how many store files failed integrity checks and were quarantined.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1164,16 +699,16 @@ pub struct RunReport {
     pub batches: Vec<BatchProfile>,
     /// Every cell executed, in execution order.
     pub cells: Vec<CellReport>,
-    /// Self-profile of the run (v5), present only when profiling ran.
+    /// Self-profile of the run, present only when profiling ran.
     pub profile: Option<ProfileReport>,
-    /// Result-store traffic (v8), present only when a store was in play.
+    /// Result-store traffic, present only when a store was in play.
     pub store: Option<StoreCounters>,
 }
 
 impl RunReport {
     /// Serializes to the `run_report.json` document.
     pub fn to_json(&self) -> Json {
-        let mut obj = Json::Obj(vec![
+        let mut fields = vec![
             ("schema".into(), Json::Str(RUN_REPORT_SCHEMA.into())),
             ("scale".into(), Json::Float(self.scale)),
             ("intensity".into(), Json::Float(self.intensity)),
@@ -1196,21 +731,15 @@ impl RunReport {
                 "cells".into(),
                 Json::Arr(self.cells.iter().map(CellReport::to_json).collect()),
             ),
-        ]);
-        // Unprofiled runs stay v4-shaped (no `profile` key) for older
-        // consumers that iterate object fields exhaustively.
+        ];
+        // Unprofiled and store-less runs carry no `profile` / `store` key.
         if let Some(p) = &self.profile {
-            if let Json::Obj(fields) = &mut obj {
-                fields.push(("profile".into(), p.to_json()));
-            }
+            fields.push(("profile".into(), p.to_json()));
         }
-        // Likewise, store-less runs stay v7-shaped (no `store` key).
         if let Some(s) = &self.store {
-            if let Json::Obj(fields) = &mut obj {
-                fields.push(("store".into(), s.to_json()));
-            }
+            fields.push(("store".into(), s.to_json()));
         }
-        obj
+        Json::Obj(fields)
     }
 
     /// Parses a `run_report.json` document.
@@ -1220,14 +749,7 @@ impl RunReport {
     /// Returns a description of the first schema violation.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let schema = req_str(v, "schema")?;
-        if schema != RUN_REPORT_SCHEMA
-            && schema != RUN_REPORT_SCHEMA_V7
-            && schema != RUN_REPORT_SCHEMA_V6
-            && schema != RUN_REPORT_SCHEMA_V5
-            && schema != RUN_REPORT_SCHEMA_V4
-            && schema != RUN_REPORT_SCHEMA_V3
-            && schema != RUN_REPORT_SCHEMA_V2
-        {
+        if schema != RUN_REPORT_SCHEMA && schema != RUN_REPORT_SCHEMA_PREV {
             return Err(format!("unsupported run-report schema: {schema:?}"));
         }
         let system_obj = req(v, "system")?.as_obj().ok_or("field \"system\" is not an object")?;
@@ -1252,12 +774,12 @@ impl RunReport {
             targets: targets?,
             batches: batches?,
             cells: cells?,
-            // Absent on unprofiled runs and every pre-v5 document.
+            // Absent on unprofiled runs.
             profile: match v.get("profile") {
                 Some(p) => Some(ProfileReport::from_json(p)?),
                 None => None,
             },
-            // Absent on store-less runs and every pre-v8 document.
+            // Absent on store-less runs.
             store: match v.get("store") {
                 Some(s) => Some(StoreCounters::from_json(s)?),
                 None => None,
@@ -1394,7 +916,6 @@ impl BenchSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grit_metrics::SchemeMix;
 
     fn sample_metrics() -> RunMetrics {
         let mut m = RunMetrics {
@@ -1447,7 +968,7 @@ mod tests {
             status: "ok".into(),
             error: None,
             spec: Some(format!("app=BFS;policy=grit;seq={seq}")),
-            metrics: MetricsReport::from_metrics(&sample_metrics()),
+            metrics: sample_metrics(),
             series: vec![SeriesReport {
                 name: "page_by_gpu".into(),
                 interval_cycles: 1_000_000,
@@ -1458,31 +979,63 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_sorts_aux_and_keeps_breakdown_order() {
-        let r = MetricsReport::from_metrics(&sample_metrics());
-        assert_eq!(r.aux[0].0, "a_sorted_first");
-        assert_eq!(r.breakdown[1], 123); // Host is slot 1 in ALL order
-        assert_eq!(r.breakdown_struct().get(LatencyClass::PageMigration), 45);
+        let j = metrics_to_json(&sample_metrics());
+        let aux = j.get("aux").unwrap().as_obj().unwrap();
+        assert_eq!(aux[0].0, "a_sorted_first");
+        assert!(aux.windows(2).all(|w| w[0].0 < w[1].0), "aux keys sorted");
+        let breakdown = j.get("breakdown").unwrap().as_obj().unwrap();
+        assert_eq!(breakdown[1].0, LatencyClass::Host.label()); // slot 1 in ALL order
+        assert_eq!(breakdown[1].1.as_u64(), Some(123));
     }
 
     #[test]
     fn metrics_report_round_trips() {
-        let r = MetricsReport::from_metrics(&sample_metrics());
-        let back = MetricsReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
+        let m = sample_metrics();
+        let j = metrics_to_json(&m);
+        let back = metrics_from_json(&Json::parse(&j.to_string()).unwrap()).unwrap();
+        assert_eq!(back, m);
+        // Per-layer counters are written once, as aux series.
+        for key in ["fabric", "resilience", "pagesize"] {
+            assert!(j.get(key).is_none(), "duplicate {key:?} object written");
+        }
     }
 
     #[test]
     fn metrics_report_inverts_to_live_metrics() {
         let m = sample_metrics();
-        let r = MetricsReport::from_metrics(&m);
-        let live = r.to_metrics();
+        let j = metrics_to_json(&m);
+        let live = metrics_from_json(&j).unwrap();
         assert_eq!(live.total_cycles, m.total_cycles);
         assert_eq!(live.faults, m.faults);
         assert_eq!(live.scheme_mix, m.scheme_mix);
         assert_eq!(live.aux.len(), m.aux.len());
         assert_eq!(live.aux.get("per_gpu_faults"), m.aux.get("per_gpu_faults"));
         // Snapshotting the rebuilt metrics is a fixed point.
-        assert_eq!(MetricsReport::from_metrics(&live), r);
+        assert_eq!(metrics_to_json(&live), j);
+    }
+
+    #[test]
+    fn v8_documents_with_per_layer_objects_still_parse() {
+        // A v8 writer also emitted `fabric`, `resilience` and `pagesize`
+        // objects next to the aux series they were derived from. The
+        // reader ignores them.
+        let report = RunReport {
+            cells: vec![sample_cell(0)],
+            ..RunReport::default()
+        };
+        let mut j = report.to_json();
+        let Json::Obj(fields) = &mut j else {
+            unreachable!()
+        };
+        fields[0].1 = Json::Str("grit-run-report/v8".into());
+        let text = j.to_string().replace(
+            "\"aux\":{",
+            "\"fabric\":{\"nvlink_bytes\":4096},\"resilience\":{\"faults_injected\":4},\
+             \"pagesize\":{\"coalesces\":8},\"aux\":{",
+        );
+        assert!(text.contains("\"pagesize\":{"), "{text}");
+        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, report);
     }
 
     #[test]
@@ -1599,102 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn fabric_report_is_extracted_from_aux_series() {
-        let r = MetricsReport::from_metrics(&sample_metrics());
-        assert_eq!(
-            r.fabric,
-            FabricReport {
-                nvlink_bytes: 4096,
-                switch_bytes: 512,
-                inter_node_bytes: 128,
-                pcie_bytes: 64,
-                nvlink_queue_cycles: 20,
-                switch_queue_cycles: 9,
-                inter_node_queue_cycles: 3,
-                pcie_queue_cycles: 1,
-            }
-        );
-        assert_eq!(r.fabric.total_queue_cycles(), 33);
-    }
-
-    #[test]
-    fn resilience_report_round_trips_and_is_omitted_when_zero() {
-        // An uninjected run: no resilience_counters series, no JSON object.
-        let plain = MetricsReport::from_metrics(&sample_metrics());
-        assert_eq!(plain.resilience, ResilienceReport::default());
-        let text = plain.to_json().to_string();
-        assert!(
-            !text.contains("\"resilience\""),
-            "zero object leaked: {text}"
-        );
-
-        // An injected run: the aux series populates the object, it is
-        // serialized, and it parses back identically.
-        let mut m = sample_metrics();
-        m.aux.insert(
-            "resilience_counters".into(),
-            vec![4.0, 3.0, 2.0, 5.0, 7.0, 6.0, 9.0, 4.0, 1.0, 1.0, 12.0],
-        );
-        let r = MetricsReport::from_metrics(&m);
-        assert_eq!(
-            r.resilience,
-            ResilienceReport {
-                faults_injected: 4,
-                recoveries: 3,
-                frames_retired: 2,
-                pages_force_evicted: 5,
-                storm_stalled_faults: 7,
-                migrations_blocked: 6,
-                migration_retries: 9,
-                retry_successes: 4,
-                fallback_remote: 1,
-                host_staged: 1,
-                invariant_checks: 12,
-            }
-        );
-        assert!(r.resilience.all_blocked_resolved());
-        let back =
-            MetricsReport::from_json(&Json::parse(&r.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn pagesize_report_round_trips_and_is_omitted_when_zero() {
-        // A uniform-4 KB run: no pagesize_counters series, no JSON object.
-        let plain = MetricsReport::from_metrics(&sample_metrics());
-        assert_eq!(plain.pagesize, PagesizeReport::default());
-        let text = plain.to_json().to_string();
-        assert!(!text.contains("\"pagesize\""), "zero object leaked: {text}");
-
-        // A large-page run: the aux series populates the object, it is
-        // serialized, and it parses back identically.
-        let mut m = sample_metrics();
-        m.aux.insert(
-            "pagesize_counters".into(),
-            vec![8.0, 3.0, 2.0, 1.0, 40.0, 5.0, 160.0, 6.0, 2.0],
-        );
-        let r = MetricsReport::from_metrics(&m);
-        assert_eq!(
-            r.pagesize,
-            PagesizeReport {
-                coalesces: 8,
-                splinters_false_sharing: 3,
-                splinters_eviction: 2,
-                splinters_retirement: 1,
-                counter_trips_base: 40,
-                counter_trips_large: 5,
-                counter_groups_aliased: 160,
-                coalesced_peak: 6,
-                coalesced_final: 2,
-            }
-        );
-        assert_eq!(r.pagesize.splinters(), 6);
-        let back =
-            MetricsReport::from_json(&Json::parse(&r.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
     fn store_counters_round_trip_and_are_omitted_when_absent() {
         // A store-less run: no `store` key, and documents without one
         // parse back to `None`.
@@ -1723,55 +1180,15 @@ mod tests {
         assert!(back.store.unwrap().any());
     }
 
-    #[test]
-    fn v7_run_report_schema_tag_still_parses() {
-        let report = RunReport {
-            cells: vec![sample_cell(0)],
-            ..RunReport::default()
-        };
-        let mut j = report.to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields[0].1 = Json::Str(RUN_REPORT_SCHEMA_V7.into());
-        }
-        let back = RunReport::from_json(&j).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v6_run_report_schema_tag_still_parses() {
-        let report = RunReport {
-            cells: vec![sample_cell(0)],
-            ..RunReport::default()
-        };
-        let mut j = report.to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields[0].1 = Json::Str(RUN_REPORT_SCHEMA_V6.into());
-        }
-        let back = RunReport::from_json(&j).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn unresolved_blocked_migrations_are_detected() {
-        let r = ResilienceReport {
-            migrations_blocked: 5,
-            retry_successes: 2,
-            fallback_remote: 1,
-            host_staged: 1,
-            ..Default::default()
-        };
-        assert!(!r.all_blocked_resolved());
-    }
-
     fn sample_profile() -> ProfileReport {
         let mut cycle = CycleProfile::default();
-        cycle.absorb_aux(&[
+        cycle.absorb_aux(&HashMap::from([
             (
                 "prof_fault_occupancy_hist".into(),
                 vec![3.0, 10.0, 16.0, 8.0, 2.0, 16.0, 1.0],
             ),
             ("prof_mlp_stall_cycles".into(), vec![100.0, 50.0]),
-        ]);
+        ]));
         ProfileReport {
             wall: vec![PhaseEntry {
                 phase: "fault_handling".into(),
@@ -1818,64 +1235,15 @@ mod tests {
     }
 
     #[test]
-    fn v4_run_report_schema_tag_still_parses() {
-        let report = RunReport {
-            cells: vec![sample_cell(0)],
-            ..RunReport::default()
-        };
-        let mut j = report.to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields[0].1 = Json::Str(RUN_REPORT_SCHEMA_V4.into());
-        }
-        let back = RunReport::from_json(&j).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v3_run_report_schema_tag_still_parses() {
-        let report = RunReport {
-            cells: vec![sample_cell(0)],
-            ..RunReport::default()
-        };
-        let mut j = report.to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields[0].1 = Json::Str(RUN_REPORT_SCHEMA_V3.into());
-        }
-        let back = RunReport::from_json(&j).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v2_run_report_without_fabric_still_parses() {
-        // Replay a v2 document: v2 schema tag, and no `fabric` object on
-        // any cell metrics. Both differences must be tolerated.
-        let mut report = RunReport {
-            cells: vec![sample_cell(0)],
-            ..RunReport::default()
-        };
-        let mut j = report.to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields[0].1 = Json::Str(RUN_REPORT_SCHEMA_V2.into());
-        }
-        let mut text = j.to_string();
-        let needle = "\"fabric\":";
-        let start = text.find(needle).unwrap();
-        let end = text[start..].find(",\"aux\"").unwrap() + start;
-        text.replace_range(start..end + 1, "");
-        assert!(!text.contains(needle));
-        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        // The absent fabric object parses as zeros; everything else matches.
-        report.cells[0].metrics.fabric = FabricReport::default();
-        assert_eq!(back, report);
-    }
-
-    #[test]
     fn schema_mismatch_is_rejected() {
-        let mut j = RunReport::default().to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields[0].1 = Json::Str("grit-run-report/v999".into());
+        // Only v9 and v8 are read; older and unknown tags are refused.
+        for tag in ["grit-run-report/v999", "grit-run-report/v7"] {
+            let mut j = RunReport::default().to_json();
+            if let Json::Obj(fields) = &mut j {
+                fields[0].1 = Json::Str(tag.into());
+            }
+            assert!(RunReport::from_json(&j).unwrap_err().contains("schema"));
         }
-        assert!(RunReport::from_json(&j).unwrap_err().contains("schema"));
     }
 
     #[test]

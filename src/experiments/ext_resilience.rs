@@ -15,8 +15,7 @@
 //! performance survives the fault, not the fault's raw cost.
 
 use grit_metrics::{geomean, Table};
-use grit_sim::{InjectConfig, Scheme, SimConfig};
-use grit_trace::ResilienceReport;
+use grit_sim::{InjectConfig, ResilienceCounters, Scheme, SimConfig};
 use grit_workloads::App;
 
 use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind, PolicySpec};
@@ -52,9 +51,9 @@ pub struct ResilienceStudy {
     /// per `policy/scenario`, one column per GPU count.
     pub slowdown: Table,
     /// Aggregated fault-injection outcome counters over every injected
-    /// run, one [`ResilienceReport`] per scenario (scenario `none` stays
-    /// all-zero).
-    pub counters: Vec<(&'static str, ResilienceReport)>,
+    /// run, one [`ResilienceCounters`] per scenario (scenario `none`
+    /// stays all-zero).
+    pub counters: Vec<(&'static str, ResilienceCounters)>,
 }
 
 fn policies() -> [(&'static str, PolicyKind); 3] {
@@ -66,13 +65,11 @@ fn policies() -> [(&'static str, PolicyKind); 3] {
 }
 
 /// The resilience counters of one run (all-zero when uninjected).
-fn resilience_of(o: &RunOutput) -> ResilienceReport {
-    let aux: Vec<(String, Vec<f64>)> =
-        o.metrics.aux.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    ResilienceReport::from_aux(&aux)
+fn resilience_of(o: &RunOutput) -> ResilienceCounters {
+    ResilienceCounters::from_aux(o.metrics.aux("resilience_counters").unwrap_or_default())
 }
 
-fn add(acc: &mut ResilienceReport, r: ResilienceReport) {
+fn add(acc: &mut ResilienceCounters, r: ResilienceCounters) {
     acc.faults_injected += r.faults_injected;
     acc.recoveries += r.recoveries;
     acc.frames_retired += r.frames_retired;
@@ -126,10 +123,10 @@ pub fn study(apps: &[App], gpu_counts: &[usize], exp: &ExpConfig) -> ResilienceS
     let per_combo = apps.len() * policies().len();
     let per_scenario = per_combo * gpu_counts.len();
     let healthy = &outputs[..per_scenario];
-    let mut counters: Vec<(&'static str, ResilienceReport)> = Vec::new();
+    let mut counters: Vec<(&'static str, ResilienceCounters)> = Vec::new();
     for (s, (scenario, _)) in SCENARIOS.iter().enumerate() {
         let block = &outputs[s * per_scenario..(s + 1) * per_scenario];
-        let mut acc = ResilienceReport::default();
+        let mut acc = ResilienceCounters::default();
         for out in block {
             if let Some(o) = out.output() {
                 add(&mut acc, resilience_of(o));

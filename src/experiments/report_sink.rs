@@ -12,8 +12,8 @@ use std::sync::Mutex;
 
 use grit_sim::CellError;
 use grit_trace::{
-    BatchProfile, BenchSummary, CellReport, CycleProfile, HeadlineSpeedups, MetricsReport,
-    PhaseEntry, ProfileReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
+    BatchProfile, BenchSummary, CellReport, CycleProfile, HeadlineSpeedups, PhaseEntry,
+    ProfileReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
 };
 
 use crate::runner::RunOutput;
@@ -92,7 +92,7 @@ pub fn record_cell(spec: &CellSpec, out: &RunOutput) {
         status: if out.timing.resumed { "resumed" } else { "ok" }.into(),
         error: None,
         spec: Some(spec.to_run_spec().canonical()),
-        metrics: MetricsReport::from_metrics(&out.metrics),
+        metrics: out.metrics.clone(),
         series,
     });
 }
@@ -123,7 +123,7 @@ pub fn record_cell_error(spec: &CellSpec, err: &CellError) {
         status: err.status().into(),
         error: Some(err.to_string()),
         spec: Some(spec.to_run_spec().canonical()),
-        metrics: MetricsReport::default(),
+        metrics: Default::default(),
         series: Vec::new(),
     });
 }

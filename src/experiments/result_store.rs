@@ -24,8 +24,6 @@
 //! checks — or does not parse at all — is **quarantined**: moved to a
 //! `quarantine/` subdirectory so it is inspected at most once instead of
 //! being re-parsed on every miss, and counted in [`ResultStore::counters`].
-//! Files written under the previous `grit-result-store/v2` schema carry
-//! no checksum and still load.
 //!
 //! The store can be bounded ([`ResultStore::open_with`], wired to
 //! `repro --store-max-bytes`): after a save that pushes the *cached*
@@ -47,7 +45,7 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use grit_metrics::{AttrGrid, IntervalSeries, PageAttrTracker};
-use grit_trace::{CellTiming, Json, MetricsReport, StoreCounters};
+use grit_trace::{metrics_from_json, metrics_to_json, CellTiming, Json, StoreCounters};
 
 use crate::runner::{RunObserver, RunOutput};
 
@@ -55,10 +53,6 @@ use crate::runner::{RunObserver, RunOutput};
 /// files are re-run instead of misparsed. v3: files carry an FNV-1a
 /// checksum over the serialized payload, verified on load.
 pub const STORE_SCHEMA: &str = "grit-result-store/v3";
-/// The previous schema tag: same layout minus the checksum. Still
-/// accepted by [`ResultStore::load`] so stores written by older builds
-/// keep their contents.
-pub const STORE_SCHEMA_V2: &str = "grit-result-store/v2";
 
 /// Subdirectory (under the store root) holding files that failed an
 /// integrity check on load.
@@ -332,20 +326,16 @@ fn payload_text(v: &Json) -> Option<String> {
     )
 }
 
-/// Parses, schema-checks, checksum-checks (v3) and key-checks one store
+/// Parses, schema-checks, checksum-checks and key-checks one store
 /// file. `None` means the file must not be served.
 fn decode_checked(key: &str, text: &str) -> Option<RunOutput> {
     let json = Json::parse(text).ok()?;
-    match json.get("schema")?.as_str()? {
-        STORE_SCHEMA => {
-            let expected = json.get("checksum")?.as_str()?;
-            let actual = format!("{:016x}", fnv1a64(&payload_text(&json)?));
-            if expected != actual {
-                return None; // torn or bit-flipped payload
-            }
-        }
-        STORE_SCHEMA_V2 => {} // pre-checksum file: key check only
-        _ => return None,
+    if json.get("schema")?.as_str()? != STORE_SCHEMA {
+        return None;
+    }
+    let actual = format!("{:016x}", fnv1a64(&payload_text(&json)?));
+    if json.get("checksum")?.as_str()? != actual {
+        return None; // torn or bit-flipped payload
     }
     if json.get("key")?.as_str()? != key {
         return None; // hash collision: treat as a miss
@@ -471,10 +461,7 @@ fn encode_output(key: &str, out: &RunOutput) -> Json {
                 ),
             ]),
         ),
-        (
-            "metrics".into(),
-            MetricsReport::from_metrics(&out.metrics).to_json(),
-        ),
+        ("metrics".into(), metrics_to_json(&out.metrics)),
         ("pages".into(), pages),
         ("observer".into(), observer),
     ]);
@@ -489,7 +476,7 @@ fn encode_output(key: &str, out: &RunOutput) -> Json {
 }
 
 fn decode_output(v: &Json) -> Option<RunOutput> {
-    let metrics = MetricsReport::from_json(v.get("metrics")?).ok()?.to_metrics();
+    let metrics = metrics_from_json(v.get("metrics")?).ok()?;
     let mut pages = Vec::new();
     for row in v.get("pages")?.as_arr()? {
         let row = row.as_arr()?;
@@ -543,7 +530,11 @@ fn decode_output(v: &Json) -> Option<RunOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_cell, ExpConfig, PolicyKind};
+    use crate::experiments::{
+        run_batch_with_stats, run_cell, BatchOptions, CellSpec, ExpConfig, PolicyKind,
+    };
+    use crate::runner::ObserverConfig;
+    use grit_sim::{InjectConfig, PageSizeMode, SimConfig};
     use grit_workloads::App;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -552,13 +543,16 @@ mod tests {
         d
     }
 
-    fn tiny_output() -> RunOutput {
-        let exp = ExpConfig {
+    fn tiny_exp() -> ExpConfig {
+        ExpConfig {
             scale: 0.02,
             intensity: 0.5,
             seed: 0x7E57,
-        };
-        run_cell(App::Bfs, PolicyKind::FirstTouch, &exp)
+        }
+    }
+
+    fn tiny_output() -> RunOutput {
+        run_cell(App::Bfs, PolicyKind::FirstTouch, &tiny_exp())
     }
 
     #[test]
@@ -581,29 +575,137 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn v2_files_without_checksum_still_load() {
-        let out = tiny_output();
-        let dir = tmp_dir("v2");
-        let store = ResultStore::open(&dir).unwrap();
-        // Rewrite a fresh v3 file as its v2 equivalent: v2 schema tag,
-        // no checksum field — exactly what an older build left behind.
-        store.save("old-key", &out).unwrap();
-        let path = store.path_for("old-key");
-        let text = fs::read_to_string(&path).unwrap();
-        let mut doc = Json::parse(&text).unwrap();
-        if let Json::Obj(fields) = &mut doc {
+    /// Rewrites the stored document under `key` with `edit`, then
+    /// re-seals it with a valid checksum when `reseal` is set.
+    fn rewrite(
+        store: &ResultStore,
+        key: &str,
+        reseal: bool,
+        edit: impl FnOnce(&mut Vec<(String, Json)>),
+    ) {
+        let path = store.path_for(key);
+        let mut doc = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        let Json::Obj(fields) = &mut doc else {
+            unreachable!()
+        };
+        edit(fields);
+        if reseal {
+            let checksum = format!("{:016x}", fnv1a64(&payload_text(&doc).unwrap()));
+            let Json::Obj(fields) = &mut doc else {
+                unreachable!()
+            };
             fields.retain(|(k, _)| k != "checksum");
-            fields[0].1 = Json::Str(STORE_SCHEMA_V2.into());
+            fields.push(("checksum".into(), Json::Str(checksum)));
         }
         fs::write(&path, doc.to_string()).unwrap();
-        let back = store.load("old-key").expect("v2 file loads");
-        assert_eq!(back.metrics.total_cycles, out.metrics.total_cycles);
+    }
+
+    #[test]
+    fn v2_files_are_quarantined_once_and_the_cell_reruns() {
+        let dir = tmp_dir("v2");
+        let cell = CellSpec::new(App::Bfs, PolicyKind::FirstTouch, &tiny_exp());
+        let key = cell.resume_key().expect("a plain cell is storable");
+        let opts = BatchOptions::new().jobs(1).resume_dir(&dir);
+        let (fresh, _) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
+        let fresh = fresh[0].as_ref().unwrap();
+
+        // Turn the entry into what a pre-checksum build left behind: the
+        // v2 schema tag and no checksum field.
+        let store = ResultStore::open(&dir).unwrap();
+        rewrite(&store, &key, false, |fields| {
+            fields.retain(|(k, _)| k != "checksum");
+            fields[0].1 = Json::Str("grit-result-store/v2".into());
+        });
+
+        let (rerun, counters) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
+        let rerun = rerun[0].as_ref().unwrap();
+        assert!(!rerun.timing.resumed, "a v2 file must not be served");
+        assert_eq!(rerun.metrics, fresh.metrics);
+        assert_eq!((counters.hits, counters.quarantined), (0, 1));
+
+        // The re-run stored a fresh v3 entry; the v2 file is not seen again.
+        let (resumed, counters) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
+        assert!(resumed[0].as_ref().unwrap().timing.resumed);
+        assert_eq!((counters.hits, counters.quarantined), (1, 0));
+        assert_eq!(fs::read_dir(store.quarantine_dir()).unwrap().count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v3_entries_with_per_layer_metric_objects_still_load() {
+        // Earlier v3 writers also put `fabric`, `resilience` and
+        // `pagesize` objects into the metrics, next to the aux series
+        // they were derived from. Such an entry, checksum intact, is a hit.
+        let out = tiny_output();
+        let dir = tmp_dir("v3-per-layer");
+        let store = ResultStore::open(&dir).unwrap();
+        store.save("k", &out).unwrap();
+        rewrite(&store, "k", true, |fields| {
+            let (_, Json::Obj(metrics)) = &mut fields[3] else {
+                unreachable!()
+            };
+            let at = metrics.len() - 1; // before "aux"
+            for (name, counter) in [
+                ("fabric", "nvlink_bytes"),
+                ("resilience", "faults_injected"),
+                ("pagesize", "coalesces"),
+            ] {
+                let obj = Json::Obj(vec![(counter.into(), Json::UInt(3))]);
+                metrics.insert(at, (name.into(), obj));
+            }
+        });
+        assert!(fs::read_to_string(store.path_for("k")).unwrap().contains("\"pagesize\":{"));
+        let back = store.load("k").expect("a valid v3 entry loads");
+        assert_eq!(back.metrics, out.metrics);
         assert_eq!(
-            store.counters().quarantined,
-            0,
-            "a valid v2 file is not corrupt"
+            (store.counters().hits, store.counters().quarantined),
+            (1, 0)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_round_trip_every_per_layer_series() {
+        // One real cell that writes every optional series: an injected
+        // outage, mixed 4 KB / 2 MB pages and an observer.
+        let cfg = SimConfig {
+            inject: InjectConfig::parse("outage@20000:wire=*:for=120000").unwrap(),
+            page_size_mode: PageSizeMode::Mixed,
+            ..SimConfig::with_gpus(4)
+        };
+        let observer = ObserverConfig {
+            interval_cycles: 100_000,
+            scheme_timeline: true,
+            ..ObserverConfig::default()
+        };
+        let out = CellSpec::new(App::Bfs, PolicyKind::GRIT, &tiny_exp())
+            .with_cfg(cfg)
+            .observed(observer)
+            .run();
+        let m = &out.metrics;
+        for series in [
+            "fabric_class_bytes",
+            "fabric_queue_cycles",
+            "resilience_counters",
+            "pagesize_counters",
+            "tlb_l1_hit_rate_2m",
+            "tlb_l2_hit_rate_2m",
+            "prof_fault_occupancy_hist",
+            "prof_migration_latency_hist",
+            "prof_fabric_queue_hist",
+            "prof_mlp_stall_cycles",
+        ] {
+            assert!(m.aux.contains_key(series), "runner did not write {series}");
+        }
+        assert!(out.observer.is_some());
+
+        let text = metrics_to_json(m).to_string();
+        assert_eq!(&metrics_from_json(&Json::parse(&text).unwrap()).unwrap(), m);
+
+        let dir = tmp_dir("per-layer");
+        let store = ResultStore::open(&dir).unwrap();
+        store.save("k", &out).unwrap();
+        assert_eq!(&store.load("k").expect("stored result loads").metrics, m);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -757,7 +757,7 @@ impl Simulation {
         metrics.set_aux("per_gpu_finish_cycles", per_gpu_finish);
         metrics.set_aux("per_gpu_accesses", per_gpu_accesses);
         // Per-class fabric traffic (class order: nvlink, switch,
-        // inter-node, pcie) — the source of the report's `fabric` object.
+        // inter-node, pcie).
         metrics.set_aux(
             "fabric_class_bytes",
             vec![
@@ -780,9 +780,10 @@ impl Simulation {
             "per_gpu_faults",
             self.driver.faults_per_gpu().iter().map(|&f| f as f64).collect(),
         );
-        // Fault-injection outcomes (the report's `resilience` object);
-        // only injected runs carry the series, so uninjected reports are
-        // byte-identical to pre-injection ones.
+        // Fault-injection outcomes, decoded by
+        // `ResilienceCounters::from_aux`; only injected runs carry the
+        // series, so uninjected reports are byte-identical to
+        // pre-injection ones.
         if self.driver.injection_active() {
             metrics.set_aux(
                 "resilience_counters",

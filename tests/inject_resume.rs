@@ -7,8 +7,8 @@
 use std::path::PathBuf;
 
 use grit::prelude::*;
-use grit_sim::{InjectConfig, SimConfig};
-use grit_trace::{MetricsReport, ResilienceReport};
+use grit_sim::{InjectConfig, ResilienceCounters, SimConfig};
+use grit_trace::metrics_to_json;
 use grit_workloads::App;
 
 const OUTAGE: &str = "outage@20000:wire=*:for=120000";
@@ -44,16 +44,10 @@ fn injected_cell(app: App, spec: &str) -> CellSpec {
 }
 
 /// Canonical byte representation of a cell's result, including the
-/// resilience counter series (which ride in the aux map).
+/// resilience counter series (which ride in the aux map; floats print in
+/// their shortest exact form).
 fn fingerprint(r: &Result<RunOutput, CellError>) -> String {
-    let out = r.as_ref().expect("cell must succeed");
-    let mut s = MetricsReport::from_metrics(&out.metrics).to_json().to_string();
-    let mut aux: Vec<_> = out.metrics.aux.iter().collect();
-    aux.sort_by(|a, b| a.0.cmp(b.0));
-    for (k, v) in aux {
-        s.push_str(&format!("|{k}={v:?}"));
-    }
-    s
+    metrics_to_json(&r.as_ref().expect("cell must succeed").metrics).to_string()
 }
 
 #[test]
@@ -70,15 +64,8 @@ fn interrupted_injected_campaign_resumes_byte_identical() {
     // The injected runs must actually have injected something, or this
     // test proves nothing.
     for r in &fresh {
-        let aux: Vec<(String, Vec<f64>)> = r
-            .as_ref()
-            .unwrap()
-            .metrics
-            .aux
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let rep = ResilienceReport::from_aux(&aux);
+        let series = r.as_ref().unwrap().metrics.aux("resilience_counters");
+        let rep = ResilienceCounters::from_aux(series.unwrap_or_default());
         assert!(rep.faults_injected > 0, "outage plan must fire: {rep:?}");
         assert!(rep.all_blocked_resolved(), "{rep:?}");
     }

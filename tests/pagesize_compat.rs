@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use grit::experiments as ex;
 use grit::experiments::{run_batch_with, BatchOptions, CellSpec, ExpConfig, PolicyKind};
 use grit_sim::Scheme;
-use grit_trace::{events_to_jsonl, MetricsReport, TraceConfig};
+use grit_trace::{events_to_jsonl, metrics_to_json, TraceConfig};
 use grit_workloads::App;
 
 fn tiny() -> ExpConfig {
@@ -120,9 +120,7 @@ fn default_mode_trace_stream_matches_pre_pagesize_golden() {
     // uniform4k runs must not leak large-page artifacts into reports:
     // no pagesize aux series, no 2 MB TLB series.
     for out in &outputs {
-        let report = MetricsReport::from_metrics(&out.as_ref().unwrap().metrics)
-            .to_json()
-            .to_string();
+        let report = metrics_to_json(&out.as_ref().unwrap().metrics).to_string();
         for leaked in [
             "pagesize_counters",
             "tlb_l1_hit_rate_2m",

@@ -7,7 +7,7 @@
 use grit::experiments::{run_batch_with, BatchOptions, CellSpec, ExpConfig, PolicyKind};
 use grit::runner::RunOutput;
 use grit_sim::{PageSizeMode, Scheme, SimConfig};
-use grit_trace::{events_to_jsonl, MetricsReport, TraceConfig};
+use grit_trace::{events_to_jsonl, metrics_to_json, TraceConfig};
 use grit_workloads::App;
 
 /// Large enough that ST and FIR span several whole 2 MB frames, so the
@@ -46,7 +46,7 @@ fn grid() -> Vec<CellSpec> {
 /// Order-stable digest of everything a cell reports, plus its full
 /// event stream.
 fn digest(out: &RunOutput) -> String {
-    let metrics = MetricsReport::from_metrics(&out.metrics).to_json().to_string();
+    let metrics = metrics_to_json(&out.metrics).to_string();
     let events = events_to_jsonl(out.events.as_deref().expect("tracing was enabled"));
     format!("{metrics}\n{events}")
 }

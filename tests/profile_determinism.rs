@@ -9,7 +9,7 @@
 use grit::experiments::{run_batch_with, BatchOptions, CellSpec, ExpConfig, PolicyKind};
 use grit::runner::RunOutput;
 use grit_sim::{Scheme, SimConfig};
-use grit_trace::{CycleProfile, MetricsReport, ProfileReport};
+use grit_trace::{CycleProfile, ProfileReport};
 use grit_workloads::App;
 
 fn exp() -> ExpConfig {
@@ -37,14 +37,12 @@ const PROF_AUX: &[&str] = &[
     "prof_mlp_stall_cycles",
 ];
 
-/// The cell's `prof_*` aux series in sorted-aux (`MetricsReport`) form.
-fn prof_aux(out: &RunOutput) -> Vec<(String, Vec<f64>)> {
-    MetricsReport::from_metrics(&out.metrics)
-        .aux
-        .iter()
-        .filter(|(k, _)| PROF_AUX.contains(&k.as_str()))
-        .cloned()
-        .collect()
+/// The cell's `prof_*` aux series, sorted by name.
+fn prof_aux(out: &RunOutput) -> Vec<(&String, &Vec<f64>)> {
+    let mut aux: Vec<_> =
+        out.metrics.aux.iter().filter(|(k, _)| PROF_AUX.contains(&k.as_str())).collect();
+    aux.sort_by(|a, b| a.0.cmp(b.0));
+    aux
 }
 
 /// The report-level byte-identity surface: every cell's cycle histograms
@@ -53,7 +51,7 @@ fn prof_aux(out: &RunOutput) -> Vec<(String, Vec<f64>)> {
 fn merged_cycle_json(outs: &[RunOutput]) -> String {
     let mut cycle = CycleProfile::default();
     for out in outs {
-        cycle.absorb_aux(&prof_aux(out));
+        cycle.absorb_aux(&out.metrics.aux);
     }
     ProfileReport {
         wall: Vec::new(),

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grit::prelude::*;
-use grit_trace::MetricsReport;
+use grit_trace::metrics_to_json;
 use grit_workloads::App;
 
 fn exp(seed: u64) -> ExpConfig {
@@ -28,7 +28,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// Canonical byte representation of a successful cell's result.
 fn fingerprint(r: &Result<RunOutput, CellError>) -> String {
     let out = r.as_ref().expect("cell must succeed");
-    MetricsReport::from_metrics(&out.metrics).to_json().to_string()
+    metrics_to_json(&out.metrics).to_string()
 }
 
 #[test]
