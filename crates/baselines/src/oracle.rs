@@ -24,7 +24,7 @@ use grit_uvm::{
 /// use grit_sim::{AccessKind, GpuId, PageId, Scheme};
 /// use grit_uvm::PlacementPolicy;
 ///
-/// let mut profile = PageAttrTracker::new();
+/// let mut profile = PageAttrTracker::new(16);
 /// profile.record(GpuId::new(0), PageId(1), AccessKind::Read);
 /// profile.record(GpuId::new(1), PageId(1), AccessKind::Read);
 /// let oracle = OraclePolicy::from_profile(&profile);
@@ -104,7 +104,7 @@ mod tests {
     use grit_uvm::FaultKind;
 
     fn profile() -> PageAttrTracker {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker::new(128);
         // Page 1: private.
         t.record(GpuId::new(0), PageId(1), AccessKind::Write);
         // Page 2: read-shared.
@@ -124,6 +124,30 @@ mod tests {
         assert_eq!(o.scheme_for(PageId(3)), Scheme::AccessCounter);
         assert_eq!(o.scheme_for(PageId(99)), Scheme::OnTouch);
         assert_eq!(o.classified_pages(), 3);
+    }
+
+    #[test]
+    fn schemes_do_not_depend_on_recording_order_or_storage() {
+        let accesses = [(0, 90), (1, 90), (0, 7), (2, 64), (2, 64), (3, 7), (1, 5)];
+        let mut forward = PageAttrTracker::new(128);
+        let mut backward = PageAttrTracker::new(128);
+        for &(g, p) in &accesses {
+            forward.record(GpuId::new(g), PageId(p), AccessKind::Write);
+        }
+        for &(g, p) in accesses.iter().rev() {
+            backward.record(GpuId::new(g), PageId(p), AccessKind::Write);
+        }
+        let reloaded = PageAttrTracker::from_exported(&forward.export_pages());
+        let oracles = [&forward, &backward, &reloaded].map(OraclePolicy::from_profile);
+        for p in 0..128 {
+            let want = oracles[0].scheme_for(PageId(p));
+            assert!(
+                oracles.iter().all(|o| o.scheme_for(PageId(p)) == want),
+                "{p}"
+            );
+        }
+        assert_eq!(oracles[0].scheme_for(PageId(90)), Scheme::AccessCounter);
+        assert!(oracles.iter().all(|o| o.classified_pages() == 4));
     }
 
     #[test]

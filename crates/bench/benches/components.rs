@@ -77,7 +77,7 @@ fn bench_grit_structures(c: &mut Criterion) {
     g.warm_up_time(Duration::from_secs(1));
     g.measurement_time(Duration::from_secs(2));
     g.bench_function("pa_store_record_fault", |b| {
-        let mut s = PaStore::new(true, 2, 200);
+        let mut s = PaStore::new(true, 2, 200, 4096);
         let mut p = 0u64;
         b.iter(|| {
             p = (p + 7) % 4096;

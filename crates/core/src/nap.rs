@@ -108,7 +108,7 @@ impl Nap {
         let sub_pages = sub.pages();
         for i in 0..8 {
             let sub_base = base.offset(i * sub_pages);
-            table.set_group(sub_base, sub);
+            self.set_sub_group(table, sub_base, sub);
         }
         let p_sub_base = p.group_base(sub_pages);
         if sub == GroupSize::One {
@@ -154,7 +154,7 @@ impl Nap {
         }
         self.propagate(table, base64, 64, new);
         for i in 0..8 {
-            table.set_group(base64.offset(i * 8), GroupSize::One);
+            self.set_sub_group(table, base64.offset(i * 8), GroupSize::One);
         }
         table.set_group(base64, GroupSize::SixtyFour);
         self.stats.promotions += 1;
@@ -174,10 +174,19 @@ impl Nap {
         }
         self.propagate(table, base512, 512, new);
         for i in 0..8 {
-            table.set_group(base512.offset(i * 64), GroupSize::One);
+            self.set_sub_group(table, base512.offset(i * 64), GroupSize::One);
         }
         table.set_group(base512, GroupSize::FiveTwelve);
         self.stats.promotions += 1;
+    }
+
+    /// Writes the group bits of a sub-group's base page. A group can reach
+    /// past the end of the footprint; sub-groups there have no PTE to hold
+    /// the bits and are skipped.
+    fn set_sub_group(&self, table: &mut CentralPageTable, base: PageId, size: GroupSize) {
+        if base.vpn() < self.footprint_pages {
+            table.set_group(base, size);
+        }
     }
 
     /// Writes `new` into the scheme bits of every in-footprint page of the
@@ -342,6 +351,24 @@ mod tests {
         // Pages 6, 7 are beyond the footprint and untouched.
         assert_eq!(t.scheme_of(PageId(6)), None);
         assert_eq!(t.scheme_of(PageId(7)), None);
+    }
+
+    #[test]
+    fn degrading_a_group_past_the_footprint_skips_the_missing_sub_groups() {
+        // A 64-group over a 50-page footprint: its last sub-group starts
+        // at page 56, which has no PTE.
+        let mut t = CentralPageTable::with_footprint(50);
+        t.set_group(PageId(0), GroupSize::SixtyFour);
+        let mut nap = Nap::new(50);
+        nap.on_scheme_change(
+            &mut t,
+            PageId(3),
+            Scheme::AccessCounter,
+            Some(Scheme::Duplication),
+        );
+        assert_eq!(t.group_of(PageId(0)), GroupSize::One);
+        assert_eq!(t.group_of(PageId(48)), GroupSize::Eight);
+        assert!(t.iter().all(|(p, _)| p.vpn() < 50));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub const PA_CACHE_WAYS: usize = 4;
 /// use grit_core::PaStore;
 /// use grit_sim::PageId;
 ///
-/// let mut s = PaStore::new(true, 2, 250);
+/// let mut s = PaStore::new(true, 2, 250, 128);
 /// let (e, lat_miss) = s.record_fault(PageId(7), false);
 /// assert_eq!(e.faults, 1);
 /// let (_, lat_hit) = s.record_fault(PageId(7), true);
@@ -37,15 +37,22 @@ pub struct PaStore {
 }
 
 impl PaStore {
-    /// Builds the store with the paper's 64-entry 4-way PA-Cache.
-    /// `with_cache` disables the PA-Cache for the PA-Table-only ablation
-    /// (Fig. 20); `cache_hit_latency` and `mem_latency` come from
-    /// [`grit_sim::LatencyConfig`] (`pa_cache_hit` / `cpu_mem_access`).
-    pub fn new(with_cache: bool, cache_hit_latency: Cycle, mem_latency: Cycle) -> Self {
+    /// Builds the store with the paper's 64-entry 4-way PA-Cache over
+    /// pages `0..footprint_pages`. `with_cache` disables the PA-Cache for
+    /// the PA-Table-only ablation (Fig. 20); `cache_hit_latency` and
+    /// `mem_latency` come from [`grit_sim::LatencyConfig`]
+    /// (`pa_cache_hit` / `cpu_mem_access`).
+    pub fn new(
+        with_cache: bool,
+        cache_hit_latency: Cycle,
+        mem_latency: Cycle,
+        footprint_pages: u64,
+    ) -> Self {
         Self::with_geometry(
             with_cache.then_some(PA_CACHE_ENTRIES),
             cache_hit_latency,
             mem_latency,
+            footprint_pages,
         )
     }
 
@@ -60,9 +67,10 @@ impl PaStore {
         entries: Option<usize>,
         cache_hit_latency: Cycle,
         mem_latency: Cycle,
+        footprint_pages: u64,
     ) -> Self {
         PaStore {
-            table: PaTable::new(),
+            table: PaTable::new(footprint_pages),
             cache: entries.map(|n| SetAssocCache::with_entries(n, PA_CACHE_WAYS)),
             cache_hit_latency,
             mem_latency,
@@ -139,7 +147,7 @@ mod tests {
     use super::*;
 
     fn store() -> PaStore {
-        PaStore::new(true, 2, 250)
+        PaStore::new(true, 2, 250, 128)
     }
 
     #[test]
@@ -154,7 +162,7 @@ mod tests {
 
     #[test]
     fn table_only_mode_charges_two_memory_accesses() {
-        let mut s = PaStore::new(false, 2, 250);
+        let mut s = PaStore::new(false, 2, 250, 128);
         let (_, lat) = s.record_fault(PageId(1), false);
         assert_eq!(lat, 500);
         assert!(!s.has_cache());
@@ -202,7 +210,7 @@ mod tests {
 
     #[test]
     fn custom_geometry_changes_capacity() {
-        let mut s = PaStore::with_geometry(Some(8), 2, 250);
+        let mut s = PaStore::with_geometry(Some(8), 2, 250, 128);
         assert!(s.has_cache());
         // Only 2 sets of 4 ways: five conflicting VPNs overflow a set and
         // the write-back path engages far earlier than with 64 entries.

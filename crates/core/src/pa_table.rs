@@ -5,7 +5,7 @@
 //! faults). Entries are deleted once the fault counter reaches the
 //! threshold and the page's placement scheme is updated.
 
-use grit_sim::{FxHashMap, PageId};
+use grit_sim::{PageId, PageVec};
 
 /// One PA-Table entry's payload (the VPN is the key).
 ///
@@ -34,13 +34,13 @@ impl PaEntry {
     }
 }
 
-/// The in-memory PA-Table.
+/// The in-memory PA-Table, a dense [`PageVec`] over the footprint.
 ///
 /// ```
 /// use grit_core::PaTable;
 /// use grit_sim::PageId;
 ///
-/// let mut t = PaTable::new();
+/// let mut t = PaTable::new(16);
 /// let e = t.record_fault(PageId(3), false);
 /// assert_eq!(e.faults, 1);
 /// let e = t.record_fault(PageId(3), true);
@@ -49,17 +49,32 @@ impl PaEntry {
 /// t.delete(PageId(3));
 /// assert!(t.get(PageId(3)).is_none());
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PaTable {
-    entries: FxHashMap<PageId, PaEntry>,
+    entries: PageVec<Option<PaEntry>>,
+    len: usize,
     reads: u64,
     writes: u64,
 }
 
 impl PaTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        PaTable::default()
+    /// An empty table for pages `0..footprint_pages`.
+    pub fn new(footprint_pages: u64) -> Self {
+        PaTable {
+            entries: PageVec::new(footprint_pages),
+            len: 0,
+            reads: 0,
+            writes: 0,
+        }
+    }
+
+    /// The slot of `vpn`, counting a newly registered entry.
+    fn slot(&mut self, vpn: PageId) -> &mut Option<PaEntry> {
+        let slot = self.entries.get_mut(vpn);
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot
     }
 
     /// Registers (or updates) the entry for a faulting page and returns the
@@ -67,42 +82,46 @@ impl PaTable {
     pub fn record_fault(&mut self, vpn: PageId, is_write: bool) -> PaEntry {
         self.reads += 1;
         self.writes += 1;
-        let e = self.entries.entry(vpn).or_default();
+        let e = self.slot(vpn).get_or_insert_with(PaEntry::default);
         e.apply_fault(is_write);
         *e
     }
 
     /// Current entry for a page, if registered.
     pub fn get(&self, vpn: PageId) -> Option<PaEntry> {
-        self.entries.get(&vpn).copied()
+        *self.entries.get(vpn)
     }
 
     /// Overwrites an entry (PA-Cache write-back path).
     pub fn store(&mut self, vpn: PageId, entry: PaEntry) {
         self.writes += 1;
-        self.entries.insert(vpn, entry);
+        *self.slot(vpn) = Some(entry);
     }
 
     /// Loads an entry without modifying it (PA-Cache fill path); counts a
     /// table read.
     pub fn load(&mut self, vpn: PageId) -> Option<PaEntry> {
         self.reads += 1;
-        self.entries.get(&vpn).copied()
+        *self.entries.get(vpn)
     }
 
     /// Deletes an entry (scheme change applied, §V-C).
     pub fn delete(&mut self, vpn: PageId) -> Option<PaEntry> {
-        self.entries.remove(&vpn)
+        let e = self.entries.get_mut(vpn).take();
+        if e.is_some() {
+            self.len -= 1;
+        }
+        e
     }
 
     /// Registered entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether no entries are registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// `(reads, writes)` to CPU memory performed by the table.
@@ -117,7 +136,7 @@ mod tests {
 
     #[test]
     fn counter_increments_and_write_bit_sticks() {
-        let mut t = PaTable::new();
+        let mut t = PaTable::new(16);
         t.record_fault(PageId(1), true);
         let e = t.record_fault(PageId(1), false);
         assert_eq!(e.faults, 2);
@@ -136,7 +155,7 @@ mod tests {
 
     #[test]
     fn distinct_pages_are_independent() {
-        let mut t = PaTable::new();
+        let mut t = PaTable::new(16);
         t.record_fault(PageId(1), false);
         t.record_fault(PageId(2), true);
         assert_eq!(t.get(PageId(1)).unwrap().faults, 1);
@@ -147,7 +166,7 @@ mod tests {
 
     #[test]
     fn delete_removes_entry() {
-        let mut t = PaTable::new();
+        let mut t = PaTable::new(16);
         t.record_fault(PageId(5), false);
         assert_eq!(t.delete(PageId(5)).unwrap().faults, 1);
         assert!(t.delete(PageId(5)).is_none());
@@ -155,8 +174,19 @@ mod tests {
     }
 
     #[test]
+    fn store_and_delete_keep_the_count() {
+        let mut t = PaTable::new(16);
+        t.store(PageId(2), PaEntry::default());
+        t.store(PageId(2), PaEntry::default());
+        t.record_fault(PageId(3), false);
+        assert_eq!(t.len(), 2);
+        t.delete(PageId(2));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
     fn load_store_round_trip_counts_ops() {
-        let mut t = PaTable::new();
+        let mut t = PaTable::new(16);
         assert_eq!(t.load(PageId(9)), None);
         t.store(
             PageId(9),

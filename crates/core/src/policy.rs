@@ -117,6 +117,7 @@ impl GritPolicy {
                 cfg.pa_cache.then_some(cfg.pa_cache_entries),
                 cfg.pa_cache_hit_latency,
                 cfg.cpu_mem_latency,
+                footprint_pages,
             ),
             nap: Nap::new(footprint_pages),
             cfg,

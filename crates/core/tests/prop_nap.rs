@@ -20,7 +20,7 @@ fn scheme_strategy() -> impl Strategy<Value = Scheme> {
 /// its size, and the covering groups of any two pages in the same aligned
 /// window must agree.
 fn check_group_alignment(table: &CentralPageTable) -> Result<(), String> {
-    for (&vpn, state) in table.iter() {
+    for (vpn, state) in table.iter() {
         let pages = state.group.pages();
         if pages > 1 && vpn.vpn() % pages != 0 {
             return Err(format!(

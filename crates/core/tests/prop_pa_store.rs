@@ -57,7 +57,7 @@ proptest! {
 
     #[test]
     fn paper_geometry_counts_exactly(ops in prop::collection::vec(op_strategy(), 1..300)) {
-        check_against_model(PaStore::new(true, 2, 200), ops)?;
+        check_against_model(PaStore::new(true, 2, 200, 96), ops)?;
     }
 
     #[test]
@@ -66,20 +66,20 @@ proptest! {
     ) {
         // An 8-entry cache thrashes constantly over 96 pages: every count
         // survives the write-back/refill churn.
-        check_against_model(PaStore::with_geometry(Some(8), 2, 200), ops)?;
+        check_against_model(PaStore::with_geometry(Some(8), 2, 200, 96), ops)?;
     }
 
     #[test]
     fn table_only_counts_exactly(ops in prop::collection::vec(op_strategy(), 1..300)) {
-        check_against_model(PaStore::new(false, 2, 200), ops)?;
+        check_against_model(PaStore::new(false, 2, 200, 96), ops)?;
     }
 
     #[test]
     fn cached_store_is_never_slower_in_total(
         vpns in prop::collection::vec(0u64..32, 1..200)
     ) {
-        let mut cached = PaStore::new(true, 2, 200);
-        let mut bare = PaStore::new(false, 2, 200);
+        let mut cached = PaStore::new(true, 2, 200, 96);
+        let mut bare = PaStore::new(false, 2, 200, 96);
         let (mut cached_total, mut bare_total) = (0u64, 0u64);
         for v in vpns {
             cached_total += cached.record_fault(PageId(v), false).1;

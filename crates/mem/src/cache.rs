@@ -5,7 +5,7 @@
 //! and GRIT's 64-entry 4-way PA-Cache (paper Fig. 12, which indexes by the
 //! low VPN bits — exactly what [`CacheKey::index`] provides for page keys).
 
-use grit_sim::{GpuId, PageId};
+use grit_sim::PageId;
 
 /// Maps a key to its set-index source value.
 ///
@@ -25,21 +25,6 @@ impl CacheKey for u64 {
 impl CacheKey for PageId {
     fn index(&self) -> u64 {
         self.vpn()
-    }
-}
-
-impl CacheKey for (GpuId, PageId) {
-    fn index(&self) -> u64 {
-        // Mix the GPU into the high bits so per-GPU streams do not collide
-        // pathologically in small shared structures.
-        self.1.vpn() ^ ((self.0.index() as u64) << 57)
-    }
-}
-
-impl CacheKey for (PageId, u16) {
-    fn index(&self) -> u64 {
-        // Page + line-in-page: lines of one page spread across sets.
-        (self.0.vpn() << 6) | self.1 as u64 & 0x3f
     }
 }
 
@@ -131,13 +116,43 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         let ways = &mut self.sets[set];
         if let Some(pos) = ways.iter().position(|w| &w.key == key) {
             self.stats.hits += 1;
-            let w = ways.remove(pos);
-            ways.insert(0, w);
+            ways[..=pos].rotate_right(1);
             Some(&mut ways[0].value)
         } else {
             self.stats.misses += 1;
             None
         }
+    }
+
+    /// Looks the key up and, on a miss, inserts it with value `make()`, in
+    /// a single scan of the set. Counts the hit or miss and any eviction
+    /// exactly as [`SetAssocCache::get`] followed on a miss by
+    /// [`SetAssocCache::insert`] would, and leaves the same MRU order.
+    /// Returns whether the key hit.
+    ///
+    /// ```
+    /// use grit_mem::SetAssocCache;
+    /// let mut c: SetAssocCache<u64, ()> = SetAssocCache::new(1, 2);
+    /// assert!(!c.access(1, || ()));   // miss: 1 inserted
+    /// assert!(c.access(1, || ()));    // hit
+    /// assert_eq!(c.stats().misses, 1);
+    /// ```
+    #[inline]
+    pub fn access(&mut self, key: K, make: impl FnOnce() -> V) -> bool {
+        let set = self.set_of(&key);
+        let ways = &mut self.sets[set];
+        if let Some(pos) = ways.iter().position(|w| w.key == key) {
+            self.stats.hits += 1;
+            ways[..=pos].rotate_right(1);
+            return true;
+        }
+        self.stats.misses += 1;
+        if ways.len() == self.ways {
+            self.stats.evictions += 1;
+            ways.pop();
+        }
+        ways.insert(0, Way { key, value: make() });
+        false
     }
 
     /// Looks the key up without touching recency or statistics.
@@ -152,9 +167,8 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         let set = self.set_of(&key);
         let ways = &mut self.sets[set];
         if let Some(pos) = ways.iter().position(|w| w.key == key) {
-            let mut w = ways.remove(pos);
-            w.value = value;
-            ways.insert(0, w);
+            ways[pos].value = value;
+            ways[..=pos].rotate_right(1);
             return None;
         }
         let victim = if ways.len() == self.ways {
@@ -221,6 +235,22 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn access_hits_promote_and_misses_evict_the_lru() {
+        let mut c: SetAssocCache<u64, u32> = SetAssocCache::new(1, 3);
+        for k in [1, 2, 3] {
+            assert!(!c.access(k, || 0));
+        }
+        assert!(c.access(1, || unreachable!("a hit builds no value")));
+        let order: Vec<u64> = c.iter().map(|(&k, _)| k).collect();
+        assert_eq!(order, vec![1, 3, 2]);
+        assert!(!c.access(4, || 0));
+        let order: Vec<u64> = c.iter().map(|(&k, _)| k).collect();
+        assert_eq!(order, vec![4, 1, 3]);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 4, 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! pages are resident in one GPU's DRAM and picks LRU victims when space
 //! runs out.
 
-use grit_sim::{FxHashMap, FxHashSet, PageId};
+use grit_sim::{PageId, PageVec};
 
 /// Intrusive doubly-linked LRU list over a slab of nodes.
 #[derive(Clone, Debug)]
@@ -86,11 +86,14 @@ impl LruList {
 
 /// Resident-page tracker for one GPU's local memory.
 ///
+/// The page → LRU-node index and the dirty bits are dense [`PageVec`]s
+/// over the footprint ([`GpuMemory::with_footprint`]).
+///
 /// ```
 /// use grit_mem::GpuMemory;
 /// use grit_sim::PageId;
 ///
-/// let mut m = GpuMemory::new(2);
+/// let mut m = GpuMemory::with_footprint(2, 8);
 /// assert_eq!(m.insert(PageId(1)), None);
 /// assert_eq!(m.insert(PageId(2)), None);
 /// m.touch(PageId(1));                      // 1 becomes MRU
@@ -100,24 +103,54 @@ impl LruList {
 #[derive(Clone, Debug)]
 pub struct GpuMemory {
     capacity_pages: usize,
-    index: FxHashMap<PageId, usize>,
-    dirty: FxHashSet<PageId>,
+    /// LRU node of each resident page.
+    index: PageVec<Option<u32>>,
+    /// Written since it arrived. An LRU victim keeps its bit until the
+    /// page arrives again or is removed, so the caller can still ask
+    /// whether the victim needs a write-back.
+    dirty: PageVec<bool>,
+    resident: usize,
     lru: LruList,
     evictions: u64,
 }
 
 impl GpuMemory {
-    /// Memory holding at most `capacity_pages` pages.
+    /// Memory holding at most `capacity_pages` pages, with no footprint
+    /// bound: the page index grows to the highest page inserted.
     ///
     /// # Panics
     ///
     /// Panics if `capacity_pages` is zero.
     pub fn new(capacity_pages: usize) -> Self {
+        Self::with_index(capacity_pages, PageVec::unbounded(), PageVec::unbounded())
+    }
+
+    /// Memory holding at most `capacity_pages` of the pages
+    /// `0..footprint_pages`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_pages` is zero. Every page operation panics on a
+    /// page at or past the footprint.
+    pub fn with_footprint(capacity_pages: usize, footprint_pages: u64) -> Self {
+        Self::with_index(
+            capacity_pages,
+            PageVec::new(footprint_pages),
+            PageVec::new(footprint_pages),
+        )
+    }
+
+    fn with_index(
+        capacity_pages: usize,
+        index: PageVec<Option<u32>>,
+        dirty: PageVec<bool>,
+    ) -> Self {
         assert!(capacity_pages > 0, "GPU memory capacity must be non-zero");
         GpuMemory {
             capacity_pages,
-            index: FxHashMap::with_capacity_and_hasher(capacity_pages, Default::default()),
-            dirty: FxHashSet::default(),
+            index,
+            dirty,
+            resident: 0,
             lru: LruList::new(),
             evictions: 0,
         }
@@ -125,50 +158,61 @@ impl GpuMemory {
 
     /// Marks a resident page as modified since it arrived; dirty victims
     /// must be written back on eviction, clean ones can be dropped.
+    #[inline]
     pub fn mark_dirty(&mut self, page: PageId) {
-        if self.index.contains_key(&page) {
-            self.dirty.insert(page);
+        if self.index.get(page).is_some() {
+            *self.dirty.get_mut(page) = true;
         }
     }
 
     /// Whether the page has been written since becoming resident.
     pub fn is_dirty(&self, page: PageId) -> bool {
-        self.dirty.contains(&page)
+        *self.dirty.get(page)
     }
 
     /// Makes `page` resident as MRU. If memory is full, evicts and returns
     /// the LRU page (never the page just inserted). Inserting an already
     /// resident page just refreshes its recency.
     pub fn insert(&mut self, page: PageId) -> Option<PageId> {
-        if let Some(&idx) = self.index.get(&page) {
-            self.lru.unlink(idx);
-            self.lru.push_front(idx);
+        if let Some(idx) = *self.index.get(page) {
+            self.lru.unlink(idx as usize);
+            self.lru.push_front(idx as usize);
             return None;
         }
-        let victim = if self.index.len() == self.capacity_pages {
-            let tail = self.lru.tail.expect("full memory has a tail");
-            let victim_page = self.lru.nodes[tail].page;
-            self.lru.unlink(tail);
-            self.lru.release(tail);
-            self.index.remove(&victim_page);
+        let victim = if self.resident == self.capacity_pages {
+            let victim_page = self.pop_lru();
             self.evictions += 1;
             Some(victim_page)
         } else {
             None
         };
         // A fresh arrival starts clean.
-        self.dirty.remove(&page);
+        *self.dirty.get_mut(page) = false;
         let idx = self.lru.alloc(page);
         self.lru.push_front(idx);
-        self.index.insert(page, idx);
+        *self.index.get_mut(page) = Some(u32::try_from(idx).expect("LRU node fits in u32"));
+        self.resident += 1;
         victim
     }
 
+    /// Unlinks the LRU page and drops it from the index; its dirty bit
+    /// stays for the caller to read.
+    fn pop_lru(&mut self) -> PageId {
+        let tail = self.lru.tail.expect("non-empty memory has a tail");
+        let page = self.lru.nodes[tail].page;
+        self.lru.unlink(tail);
+        self.lru.release(tail);
+        *self.index.get_mut(page) = None;
+        self.resident -= 1;
+        page
+    }
+
     /// Refreshes recency of a resident page; `true` if it was resident.
+    #[inline]
     pub fn touch(&mut self, page: PageId) -> bool {
-        if let Some(&idx) = self.index.get(&page) {
-            self.lru.unlink(idx);
-            self.lru.push_front(idx);
+        if let Some(idx) = *self.index.get(page) {
+            self.lru.unlink(idx as usize);
+            self.lru.push_front(idx as usize);
             true
         } else {
             false
@@ -178,10 +222,11 @@ impl GpuMemory {
     /// Removes a page (migration away / invalidated replica); `true` if it
     /// was resident.
     pub fn remove(&mut self, page: PageId) -> bool {
-        if let Some(idx) = self.index.remove(&page) {
-            self.lru.unlink(idx);
-            self.lru.release(idx);
-            self.dirty.remove(&page);
+        if let Some(idx) = self.index.get_mut(page).take() {
+            self.lru.unlink(idx as usize);
+            self.lru.release(idx as usize);
+            *self.dirty.get_mut(page) = false;
+            self.resident -= 1;
             true
         } else {
             false
@@ -198,13 +243,9 @@ impl GpuMemory {
         let frames = usize::try_from(frames).unwrap_or(usize::MAX).min(self.capacity_pages - 1);
         self.capacity_pages -= frames;
         let mut evicted = Vec::new();
-        while self.index.len() > self.capacity_pages {
-            let tail = self.lru.tail.expect("overfull memory has a tail");
-            let page = self.lru.nodes[tail].page;
-            self.lru.unlink(tail);
-            self.lru.release(tail);
-            self.index.remove(&page);
-            let dirty = self.dirty.remove(&page);
+        while self.resident > self.capacity_pages {
+            let page = self.pop_lru();
+            let dirty = std::mem::take(self.dirty.get_mut(page));
             self.evictions += 1;
             evicted.push((page, dirty));
         }
@@ -212,13 +253,14 @@ impl GpuMemory {
     }
 
     /// Whether the page is resident.
+    #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
+        self.index.get(page).is_some()
     }
 
     /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// Capacity in pages.
@@ -228,7 +270,7 @@ impl GpuMemory {
 
     /// Occupancy in `[0, 1]`.
     pub fn occupancy(&self) -> f64 {
-        self.index.len() as f64 / self.capacity_pages as f64
+        self.resident as f64 / self.capacity_pages as f64
     }
 
     /// Total pages evicted so far.
@@ -311,6 +353,23 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         let _ = GpuMemory::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "page:0x10 is outside the footprint of 16 pages")]
+    fn pages_past_the_footprint_panic() {
+        GpuMemory::with_footprint(4, 16).insert(PageId(16));
+    }
+
+    #[test]
+    fn victim_keeps_its_dirty_bit_until_it_returns() {
+        let mut m = GpuMemory::with_footprint(1, 4);
+        m.insert(PageId(0));
+        m.mark_dirty(PageId(0));
+        assert_eq!(m.insert(PageId(1)), Some(PageId(0)));
+        assert!(m.is_dirty(PageId(0)), "the caller reads the victim's bit");
+        m.insert(PageId(0));
+        assert!(!m.is_dirty(PageId(0)));
     }
 
     #[test]

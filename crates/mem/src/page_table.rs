@@ -6,7 +6,7 @@
 //! to a remote GPU's memory (counter-based scheme, §II-B2), or to a local
 //! read-only replica (duplication, §II-B3).
 
-use grit_sim::{FxHashMap, GpuId, PageId};
+use grit_sim::{GpuId, PageId, PageVec};
 
 /// How a GPU's local page table resolves a virtual page.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,44 +35,57 @@ impl Mapping {
     }
 }
 
-/// A GPU's local page table.
+/// A GPU's local page table, a dense [`PageVec`] over the footprint.
 ///
 /// ```
 /// use grit_mem::{LocalPageTable, Mapping};
 /// use grit_sim::PageId;
 ///
-/// let mut pt = LocalPageTable::new();
+/// let mut pt = LocalPageTable::new(16);
 /// assert_eq!(pt.lookup(PageId(1)), None);
 /// pt.map(PageId(1), Mapping::Local);
 /// assert_eq!(pt.lookup(PageId(1)), Some(Mapping::Local));
 /// assert!(pt.invalidate(PageId(1)));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LocalPageTable {
-    entries: FxHashMap<PageId, Mapping>,
+    entries: PageVec<Option<Mapping>>,
+    len: usize,
     invalidations: u64,
 }
 
 impl LocalPageTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        LocalPageTable::default()
+    /// An empty table for pages `0..footprint_pages`.
+    pub fn new(footprint_pages: u64) -> Self {
+        LocalPageTable {
+            entries: PageVec::new(footprint_pages),
+            len: 0,
+            invalidations: 0,
+        }
     }
 
     /// Current mapping for a page, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` lies at or past the footprint.
+    #[inline]
     pub fn lookup(&self, vpn: PageId) -> Option<Mapping> {
-        self.entries.get(&vpn).copied()
+        *self.entries.get(vpn)
     }
 
     /// Installs or replaces a mapping.
     pub fn map(&mut self, vpn: PageId, mapping: Mapping) {
-        self.entries.insert(vpn, mapping);
+        if self.entries.get_mut(vpn).replace(mapping).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Removes a mapping; `true` if one was present.
     pub fn invalidate(&mut self, vpn: PageId) -> bool {
-        let present = self.entries.remove(&vpn).is_some();
+        let present = self.entries.get_mut(vpn).take().is_some();
         if present {
+            self.len -= 1;
             self.invalidations += 1;
         }
         present
@@ -80,12 +93,12 @@ impl LocalPageTable {
 
     /// Number of valid entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table has no valid entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Count of PTE invalidations performed (coherence traffic indicator).
@@ -93,9 +106,9 @@ impl LocalPageTable {
         self.invalidations
     }
 
-    /// Iterates `(page, mapping)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PageId, &Mapping)> {
-        self.entries.iter()
+    /// Iterates `(page, mapping)` pairs in ascending VPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (PageId, Mapping)> + '_ {
+        self.entries.iter().filter_map(|(vpn, m)| m.map(|m| (vpn, m)))
     }
 }
 
@@ -105,7 +118,7 @@ mod tests {
 
     #[test]
     fn map_lookup_invalidate() {
-        let mut pt = LocalPageTable::new();
+        let mut pt = LocalPageTable::new(16);
         pt.map(PageId(3), Mapping::Remote(GpuId::new(1)));
         assert_eq!(pt.lookup(PageId(3)), Some(Mapping::Remote(GpuId::new(1))));
         pt.map(PageId(3), Mapping::Local);
@@ -115,6 +128,23 @@ mod tests {
         assert!(!pt.invalidate(PageId(3)));
         assert!(pt.is_empty());
         assert_eq!(pt.invalidations(), 1);
+    }
+
+    #[test]
+    fn iteration_is_ascending_by_vpn() {
+        let mut pt = LocalPageTable::new(32);
+        for vpn in [9, 2, 31, 0] {
+            pt.map(PageId(vpn), Mapping::Local);
+        }
+        pt.invalidate(PageId(2));
+        let order: Vec<u64> = pt.iter().map(|(p, _)| p.vpn()).collect();
+        assert_eq!(order, vec![0, 9, 31]);
+    }
+
+    #[test]
+    #[should_panic(expected = "page:0x20 is outside the footprint of 32 pages")]
+    fn pages_past_the_footprint_panic() {
+        LocalPageTable::new(32).map(PageId(32), Mapping::Local);
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl ModelCache {
     fn len(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
+
+    /// Every resident key, set by set, each set in MRU order.
+    fn keys(&self) -> Vec<u64> {
+        self.sets.iter().flatten().map(|&(k, _)| k).collect()
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -97,6 +102,37 @@ proptest! {
             prop_assert_eq!(real.len(), model.len());
             prop_assert!(real.len() <= real.capacity());
         }
+    }
+
+    #[test]
+    fn access_is_get_then_insert_on_a_miss(
+        ops in prop::collection::vec(((0u64..48), any::<u32>(), any::<bool>()), 1..400)
+    ) {
+        let mut real: SetAssocCache<u64, u32> = SetAssocCache::new(4, 3);
+        let mut model = ModelCache::new(4, 3);
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        for (k, v, plain_get) in ops {
+            let want = model.get(k);
+            if want.is_some() {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            if plain_get {
+                // Plain gets reorder sets between the accesses under test.
+                prop_assert_eq!(real.get(&k).map(|v| *v), want);
+                continue;
+            }
+            prop_assert_eq!(real.access(k, || v), want.is_some());
+            if want.is_none() && model.insert(k, v).is_some() {
+                evictions += 1;
+            }
+            let keys: Vec<u64> = real.iter().map(|(&k, _)| k).collect();
+            prop_assert_eq!(keys, model.keys(), "resident keys or MRU order diverged");
+            prop_assert_eq!(real.peek(&k).copied(), want.or(Some(v)));
+        }
+        let s = real.stats();
+        prop_assert_eq!((s.hits, s.misses, s.evictions), (hits, misses, evictions));
     }
 
     #[test]

@@ -54,6 +54,10 @@ impl ModelLru {
     }
 }
 
+/// Pages the operation strategies draw from; the memories under test
+/// cover exactly this footprint.
+const FOOTPRINT: u64 = 40;
+
 #[derive(Clone, Debug)]
 enum Op {
     Insert(u64),
@@ -63,16 +67,16 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..40).prop_map(Op::Insert),
-        (0u64..40).prop_map(Op::Touch),
-        (0u64..40).prop_map(Op::Remove),
+        (0..FOOTPRINT).prop_map(Op::Insert),
+        (0..FOOTPRINT).prop_map(Op::Touch),
+        (0..FOOTPRINT).prop_map(Op::Remove),
     ]
 }
 
 proptest! {
     #[test]
     fn lru_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..500)) {
-        let mut real = GpuMemory::new(8);
+        let mut real = GpuMemory::with_footprint(8, FOOTPRINT);
         let mut model = ModelLru::new(8);
         for op in ops {
             match op {
@@ -98,8 +102,8 @@ proptest! {
     }
 
     #[test]
-    fn eviction_count_is_monotone(pages in prop::collection::vec(any::<u64>(), 1..300)) {
-        let mut m = GpuMemory::new(4);
+    fn eviction_count_is_monotone(pages in prop::collection::vec(0..FOOTPRINT, 1..300)) {
+        let mut m = GpuMemory::with_footprint(4, FOOTPRINT);
         let mut last = 0;
         for p in pages {
             m.insert(PageId(p));
@@ -108,4 +112,10 @@ proptest! {
             last = e;
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "page:0x28 is outside the footprint of 40 pages")]
+fn pages_at_or_past_the_footprint_panic() {
+    GpuMemory::with_footprint(4, FOOTPRINT).insert(PageId(FOOTPRINT));
 }

@@ -1,7 +1,7 @@
 //! Per-page attribute tracking: private vs shared, read vs read-write
 //! (paper §IV-B, Figs. 4 and 9).
 
-use grit_sim::{AccessKind, FxHashMap, GpuId, GpuSet, PageId};
+use grit_sim::{AccessKind, GpuId, GpuSet, PageId, PageVec};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PageRecord {
@@ -76,7 +76,8 @@ fn frac(n: u64, d: u64) -> f64 {
     }
 }
 
-/// Tracks whole-run page attributes.
+/// Tracks whole-run page attributes in a dense [`PageVec`] over the
+/// footprint.
 ///
 /// Definitions follow the paper exactly: a *private page* is accessed by
 /// one GPU during the entire execution; a *read page* never sees a write.
@@ -85,7 +86,7 @@ fn frac(n: u64, d: u64) -> f64 {
 /// use grit_metrics::PageAttrTracker;
 /// use grit_sim::{AccessKind, GpuId, PageId};
 ///
-/// let mut t = PageAttrTracker::new();
+/// let mut t = PageAttrTracker::new(16);
 /// t.record(GpuId::new(0), PageId(1), AccessKind::Read);
 /// t.record(GpuId::new(1), PageId(1), AccessKind::Write);
 /// t.record(GpuId::new(0), PageId(2), AccessKind::Read);
@@ -94,20 +95,34 @@ fn frac(n: u64, d: u64) -> f64 {
 /// assert_eq!(s.private_pages, 1);
 /// assert_eq!(s.read_write_pages, 1);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PageAttrTracker {
-    pages: FxHashMap<PageId, PageRecord>,
+    pages: PageVec<Option<PageRecord>>,
+    /// Pages touched at least once.
+    touched: usize,
 }
 
 impl PageAttrTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        PageAttrTracker::default()
+    /// An empty tracker for pages `0..footprint_pages`.
+    pub fn new(footprint_pages: u64) -> Self {
+        PageAttrTracker {
+            pages: PageVec::new(footprint_pages),
+            touched: 0,
+        }
     }
 
     /// Records one access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` lies at or past the footprint.
+    #[inline]
     pub fn record(&mut self, gpu: GpuId, vpn: PageId, kind: AccessKind) {
-        let rec = self.pages.entry(vpn).or_default();
+        let slot = self.pages.get_mut(vpn);
+        if slot.is_none() {
+            self.touched += 1;
+        }
+        let rec = slot.get_or_insert_with(PageRecord::default);
         rec.accessors.insert(gpu);
         rec.written |= kind.is_write();
         rec.accesses += 1;
@@ -115,81 +130,86 @@ impl PageAttrTracker {
 
     /// Whether the page has been touched by more than one GPU so far.
     pub fn is_shared(&self, vpn: PageId) -> bool {
-        self.pages.get(&vpn).is_some_and(|r| r.accessors.len() > 1)
+        self.pages.get(vpn).is_some_and(|r| r.accessors.len() > 1)
     }
 
     /// Whether the page has been written so far.
     pub fn is_written(&self, vpn: PageId) -> bool {
-        self.pages.get(&vpn).is_some_and(|r| r.written)
+        self.pages.get(vpn).is_some_and(|r| r.written)
     }
 
     /// Number of distinct pages touched.
     pub fn pages_touched(&self) -> usize {
-        self.pages.len()
+        self.touched
+    }
+
+    /// Every touched page with its record, in ascending VPN order.
+    fn records(&self) -> impl Iterator<Item = (PageId, &PageRecord)> {
+        self.pages.iter().filter_map(|(vpn, r)| r.as_ref().map(|r| (vpn, r)))
     }
 
     /// The most-accessed page with at least `min_sharers` distinct GPU
     /// accessors — how the Fig. 5/10 drivers pick "a certain page" to
     /// track. Deterministic: ties break toward the lowest VPN.
     pub fn hottest(&self, min_sharers: usize) -> Option<PageId> {
-        self.pages
-            .iter()
+        self.records()
             .filter(|(_, r)| r.accessors.len() >= min_sharers)
             .max_by_key(|(vpn, r)| (r.accesses, std::cmp::Reverse(vpn.vpn())))
-            .map(|(vpn, _)| *vpn)
+            .map(|(vpn, _)| vpn)
     }
 
     /// Like [`PageAttrTracker::hottest`] but restricted to pages with at
     /// least one write (Fig. 10 tracks a read-write page).
     pub fn hottest_written(&self, min_sharers: usize) -> Option<PageId> {
-        self.pages
-            .iter()
+        self.records()
             .filter(|(_, r)| r.accessors.len() >= min_sharers && r.written)
             .max_by_key(|(vpn, r)| (r.accesses, std::cmp::Reverse(vpn.vpn())))
-            .map(|(vpn, _)| *vpn)
+            .map(|(vpn, _)| vpn)
     }
 
     /// Iterates `(page, sharer count, written, accesses)` for every page
-    /// touched — profile data for oracle-style placement.
+    /// touched, in ascending VPN order — profile data for oracle-style
+    /// placement.
     pub fn iter_pages(&self) -> impl Iterator<Item = (PageId, usize, bool, u64)> + '_ {
-        self.pages
-            .iter()
-            .map(|(vpn, r)| (*vpn, r.accessors.len(), r.written, r.accesses))
+        self.records().map(|(vpn, r)| (vpn, r.accessors.len(), r.written, r.accesses))
     }
 
     /// Exports every page record as `(vpn, accessor bitmask, written,
     /// accesses)`, sorted by VPN — a stable wire form for on-disk result
     /// stores. [`PageAttrTracker::from_exported`] inverts it exactly.
     pub fn export_pages(&self) -> Vec<(u64, u16, bool, u64)> {
-        let mut rows: Vec<_> = self
-            .pages
-            .iter()
+        self.records()
             .map(|(vpn, r)| (vpn.vpn(), r.accessors.bits(), r.written, r.accesses))
-            .collect();
-        rows.sort_unstable_by_key(|&(vpn, ..)| vpn);
-        rows
+            .collect()
     }
 
-    /// Rebuilds a tracker from [`PageAttrTracker::export_pages`] rows.
+    /// Rebuilds a tracker from [`PageAttrTracker::export_pages`] rows. The
+    /// rows do not carry the footprint, so the rebuilt tracker has no
+    /// footprint bound: pages past the last row read as untouched.
     pub fn from_exported(rows: &[(u64, u16, bool, u64)]) -> Self {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker {
+            pages: PageVec::unbounded(),
+            touched: 0,
+        };
         for &(vpn, bits, written, accesses) in rows {
-            t.pages.insert(
-                PageId(vpn),
-                PageRecord {
-                    accessors: GpuSet::from_bits(bits),
-                    written,
-                    accesses,
-                },
-            );
+            let slot = t.pages.get_mut(PageId(vpn));
+            if slot.is_none() {
+                t.touched += 1;
+            }
+            *slot = Some(PageRecord {
+                accessors: GpuSet::from_bits(bits),
+                written,
+                accesses,
+            });
         }
         t
     }
 
-    /// Aggregates the whole-run summary.
+    /// Aggregates the whole-run summary over the touched pages in
+    /// ascending VPN order.
     pub fn summary(&self) -> PageAttrSummary {
         let mut s = PageAttrSummary::default();
-        for rec in self.pages.values() {
+        for (_, rec) in self.records() {
             s.total_pages += 1;
             let shared = rec.accessors.len() > 1;
             if shared {
@@ -224,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_summary_is_zero() {
-        let s = PageAttrTracker::new().summary();
+        let s = PageAttrTracker::new(16).summary();
         assert_eq!(s.total_pages, 0);
         assert_eq!(s.shared_page_frac(), 0.0);
         assert_eq!(s.read_write_access_frac(), 0.0);
@@ -232,7 +252,7 @@ mod tests {
 
     #[test]
     fn private_vs_shared_classification() {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker::new(16);
         for _ in 0..10 {
             t.record(g(0), PageId(1), AccessKind::Read);
         }
@@ -249,7 +269,7 @@ mod tests {
 
     #[test]
     fn read_write_classification_counts_all_accesses() {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker::new(16);
         t.record(g(0), PageId(1), AccessKind::Read);
         t.record(g(0), PageId(1), AccessKind::Write);
         t.record(g(0), PageId(1), AccessKind::Read);
@@ -261,7 +281,7 @@ mod tests {
 
     #[test]
     fn shared_read_write_intersection() {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker::new(16);
         t.record(g(0), PageId(1), AccessKind::Write);
         t.record(g(1), PageId(1), AccessKind::Read);
         t.record(g(0), PageId(2), AccessKind::Write); // private RW
@@ -274,7 +294,7 @@ mod tests {
 
     #[test]
     fn export_import_round_trip() {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker::new(16);
         t.record(g(0), PageId(7), AccessKind::Write);
         t.record(g(1), PageId(7), AccessKind::Read);
         t.record(g(2), PageId(3), AccessKind::Read);
@@ -291,8 +311,26 @@ mod tests {
     }
 
     #[test]
+    fn iteration_is_ascending_by_vpn() {
+        let mut t = PageAttrTracker::new(64);
+        for vpn in [50, 4, 33, 0, 63] {
+            t.record(g(0), PageId(vpn), AccessKind::Read);
+        }
+        let order: Vec<u64> = t.iter_pages().map(|(p, ..)| p.vpn()).collect();
+        assert_eq!(order, vec![0, 4, 33, 50, 63]);
+        let exported: Vec<u64> = t.export_pages().iter().map(|r| r.0).collect();
+        assert_eq!(exported, order);
+    }
+
+    #[test]
+    #[should_panic(expected = "page:0x10 is outside the footprint of 16 pages")]
+    fn pages_past_the_footprint_panic() {
+        PageAttrTracker::new(16).record(g(0), PageId(16), AccessKind::Read);
+    }
+
+    #[test]
     fn incremental_queries() {
-        let mut t = PageAttrTracker::new();
+        let mut t = PageAttrTracker::new(16);
         t.record(g(0), PageId(9), AccessKind::Read);
         assert!(!t.is_shared(PageId(9)));
         t.record(g(2), PageId(9), AccessKind::Read);

@@ -21,7 +21,7 @@
 
 #![warn(missing_docs)]
 
-use grit_sim::{FxHashMap, GpuId, PageId, PageSizeMode, PAGE_SIZE_2M};
+use grit_sim::{GpuId, PageId, PageSizeMode, PAGE_SIZE_2M};
 
 /// Why a large page splintered back to base pages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -129,16 +129,17 @@ impl PageSizeCounters {
 /// Frames are identified by their index (`vpn / pages_per_frame`); a
 /// coalesced frame maps every base page `frame * pages_per_frame ..
 /// (frame + 1) * pages_per_frame` through one large translation owned by
-/// a single GPU.
+/// a single GPU. Frame owners live in a dense array indexed by frame,
+/// sized from the footprint.
 ///
 /// ```
 /// use grit_pagesize::{BasePageView, LargePageTable, SplinterCause};
 /// use grit_sim::{GpuId, PageId, PageSizeMode};
 ///
-/// let mut lpt = LargePageTable::new(PageSizeMode::Uniform2m, 4);
+/// let mut lpt = LargePageTable::new(PageSizeMode::Uniform2m, 4, 64);
 /// let g = GpuId::new(1);
 /// let view = |_vpn: PageId| Some(BasePageView { owner: Some(g), replicated: false, touched: true });
-/// let (base, owner) = lpt.coalesce_candidate(PageId(5), 64, view).unwrap();
+/// let (base, owner) = lpt.coalesce_candidate(PageId(5), view).unwrap();
 /// assert_eq!((base, owner), (PageId(4), g));
 /// lpt.coalesce(base, owner);
 /// assert_eq!(lpt.coalesced_frame(PageId(7)), Some(PageId(4)));
@@ -150,29 +151,46 @@ impl PageSizeCounters {
 pub struct LargePageTable {
     mode: PageSizeMode,
     pages_per_frame: u64,
-    /// Currently coalesced frames (frame index → owning GPU).
-    frames: FxHashMap<u64, GpuId>,
+    footprint_pages: u64,
+    /// Owner of each coalesced frame, by frame index (empty when the
+    /// table is inert).
+    frames: Vec<Option<GpuId>>,
+    /// Frames currently coalesced.
+    coalesced: u64,
     counters: PageSizeCounters,
 }
 
 impl LargePageTable {
     /// A table for the given mode with `pages_per_frame` base pages per
-    /// 2 MB frame. The table is inert (never coalesces) under
-    /// [`PageSizeMode::Uniform4k`] or when a frame holds fewer than two
-    /// base pages.
-    pub fn new(mode: PageSizeMode, pages_per_frame: u64) -> Self {
+    /// 2 MB frame over pages `0..footprint_pages`. The table is inert
+    /// (never coalesces) under [`PageSizeMode::Uniform4k`] or when a frame
+    /// holds fewer than two base pages.
+    pub fn new(mode: PageSizeMode, pages_per_frame: u64, footprint_pages: u64) -> Self {
+        let pages_per_frame = pages_per_frame.max(1);
+        let enabled = mode.large_pages_enabled() && pages_per_frame > 1;
+        let num_frames = if enabled {
+            footprint_pages.div_ceil(pages_per_frame) as usize
+        } else {
+            0
+        };
         LargePageTable {
             mode,
-            pages_per_frame: pages_per_frame.max(1),
-            frames: FxHashMap::default(),
+            pages_per_frame,
+            footprint_pages,
+            frames: vec![None; num_frames],
+            coalesced: 0,
             counters: PageSizeCounters::default(),
         }
     }
 
     /// A table derived from a full configuration (frame size from the
-    /// base page size).
-    pub fn from_config(mode: PageSizeMode, page_size: u64) -> Self {
-        LargePageTable::new(mode, (PAGE_SIZE_2M / page_size.max(1)).max(1))
+    /// base page size) over pages `0..footprint_pages`.
+    pub fn from_config(mode: PageSizeMode, page_size: u64, footprint_pages: u64) -> Self {
+        LargePageTable::new(
+            mode,
+            (PAGE_SIZE_2M / page_size.max(1)).max(1),
+            footprint_pages,
+        )
     }
 
     /// Whether large pages are managed at all.
@@ -195,24 +213,37 @@ impl LargePageTable {
         PageId(vpn.vpn() / self.pages_per_frame * self.pages_per_frame)
     }
 
+    /// Index of the frame containing `vpn`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` lies at or past the footprint.
+    fn frame_index(&self, vpn: PageId) -> usize {
+        assert!(
+            vpn.vpn() < self.footprint_pages,
+            "{vpn} is outside the footprint of {} pages",
+            self.footprint_pages
+        );
+        (vpn.vpn() / self.pages_per_frame) as usize
+    }
+
     /// The frame base when `vpn` lies inside a coalesced frame — also
     /// the key under which the large translation lives in the 2 MB TLBs.
     pub fn coalesced_frame(&self, vpn: PageId) -> Option<PageId> {
-        if self.frames.is_empty() {
-            return None;
-        }
-        let frame = vpn.vpn() / self.pages_per_frame;
-        self.frames.contains_key(&frame).then(|| PageId(frame * self.pages_per_frame))
+        self.frame_owner(vpn).map(|_| self.frame_base(vpn))
     }
 
     /// The GPU owning the coalesced frame containing `vpn`, if any.
     pub fn frame_owner(&self, vpn: PageId) -> Option<GpuId> {
-        self.frames.get(&(vpn.vpn() / self.pages_per_frame)).copied()
+        if self.coalesced == 0 {
+            return None;
+        }
+        self.frames[self.frame_index(vpn)]
     }
 
     /// Number of frames currently coalesced.
     pub fn coalesced_now(&self) -> u64 {
-        self.frames.len() as u64
+        self.coalesced
     }
 
     /// Cumulative activity counters.
@@ -233,18 +264,13 @@ impl LargePageTable {
     pub fn coalesce_candidate(
         &self,
         vpn: PageId,
-        footprint_pages: u64,
         mut lookup: impl FnMut(PageId) -> Option<BasePageView>,
     ) -> Option<(PageId, GpuId)> {
-        if !self.enabled() {
+        if !self.enabled() || self.frame_owner(vpn).is_some() {
             return None;
         }
-        let frame = vpn.vpn() / self.pages_per_frame;
-        if self.frames.contains_key(&frame) {
-            return None;
-        }
-        let base = frame * self.pages_per_frame;
-        if base + self.pages_per_frame > footprint_pages {
+        let base = self.frame_index(vpn) as u64 * self.pages_per_frame;
+        if base + self.pages_per_frame > self.footprint_pages {
             // A frame straddling the end of the footprint can never be
             // fully resident; real systems would not back it with a
             // large page either.
@@ -274,11 +300,11 @@ impl LargePageTable {
         if !self.enabled() {
             return;
         }
-        let frame = frame_base.vpn() / self.pages_per_frame;
-        if self.frames.insert(frame, owner).is_none() {
+        let frame = self.frame_index(frame_base);
+        if self.frames[frame].replace(owner).is_none() {
+            self.coalesced += 1;
             self.counters.coalesces += 1;
-            self.counters.coalesced_peak =
-                self.counters.coalesced_peak.max(self.frames.len() as u64);
+            self.counters.coalesced_peak = self.counters.coalesced_peak.max(self.coalesced);
         }
     }
 
@@ -288,17 +314,18 @@ impl LargePageTable {
     /// returning `None` when the frame was not coalesced, so callers hook
     /// every sharing/eviction path unconditionally.
     pub fn splinter(&mut self, vpn: PageId, cause: SplinterCause) -> Option<(PageId, GpuId)> {
-        if self.frames.is_empty() {
+        if self.coalesced == 0 {
             return None;
         }
-        let frame = vpn.vpn() / self.pages_per_frame;
-        let owner = self.frames.remove(&frame)?;
+        let frame = self.frame_index(vpn);
+        let owner = self.frames[frame].take()?;
+        self.coalesced -= 1;
         match cause {
             SplinterCause::FalseSharing => self.counters.splinters_false_sharing += 1,
             SplinterCause::Eviction => self.counters.splinters_eviction += 1,
             SplinterCause::Retirement => self.counters.splinters_retirement += 1,
         }
-        Some((PageId(frame * self.pages_per_frame), owner))
+        Some((self.frame_base(vpn), owner))
     }
 
     /// Records an access-counter trip: `aliased_groups` is zero for a
@@ -337,9 +364,9 @@ mod tests {
 
     #[test]
     fn uniform4k_is_inert() {
-        let mut t = LargePageTable::new(PageSizeMode::Uniform4k, 512);
+        let mut t = LargePageTable::new(PageSizeMode::Uniform4k, 512, 1 << 20);
         assert!(!t.enabled());
-        assert!(t.coalesce_candidate(PageId(0), 1 << 20, private(GpuId::new(0))).is_none());
+        assert!(t.coalesce_candidate(PageId(0), private(GpuId::new(0))).is_none());
         t.coalesce(PageId(0), GpuId::new(0));
         assert_eq!(t.coalesced_now(), 0);
         assert_eq!(t.coalesced_frame(PageId(0)), None);
@@ -347,11 +374,11 @@ mod tests {
 
     #[test]
     fn coalesce_requires_single_unreplicated_owner() {
-        let t = LargePageTable::new(PageSizeMode::Uniform2m, 4);
+        let t = LargePageTable::new(PageSizeMode::Uniform2m, 4, 64);
         let g0 = GpuId::new(0);
         // Fully private: eligible.
         assert_eq!(
-            t.coalesce_candidate(PageId(6), 64, private(g0)),
+            t.coalesce_candidate(PageId(6), private(g0)),
             Some((PageId(4), g0))
         );
         // One page on another GPU: not eligible.
@@ -362,7 +389,7 @@ mod tests {
                 touched: true,
             })
         };
-        assert_eq!(t.coalesce_candidate(PageId(6), 64, mixed_owner), None);
+        assert_eq!(t.coalesce_candidate(PageId(6), mixed_owner), None);
         // One page replicated: not eligible.
         let replicated = |vpn: PageId| {
             Some(BasePageView {
@@ -371,7 +398,7 @@ mod tests {
                 touched: true,
             })
         };
-        assert_eq!(t.coalesce_candidate(PageId(6), 64, replicated), None);
+        assert_eq!(t.coalesce_candidate(PageId(6), replicated), None);
         // One page host-resident (no owner): not eligible.
         let host = |vpn: PageId| {
             Some(BasePageView {
@@ -380,7 +407,7 @@ mod tests {
                 touched: true,
             })
         };
-        assert_eq!(t.coalesce_candidate(PageId(6), 64, host), None);
+        assert_eq!(t.coalesce_candidate(PageId(6), host), None);
     }
 
     #[test]
@@ -392,27 +419,27 @@ mod tests {
                 touched: vpn.vpn() != 7,
             })
         };
-        let eager = LargePageTable::new(PageSizeMode::Uniform2m, 4);
-        assert!(eager.coalesce_candidate(PageId(4), 64, cold_tail).is_some());
-        let mixed = LargePageTable::new(PageSizeMode::Mixed, 4);
-        assert_eq!(mixed.coalesce_candidate(PageId(4), 64, cold_tail), None);
-        assert!(mixed.coalesce_candidate(PageId(4), 64, private(GpuId::new(2))).is_some());
+        let eager = LargePageTable::new(PageSizeMode::Uniform2m, 4, 64);
+        assert!(eager.coalesce_candidate(PageId(4), cold_tail).is_some());
+        let mixed = LargePageTable::new(PageSizeMode::Mixed, 4, 64);
+        assert_eq!(mixed.coalesce_candidate(PageId(4), cold_tail), None);
+        assert!(mixed.coalesce_candidate(PageId(4), private(GpuId::new(2))).is_some());
     }
 
     #[test]
     fn footprint_tail_frames_never_coalesce() {
-        let t = LargePageTable::new(PageSizeMode::Uniform2m, 4);
+        let t = LargePageTable::new(PageSizeMode::Uniform2m, 4, 6);
         // Footprint of 6 pages: frame 1 (pages 4..8) sticks out past it.
         assert_eq!(
-            t.coalesce_candidate(PageId(5), 6, private(GpuId::new(0))),
+            t.coalesce_candidate(PageId(5), private(GpuId::new(0))),
             None
         );
-        assert!(t.coalesce_candidate(PageId(1), 6, private(GpuId::new(0))).is_some());
+        assert!(t.coalesce_candidate(PageId(1), private(GpuId::new(0))).is_some());
     }
 
     #[test]
     fn splinter_undoes_coalesce_and_counts_causes() {
-        let mut t = LargePageTable::new(PageSizeMode::Mixed, 4);
+        let mut t = LargePageTable::new(PageSizeMode::Mixed, 4, 64);
         let g = GpuId::new(3);
         t.coalesce(PageId(8), g);
         t.coalesce(PageId(8), g); // idempotent
@@ -433,8 +460,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "page:0x40 is outside the footprint of 64 pages")]
+    fn frames_past_the_footprint_panic() {
+        LargePageTable::new(PageSizeMode::Mixed, 4, 64).coalesce(PageId(64), GpuId::new(0));
+    }
+
+    #[test]
     fn counter_trips_track_aliasing() {
-        let mut t = LargePageTable::new(PageSizeMode::Mixed, 512);
+        let mut t = LargePageTable::new(PageSizeMode::Mixed, 512, 1024);
         t.note_counter_trip(0);
         t.note_counter_trip(32);
         t.note_counter_trip(32);

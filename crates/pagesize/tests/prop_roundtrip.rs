@@ -42,15 +42,15 @@ proptest! {
         cause in cause_strategy(),
         probe in 0u64..512,
     ) {
-        let mut t = LargePageTable::new(mode, ppf);
+        let footprint = (frame + 1) * ppf;
+        let mut t = LargePageTable::new(mode, ppf, footprint);
         let owner = GpuId::new(owner);
         let base = PageId(frame * ppf);
         let inside = PageId(base.vpn() + probe % ppf);
-        let footprint = (frame + 1) * ppf;
 
         // A fully-private frame is eligible from any of its pages.
         prop_assert_eq!(
-            t.coalesce_candidate(inside, footprint, private(owner)),
+            t.coalesce_candidate(inside, private(owner)),
             Some((base, owner))
         );
         t.coalesce(base, owner);
@@ -58,7 +58,7 @@ proptest! {
         prop_assert_eq!(t.frame_owner(inside), Some(owner));
         prop_assert_eq!(t.coalesced_now(), 1);
         // Coalesced frames are not candidates again.
-        prop_assert_eq!(t.coalesce_candidate(inside, footprint, private(owner)), None);
+        prop_assert_eq!(t.coalesce_candidate(inside, private(owner)), None);
 
         // Splintering from any page of the frame reports the frame base
         // and prior owner, and restores the pre-coalesce state exactly.
@@ -67,7 +67,7 @@ proptest! {
         prop_assert_eq!(t.coalesced_frame(inside), None);
         prop_assert_eq!(t.frame_owner(inside), None);
         prop_assert_eq!(
-            t.coalesce_candidate(inside, footprint, private(owner)),
+            t.coalesce_candidate(inside, private(owner)),
             Some((base, owner))
         );
         // A second splinter is a no-op.
@@ -84,7 +84,7 @@ proptest! {
         ppf in 2u64..=64,
         ops in prop::collection::vec((any::<bool>(), 0u64..16, 0u8..4), 0..64),
     ) {
-        let mut t = LargePageTable::new(PageSizeMode::Uniform2m, ppf);
+        let mut t = LargePageTable::new(PageSizeMode::Uniform2m, ppf, 16 * ppf);
         let mut shadow: std::collections::HashMap<u64, GpuId> = Default::default();
         let (mut coalesces, mut splinters) = (0u64, 0u64);
         let mut peak = 0u64;

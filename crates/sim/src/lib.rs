@@ -36,6 +36,7 @@ pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod mlp;
+pub mod page_vec;
 pub mod rng;
 pub mod scheme;
 pub mod spec;
@@ -55,6 +56,7 @@ pub use grit_inject::{
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{GpuId, GpuSet, MemLoc, PageId};
 pub use mlp::MlpWindow;
+pub use page_vec::PageVec;
 pub use rng::SimRng;
 pub use scheme::{GroupSize, Scheme};
 pub use spec::RunSpec;

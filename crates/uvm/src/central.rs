@@ -1,7 +1,7 @@
 //! The UVM driver's centralized page table (§II-A): authoritative per-page
 //! state for every GPU in the node, including GRIT's scheme and group bits.
 
-use grit_sim::{FxHashMap, GpuId, GpuSet, GroupSize, MemLoc, PageId, Scheme};
+use grit_sim::{GpuId, GpuSet, GroupSize, MemLoc, PageId, PageVec, Scheme};
 
 /// Authoritative state of one virtual page.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,44 +56,84 @@ impl PageState {
 
 /// The centralized page table maintained by the UVM driver on the CPU.
 ///
+/// Entries live in a dense [`PageVec`] indexed by VPN. The driver sizes it
+/// from the workload footprint ([`CentralPageTable::with_footprint`]);
+/// [`CentralPageTable::new`] grows on demand instead.
+///
 /// ```
 /// use grit_uvm::CentralPageTable;
 /// use grit_sim::{GpuId, MemLoc, PageId, Scheme};
 ///
-/// let mut t = CentralPageTable::new();
+/// let mut t = CentralPageTable::with_footprint(16);
 /// t.page_mut(PageId(4)).owner = MemLoc::Gpu(GpuId::new(1));
 /// t.set_scheme(PageId(4), Scheme::Duplication);
 /// assert_eq!(t.scheme_of(PageId(4)), Some(Scheme::Duplication));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CentralPageTable {
-    pages: FxHashMap<PageId, PageState>,
+    pages: PageVec<Option<PageState>>,
+    /// Pages with an explicit entry.
+    len: usize,
+}
+
+impl Default for CentralPageTable {
+    fn default() -> Self {
+        CentralPageTable::new()
+    }
 }
 
 impl CentralPageTable {
-    /// An empty table (all pages implicitly host-resident and cold).
+    /// An empty table with no footprint bound (all pages implicitly
+    /// host-resident and cold); its storage grows to the highest page
+    /// written.
     pub fn new() -> Self {
-        CentralPageTable::default()
+        CentralPageTable {
+            pages: PageVec::unbounded(),
+            len: 0,
+        }
+    }
+
+    /// An empty table for pages `0..footprint_pages`.
+    pub fn with_footprint(footprint_pages: u64) -> Self {
+        CentralPageTable {
+            pages: PageVec::new(footprint_pages),
+            len: 0,
+        }
     }
 
     /// Read-only state of a page (default state if never touched).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` lies at or past the footprint.
+    #[inline]
     pub fn page(&self, vpn: PageId) -> PageState {
-        self.pages.get(&vpn).copied().unwrap_or_default()
+        self.pages.get(vpn).unwrap_or_default()
     }
 
     /// Mutable state of a page, creating the default entry on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` lies at or past the footprint.
+    #[inline]
     pub fn page_mut(&mut self, vpn: PageId) -> &mut PageState {
-        self.pages.entry(vpn).or_default()
+        let slot = self.pages.get_mut(vpn);
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(PageState::default)
     }
 
     /// Whether the page has an explicit entry.
     pub fn contains(&self, vpn: PageId) -> bool {
-        self.pages.contains_key(&vpn)
+        self.pages.get(vpn).is_some()
     }
 
     /// Scheme bits of a page (`None` = unset `00`).
+    #[inline]
     pub fn scheme_of(&self, vpn: PageId) -> Option<Scheme> {
-        self.pages.get(&vpn).and_then(|p| p.scheme)
+        self.pages.get(vpn).and_then(|p| p.scheme)
     }
 
     /// Sets the scheme bits of a page.
@@ -103,7 +143,7 @@ impl CentralPageTable {
 
     /// Group bits of a page (meaningful on base pages).
     pub fn group_of(&self, vpn: PageId) -> GroupSize {
-        self.pages.get(&vpn).map_or(GroupSize::One, |p| p.group)
+        self.pages.get(vpn).map_or(GroupSize::One, |p| p.group)
     }
 
     /// Sets the group bits of a page.
@@ -113,17 +153,18 @@ impl CentralPageTable {
 
     /// Number of pages with explicit entries.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.len
     }
 
     /// Whether no page has been touched.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.len == 0
     }
 
-    /// Iterates `(page, state)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PageId, &PageState)> {
-        self.pages.iter()
+    /// Iterates `(page, state)` over the pages with explicit entries in
+    /// ascending VPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (PageId, &PageState)> {
+        self.pages.iter().filter_map(|(vpn, p)| p.as_ref().map(|p| (vpn, p)))
     }
 
     /// Marks a fault by `gpu` on `vpn`, updating sharer/written/touched
@@ -184,6 +225,24 @@ mod tests {
     fn host_owner_not_in_holders() {
         let t = CentralPageTable::new();
         assert!(t.page(PageId(1)).holders().is_empty());
+    }
+
+    #[test]
+    fn iteration_is_ascending_by_vpn() {
+        let mut t = CentralPageTable::with_footprint(64);
+        for vpn in [40, 3, 17, 0, 63] {
+            t.note_fault(GpuId::new(0), PageId(vpn), false);
+        }
+        let order: Vec<u64> = t.iter().map(|(p, _)| p.vpn()).collect();
+        assert_eq!(order, vec![0, 3, 17, 40, 63]);
+        assert_eq!(t.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "page:0x40 is outside the footprint of 64 pages")]
+    fn pages_past_the_footprint_panic() {
+        let mut t = CentralPageTable::with_footprint(64);
+        t.note_fault(GpuId::new(0), PageId(64), false);
     }
 
     #[test]

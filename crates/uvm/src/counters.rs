@@ -5,15 +5,24 @@
 //! migration request is generated for the faulting page and the group's
 //! counter resets.
 
-use grit_sim::{FxHashMap, GpuId, PageId};
+use grit_sim::{GpuId, PageId, PAGE_SIZE_2M};
+
+/// Top bit of a group key naming a coalesced 2 MB frame rather than an
+/// ordinary 64 KB group (see [`AccessCounters::record_remote_grouped`]).
+const FRAME_KEY: u64 = 1 << 63;
 
 /// Per-GPU, per-64 KB-group remote-access counters.
+///
+/// Counters are dense arrays over the footprint: one per GPU and 64 KB
+/// group, plus one per GPU and 2 MB frame for the frame-granularity keys
+/// of coalesced frames. A group's counters for all GPUs sit side by side,
+/// so resetting a group touches `num_gpus` slots.
 ///
 /// ```
 /// use grit_uvm::AccessCounters;
 /// use grit_sim::{GpuId, PageId};
 ///
-/// let mut c = AccessCounters::new(4, 4096);
+/// let mut c = AccessCounters::new(4, 4096, 2, 64);
 /// let g = GpuId::new(0);
 /// for _ in 0..3 {
 ///     assert!(!c.record_remote(g, PageId(5)));
@@ -24,22 +33,40 @@ use grit_sim::{FxHashMap, GpuId, PageId};
 pub struct AccessCounters {
     threshold: u32,
     page_size: u64,
-    counts: FxHashMap<(GpuId, u64), u32>,
+    num_gpus: usize,
+    footprint_pages: u64,
+    /// 64 KB groups in the footprint.
+    num_groups: u64,
+    /// 2 MB frames in the footprint.
+    num_frames: u64,
+    /// Remote accesses since the last reset, `num_gpus` slots per counter
+    /// unit: the 64 KB groups first, then the frames.
+    counts: Vec<u32>,
     triggers: u64,
 }
 
 impl AccessCounters {
-    /// Counters with the given migration threshold and page size.
+    /// Counters with the given migration threshold and page size for
+    /// `num_gpus` GPUs over pages `0..footprint_pages`.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is zero.
-    pub fn new(threshold: u32, page_size: u64) -> Self {
+    pub fn new(threshold: u32, page_size: u64, num_gpus: usize, footprint_pages: u64) -> Self {
         assert!(threshold > 0, "access-counter threshold must be non-zero");
+        let num_groups = match footprint_pages {
+            0 => 0,
+            n => PageId(n - 1).counter_group(page_size) + 1,
+        };
+        let num_frames = footprint_pages.div_ceil((PAGE_SIZE_2M / page_size.max(1)).max(1));
         AccessCounters {
             threshold,
             page_size,
-            counts: FxHashMap::default(),
+            num_gpus,
+            footprint_pages,
+            num_groups,
+            num_frames,
+            counts: vec![0; (num_groups + num_frames) as usize * num_gpus],
             triggers: 0,
         }
     }
@@ -47,6 +74,29 @@ impl AccessCounters {
     /// The 64 KB counter group `vpn` falls into at this page size.
     pub fn group_of(&self, vpn: PageId) -> u64 {
         vpn.counter_group(self.page_size)
+    }
+
+    /// The slots of every GPU's counter under a group key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key names a group or frame past the footprint.
+    fn slots(&self, group: u64) -> std::ops::Range<usize> {
+        let unit = match group & FRAME_KEY {
+            0 => (group < self.num_groups).then_some(group),
+            _ => {
+                let frame = group & !FRAME_KEY;
+                (frame < self.num_frames).then_some(self.num_groups + frame)
+            }
+        };
+        let Some(unit) = unit else {
+            panic!(
+                "counter group {group:#x} lies outside the footprint of {} pages",
+                self.footprint_pages
+            );
+        };
+        let start = unit as usize * self.num_gpus;
+        start..start + self.num_gpus
     }
 
     /// Records one remote access by `gpu` to `vpn`. Returns `true` when the
@@ -57,10 +107,11 @@ impl AccessCounters {
 
     /// Records one remote access under an explicit group key. Coalesced
     /// 2 MB frames track remote traffic under a single frame-granularity
-    /// key rather than per 64 KB group, so the driver supplies the key
-    /// itself (disjoint from ordinary group indices).
+    /// key, `1 << 63 | frame index`, rather than per 64 KB group, so the
+    /// driver supplies the key itself.
     pub fn record_remote_grouped(&mut self, gpu: GpuId, group: u64) -> bool {
-        let c = self.counts.entry((gpu, group)).or_insert(0);
+        let slots = self.slots(group);
+        let c = &mut self.counts[slots][gpu.index()];
         *c += 1;
         if *c >= self.threshold {
             *c = 0;
@@ -73,12 +124,12 @@ impl AccessCounters {
 
     /// Current counter value for a GPU/page's group.
     pub fn value(&self, gpu: GpuId, vpn: PageId) -> u32 {
-        self.counts.get(&(gpu, vpn.counter_group(self.page_size))).copied().unwrap_or(0)
+        self.value_grouped(gpu, vpn.counter_group(self.page_size))
     }
 
     /// Current counter value under an explicit group key.
     pub fn value_grouped(&self, gpu: GpuId, group: u64) -> u32 {
-        self.counts.get(&(gpu, group)).copied().unwrap_or(0)
+        self.counts[self.slots(group)][gpu.index()]
     }
 
     /// Clears all counters for the group containing `vpn` (after the page
@@ -87,9 +138,10 @@ impl AccessCounters {
         self.reset_group_key(vpn.counter_group(self.page_size));
     }
 
-    /// Clears all counters under an explicit group key.
+    /// Clears every GPU's counter under an explicit group key.
     pub fn reset_group_key(&mut self, group: u64) {
-        self.counts.retain(|&(_, g), _| g != group);
+        let slots = self.slots(group);
+        self.counts[slots].fill(0);
     }
 
     /// Total threshold crossings so far.
@@ -109,7 +161,7 @@ mod tests {
 
     #[test]
     fn counts_per_gpu_and_group() {
-        let mut c = AccessCounters::new(2, 4096);
+        let mut c = AccessCounters::new(2, 4096, 2, 64);
         let g0 = GpuId::new(0);
         let g1 = GpuId::new(1);
         assert!(!c.record_remote(g0, PageId(0)));
@@ -124,7 +176,7 @@ mod tests {
 
     #[test]
     fn different_groups_do_not_share_counters() {
-        let mut c = AccessCounters::new(2, 4096);
+        let mut c = AccessCounters::new(2, 4096, 2, 64);
         let g = GpuId::new(0);
         assert!(!c.record_remote(g, PageId(0)));
         assert!(!c.record_remote(g, PageId(16))); // next 64 KB group
@@ -134,7 +186,7 @@ mod tests {
 
     #[test]
     fn reset_group_clears_all_gpus() {
-        let mut c = AccessCounters::new(10, 4096);
+        let mut c = AccessCounters::new(10, 4096, 2, 64);
         c.record_remote(GpuId::new(0), PageId(3));
         c.record_remote(GpuId::new(1), PageId(4));
         c.record_remote(GpuId::new(1), PageId(20));
@@ -146,7 +198,7 @@ mod tests {
 
     #[test]
     fn large_pages_use_page_granularity() {
-        let mut c = AccessCounters::new(2, 2 * 1024 * 1024);
+        let mut c = AccessCounters::new(2, 2 * 1024 * 1024, 1, 8);
         let g = GpuId::new(0);
         assert!(!c.record_remote(g, PageId(1)));
         assert!(!c.record_remote(g, PageId(2))); // different "group"
@@ -155,7 +207,7 @@ mod tests {
 
     #[test]
     fn explicit_group_keys_are_independent() {
-        let mut c = AccessCounters::new(2, 4096);
+        let mut c = AccessCounters::new(2, 4096, 2, 8 * 512);
         let g = GpuId::new(0);
         let frame_key = (1u64 << 63) | 7;
         assert!(!c.record_remote_grouped(g, frame_key));
@@ -170,8 +222,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside the footprint of 64 pages")]
+    fn groups_past_the_footprint_panic() {
+        AccessCounters::new(2, 4096, 1, 64).record_remote(GpuId::new(0), PageId(64));
+    }
+
+    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_threshold_panics() {
-        let _ = AccessCounters::new(0, 4096);
+        let _ = AccessCounters::new(0, 4096, 1, 64);
     }
 }

@@ -109,6 +109,8 @@ pub struct UvmDriver {
     /// 4 KB pages).
     large: LargePageTable,
     policy: Box<dyn PlacementPolicy>,
+    /// Whether the policy runs epochs and so consumes the access feed.
+    wants_access_feed: bool,
     prefetcher: Option<Box<dyn Prefetcher>>,
     footprint_pages: u64,
     breakdown: LatencyBreakdown,
@@ -200,12 +202,20 @@ impl UvmDriver {
             fabric.set_fault_plan(plan.clone());
         }
         Ok(UvmDriver {
-            central: CentralPageTable::new(),
-            local_pts: (0..cfg.num_gpus).map(|_| LocalPageTable::new()).collect(),
-            memories: (0..cfg.num_gpus).map(|_| GpuMemory::new(cap)).collect(),
+            central: CentralPageTable::with_footprint(footprint_pages),
+            local_pts: (0..cfg.num_gpus).map(|_| LocalPageTable::new(footprint_pages)).collect(),
+            memories: (0..cfg.num_gpus)
+                .map(|_| GpuMemory::with_footprint(cap, footprint_pages))
+                .collect(),
             fabric,
-            counters: AccessCounters::new(cfg.access_counter_threshold, cfg.page_size),
-            large: LargePageTable::from_config(cfg.page_size_mode, cfg.page_size),
+            counters: AccessCounters::new(
+                cfg.access_counter_threshold,
+                cfg.page_size,
+                cfg.num_gpus,
+                footprint_pages,
+            ),
+            large: LargePageTable::from_config(cfg.page_size_mode, cfg.page_size, footprint_pages),
+            wants_access_feed: policy.epoch_len().is_some(),
             policy,
             prefetcher: None,
             footprint_pages,
@@ -265,9 +275,7 @@ impl UvmDriver {
     /// Peers mapping into the frame remotely keep base-page
     /// translations.
     pub fn large_translation(&self, gpu: GpuId, vpn: PageId) -> Option<PageId> {
-        self.large
-            .coalesced_frame(vpn)
-            .filter(|_| self.large.frame_owner(vpn) == Some(gpu))
+        (self.large.frame_owner(vpn) == Some(gpu)).then(|| self.large.frame_base(vpn))
     }
 
     /// Whether this driver manages multi-page-size state at all (a
@@ -308,7 +316,7 @@ impl UvmDriver {
     /// Whether the policy consumes the full access feed
     /// ([`PlacementPolicy::on_access`] via the runner).
     pub fn wants_access_feed(&self) -> bool {
-        self.policy.epoch_len().is_some()
+        self.wants_access_feed
     }
 
     /// Forwards one access observation to epoch-based policies.
@@ -433,7 +441,7 @@ impl UvmDriver {
                     ),
                 ));
             }
-            for (&vpn, &mapping) in pt.iter() {
+            for (vpn, mapping) in pt.iter() {
                 let state = self.central.page(vpn);
                 match mapping {
                     Mapping::Local => {
@@ -490,7 +498,7 @@ impl UvmDriver {
             }
         }
         // Replica holders must be resident.
-        for (&vpn, state) in self.central.iter() {
+        for (vpn, state) in self.central.iter() {
             for holder in state.replicas.iter() {
                 if holder.index() >= self.cfg.num_gpus {
                     return Err(fail(
@@ -1047,7 +1055,7 @@ impl UvmDriver {
             return;
         }
         let central = &self.central;
-        let candidate = self.large.coalesce_candidate(vpn, self.footprint_pages, |p| {
+        let candidate = self.large.coalesce_candidate(vpn, |p| {
             let st = central.page(p);
             Some(BasePageView {
                 owner: match st.owner {
@@ -2262,6 +2270,30 @@ mod tests {
         let msg = v.to_string();
         assert!(msg.contains("invariant violated"), "{msg}");
         assert!(msg.contains("not resident"), "{msg}");
+    }
+
+    #[test]
+    fn invariant_check_reports_the_lowest_vpn_first() {
+        let mut d = driver(Scheme::OnTouch);
+        let pages = [900, 17, 402, 3, 655];
+        for (i, &p) in pages.iter().enumerate() {
+            d.handle_fault(fault(
+                0,
+                p,
+                AccessKind::Read,
+                FaultKind::Local,
+                i as Cycle * 10,
+            ));
+        }
+        for &p in &pages {
+            d.memories[0].remove(PageId(p));
+        }
+        let v = d.check_invariants().expect_err("corruption must be caught");
+        assert_eq!(v.vpn, Some(PageId(3)));
+        // With page 3 repaired, the next violation is the next VPN up.
+        d.local_pts[0].invalidate(PageId(3));
+        let v = d.check_invariants().expect_err("corruption must be caught");
+        assert_eq!(v.vpn, Some(PageId(17)));
     }
 
     #[test]

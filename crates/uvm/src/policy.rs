@@ -128,7 +128,9 @@ pub trait PlacementPolicy {
     fn on_access(&mut self, _now: Cycle, _gpu: GpuId, _vpn: PageId, _kind: AccessKind) {}
 
     /// Interval length for [`PlacementPolicy::on_epoch`]; `None` disables
-    /// epochs.
+    /// epochs. Fixed for the policy's lifetime: the driver decides once,
+    /// at construction, whether to route every access to
+    /// [`PlacementPolicy::on_access`].
     fn epoch_len(&self) -> Option<Cycle> {
         None
     }

@@ -17,8 +17,8 @@ use grit_metrics::{
 };
 use grit_prof::{span, Phase};
 use grit_sim::{
-    Access, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle, FxHashMap,
-    GpuId, GritError, InjectConfig, MemLoc, MlpWindow, PageId, SimConfig, SliceStream,
+    Access, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle, GpuId,
+    GritError, InjectConfig, MemLoc, MlpWindow, PageId, PageVec, SimConfig, SliceStream,
     TopologyConfig,
 };
 use grit_trace::{CellTiming, TraceEvent, Tracer};
@@ -63,13 +63,18 @@ struct GpuFrontend {
     walker: WalkerPool,
     l1: SetAssocCache<LineKey, ()>,
     l2: SetAssocCache<LineKey, ()>,
-    line_generation: FxHashMap<PageId, u32>,
+    line_generation: PageVec<u32>,
     finished: bool,
     last_done: Cycle,
 }
 
 impl GpuFrontend {
-    fn new(cfg: &SimConfig, stream: SliceStream, barriers: Vec<usize>) -> Self {
+    fn new(
+        cfg: &SimConfig,
+        stream: SliceStream,
+        barriers: Vec<usize>,
+        footprint_pages: u64,
+    ) -> Self {
         GpuFrontend {
             stream,
             barriers,
@@ -84,7 +89,7 @@ impl GpuFrontend {
             walker: WalkerPool::new(cfg.walk),
             l1: SetAssocCache::with_entries(cfg.l1_cache.entries, cfg.l1_cache.ways),
             l2: SetAssocCache::with_entries(cfg.l2_cache.entries, cfg.l2_cache.ways),
-            line_generation: FxHashMap::default(),
+            line_generation: PageVec::new(footprint_pages),
             finished: false,
             last_done: 0,
         }
@@ -98,14 +103,14 @@ impl GpuFrontend {
     fn line_key(&self, vpn: PageId, line: u16) -> LineKey {
         LineKey {
             vpn,
-            generation: self.line_generation.get(&vpn).copied().unwrap_or(0),
+            generation: *self.line_generation.get(vpn),
             line,
         }
     }
 
     fn invalidate_page(&mut self, vpn: PageId) {
         self.tlb.invalidate(vpn);
-        *self.line_generation.entry(vpn).or_insert(0) += 1;
+        *self.line_generation.get_mut(vpn) += 1;
     }
 
     /// Drops the 2 MB translation of a splintered frame. Base-page TLB
@@ -366,14 +371,14 @@ impl Simulation {
             .streams
             .into_iter()
             .zip(workload.barriers)
-            .map(|(s, b)| GpuFrontend::new(&cfg, s, b))
+            .map(|(s, b)| GpuFrontend::new(&cfg, s, b, workload.footprint_pages))
             .collect();
         let ready_heap = (0..gpus.len()).map(|i| Reverse((0, i))).collect();
         Ok(Simulation {
             gpus,
             ready_heap,
             driver,
-            attrs: PageAttrTracker::new(),
+            attrs: PageAttrTracker::new(workload.footprint_pages),
             scheme_mix: SchemeMix::default(),
             accesses: 0,
             local_accesses: 0,
@@ -629,13 +634,13 @@ impl Simulation {
             })?;
         }
 
-        // Data access through the cache hierarchy.
+        // Data access through the cache hierarchy. Each probe inserts the
+        // line on a miss, so a line missing both levels lands in both.
         let key = self.gpus[g].line_key(vpn, acc.line);
-        if self.gpus[g].l1.get(&key).is_some() {
+        if self.gpus[g].l1.access(key, || ()) {
             t += self.cfg.lat.l1_data_hit;
-        } else if self.gpus[g].l2.get(&key).is_some() {
+        } else if self.gpus[g].l2.access(key, || ()) {
             t += self.cfg.lat.l2_data_hit;
-            self.gpus[g].l1.insert(key, ());
         } else {
             match mapping {
                 Mapping::Local | Mapping::Replica => {
@@ -660,8 +665,6 @@ impl Simulation {
                     }
                 }
             }
-            self.gpus[g].l2.insert(key, ());
-            self.gpus[g].l1.insert(key, ());
         }
         self.complete(g, t);
         Ok(())
@@ -1032,7 +1035,7 @@ mod tests {
     #[test]
     fn line_key_generation_isolates_invalidated_pages() {
         let cfg = SimConfig::default();
-        let mut f = GpuFrontend::new(&cfg, SliceStream::new(vec![]), vec![]);
+        let mut f = GpuFrontend::new(&cfg, SliceStream::new(vec![]), vec![], 16);
         let k1 = f.line_key(PageId(7), 3);
         f.invalidate_page(PageId(7));
         let k2 = f.line_key(PageId(7), 3);
