@@ -37,7 +37,7 @@
 //! environment variable, and the machine's available parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -226,13 +226,20 @@ impl CellSpec {
     /// keyed, and prefetchers / per-cell tracing produce outputs the store
     /// can't fully reconstruct.
     ///
-    /// The key embeds the crate version, so results never survive a code
-    /// change; the cell itself is named by [`RunSpec::canonical`] (one
-    /// encoding shared with reports and the serve wire), backed by the
-    /// full `Debug` form of the configuration so drivers that reshape
-    /// `SimConfig` fields beyond the spec surface (latency sweeps, cache
-    /// geometry ablations) still get distinct keys.
+    /// The key embeds [`MODEL_HASH`], a hash of the simulator's sources,
+    /// so results never survive a change to the model; the cell itself is
+    /// named by [`RunSpec::canonical`] (one encoding shared with reports
+    /// and the serve wire), backed by the full `Debug` form of the
+    /// configuration so drivers that reshape `SimConfig` fields beyond
+    /// the spec surface (latency sweeps, cache geometry ablations) still
+    /// get distinct keys.
     pub fn resume_key(&self) -> Option<String> {
+        self.resume_key_under(MODEL_HASH)
+    }
+
+    /// [`CellSpec::resume_key`] as a build whose sources hash to `model`
+    /// would compute it.
+    fn resume_key_under(&self, model: &str) -> Option<String> {
         if self.prefetcher.is_some() || self.trace.is_some() {
             return None;
         }
@@ -240,8 +247,7 @@ impl CellSpec {
             return None;
         }
         Some(format!(
-            "store={STORE_SCHEMA};code={};spec={};cfg={:?};observer={:?}",
-            env!("CARGO_PKG_VERSION"),
+            "store={STORE_SCHEMA};model={model};spec={};cfg={:?};observer={:?}",
             self.to_run_spec().canonical(),
             self.cfg,
             self.observer,
@@ -443,6 +449,10 @@ impl From<&RunSpec> for BatchOptions {
     }
 }
 
+/// FNV-1a hash of the simulator's sources (`src/` and `crates/*/src`),
+/// computed by `build.rs`: the model identity every resume key embeds.
+pub const MODEL_HASH: &str = env!("GRIT_MODEL_HASH");
+
 /// Explicit worker-count override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide fail-fast default (the `repro --fail-fast` flag).
@@ -613,34 +623,55 @@ pub fn run_batch_with(
 }
 
 /// [`run_batch_with`], additionally returning this batch's result-store
-/// traffic (hits, misses, quarantined files). The store is opened per
-/// batch, so the counters cover exactly these cells; they are all zero
-/// when resumption is disabled. The campaign service uses them to report
-/// per-cell store behaviour to remote clients.
+/// traffic (hits, misses, quarantined files). The store named by
+/// `opts.resume_dir` is opened for this batch, so the counters cover
+/// exactly these cells; they are all zero when resumption is disabled.
 pub fn run_batch_with_stats(
     cells: &[CellSpec],
     opts: &BatchOptions,
 ) -> (Vec<Result<RunOutput, CellError>>, grit_trace::StoreCounters) {
-    let profile = report_sink::enabled() && !cells.is_empty();
-    let cache_before = workload_cache::global().stats();
-    let start = Instant::now();
-    let jobs = opts.jobs.unwrap_or_else(effective_jobs).clamp(1, cells.len().max(1));
-    // The store cannot reproduce trace events, so resumption is disabled
-    // batch-wide while a global trace writer is active: a resumed run must
-    // never silently drop cells from the event stream.
     let store = opts
         .resume_dir
         .as_ref()
         .filter(|_| trace_writer::global_config().is_none())
-        .and_then(
-            |dir| match ResultStore::open_with(dir, opts.store_max_bytes) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("resume: cannot open store at {}: {e}", dir.display());
-                    None
-                }
-            },
-        );
+        .and_then(|dir| open_store(dir, opts.store_max_bytes));
+    run_batch_on(cells, opts, store.as_ref())
+}
+
+/// Opens the result store at `dir`, or logs why it cannot and runs
+/// without one (a missing store only costs re-runs).
+pub(crate) fn open_store(dir: &Path, max_bytes: Option<u64>) -> Option<ResultStore> {
+    ResultStore::open_with(dir, max_bytes)
+        .map_err(|e| eprintln!("resume: cannot open store at {}: {e}", dir.display()))
+        .ok()
+}
+
+/// [`run_batch_with_stats`] on an already open `store` instead of the
+/// one `opts` names (`opts.resume_dir` and `opts.store_max_bytes` are
+/// not read): a long-lived process opens its store once and shares it
+/// between batches. The counters still cover exactly these cells — the
+/// campaign service reports them per cell to remote clients.
+pub(crate) fn run_batch_on(
+    cells: &[CellSpec],
+    opts: &BatchOptions,
+    store: Option<&ResultStore>,
+) -> (Vec<Result<RunOutput, CellError>>, grit_trace::StoreCounters) {
+    let profile = report_sink::enabled() && !cells.is_empty();
+    let cache_before = workload_cache::global().stats();
+    let start = Instant::now();
+    // A one-cell batch (every served cell) runs on one worker whatever
+    // the setting, so skip resolving it: `available_parallelism` reads
+    // cgroup files, which costs as much as a small store hit.
+    let jobs = match cells.len() {
+        0 | 1 => 1,
+        n => opts.jobs.unwrap_or_else(effective_jobs).clamp(1, n),
+    };
+    // The store cannot reproduce trace events, so resumption is disabled
+    // batch-wide while a global trace writer is active: a resumed run must
+    // never silently drop cells from the event stream.
+    let store = store
+        .filter(|_| trace_writer::global_config().is_none())
+        .map(ResultStore::with_fresh_counters);
     // The abort flag exists only under fail-fast, so keep-going batches
     // run with inert (zero-cost) tokens unless a timeout is configured.
     let batch_token = if opts.fail_fast {
@@ -939,9 +970,22 @@ mod tests {
         let c = CellSpec::new(App::Bfs, PolicyKind::FirstTouch, &exp()).resume_key().unwrap();
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert!(a.contains(env!("CARGO_PKG_VERSION")));
+        assert!(a.contains(&format!(";model={MODEL_HASH};")));
         let observed = CellSpec::new(App::Bfs, PolicyKind::GRIT, &exp())
             .observed(ObserverConfig::default().with_grids(50));
         assert_ne!(observed.resume_key().unwrap(), a);
+    }
+
+    #[test]
+    fn a_model_change_changes_every_key() {
+        // Stored results are keyed by the sources that computed them:
+        // the same cell under two source hashes has two keys.
+        let cell = CellSpec::new(App::Bfs, PolicyKind::GRIT, &exp());
+        let old = cell.resume_key_under("0123456789abcdef").unwrap();
+        let new = cell.resume_key_under("0123456789abcdee").unwrap();
+        assert_ne!(old, new);
+        assert_eq!(cell.resume_key(), cell.resume_key_under(MODEL_HASH));
+        assert_eq!(MODEL_HASH.len(), 16);
+        assert!(MODEL_HASH.bytes().all(|b| b.is_ascii_hexdigit()));
     }
 }

@@ -20,7 +20,9 @@ use grit_sim::{RunSpec, SimConfig};
 use grit_trace::{CategoryMask, TraceConfig};
 use grit_workloads::App;
 
-use crate::experiments::{run_batch_with_stats, BatchOptions, CellSpec, ExpConfig, PolicyKind};
+use crate::experiments::batch::{open_store, run_batch_on};
+use crate::experiments::result_store::ResultStore;
+use crate::experiments::{BatchOptions, CellSpec, ExpConfig, PolicyKind};
 
 /// Per-cell deadline applied by the server when the spec carries none,
 /// so one runaway cell cannot wedge a shared campaign server forever.
@@ -58,31 +60,36 @@ pub fn parse_spec_cell(spec: &RunSpec) -> Result<CellSpec, String> {
 }
 
 /// Runs one spec through the batch engine, honoring the spec's own
-/// `timeout_secs` plus the server's shared store. When the spec carries
-/// no deadline, `default_timeout` (if any) is applied as a batch-level
-/// timeout — *not* written into the spec, which would change its
-/// canonical store key and break the resubmit-hits-the-store guarantee.
+/// `timeout_secs`, on the store at `store_dir` (opened for this call).
+/// When the spec carries no deadline, `default_timeout` (if any) is
+/// applied as a batch-level timeout — *not* written into the spec, which
+/// would change its canonical store key and break the
+/// resubmit-hits-the-store guarantee.
 pub fn run_spec(
     spec: &RunSpec,
     store_dir: Option<&Path>,
     store_max_bytes: Option<u64>,
     default_timeout: Option<Duration>,
 ) -> Result<SpecResult, SpecFailure> {
+    let store = store_dir.and_then(|dir| open_store(dir, store_max_bytes));
+    run_spec_on(spec, store.as_ref(), default_timeout)
+}
+
+/// [`run_spec`] on an already open store.
+fn run_spec_on(
+    spec: &RunSpec,
+    store: Option<&ResultStore>,
+    default_timeout: Option<Duration>,
+) -> Result<SpecResult, SpecFailure> {
     let cell =
         parse_spec_cell(spec).map_err(|message| SpecFailure::new("invalid-spec", message))?;
     let mut opts = BatchOptions::from(spec);
-    if let Some(dir) = store_dir {
-        opts = opts.resume_dir(dir);
-    }
-    if let Some(bytes) = store_max_bytes {
-        opts = opts.store_max_bytes(bytes);
-    }
     if spec.timeout_secs.is_none() {
         if let Some(deadline) = default_timeout {
             opts = opts.timeout(deadline);
         }
     }
-    let (mut results, store) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
+    let (mut results, store) = run_batch_on(std::slice::from_ref(&cell), &opts, store);
     match results.pop().expect("one cell in, one result out") {
         Ok(out) => {
             let mut res = SpecResult::default();
@@ -109,9 +116,11 @@ pub fn run_spec(
 }
 
 /// Builds the production [`SpecRunner`]: every cell (from any client)
-/// shares this process's workload cache and the given result store.
-/// Cells whose spec carries no deadline get none either — use
-/// [`spec_runner_with`] for the served default.
+/// shares this process's workload cache and one result store, opened
+/// here once — so a bounded store keeps one running size instead of
+/// rescanning its directory per cell. Cells whose spec carries no
+/// deadline get none either — use [`spec_runner_with`] for the served
+/// default.
 pub fn spec_runner(store_dir: Option<PathBuf>, store_max_bytes: Option<u64>) -> SpecRunner {
     spec_runner_with(store_dir, store_max_bytes, None)
 }
@@ -125,9 +134,8 @@ pub fn spec_runner_with(
     default_timeout_secs: Option<f64>,
 ) -> SpecRunner {
     let default_timeout = default_timeout_secs.filter(|s| *s > 0.0).map(Duration::from_secs_f64);
-    Arc::new(move |spec: &RunSpec| {
-        run_spec(spec, store_dir.as_deref(), store_max_bytes, default_timeout)
-    })
+    let store = store_dir.and_then(|dir| open_store(&dir, store_max_bytes));
+    Arc::new(move |spec: &RunSpec| run_spec_on(spec, store.as_ref(), default_timeout))
 }
 
 /// Starts a campaign server and blocks until a client asks it to shut
