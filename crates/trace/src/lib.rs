@@ -7,8 +7,8 @@
 //!
 //! The workspace builds fully offline with no serde, so this crate carries
 //! its own minimal JSON value type ([`Json`]) with a compact writer and a
-//! recursive-descent parser — enough for JSONL traces, `run_report.json`
-//! and `BENCH_run.json`, and their round-trip tests.
+//! recursive-descent parser — enough for JSONL traces and `run_report.json`,
+//! and their round-trip tests.
 //!
 //! Design constraints, in order:
 //!
@@ -34,9 +34,8 @@ pub use event::{
 };
 pub use json::Json;
 pub use report::{
-    metrics_from_json, metrics_to_json, BatchProfile, BenchSummary, CellReport, CellTiming,
-    CycleProfile, HeadlineSpeedups, HistReport, PhaseEntry, ProfileReport, RunReport, SeriesReport,
-    StoreCounters, TargetTiming,
+    metrics_from_json, metrics_to_json, BatchProfile, CellReport, CellTiming, CycleProfile,
+    HistReport, PhaseEntry, ProfileReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
 };
 pub use sink::{TraceConfig, Tracer};
 pub use writer::CellMeta;

@@ -1,11 +1,9 @@
 //! Machine-readable run reports.
 //!
-//! Two artifacts: [`RunReport`] (`run_report.json`, the full per-cell
-//! record — metrics, timing, interval series) and [`BenchSummary`]
-//! (`BENCH_run.json`, the compact perf/fidelity baseline: per-target
-//! wall-clock, headline geomean speedups, fault totals). Both serialize to
-//! and parse from [`Json`] with exact round-tripping, so regressions can be
-//! diffed across commits.
+//! [`RunReport`] (`run_report.json`) is the full per-cell record —
+//! metrics, timing, interval series. It serializes to and parses from
+//! [`Json`] with exact round-tripping, so regressions can be diffed across
+//! commits.
 
 use std::collections::HashMap;
 
@@ -22,8 +20,6 @@ pub const RUN_REPORT_SCHEMA: &str = "grit-run-report/v9";
 /// The previous tag, still read: [`RunReport::from_json`] skips the
 /// per-layer metric objects v8 wrote next to the aux series.
 const RUN_REPORT_SCHEMA_PREV: &str = "grit-run-report/v8";
-/// Schema tag written into every [`BenchSummary`].
-pub const BENCH_SCHEMA: &str = "grit-bench/v1";
 
 fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field {key:?}"))
@@ -788,131 +784,6 @@ impl RunReport {
     }
 }
 
-/// The Fig. 17 headline speedups of GRIT over the three static schemes.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct HeadlineSpeedups {
-    /// Geomean speedup vs. on-touch migration.
-    pub vs_on_touch: f64,
-    /// Geomean speedup vs. access-counter migration.
-    pub vs_access_counter: f64,
-    /// Geomean speedup vs. duplication.
-    pub vs_duplication: f64,
-}
-
-impl HeadlineSpeedups {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("vs_on_touch".into(), Json::Float(self.vs_on_touch)),
-            (
-                "vs_access_counter".into(),
-                Json::Float(self.vs_access_counter),
-            ),
-            ("vs_duplication".into(), Json::Float(self.vs_duplication)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(HeadlineSpeedups {
-            vs_on_touch: req_f64(v, "vs_on_touch")?,
-            vs_access_counter: req_f64(v, "vs_access_counter")?,
-            vs_duplication: req_f64(v, "vs_duplication")?,
-        })
-    }
-}
-
-/// The compact perf/fidelity baseline (`BENCH_run.json`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BenchSummary {
-    /// Workload scale factor of the run.
-    pub scale: f64,
-    /// Workload intensity factor of the run.
-    pub intensity: f64,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Worker threads (`--jobs`).
-    pub jobs: u64,
-    /// Total wall-clock seconds across all targets.
-    pub total_seconds: f64,
-    /// Cells executed across all targets.
-    pub cells_run: u64,
-    /// Fault counters summed over every executed cell.
-    pub fault_totals: FaultCounters,
-    /// Per-target wall-clock timings.
-    pub targets: Vec<TargetTiming>,
-    /// Fig. 17 geomean speedups, when fig17 (or `run_summary`) ran.
-    pub headline: Option<HeadlineSpeedups>,
-    /// Fig. 18 geomean of GRIT's normalized fault count, when fig18 ran.
-    pub fig18_fault_geomean: Option<f64>,
-}
-
-impl BenchSummary {
-    /// Serializes to the `BENCH_run.json` document.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(BENCH_SCHEMA.into())),
-            ("scale".into(), Json::Float(self.scale)),
-            ("intensity".into(), Json::Float(self.intensity)),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("jobs".into(), Json::UInt(self.jobs)),
-            ("total_seconds".into(), Json::Float(self.total_seconds)),
-            ("cells_run".into(), Json::UInt(self.cells_run)),
-            ("fault_totals".into(), faults_to_json(&self.fault_totals)),
-            (
-                "targets".into(),
-                Json::Arr(self.targets.iter().map(TargetTiming::to_json).collect()),
-            ),
-            (
-                "headline".into(),
-                match &self.headline {
-                    Some(h) => h.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "fig18_fault_geomean".into(),
-                match self.fig18_fault_geomean {
-                    Some(g) => Json::Float(g),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Parses a `BENCH_run.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first schema violation.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let schema = req_str(v, "schema")?;
-        if schema != BENCH_SCHEMA {
-            return Err(format!("unsupported bench schema: {schema:?}"));
-        }
-        let targets: Result<Vec<TargetTiming>, String> =
-            req_arr(v, "targets")?.iter().map(TargetTiming::from_json).collect();
-        let headline = match req(v, "headline")? {
-            Json::Null => None,
-            h => Some(HeadlineSpeedups::from_json(h)?),
-        };
-        let fig18 = match req(v, "fig18_fault_geomean")? {
-            Json::Null => None,
-            g => Some(g.as_f64().ok_or("field \"fig18_fault_geomean\" is not a number")?),
-        };
-        Ok(BenchSummary {
-            scale: req_f64(v, "scale")?,
-            intensity: req_f64(v, "intensity")?,
-            seed: req_u64(v, "seed")?,
-            jobs: req_u64(v, "jobs")?,
-            total_seconds: req_f64(v, "total_seconds")?,
-            cells_run: req_u64(v, "cells_run")?,
-            fault_totals: faults_from_json(req(v, "fault_totals")?)?,
-            targets: targets?,
-            headline,
-            fig18_fault_geomean: fig18,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,42 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_summary_round_trips_with_and_without_options() {
-        let mut bench = BenchSummary {
-            scale: 1.0,
-            intensity: 1.0,
-            seed: 1,
-            jobs: 2,
-            total_seconds: 3.5,
-            cells_run: 24,
-            fault_totals: FaultCounters {
-                local_faults: 100,
-                migrations: 40,
-                ..Default::default()
-            },
-            targets: vec![TargetTiming {
-                name: "fig18".into(),
-                seconds: 3.5,
-            }],
-            headline: Some(HeadlineSpeedups {
-                vs_on_touch: 2.27,
-                vs_access_counter: 1.34,
-                vs_duplication: 1.86,
-            }),
-            fig18_fault_geomean: Some(0.45),
-        };
-        let back =
-            BenchSummary::from_json(&Json::parse(&bench.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, bench);
-
-        bench.headline = None;
-        bench.fig18_fault_geomean = None;
-        let back =
-            BenchSummary::from_json(&Json::parse(&bench.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, bench);
-    }
-
-    #[test]
     fn sharded_era_fields_are_ignored_on_read() {
         // Documents written while the sharded event loop existed carry
         // `sim_threads` (top level and per batch) and a
@@ -1140,15 +975,6 @@ mod tests {
         assert!(text.contains("\"speculation\""));
         let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
-
-        let bench = BenchSummary::default();
-        let text = bench
-            .to_json()
-            .to_string()
-            .replace("\"jobs\":0,", "\"jobs\":0,\"sim_threads\":4,");
-        assert!(text.contains("sim_threads"));
-        let back = BenchSummary::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, bench);
     }
 
     #[test]

@@ -497,8 +497,18 @@ impl UvmDriver {
                 }
             }
         }
-        // Replica holders must be resident.
+        // A GPU owns only pages it has touched (large-page coalescing
+        // relies on it), and replica holders must be resident.
         for (vpn, state) in self.central.iter() {
+            if let MemLoc::Gpu(g) = state.owner {
+                if !state.touched {
+                    return Err(fail(
+                        Some(g),
+                        Some(vpn),
+                        format!("{vpn}: owned by {g} but never touched"),
+                    ));
+                }
+            }
             for holder in state.replicas.iter() {
                 if holder.index() >= self.cfg.num_gpus {
                     return Err(fail(
@@ -2270,6 +2280,20 @@ mod tests {
         let msg = v.to_string();
         assert!(msg.contains("invariant violated"), "{msg}");
         assert!(msg.contains("not resident"), "{msg}");
+    }
+
+    #[test]
+    fn gpu_owned_page_must_be_touched() {
+        let mut d = driver(Scheme::OnTouch);
+        d.handle_fault(fault(1, 9, AccessKind::Read, FaultKind::Local, 500));
+        assert_eq!(d.central.page(PageId(9)).owner, MemLoc::Gpu(GpuId::new(1)));
+        d.check_invariants().expect("fault service leaves a consistent state");
+        // Corrupt the state: a GPU owner on a page marked cold.
+        d.central.page_mut(PageId(9)).touched = false;
+        let v = d.check_invariants().expect_err("corruption must be caught");
+        assert_eq!(v.gpu, Some(GpuId::new(1)));
+        assert_eq!(v.vpn, Some(PageId(9)));
+        assert!(v.to_string().contains("never touched"), "{v}");
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //! ```text
 //! repro fig18 --trace t.jsonl          # structured event stream (JSONL)
 //! repro fig18 --trace t.jsonl --trace-filter fault,migration --trace-sample 16
-//! repro all --metrics-out out/         # out/run_report.json + BENCH_run.json
-//! repro all --emit-bench-json          # BENCH_run.json in the cwd
+//! repro all --metrics-out out/         # out/run_report.json
 //! ```
 //!
 //! Profiling flags and tooling:
@@ -45,14 +44,11 @@
 //! repro fig17 --profile-out prof.json    # Chrome trace-event / Perfetto JSON
 //! repro all --progress                   # 1 Hz heartbeat (cells done, ETA, phase)
 //! repro profile out/run_report.json      # render a report's profile section
-//! repro bench-diff BENCH_baseline.json BENCH_run.json --threshold 25
 //! ```
 //!
 //! Profiling is zero-overhead when disabled (one relaxed atomic load per
 //! span site). `--metrics-out` refuses to overwrite an existing
-//! `run_report.json` unless `--force` is given. `bench-diff` compares two
-//! `BENCH_*.json` documents per target and exits nonzero when any target
-//! slowed down by more than `--threshold` percent.
+//! `run_report.json` unless `--force` is given.
 
 use std::collections::{HashMap, HashSet};
 use std::env;
@@ -64,8 +60,7 @@ use std::time::{Duration, Instant};
 use grit::experiments::{self as ex, report_sink, ExpConfig};
 use grit_metrics::Table;
 use grit_trace::{
-    writer as trace_writer, BenchSummary, CategoryMask, HistReport, Json, PhaseEntry, RunReport,
-    TraceConfig,
+    writer as trace_writer, CategoryMask, HistReport, Json, PhaseEntry, RunReport, TraceConfig,
 };
 
 const FIGURES: &[(&str, &str)] = &[
@@ -128,10 +123,6 @@ fn run_summary(exp: &ExpConfig, cache: &mut TableCache) {
     let t17 = cache.fig17.get_or_insert_with(|| fig17_grit::run(exp));
     let (ot, ac, d) = fig17_grit::headline(t17);
     let t18 = cache.fig18.get_or_insert_with(|| fig18_faults::run(exp));
-    report_sink::record_headline(ot, ac, d);
-    if let Some(g) = t18.cell("GEOMEAN", "grit") {
-        report_sink::record_fig18_geomean(g);
-    }
     println!("== GRIT reproduction digest ==");
     println!(
         "performance: GRIT vs on-touch {:+.0}%, vs access-counter {:+.0}%, vs duplication {:+.0}%",
@@ -345,120 +336,9 @@ fn cmd_profile(path: &str) -> bool {
     true
 }
 
-/// `repro bench-diff <A> <B>`: per-target wall-clock deltas between two
-/// `BENCH_*.json` documents. Returns `false` (exit nonzero) when any
-/// shared target — or the total — slowed down past `threshold` percent.
-fn cmd_bench_diff(a_path: &str, b_path: &str, threshold: f64) -> bool {
-    let (Some(aj), Some(bj)) = (load_json(a_path), load_json(b_path)) else {
-        return false;
-    };
-    let (a, b) = match (BenchSummary::from_json(&aj), BenchSummary::from_json(&bj)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) => {
-            eprintln!("{a_path}: not a bench summary: {e}");
-            return false;
-        }
-        (_, Err(e)) => {
-            eprintln!("{b_path}: not a bench summary: {e}");
-            return false;
-        }
-    };
-    println!("== bench-diff: {a_path} (baseline) vs {b_path} ==");
-    if (a.scale, a.intensity, a.seed) != (b.scale, b.intensity, b.seed) {
-        println!(
-            "  WARNING: configs differ (scale {} vs {}, intensity {} vs {}, seed {:#x} vs {:#x}); timings are not comparable",
-            a.scale, b.scale, a.intensity, b.intensity, a.seed, b.seed
-        );
-    }
-    if a.jobs != b.jobs {
-        println!(
-            "  note: jobs {} vs {} (threading differs; wall-clock shifts expected)",
-            a.jobs, b.jobs
-        );
-    }
-    println!(
-        "  {:<18} {:>12} {:>12} {:>9}",
-        "target", "baseline s", "current s", "delta"
-    );
-    let mut regressed = false;
-    let delta_of =
-        |base: f64, cur: f64| -> Option<f64> { (base > 0.0).then(|| 100.0 * (cur - base) / base) };
-    for tb in &b.targets {
-        let Some(ta) = a.targets.iter().find(|t| t.name == tb.name) else {
-            println!(
-                "  {:<18} {:>12} {:>12.3} {:>9}",
-                tb.name, "-", tb.seconds, "new"
-            );
-            continue;
-        };
-        match delta_of(ta.seconds, tb.seconds) {
-            Some(d) => {
-                let flag = if d > threshold {
-                    regressed = true;
-                    "  REGRESSED"
-                } else {
-                    ""
-                };
-                println!(
-                    "  {:<18} {:>12.3} {:>12.3} {:>+8.1}%{flag}",
-                    tb.name, ta.seconds, tb.seconds, d
-                );
-            }
-            None => println!(
-                "  {:<18} {:>12.3} {:>12.3} {:>9}",
-                tb.name, ta.seconds, tb.seconds, "n/a"
-            ),
-        }
-    }
-    for ta in &a.targets {
-        if !b.targets.iter().any(|t| t.name == ta.name) {
-            println!(
-                "  {:<18} {:>12.3} {:>12} {:>9}",
-                ta.name, ta.seconds, "-", "removed"
-            );
-        }
-    }
-    match delta_of(a.total_seconds, b.total_seconds) {
-        Some(d) => {
-            let flag = if d > threshold {
-                regressed = true;
-                "  REGRESSED"
-            } else {
-                ""
-            };
-            println!(
-                "  {:<18} {:>12.3} {:>12.3} {:>+8.1}%{flag}",
-                "TOTAL", a.total_seconds, b.total_seconds, d
-            );
-        }
-        None => println!(
-            "  {:<18} {:>12.3} {:>12.3} {:>9}",
-            "TOTAL", a.total_seconds, b.total_seconds, "n/a"
-        ),
-    }
-    if a.cells_run != b.cells_run {
-        println!("  note: cells_run {} vs {}", a.cells_run, b.cells_run);
-    }
-    // Fault totals are deterministic for a fixed config: a drift under an
-    // identical config is a fidelity bug, not a perf regression.
-    if (a.scale, a.intensity, a.seed) == (b.scale, b.intensity, b.seed)
-        && a.cells_run == b.cells_run
-        && a.fault_totals != b.fault_totals
-    {
-        println!("  WARNING: fault totals drifted under an identical config");
-        regressed = true;
-    }
-    if regressed {
-        eprintln!("[bench-diff] regression past {threshold}% threshold");
-    } else {
-        println!("  ok: no target regressed past {threshold}%");
-    }
-    !regressed
-}
-
 fn print_usage() {
     eprintln!(
-        "usage: repro <figN|all|tables|list> [--quick|--full] [--jobs N] [--scale X] [--intensity X] [--seed N] [--csv DIR] [--trace PATH] [--metrics-out DIR] [--emit-bench-json] [--bench-baseline] [--cell-timeout SECS] [--resume|--resume-dir DIR] [--fail-fast|--keep-going]"
+        "usage: repro <figN|all|tables|list> [--quick|--full] [--jobs N] [--scale X] [--intensity X] [--seed N] [--csv DIR] [--trace PATH] [--metrics-out DIR] [--cell-timeout SECS] [--resume|--resume-dir DIR] [--fail-fast|--keep-going]"
     );
     eprintln!("figures:");
     for (name, desc) in FIGURES {
@@ -475,9 +355,6 @@ fn print_usage() {
         "  submit   run an --apps x --policies campaign: --connect HOST:PORT against a server (--shutdown stops it afterwards, --retry resubmits unresolved cells with capped exponential backoff), or --local through the in-process engine; stdout carries only the table"
     );
     eprintln!("  profile <REPORT>    render the profile section of a run_report.json");
-    eprintln!(
-        "  bench-diff <A> <B>  compare two BENCH_*.json; exit nonzero past --threshold PCT regression (default 25)"
-    );
     eprintln!(
         "  --jobs N  worker threads for experiment cells (also GRIT_JOBS; default: all cores)"
     );
@@ -498,7 +375,7 @@ fn print_usage() {
     eprintln!("  --trace-filter L    comma-separated event categories (default: all)");
     eprintln!("  --trace-sample N    keep every Nth event per category (default: 1)");
     eprintln!(
-        "  --metrics-out DIR   write run_report.json + BENCH_run.json (refuses to overwrite an existing run_report.json without --force)"
+        "  --metrics-out DIR   write run_report.json (refuses to overwrite an existing run_report.json without --force)"
     );
     eprintln!("  --force             allow overwriting an existing run_report.json");
     eprintln!(
@@ -508,11 +385,6 @@ fn print_usage() {
         "  --profile-out PATH  write a Chrome trace-event / Perfetto JSON span trace (implies --profile)"
     );
     eprintln!("  --progress          1 Hz heartbeat: cells done, ETA, current phase");
-    eprintln!("  --threshold PCT     bench-diff regression threshold (default 25)");
-    eprintln!("  --emit-bench-json   write BENCH_run.json (cwd unless --metrics-out)");
-    eprintln!(
-        "  --bench-baseline    like --emit-bench-json but writes BENCH_baseline.json (the committed reference)"
-    );
     eprintln!("  --cell-timeout SECS wall-clock budget per cell (expired cells become err! rows)");
     eprintln!(
         "  --resume            store finished cells under .grit-resume/ and skip them on re-run"
@@ -695,7 +567,6 @@ fn run_figure(
             let t = ex::fig17_grit::run(exp);
             emit(&t, "fig17", csv_dir);
             let (ot, ac, d) = ex::fig17_grit::headline(&t);
-            report_sink::record_headline(ot, ac, d);
             println!(
                 "headline: GRIT vs on-touch +{:.0}%  vs access-counter +{:.0}%  vs duplication +{:.0}%",
                 100.0 * ot,
@@ -710,9 +581,6 @@ fn run_figure(
         "fig18" => {
             let t = ex::fig18_faults::run(exp);
             emit(&t, "fig18", csv_dir);
-            if let Some(g) = t.cell("GEOMEAN", "grit") {
-                report_sink::record_fig18_geomean(g);
-            }
             cache.fig18 = Some(t);
         }
         "fig19" => emit(&ex::fig19_scheme_mix::run(exp), "fig19", csv_dir),
@@ -1112,12 +980,9 @@ fn main() -> ExitCode {
     let mut trace_mask = CategoryMask::ALL;
     let mut trace_sample: u64 = 1;
     let mut metrics_dir: Option<PathBuf> = None;
-    let mut emit_bench = false;
-    let mut bench_baseline = false;
     let mut profile_on = false;
     let mut profile_out: Option<PathBuf> = None;
     let mut force = false;
-    let mut threshold = 25.0_f64;
     // The machine/execution overrides accumulate into one RunSpec — the
     // same struct the result store keys on and the serve wire carries.
     let mut ospec = grit_sim::RunSpec::default();
@@ -1241,20 +1106,6 @@ fn main() -> ExitCode {
             }
             "--progress" => ex::set_progress(true),
             "--force" => force = true,
-            "--threshold" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()).filter(|v| *v >= 0.0)
-                else {
-                    eprintln!("--threshold needs a non-negative percentage");
-                    return ExitCode::FAILURE;
-                };
-                threshold = v;
-            }
-            "--emit-bench-json" => emit_bench = true,
-            "--bench-baseline" => {
-                emit_bench = true;
-                bench_baseline = true;
-            }
             "--cell-timeout" => {
                 i += 1;
                 let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()).filter(|v| *v >= 0.0)
@@ -1403,6 +1254,10 @@ fn main() -> ExitCode {
                 print_usage();
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with('-') => {
+                eprintln!("unknown flag {other}");
+                return ExitCode::FAILURE;
+            }
             other => targets.push(other.to_string()),
         }
         i += 1;
@@ -1438,17 +1293,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         return if cmd_profile(path) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if targets.first().map(String::as_str) == Some("bench-diff") {
-        let (Some(a), Some(b)) = (targets.get(1), targets.get(2)) else {
-            eprintln!("usage: repro bench-diff <A.json> <B.json> [--threshold PCT]");
-            return ExitCode::FAILURE;
-        };
-        return if cmd_bench_diff(a, b, threshold) {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -1520,7 +1364,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if metrics_dir.is_some() || emit_bench {
+    if metrics_dir.is_some() {
         report_sink::enable();
     }
     if profile_on {
@@ -1625,9 +1469,8 @@ fn main() -> ExitCode {
             dropped
         );
     }
-    let jobs = ex::effective_jobs();
     if let Some(dir) = &metrics_dir {
-        let report = report_sink::build_report(&exp, jobs, total_seconds);
+        let report = report_sink::build_report(&exp, ex::effective_jobs(), total_seconds);
         let path = dir.join("run_report.json");
         if let Err(e) = fs::write(&path, format!("{}\n", report.to_json())) {
             eprintln!("cannot write {}: {e}", path.display());
@@ -1638,20 +1481,6 @@ fn main() -> ExitCode {
             path.display(),
             report.cells.len()
         );
-    }
-    if emit_bench || metrics_dir.is_some() {
-        let bench = report_sink::build_bench_summary(&exp, jobs, total_seconds);
-        let name = if bench_baseline {
-            "BENCH_baseline.json"
-        } else {
-            "BENCH_run.json"
-        };
-        let path = metrics_dir.as_deref().unwrap_or_else(|| std::path::Path::new(".")).join(name);
-        if let Err(e) = fs::write(&path, format!("{}\n", bench.to_json())) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[repro] wrote {}", path.display());
     }
     if ex::fail_fast_triggered() {
         return ExitCode::FAILURE;

@@ -68,6 +68,46 @@ mod tests {
         );
     }
 
+    /// Pins the exact `--quick` fault counters and headline speedups, so
+    /// any drift in the fault, migration or policy model fails here.
+    #[test]
+    fn quick_counters_and_headline_are_pinned() {
+        let exp = ExpConfig::quick();
+        let mut totals = grit_metrics::FaultCounters::default();
+        let mut cells = 0;
+        for cell in run_grid(&table2_apps(), &policies(), &exp).iter().flatten() {
+            let f = cell.as_ref().expect("fig17 cell completes").metrics.faults;
+            totals.local_faults += f.local_faults;
+            totals.protection_faults += f.protection_faults;
+            totals.migrations += f.migrations;
+            totals.duplications += f.duplications;
+            totals.collapses += f.collapses;
+            totals.evictions += f.evictions;
+            totals.scheme_changes += f.scheme_changes;
+            cells += 1;
+        }
+        assert_eq!(cells, 40);
+        assert_eq!(
+            totals,
+            grit_metrics::FaultCounters {
+                local_faults: 77_670,
+                protection_faults: 5_935,
+                migrations: 46_262,
+                duplications: 14_601,
+                collapses: 5_646,
+                evictions: 1_276,
+                scheme_changes: 793,
+            }
+        );
+        let (ot, ac, d) = headline(&run(&exp));
+        let pinned: [f64; 3] = [0.5887769139597518, 0.34671410441609263, 0.18925401893397353];
+        assert_eq!(
+            [ot, ac, d].map(f64::to_bits),
+            pinned.map(f64::to_bits),
+            "headline vs on-touch / access-counter / duplication: {ot} / {ac} / {d}"
+        );
+    }
+
     #[test]
     fn grit_close_to_best_uniform_scheme_per_app() {
         // GRIT adapts: per app it should be within a modest factor of the

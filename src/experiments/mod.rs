@@ -3,8 +3,7 @@
 //! Every driver returns a [`grit_metrics::Table`] (or a small set of them)
 //! whose rows mirror the corresponding figure, normalized the same way the
 //! paper normalizes. The `repro` binary prints them; `EXPERIMENTS.md`
-//! records paper-vs-measured values; the Criterion benches in `grit-bench`
-//! re-run the same drivers.
+//! records paper-vs-measured values.
 
 pub mod fig01_schemes;
 pub mod fig03_breakdown;

@@ -3,7 +3,7 @@
 //! The `repro` binary runs figure drivers that know nothing about report
 //! files; this module gives the batch executor a place to deposit what it
 //! observed (cells, timings, cache behaviour) so that one `run_report.json`
-//! / `BENCH_run.json` can be assembled after all targets finish. Recording
+//! can be assembled after all targets finish. Recording
 //! is off by default and every `record_*` call is a cheap no-op until
 //! [`enable`] flips the switch, so figure drivers and tests pay nothing.
 
@@ -12,8 +12,8 @@ use std::sync::Mutex;
 
 use grit_sim::CellError;
 use grit_trace::{
-    BatchProfile, BenchSummary, CellReport, CycleProfile, HeadlineSpeedups, PhaseEntry,
-    ProfileReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
+    BatchProfile, CellReport, CycleProfile, PhaseEntry, ProfileReport, RunReport, SeriesReport,
+    StoreCounters, TargetTiming,
 };
 
 use crate::runner::RunOutput;
@@ -27,8 +27,6 @@ struct CollectorState {
     targets: Vec<TargetTiming>,
     batches: Vec<BatchProfile>,
     cells: Vec<CellReport>,
-    headline: Option<HeadlineSpeedups>,
-    fig18_fault_geomean: Option<f64>,
     store: StoreCounters,
 }
 
@@ -36,8 +34,6 @@ static STATE: Mutex<CollectorState> = Mutex::new(CollectorState {
     targets: Vec::new(),
     batches: Vec::new(),
     cells: Vec::new(),
-    headline: None,
-    fig18_fault_geomean: None,
     store: StoreCounters {
         hits: 0,
         misses: 0,
@@ -50,7 +46,7 @@ fn state() -> std::sync::MutexGuard<'static, CollectorState> {
 }
 
 /// Turns recording on for the rest of the process (the `repro` binary
-/// calls this when `--metrics-out` or `--emit-bench-json` is given).
+/// calls this when `--metrics-out` is given).
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
@@ -147,18 +143,6 @@ pub fn record_target(name: &str, seconds: f64) {
     });
 }
 
-/// Records the Fig. 17 headline geomean speedups.
-pub fn record_headline(vs_on_touch: f64, vs_access_counter: f64, vs_duplication: f64) {
-    if !enabled() {
-        return;
-    }
-    state().headline = Some(HeadlineSpeedups {
-        vs_on_touch,
-        vs_access_counter,
-        vs_duplication,
-    });
-}
-
 /// Accumulates one batch's result-store traffic (hits, misses,
 /// quarantined files) into the run-wide totals reported under the
 /// run report's `store` object.
@@ -169,17 +153,8 @@ pub fn record_store(counters: StoreCounters) {
     state().store.absorb(counters);
 }
 
-/// Records the Fig. 18 geomean of GRIT's normalized fault count.
-pub fn record_fig18_geomean(value: f64) {
-    if !enabled() {
-        return;
-    }
-    state().fig18_fault_geomean = Some(value);
-}
-
 /// Assembles the full `run_report.json` document from everything recorded
-/// so far. The collected cells/batches/targets stay in place, so the bench
-/// summary can be built from the same state.
+/// so far.
 pub fn build_report(exp: &ExpConfig, jobs: usize, total_seconds: f64) -> RunReport {
     let st = state();
     RunReport {
@@ -222,34 +197,6 @@ fn build_profile(cells: &[CellReport]) -> ProfileReport {
     ProfileReport { wall, cycle }
 }
 
-/// Assembles the compact `BENCH_run.json` document.
-pub fn build_bench_summary(exp: &ExpConfig, jobs: usize, total_seconds: f64) -> BenchSummary {
-    let st = state();
-    let mut fault_totals = grit_metrics::FaultCounters::default();
-    for cell in &st.cells {
-        let f = &cell.metrics.faults;
-        fault_totals.local_faults += f.local_faults;
-        fault_totals.protection_faults += f.protection_faults;
-        fault_totals.migrations += f.migrations;
-        fault_totals.duplications += f.duplications;
-        fault_totals.collapses += f.collapses;
-        fault_totals.evictions += f.evictions;
-        fault_totals.scheme_changes += f.scheme_changes;
-    }
-    BenchSummary {
-        scale: exp.scale,
-        intensity: exp.intensity,
-        seed: exp.seed,
-        jobs: jobs as u64,
-        total_seconds,
-        cells_run: st.cells.len() as u64,
-        fault_totals,
-        targets: st.targets.clone(),
-        headline: st.headline,
-        fig18_fault_geomean: st.fig18_fault_geomean,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,9 +209,7 @@ mod tests {
     fn disabled_recording_is_a_no_op() {
         assert!(!enabled(), "nothing in the test binary calls enable()");
         record_target("figX", 1.0);
-        record_fig18_geomean(0.5);
         assert!(state().targets.is_empty());
-        assert!(state().fig18_fault_geomean.is_none());
     }
 
     #[test]
@@ -273,8 +218,6 @@ mod tests {
         let report = build_report(&exp, 2, 0.0);
         assert_eq!(report.jobs, 2);
         assert!(!report.system.is_empty());
-        let bench = build_bench_summary(&exp, 2, 0.0);
-        assert_eq!(bench.cells_run, 0);
-        assert!(bench.headline.is_none());
+        assert!(report.cells.is_empty());
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! This crate assembles the substrate crates into a runnable multi-GPU
 //! system ([`Simulation`]) and hosts one experiment driver per figure of
-//! the paper ([`experiments`]), used by both the `repro` binary and the
-//! Criterion benches in `grit-bench`.
+//! the paper ([`experiments`]), used by the `repro` binary.
 //!
 //! * `grit-sim` — time, ids, access streams, Table I configuration
 //! * `grit-mem` — caches, TLBs, page walkers, DRAM occupancy
