@@ -3,10 +3,9 @@
 //! Mosaic-style multi-page-size page state for the GRIT reproduction:
 //! a two-level model in which 4 KB base pages live inside 2 MB
 //! large-page *frames*. A frame whose base pages are all resident on one
-//! GPU, unreplicated and (in mixed mode) all touched can be
-//! transparently **coalesced** into a single large mapping — one TLB
-//! entry covers the whole frame and the access counters track the frame
-//! as one group. Any event that breaks the frame's privacy or residency
+//! GPU and unreplicated can be transparently **coalesced** into a single
+//! large mapping — one TLB entry covers the whole frame and the access
+//! counters track the frame as one group. Any event that breaks the frame's privacy or residency
 //! — a remote writer taking exclusive ownership, a duplication, a base
 //! page migrating away, a capacity eviction, an ECC retirement —
 //! **splinters** the frame back to base pages.
@@ -57,19 +56,6 @@ impl SplinterCause {
         .into_iter()
         .find(|c| c.name() == s)
     }
-}
-
-/// The authoritative state of one base page, as seen by the central page
-/// table, flattened to exactly what coalescing eligibility needs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BasePageView {
-    /// The GPU owning the page, `None` when the page is host-resident
-    /// (or was never populated).
-    pub owner: Option<GpuId>,
-    /// Whether any replica of the page exists on another GPU.
-    pub replicated: bool,
-    /// Whether the page has ever been touched by compute.
-    pub touched: bool,
 }
 
 /// Cumulative multi-page-size activity counters, reported through the
@@ -133,13 +119,12 @@ impl PageSizeCounters {
 /// sized from the footprint.
 ///
 /// ```
-/// use grit_pagesize::{BasePageView, LargePageTable, SplinterCause};
-/// use grit_sim::{GpuId, PageId, PageSizeMode};
+/// use grit_pagesize::{LargePageTable, SplinterCause};
+/// use grit_sim::{GpuId, PageId};
 ///
-/// let mut lpt = LargePageTable::new(PageSizeMode::Uniform2m, 4, 64);
+/// let mut lpt = LargePageTable::new(4, 64);
 /// let g = GpuId::new(1);
-/// let view = |_vpn: PageId| Some(BasePageView { owner: Some(g), replicated: false, touched: true });
-/// let (base, owner) = lpt.coalesce_candidate(PageId(5), view).unwrap();
+/// let (base, owner) = lpt.coalesce_candidate(PageId(5), |_vpn| Some(g)).unwrap();
 /// assert_eq!((base, owner), (PageId(4), g));
 /// lpt.coalesce(base, owner);
 /// assert_eq!(lpt.coalesced_frame(PageId(7)), Some(PageId(4)));
@@ -149,7 +134,6 @@ impl PageSizeCounters {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LargePageTable {
-    mode: PageSizeMode,
     pages_per_frame: u64,
     footprint_pages: u64,
     /// Owner of each coalesced frame, by frame index (empty when the
@@ -161,20 +145,17 @@ pub struct LargePageTable {
 }
 
 impl LargePageTable {
-    /// A table for the given mode with `pages_per_frame` base pages per
-    /// 2 MB frame over pages `0..footprint_pages`. The table is inert
-    /// (never coalesces) under [`PageSizeMode::Uniform4k`] or when a frame
-    /// holds fewer than two base pages.
-    pub fn new(mode: PageSizeMode, pages_per_frame: u64, footprint_pages: u64) -> Self {
+    /// A table with `pages_per_frame` base pages per 2 MB frame over
+    /// pages `0..footprint_pages`. The table is inert (never coalesces)
+    /// when a frame holds fewer than two base pages.
+    pub fn new(pages_per_frame: u64, footprint_pages: u64) -> Self {
         let pages_per_frame = pages_per_frame.max(1);
-        let enabled = mode.large_pages_enabled() && pages_per_frame > 1;
-        let num_frames = if enabled {
+        let num_frames = if pages_per_frame > 1 {
             footprint_pages.div_ceil(pages_per_frame) as usize
         } else {
             0
         };
         LargePageTable {
-            mode,
             pages_per_frame,
             footprint_pages,
             frames: vec![None; num_frames],
@@ -183,24 +164,21 @@ impl LargePageTable {
         }
     }
 
-    /// A table derived from a full configuration (frame size from the
-    /// base page size) over pages `0..footprint_pages`.
+    /// A table derived from a full configuration over pages
+    /// `0..footprint_pages`: inert under [`PageSizeMode::Uniform4k`],
+    /// otherwise with the frame size set by the base page size.
     pub fn from_config(mode: PageSizeMode, page_size: u64, footprint_pages: u64) -> Self {
-        LargePageTable::new(
-            mode,
-            (PAGE_SIZE_2M / page_size.max(1)).max(1),
-            footprint_pages,
-        )
+        let pages_per_frame = if mode.large_pages_enabled() {
+            PAGE_SIZE_2M / page_size.max(1)
+        } else {
+            1
+        };
+        LargePageTable::new(pages_per_frame, footprint_pages)
     }
 
     /// Whether large pages are managed at all.
     pub fn enabled(&self) -> bool {
-        self.mode.large_pages_enabled() && self.pages_per_frame > 1
-    }
-
-    /// The configured management mode.
-    pub fn mode(&self) -> PageSizeMode {
-        self.mode
+        self.pages_per_frame > 1
     }
 
     /// Base pages per 2 MB frame.
@@ -252,19 +230,19 @@ impl LargePageTable {
     }
 
     /// Checks whether the frame containing `vpn` is eligible for
-    /// coalescing, consulting `lookup` for the authoritative state of
-    /// each base page. Eligible means: the table is enabled, the frame
-    /// is not already coalesced, it lies entirely inside the footprint,
-    /// and every base page is owned by the same GPU with no replicas —
-    /// plus, under [`PageSizeMode::Mixed`], every page has been touched
-    /// (eagerly-migrated cold pages hold coalescing back until compute
-    /// actually reaches them).
+    /// coalescing. `private_owner` reports, from the authoritative page
+    /// table, the GPU holding a base page privately: its owner when the
+    /// page is GPU-resident with no replicas, `None` otherwise. Eligible
+    /// means: the table is enabled, the frame is not already coalesced,
+    /// it lies entirely inside the footprint, and one GPU holds every
+    /// base page privately. A GPU owns only pages it has touched, so a
+    /// coalesced frame is always fully touched.
     ///
     /// Returns the frame base and owning GPU when eligible.
     pub fn coalesce_candidate(
         &self,
         vpn: PageId,
-        mut lookup: impl FnMut(PageId) -> Option<BasePageView>,
+        mut private_owner: impl FnMut(PageId) -> Option<GpuId>,
     ) -> Option<(PageId, GpuId)> {
         if !self.enabled() || self.frame_owner(vpn).is_some() {
             return None;
@@ -276,14 +254,9 @@ impl LargePageTable {
             // large page either.
             return None;
         }
-        let require_touched = self.mode == PageSizeMode::Mixed;
         let mut owner: Option<GpuId> = None;
         for i in 0..self.pages_per_frame {
-            let view = lookup(PageId(base + i))?;
-            let page_owner = view.owner?;
-            if view.replicated || (require_touched && !view.touched) {
-                return None;
-            }
+            let page_owner = private_owner(PageId(base + i))?;
             match owner {
                 None => owner = Some(page_owner),
                 Some(o) if o != page_owner => return None,
@@ -352,19 +325,16 @@ impl LargePageTable {
 mod tests {
     use super::*;
 
-    fn private(owner: GpuId) -> impl FnMut(PageId) -> Option<BasePageView> {
-        move |_| {
-            Some(BasePageView {
-                owner: Some(owner),
-                replicated: false,
-                touched: true,
-            })
-        }
+    fn private(owner: GpuId) -> impl FnMut(PageId) -> Option<GpuId> {
+        move |_| Some(owner)
     }
 
     #[test]
     fn uniform4k_is_inert() {
-        let mut t = LargePageTable::new(PageSizeMode::Uniform4k, 512, 1 << 20);
+        let mixed = LargePageTable::from_config(PageSizeMode::Mixed, 4096, 1 << 20);
+        assert!(mixed.enabled());
+        assert_eq!(mixed.pages_per_frame(), 512);
+        let mut t = LargePageTable::from_config(PageSizeMode::Uniform4k, 4096, 1 << 20);
         assert!(!t.enabled());
         assert!(t.coalesce_candidate(PageId(0), private(GpuId::new(0))).is_none());
         t.coalesce(PageId(0), GpuId::new(0));
@@ -374,7 +344,7 @@ mod tests {
 
     #[test]
     fn coalesce_requires_single_unreplicated_owner() {
-        let t = LargePageTable::new(PageSizeMode::Uniform2m, 4, 64);
+        let t = LargePageTable::new(4, 64);
         let g0 = GpuId::new(0);
         // Fully private: eligible.
         assert_eq!(
@@ -382,53 +352,17 @@ mod tests {
             Some((PageId(4), g0))
         );
         // One page on another GPU: not eligible.
-        let mixed_owner = |vpn: PageId| {
-            Some(BasePageView {
-                owner: Some(GpuId::new((vpn.vpn() == 5) as u8)),
-                replicated: false,
-                touched: true,
-            })
-        };
-        assert_eq!(t.coalesce_candidate(PageId(6), mixed_owner), None);
-        // One page replicated: not eligible.
-        let replicated = |vpn: PageId| {
-            Some(BasePageView {
-                owner: Some(g0),
-                replicated: vpn.vpn() == 7,
-                touched: true,
-            })
-        };
-        assert_eq!(t.coalesce_candidate(PageId(6), replicated), None);
-        // One page host-resident (no owner): not eligible.
-        let host = |vpn: PageId| {
-            Some(BasePageView {
-                owner: (vpn.vpn() != 4).then_some(g0),
-                replicated: false,
-                touched: true,
-            })
-        };
-        assert_eq!(t.coalesce_candidate(PageId(6), host), None);
-    }
-
-    #[test]
-    fn mixed_mode_requires_touch_uniform2m_does_not() {
-        let cold_tail = |vpn: PageId| {
-            Some(BasePageView {
-                owner: Some(GpuId::new(2)),
-                replicated: false,
-                touched: vpn.vpn() != 7,
-            })
-        };
-        let eager = LargePageTable::new(PageSizeMode::Uniform2m, 4, 64);
-        assert!(eager.coalesce_candidate(PageId(4), cold_tail).is_some());
-        let mixed = LargePageTable::new(PageSizeMode::Mixed, 4, 64);
-        assert_eq!(mixed.coalesce_candidate(PageId(4), cold_tail), None);
-        assert!(mixed.coalesce_candidate(PageId(4), private(GpuId::new(2))).is_some());
+        let split = |vpn: PageId| Some(GpuId::new((vpn.vpn() == 5) as u8));
+        assert_eq!(t.coalesce_candidate(PageId(6), split), None);
+        // One page replicated or host-resident, so held by no GPU
+        // privately: not eligible.
+        let shared = |vpn: PageId| (vpn.vpn() != 7).then_some(g0);
+        assert_eq!(t.coalesce_candidate(PageId(6), shared), None);
     }
 
     #[test]
     fn footprint_tail_frames_never_coalesce() {
-        let t = LargePageTable::new(PageSizeMode::Uniform2m, 4, 6);
+        let t = LargePageTable::new(4, 6);
         // Footprint of 6 pages: frame 1 (pages 4..8) sticks out past it.
         assert_eq!(
             t.coalesce_candidate(PageId(5), private(GpuId::new(0))),
@@ -439,7 +373,7 @@ mod tests {
 
     #[test]
     fn splinter_undoes_coalesce_and_counts_causes() {
-        let mut t = LargePageTable::new(PageSizeMode::Mixed, 4, 64);
+        let mut t = LargePageTable::new(4, 64);
         let g = GpuId::new(3);
         t.coalesce(PageId(8), g);
         t.coalesce(PageId(8), g); // idempotent
@@ -462,12 +396,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "page:0x40 is outside the footprint of 64 pages")]
     fn frames_past_the_footprint_panic() {
-        LargePageTable::new(PageSizeMode::Mixed, 4, 64).coalesce(PageId(64), GpuId::new(0));
+        LargePageTable::new(4, 64).coalesce(PageId(64), GpuId::new(0));
     }
 
     #[test]
     fn counter_trips_track_aliasing() {
-        let mut t = LargePageTable::new(PageSizeMode::Mixed, 512, 1024);
+        let mut t = LargePageTable::new(512, 1024);
         t.note_counter_trip(0);
         t.note_counter_trip(32);
         t.note_counter_trip(32);

@@ -1,5 +1,5 @@
 //! Property tests for the large-page table: splintering must be the
-//! exact inverse of coalescing — for any frame geometry, owner, mode and
+//! exact inverse of coalescing — for any frame geometry, owner and
 //! cause, `splinter(coalesce(range))` returns the table to its prior
 //! state (same eligibility, empty coalesced set, counters moved exactly
 //! once) — and arbitrary operation interleavings must agree with a
@@ -7,12 +7,8 @@
 
 use proptest::prelude::*;
 
-use grit_pagesize::{BasePageView, LargePageTable, SplinterCause};
-use grit_sim::{GpuId, PageId, PageSizeMode};
-
-fn mode_strategy() -> impl Strategy<Value = PageSizeMode> {
-    prop_oneof![Just(PageSizeMode::Uniform2m), Just(PageSizeMode::Mixed)]
-}
+use grit_pagesize::{LargePageTable, SplinterCause};
+use grit_sim::{GpuId, PageId};
 
 fn cause_strategy() -> impl Strategy<Value = SplinterCause> {
     prop_oneof![
@@ -22,14 +18,8 @@ fn cause_strategy() -> impl Strategy<Value = SplinterCause> {
     ]
 }
 
-fn private(owner: GpuId) -> impl FnMut(PageId) -> Option<BasePageView> {
-    move |_| {
-        Some(BasePageView {
-            owner: Some(owner),
-            replicated: false,
-            touched: true,
-        })
-    }
+fn private(owner: GpuId) -> impl FnMut(PageId) -> Option<GpuId> {
+    move |_| Some(owner)
 }
 
 proptest! {
@@ -38,12 +28,11 @@ proptest! {
         ppf in 2u64..=512,
         frame in 0u64..64,
         owner in 0u8..8,
-        mode in mode_strategy(),
         cause in cause_strategy(),
         probe in 0u64..512,
     ) {
         let footprint = (frame + 1) * ppf;
-        let mut t = LargePageTable::new(mode, ppf, footprint);
+        let mut t = LargePageTable::new(ppf, footprint);
         let owner = GpuId::new(owner);
         let base = PageId(frame * ppf);
         let inside = PageId(base.vpn() + probe % ppf);
@@ -84,7 +73,7 @@ proptest! {
         ppf in 2u64..=64,
         ops in prop::collection::vec((any::<bool>(), 0u64..16, 0u8..4), 0..64),
     ) {
-        let mut t = LargePageTable::new(PageSizeMode::Uniform2m, ppf, 16 * ppf);
+        let mut t = LargePageTable::new(ppf, 16 * ppf);
         let mut shadow: std::collections::HashMap<u64, GpuId> = Default::default();
         let (mut coalesces, mut splinters) = (0u64, 0u64);
         let mut peak = 0u64;

@@ -92,44 +92,36 @@ pub const ACCESS_COUNTER_THRESHOLD_DEFAULT: u32 = 256;
 ///
 /// Under [`PageSizeMode::Uniform4k`] the simulator behaves exactly as it
 /// always has: every mapping is a base page of `SimConfig::page_size`
-/// bytes and the `grit-pagesize` subsystem is inert. The other two modes
-/// turn on the two-level page-state model where base pages live inside
-/// 2 MB large-page frames:
+/// bytes and the `grit-pagesize` subsystem is inert.
+/// [`PageSizeMode::Mixed`] turns on the two-level page-state model where
+/// base pages live inside 2 MB large-page frames: the driver coalesces a
+/// frame once every base page in it is resident on one GPU with no
+/// replicas, so hot private ranges gain TLB reach, and splinters it again
+/// on false sharing and partial eviction.
 ///
-/// * [`PageSizeMode::Uniform2m`] — the driver coalesces every frame the
-///   moment it becomes fully resident and private, approximating a
-///   system that only allocates 2 MB pages (splintering still happens on
-///   false sharing and partial eviction, because the migration machinery
-///   operates on base pages).
-/// * [`PageSizeMode::Mixed`] — Mosaic-style transparent management: a
-///   frame is coalesced only once *every* base page inside it has been
-///   touched, so cold ranges stay at base granularity and hot private
-///   ranges gain TLB reach.
+/// There is one large-page mode, not Mosaic's two. A GPU only ever owns a
+/// page it has touched (`UvmDriver::check_invariants` checks this), so
+/// "fully touched" adds nothing to "fully resident and private", and the
+/// model has no contiguity-conserving allocator that could tell an eager
+/// 2 MB policy apart from a transparent one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PageSizeMode {
     /// Base pages only; behavior (and output) identical to the pre-
     /// multi-page-size simulator.
     #[default]
     Uniform4k,
-    /// Coalesce every fully-resident private 2 MB frame eagerly.
-    Uniform2m,
-    /// Coalesce only fully-touched, fully-resident private frames.
+    /// Coalesce every fully-resident private 2 MB frame.
     Mixed,
 }
 
 impl PageSizeMode {
     /// Every mode, in stable order (also the order `describe()` encodes).
-    pub const ALL: [PageSizeMode; 3] = [
-        PageSizeMode::Uniform4k,
-        PageSizeMode::Uniform2m,
-        PageSizeMode::Mixed,
-    ];
+    pub const ALL: [PageSizeMode; 2] = [PageSizeMode::Uniform4k, PageSizeMode::Mixed];
 
     /// Stable name used by `--page-size-mode` and report labels.
     pub fn name(self) -> &'static str {
         match self {
             PageSizeMode::Uniform4k => "uniform4k",
-            PageSizeMode::Uniform2m => "uniform2m",
             PageSizeMode::Mixed => "mixed",
         }
     }
@@ -149,8 +141,8 @@ impl PageSizeMode {
         })
     }
 
-    /// True when large-page frames are managed at all (any mode other
-    /// than [`PageSizeMode::Uniform4k`]).
+    /// True when large-page frames are managed at all
+    /// ([`PageSizeMode::Mixed`]).
     pub fn large_pages_enabled(self) -> bool {
         self != PageSizeMode::Uniform4k
     }
@@ -873,8 +865,11 @@ mod tests {
         for mode in PageSizeMode::ALL {
             assert_eq!(PageSizeMode::parse(mode.name()).unwrap(), mode);
         }
-        let err = PageSizeMode::parse("huge").unwrap_err();
-        assert!(err.contains("uniform4k") && err.contains("mixed"), "{err}");
+        // The removed second large-page mode is rejected, not aliased.
+        for bad in ["huge", "uniform2m"] {
+            let err = PageSizeMode::parse(bad).unwrap_err();
+            assert!(err.contains("expected one of uniform4k, mixed)"), "{err}");
+        }
         assert_eq!(PageSizeMode::default(), PageSizeMode::Uniform4k);
         assert!(!PageSizeMode::Uniform4k.large_pages_enabled());
         assert!(PageSizeMode::Mixed.large_pages_enabled());

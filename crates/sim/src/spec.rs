@@ -67,8 +67,8 @@ pub struct RunSpec {
     pub gpus: Option<usize>,
     /// Page-size override in bytes (`None` = config default, 4 KiB).
     pub page_size: Option<u64>,
-    /// Large-page management mode by stable name (`"uniform4k"`,
-    /// `"uniform2m"`, `"mixed"`); `None` = uniform 4 KiB base pages.
+    /// Large-page management mode by stable name (`"uniform4k"` or
+    /// `"mixed"`); `None` = uniform 4 KiB base pages.
     pub page_size_mode: Option<String>,
     /// Topology spec in `--topology` grammar (`"ring"`,
     /// `"nvswitch:16"`, ...); `None` = all-to-all.
@@ -169,7 +169,7 @@ impl RunSpec {
     }
 
     /// Overrides the large-page management mode (CLI `--page-size-mode`
-    /// grammar: `uniform4k`, `uniform2m`, or `mixed`).
+    /// grammar: `uniform4k` or `mixed`).
     pub fn page_size_mode(mut self, mode: impl Into<String>) -> Self {
         self.page_size_mode = Some(mode.into());
         self
@@ -357,8 +357,11 @@ mod tests {
         let err = RunSpec::default().inject("explode@now").apply_to(&mut cfg).unwrap_err();
         assert_eq!(err.field, "inject");
 
-        let err = RunSpec::default().page_size_mode("huge").apply_to(&mut cfg).unwrap_err();
-        assert_eq!(err.field, "page_size_mode");
+        // The removed second large-page mode is rejected, not aliased.
+        for bad in ["huge", "uniform2m"] {
+            let err = RunSpec::default().page_size_mode(bad).apply_to(&mut cfg).unwrap_err();
+            assert_eq!(err.field, "page_size_mode");
+        }
 
         // Out-of-range GPU counts are caught by validate(), not silently
         // applied.
@@ -397,7 +400,7 @@ mod tests {
             .seed(7)
             .gpus(2)
             .page_size(4096)
-            .page_size_mode("uniform2m")
+            .page_size_mode("mixed")
             .topology("ring")
             .inject("retire@10:gpu=0:frames=1")
             .check_invariants(true)
@@ -409,7 +412,7 @@ mod tests {
             .profile(true);
         assert_eq!(spec.app, "bfs");
         assert_eq!(spec.policy, "ideal");
-        assert_eq!(spec.page_size_mode.as_deref(), Some("uniform2m"));
+        assert_eq!(spec.page_size_mode.as_deref(), Some("mixed"));
         // The former shard-count knob still chains, as a no-op.
         assert_eq!(spec, spec.clone().sim_threads(8));
         assert_eq!(spec.timeout_secs, Some(1.5));

@@ -14,7 +14,7 @@
 use grit_interconnect::Fabric;
 use grit_mem::{GpuMemory, LocalPageTable, Mapping};
 use grit_metrics::{FaultCounters, LatencyBreakdown, LatencyClass, LatencyHistogram};
-use grit_pagesize::{BasePageView, LargePageTable, SplinterCause};
+use grit_pagesize::{LargePageTable, SplinterCause};
 use grit_prof::{span, Phase};
 use grit_sim::{
     AccessKind, Backoff, ConfigError, Cycle, FaultPlan, GpuId, InjectedKind, MemLoc, PageId,
@@ -278,9 +278,8 @@ impl UvmDriver {
         (self.large.frame_owner(vpn) == Some(gpu)).then(|| self.large.frame_base(vpn))
     }
 
-    /// Whether this driver manages multi-page-size state at all (a
-    /// `page_size_mode` other than `uniform4k` with base pages smaller
-    /// than 2 MB).
+    /// Whether this driver manages multi-page-size state at all
+    /// (`page_size_mode` `mixed` with base pages smaller than 2 MB).
     pub fn large_pages_active(&self) -> bool {
         self.large.enabled()
     }
@@ -497,8 +496,9 @@ impl UvmDriver {
                 }
             }
         }
-        // A GPU owns only pages it has touched (large-page coalescing
-        // relies on it), and replica holders must be resident.
+        // A GPU owns only pages it has touched (so a coalesced frame is
+        // fully touched without coalescing checking it), and replica
+        // holders must be resident.
         for (vpn, state) in self.central.iter() {
             if let MemLoc::Gpu(g) = state.owner {
                 if !state.touched {
@@ -1067,14 +1067,10 @@ impl UvmDriver {
         let central = &self.central;
         let candidate = self.large.coalesce_candidate(vpn, |p| {
             let st = central.page(p);
-            Some(BasePageView {
-                owner: match st.owner {
-                    MemLoc::Gpu(g) => Some(g),
-                    MemLoc::Host => None,
-                },
-                replicated: !st.replicas.is_empty(),
-                touched: st.touched,
-            })
+            match st.owner {
+                MemLoc::Gpu(g) if st.replicas.is_empty() => Some(g),
+                _ => None,
+            }
         });
         if let Some((base, owner)) = candidate {
             self.large.coalesce(base, owner);
@@ -1771,7 +1767,7 @@ mod tests {
     fn large_cfg() -> SimConfig {
         SimConfig {
             page_size: 512 * 1024,
-            page_size_mode: grit_sim::PageSizeMode::Uniform2m,
+            page_size_mode: grit_sim::PageSizeMode::Mixed,
             ..SimConfig::default()
         }
     }

@@ -23,7 +23,7 @@ proptest! {
     ) {
         let mut cfg = SimConfig::with_gpus(gpus);
         cfg.page_size = (256 * 1024u64) << shift;
-        cfg.page_size_mode = PageSizeMode::Uniform2m;
+        cfg.page_size_mode = PageSizeMode::Mixed;
         let ppf = cfg.pages_per_large_frame();
         let page_size = cfg.page_size;
         let mut d = UvmDriver::new(

@@ -363,7 +363,7 @@ fn print_usage() {
     );
     eprintln!("  --page-size N       base page size in bytes for every cell (default 4096)");
     eprintln!(
-        "  --page-size-mode M  large-page management for every cell: uniform4k (default), uniform2m, mixed"
+        "  --page-size-mode M  large-page management for every cell: uniform4k (default) or mixed (coalesce private 2 MB frames)"
     );
     eprintln!(
         "  --inject SPEC       deterministic fault schedule for every cell, e.g. 'outage@1000:wire=0:for=5000;retire@2000:gpu=1:pct=10'"
@@ -504,21 +504,23 @@ fn print_config_tables() {
     }
 }
 
-fn run_figure(
-    name: &str,
-    exp: &ExpConfig,
-    csv_dir: &Option<PathBuf>,
-    cache: &mut TableCache,
-) -> bool {
-    match name {
-        "tables" => print_config_tables(),
-        "summary" => run_summary(exp, cache),
-        "validate" => {
+/// Runs one named target: the experiment config, the `--csv` directory
+/// and the tables later targets reuse.
+type Figure = fn(&ExpConfig, &Option<PathBuf>, &mut TableCache);
+
+/// The runner for a target name (aliases included), or `None` for an
+/// unknown name. `main` resolves every target before running any, so a
+/// typo fails fast instead of after the targets before it.
+fn figure(name: &str) -> Option<Figure> {
+    Some(match name {
+        "tables" => |_, _, _| print_config_tables(),
+        "summary" => |exp, _, cache| run_summary(exp, cache),
+        "validate" => |exp, _, _| {
             if !run_validate(exp) {
                 eprintln!("[repro] at least one generator drifted from its band");
             }
-        }
-        "stats" => {
+        },
+        "stats" => |exp, _, _| {
             use grit::experiments::{run_cell, PolicyKind};
             use grit_sim::Scheme;
             for app in grit_workloads::App::TABLE2 {
@@ -551,19 +553,21 @@ fn run_figure(
                     );
                 }
             }
-        }
-        "fig1" => emit(&ex::fig01_schemes::run(exp), "fig1", csv_dir),
-        "fig3" => emit(&ex::fig03_breakdown::run(exp), "fig3", csv_dir),
-        "fig4" => emit(&ex::fig04_sharing::run(exp), "fig4", csv_dir),
-        "fig5" => {
+        },
+        "fig1" => |exp, csv_dir, _| emit(&ex::fig01_schemes::run(exp), "fig1", csv_dir),
+        "fig3" => |exp, csv_dir, _| emit(&ex::fig03_breakdown::run(exp), "fig3", csv_dir),
+        "fig4" => |exp, csv_dir, _| emit(&ex::fig04_sharing::run(exp), "fig4", csv_dir),
+        "fig5" => |exp, csv_dir, _| {
             for (i, t) in ex::fig05_page_timeline::run(exp).into_iter().enumerate() {
                 emit(&t, &format!("fig5_{i}"), csv_dir);
             }
+        },
+        "fig6" | "fig7" | "fig8" => {
+            |exp, csv_dir, _| emit(&ex::fig06_attr_grids::run(exp), "fig6_8", csv_dir)
         }
-        "fig6" | "fig7" | "fig8" => emit(&ex::fig06_attr_grids::run(exp), "fig6_8", csv_dir),
-        "fig9" => emit(&ex::fig09_rw::run(exp), "fig9", csv_dir),
-        "fig10" => emit(&ex::fig10_rw_timeline::run(exp), "fig10", csv_dir),
-        "fig17" => {
+        "fig9" => |exp, csv_dir, _| emit(&ex::fig09_rw::run(exp), "fig9", csv_dir),
+        "fig10" => |exp, csv_dir, _| emit(&ex::fig10_rw_timeline::run(exp), "fig10", csv_dir),
+        "fig17" => |exp, csv_dir, cache| {
             let t = ex::fig17_grit::run(exp);
             emit(&t, "fig17", csv_dir);
             let (ot, ac, d) = ex::fig17_grit::headline(&t);
@@ -577,38 +581,38 @@ fn run_figure(
                 "paper:    GRIT vs on-touch +60%  vs access-counter +49%  vs duplication +29%\n"
             );
             cache.fig17 = Some(t);
-        }
-        "fig18" => {
+        },
+        "fig18" => |exp, csv_dir, cache| {
             let t = ex::fig18_faults::run(exp);
             emit(&t, "fig18", csv_dir);
             cache.fig18 = Some(t);
-        }
-        "fig19" => emit(&ex::fig19_scheme_mix::run(exp), "fig19", csv_dir),
-        "fig20" => emit(&ex::fig20_ablation::run(exp), "fig20", csv_dir),
-        "fig21" => emit(&ex::fig21_threshold::run(exp), "fig21", csv_dir),
-        "fig22" | "fig23" | "fig24" => {
+        },
+        "fig19" => |exp, csv_dir, _| emit(&ex::fig19_scheme_mix::run(exp), "fig19", csv_dir),
+        "fig20" => |exp, csv_dir, _| emit(&ex::fig20_ablation::run(exp), "fig20", csv_dir),
+        "fig21" => |exp, csv_dir, _| emit(&ex::fig21_threshold::run(exp), "fig21", csv_dir),
+        "fig22" | "fig23" | "fig24" => |exp, csv_dir, _| {
             for (n, perf, faults) in ex::fig22_gpu_scaling::run(exp) {
                 println!("--- {n} GPUs ---");
                 emit(&perf, &format!("fig22_24_{n}gpu_perf"), csv_dir);
                 emit(&faults, &format!("fig22_24_{n}gpu_faults"), csv_dir);
             }
-        }
-        "fig25" => emit(&ex::fig25_large_pages::run(exp), "fig25", csv_dir),
-        "fig26" => emit(&ex::fig26_griffin::run(exp), "fig26", csv_dir),
-        "fig27" => emit(&ex::fig27_gps::run(exp), "fig27", csv_dir),
-        "fig28" => emit(&ex::fig28_transfw::run(exp), "fig28", csv_dir),
-        "fig29" => emit(&ex::fig29_first_touch::run(exp), "fig29", csv_dir),
-        "fig30" => emit(&ex::fig30_prefetch::run(exp), "fig30", csv_dir),
-        "fig31" => emit(&ex::fig31_dnn::run(exp), "fig31", csv_dir),
-        "oracle" => emit(&ex::ext_oracle::run(exp), "oracle", csv_dir),
-        "pacache" => emit(&ex::ext_pa_cache::run(exp), "pacache", csv_dir),
-        "extra" => emit(&ex::ext_workloads::run(exp), "extra_workloads", csv_dir),
-        "adapt" => {
+        },
+        "fig25" => |exp, csv_dir, _| emit(&ex::fig25_large_pages::run(exp), "fig25", csv_dir),
+        "fig26" => |exp, csv_dir, _| emit(&ex::fig26_griffin::run(exp), "fig26", csv_dir),
+        "fig27" => |exp, csv_dir, _| emit(&ex::fig27_gps::run(exp), "fig27", csv_dir),
+        "fig28" => |exp, csv_dir, _| emit(&ex::fig28_transfw::run(exp), "fig28", csv_dir),
+        "fig29" => |exp, csv_dir, _| emit(&ex::fig29_first_touch::run(exp), "fig29", csv_dir),
+        "fig30" => |exp, csv_dir, _| emit(&ex::fig30_prefetch::run(exp), "fig30", csv_dir),
+        "fig31" => |exp, csv_dir, _| emit(&ex::fig31_dnn::run(exp), "fig31", csv_dir),
+        "oracle" => |exp, csv_dir, _| emit(&ex::ext_oracle::run(exp), "oracle", csv_dir),
+        "pacache" => |exp, csv_dir, _| emit(&ex::ext_pa_cache::run(exp), "pacache", csv_dir),
+        "extra" => |exp, csv_dir, _| emit(&ex::ext_workloads::run(exp), "extra_workloads", csv_dir),
+        "adapt" => |exp, csv_dir, _| {
             for (i, t) in ex::ext_adaptation::run(exp).into_iter().enumerate() {
                 emit(&t, &format!("adapt_{i}"), csv_dir);
             }
-        }
-        "sweeps" => {
+        },
+        "sweeps" => |exp, csv_dir, _| {
             emit(
                 &ex::ext_sweeps::run_capacity(exp),
                 "sweep_capacity",
@@ -620,19 +624,19 @@ fn run_figure(
                 csv_dir,
             );
             emit(&ex::ext_sweeps::run_mlp(exp), "sweep_mlp", csv_dir);
-        }
-        "ext-topology" | "topology" => {
+        },
+        "ext-topology" | "topology" => |exp, csv_dir, _| {
             let study = ex::ext_topology::run(exp);
             emit(&study.speedup, "ext_topology_speedup", csv_dir);
             emit(&study.queue, "ext_topology_queue", csv_dir);
-        }
-        "ext-pagesize" | "pagesize" => {
+        },
+        "ext-pagesize" | "pagesize" => |exp, csv_dir, _| {
             let study = ex::ext_pagesize::run(exp);
             emit(&study.speedup, "ext_pagesize_speedup", csv_dir);
             emit(&study.tlb, "ext_pagesize_tlb", csv_dir);
             emit(&study.activity, "ext_pagesize_activity", csv_dir);
-        }
-        "ext-resilience" | "resilience" => {
+        },
+        "ext-resilience" | "resilience" => |exp, csv_dir, _| {
             let study = ex::ext_resilience::run(exp);
             emit(&study.slowdown, "ext_resilience_slowdown", csv_dir);
             for (scenario, r) in &study.counters {
@@ -652,10 +656,9 @@ fn run_figure(
                     eprintln!("[repro] {scenario}: blocked migrations left unresolved");
                 }
             }
-        }
-        _ => return false,
-    }
-    true
+        },
+        _ => return None,
+    })
 }
 
 /// Inputs to `repro submit`, collected from the flag loop.
@@ -1153,7 +1156,7 @@ fn main() -> ExitCode {
             "--page-size-mode" => {
                 i += 1;
                 let Some(spec) = args.get(i) else {
-                    eprintln!("--page-size-mode needs a mode (uniform4k, uniform2m, mixed)");
+                    eprintln!("--page-size-mode needs a mode (uniform4k, mixed)");
                     return ExitCode::FAILURE;
                 };
                 if let Err(e) = grit_sim::PageSizeMode::parse(spec) {
@@ -1347,6 +1350,13 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::FAILURE;
     }
+    // Resolve every target before running any, so an unknown name fails
+    // before the targets ahead of it print their tables.
+    if let Some(t) = targets.iter().find(|t| !serve_mode && figure(t).is_none()) {
+        eprintln!("unknown figure: {t}");
+        print_usage();
+        return ExitCode::FAILURE;
+    }
 
     if let Some(path) = &trace_path {
         if serve_mode {
@@ -1410,11 +1420,8 @@ fn main() -> ExitCode {
         for t in &targets {
             eprintln!("[repro] running {t} ...");
             let started = Instant::now();
-            if !run_figure(t, &exp, &csv_dir, &mut cache) {
-                eprintln!("unknown figure: {t}");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            let run = figure(t).expect("targets were resolved before the run");
+            run(&exp, &csv_dir, &mut cache);
             let seconds = started.elapsed().as_secs_f64();
             report_sink::record_target(t, seconds);
             eprintln!("[repro] {t} time: {seconds:.2}s");

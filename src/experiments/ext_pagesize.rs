@@ -1,13 +1,13 @@
 //! Extension study: multi-page-size memory management (Mosaic-style).
 //!
 //! The paper's policies all manage memory in 4 KB pages. This study asks
-//! what transparent 2 MB large pages do to them: every page-size mode
-//! (`uniform4k`, `uniform2m`, `mixed`) is swept against three placement
-//! policies over the Table II applications, through the resilient batch
-//! harness. The key question is what happens when counter-group tracking
-//! collapses to one counter per 2 MB frame — coalescing aliases all
-//! sixteen 64 KB groups of a frame onto a single frame-keyed counter, so
-//! migration decisions get coarser exactly when translation gets cheaper.
+//! what transparent 2 MB large pages do to them: both page-size modes
+//! (`uniform4k` and `mixed`) are swept against three placement policies
+//! over the Table II applications, through the resilient batch harness.
+//! The key question is what happens when counter-group tracking collapses
+//! to one counter per 2 MB frame — coalescing aliases all sixteen 64 KB
+//! groups of a frame onto a single frame-keyed counter, so migration
+//! decisions get coarser exactly when translation gets cheaper.
 //!
 //! Three tables come back:
 //!
@@ -183,7 +183,7 @@ pub fn study(apps: &[App], exp: &ExpConfig) -> PagesizeStudy {
     }
 }
 
-/// Runs the full study: every page-size mode × three policies × Table II.
+/// Runs the full study: both page-size modes × three policies × Table II.
 pub fn run(exp: &ExpConfig) -> PagesizeStudy {
     study(&table2_apps(), exp)
 }
@@ -218,10 +218,8 @@ mod tests {
             let col = p.label();
             let base = s.speedup.cell("uniform4k", &col).unwrap();
             assert!((base - 1.0).abs() < 1e-12, "{col}: {base}");
-            for mode in [PageSizeMode::Uniform2m, PageSizeMode::Mixed] {
-                let v = s.speedup.cell(mode.name(), &col).unwrap();
-                assert!(v.is_finite() && v > 0.0, "{} {col}: {v}", mode.name());
-            }
+            let v = s.speedup.cell("mixed", &col).unwrap();
+            assert!(v.is_finite() && v > 0.0, "mixed {col}: {v}");
         }
     }
 
@@ -247,13 +245,10 @@ mod tests {
     fn large_page_modes_report_2m_tlb_hit_rates() {
         let s = study(&[App::Fir], &framed());
         assert_eq!(s.tlb.cell("uniform4k", "l1-2m").unwrap(), 0.0);
-        for mode in [PageSizeMode::Uniform2m, PageSizeMode::Mixed] {
-            let l1 = s.tlb.cell(mode.name(), "l1-2m").unwrap();
-            assert!(
-                l1 > 0.5 && l1 <= 1.0,
-                "{}: coalesced FIR streams should hit the 2 MB L1 hard: {l1}",
-                mode.name()
-            );
-        }
+        let l1 = s.tlb.cell("mixed", "l1-2m").unwrap();
+        assert!(
+            l1 > 0.5 && l1 <= 1.0,
+            "mixed: coalesced FIR streams should hit the 2 MB L1 hard: {l1}"
+        );
     }
 }

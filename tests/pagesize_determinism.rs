@@ -1,5 +1,5 @@
 //! Determinism pin for large-page modes: coalescing and splintering run
-//! only on the driver's serial paths, so `uniform2m`/`mixed` cells must
+//! only on the driver's serial paths, so `mixed` cells must
 //! stay byte-identical — metrics, page attributes and the JSONL trace
 //! stream (including `page-coalesced`/`page-splintered` events) — at
 //! any `--jobs` (DESIGN.md §17).
@@ -20,19 +20,15 @@ fn exp() -> ExpConfig {
     }
 }
 
-/// Mixed- and uniform2m-mode cells across the policies that exercise all
-/// large-page paths: counter trips (access-counter), migrations and
-/// duplications (grit).
+/// Mixed-mode cells across the policies that exercise all large-page
+/// paths: counter trips (access-counter), migrations and duplications
+/// (grit).
 fn grid() -> Vec<CellSpec> {
     let mut cells = Vec::new();
-    for (app, mode) in [
-        (App::St, PageSizeMode::Mixed),
-        (App::St, PageSizeMode::Uniform2m),
-        (App::Fir, PageSizeMode::Mixed),
-    ] {
+    for app in [App::St, App::Fir] {
         for policy in [PolicyKind::Static(Scheme::AccessCounter), PolicyKind::GRIT] {
             let cfg = SimConfig {
-                page_size_mode: mode,
+                page_size_mode: PageSizeMode::Mixed,
                 ..SimConfig::default()
             };
             cells.push(

@@ -235,21 +235,46 @@ fn profile_renders_reports_with_sharded_engine_fields() {
     assert!(!out.contains("speculation"), "{out}");
 }
 
+/// Runs `repro` with `args`, which it must reject before any target
+/// runs: a nonzero exit and nothing on stdout. Returns stderr.
+fn rejected(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs");
+    assert!(!out.status.success(), "{args:?} must be rejected");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?}: a target ran before the rejection"
+    );
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 /// An unknown flag is rejected while the arguments are parsed, before any
-/// target runs: nothing reaches stdout.
+/// target runs.
 #[test]
 fn unknown_flag_is_rejected_before_any_target_runs() {
     for flag in ["--threshold", "--bogus-flag"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["fig4", "--quick", flag, "300"])
-            .output()
-            .expect("repro runs");
-        assert!(!out.status.success(), "{flag} must be rejected");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = rejected(&["fig4", "--quick", flag, "300"]);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{flag}: a target ran before the rejection"
-        );
     }
+}
+
+/// Every positional target is resolved before any runs: an unknown name
+/// after a valid one fails without printing the valid one's table.
+#[test]
+fn unknown_target_is_rejected_before_any_target_runs() {
+    let stderr = rejected(&["fig4", "fig99", "--quick"]);
+    assert!(stderr.contains("unknown figure: fig99"), "{stderr}");
+}
+
+/// The removed second large-page mode is an unknown mode, not an alias
+/// of `mixed`.
+#[test]
+fn removed_page_size_mode_is_rejected() {
+    let stderr = rejected(&["fig18", "--quick", "--page-size-mode", "uniform2m"]);
+    assert!(
+        stderr.contains("expected one of uniform4k, mixed"),
+        "{stderr}"
+    );
 }
