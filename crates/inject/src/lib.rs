@@ -445,7 +445,8 @@ pub struct ResilienceCounters {
     pub fallback_remote: u64,
     /// Blocked migrations that staged the page through host memory.
     pub host_staged: u64,
-    /// Invariant checks executed by the injection machinery.
+    /// Invariant sweeps the driver ran: one per applied transition and
+    /// one per epoch boundary.
     pub invariant_checks: u64,
 }
 

@@ -46,9 +46,6 @@ pub fn spec_to_json(spec: &RunSpec) -> Json {
     if let Some(inject) = &spec.inject {
         fields.push(("inject".into(), Json::Str(inject.clone())));
     }
-    if spec.check_invariants {
-        fields.push(("check_invariants".into(), Json::Bool(true)));
-    }
     if let Some(secs) = spec.timeout_secs {
         fields.push(("timeout_secs".into(), Json::Float(secs)));
     }
@@ -60,9 +57,6 @@ pub fn spec_to_json(spec: &RunSpec) -> Json {
         if spec.trace_sample != 1 {
             fields.push(("trace_sample".into(), Json::UInt(spec.trace_sample)));
         }
-    }
-    if spec.profile {
-        fields.push(("profile".into(), Json::Bool(true)));
     }
     Json::Obj(fields)
 }
@@ -96,14 +90,12 @@ pub fn spec_from_json(v: &Json) -> Result<RunSpec, String> {
     spec.page_size_mode = v.get("page_size_mode").and_then(Json::as_str).map(String::from);
     spec.topology = v.get("topology").and_then(Json::as_str).map(String::from);
     spec.inject = v.get("inject").and_then(Json::as_str).map(String::from);
-    spec.check_invariants = v.get("check_invariants").and_then(Json::as_bool).unwrap_or(false);
     spec.timeout_secs = v.get("timeout_secs").and_then(Json::as_f64);
     spec.trace = v.get("trace").and_then(Json::as_bool).unwrap_or(false);
     spec.trace_filter = v.get("trace_filter").and_then(Json::as_str).map(String::from);
     if let Some(n) = v.get("trace_sample").and_then(Json::as_u64) {
         spec.trace_sample = n.max(1);
     }
-    spec.profile = v.get("profile").and_then(Json::as_bool).unwrap_or(false);
     Ok(spec)
 }
 
@@ -424,12 +416,10 @@ mod tests {
             .page_size_mode("mixed")
             .topology("ring")
             .inject("retire@10:gpu=0:frames=1")
-            .check_invariants(true)
             .timeout_secs(3.5)
             .trace(true)
             .trace_filter("fault,migration")
-            .trace_sample(4)
-            .profile(true);
+            .trace_sample(4);
         let back = spec_from_json(&spec_to_json(&spec)).unwrap();
         assert_eq!(back, spec);
         // And a default-ish spec too (optional fields absent on the wire).

@@ -513,15 +513,9 @@ pub struct SimConfig {
     /// Maximum outstanding memory operations per GPU (memory-level
     /// parallelism window standing in for the CU pipelines).
     pub mlp_window: usize,
-    /// Deterministic seed for workload generation.
-    pub seed: u64,
     /// Cycle-scheduled hardware fault injection (empty by default: the
     /// simulation is byte-identical to one without the subsystem).
     pub inject: InjectConfig,
-    /// Run the driver's VM-state invariant checks at every epoch boundary
-    /// and after every injected fault (always on under
-    /// `cfg(debug_assertions)`; this opts release builds in).
-    pub check_invariants: bool,
 }
 
 impl Default for SimConfig {
@@ -565,9 +559,7 @@ impl Default for SimConfig {
             topology: TopologyConfig::default(),
             lat: LatencyConfig::default(),
             mlp_window: 48,
-            seed: 0xD1CE_BEEF,
             inject: InjectConfig::none(),
-            check_invariants: false,
         }
     }
 }

@@ -18,6 +18,8 @@
 //! fields never break downstream callers; JSON encoding lives in
 //! `grit-serve` (this crate has no JSON dependency).
 
+use std::time::Duration;
+
 use crate::config::{ConfigError, SimConfig, TopologyConfig};
 use grit_inject::InjectConfig;
 
@@ -29,6 +31,18 @@ pub const DEFAULT_SCALE: f64 = 0.10;
 pub const DEFAULT_INTENSITY: f64 = 2.0;
 /// Default workload seed; must agree with `ExpConfig::default()`.
 pub const DEFAULT_SEED: u64 = 0xBEEF;
+
+/// The per-cell wall-clock budget `secs` as a [`Duration`]: the one check
+/// every `timeout_secs` from outside the program passes (`--cell-timeout`,
+/// served specs) before a batch turns it into a deadline.
+///
+/// # Errors
+///
+/// A [`ConfigError`] on `timeout_secs` when `secs` is negative, NaN, or
+/// too large for a `Duration`.
+pub fn timeout_from_secs(secs: f64) -> Result<Duration, ConfigError> {
+    Duration::try_from_secs_f64(secs).map_err(|e| ConfigError::new("timeout_secs", e.to_string()))
+}
 
 /// A complete, serializable description of one simulation cell: which
 /// workload and placement policy to run, at what experiment scale, and
@@ -75,8 +89,6 @@ pub struct RunSpec {
     pub topology: Option<String>,
     /// Fault-injection plan in `--inject` grammar; `None` = healthy run.
     pub inject: Option<String>,
-    /// Opt release builds into per-event invariant checking.
-    pub check_invariants: bool,
     /// Per-cell wall-clock budget in seconds (`None` = no timeout).
     pub timeout_secs: Option<f64>,
     /// Record structured trace events for this cell.
@@ -86,8 +98,6 @@ pub struct RunSpec {
     pub trace_filter: Option<String>,
     /// Keep every Nth trace event per category (1 = keep all).
     pub trace_sample: u64,
-    /// Record engine self-profiling phases for this cell.
-    pub profile: bool,
 }
 
 impl Default for RunSpec {
@@ -105,12 +115,10 @@ impl Default for RunSpec {
             page_size_mode: None,
             topology: None,
             inject: None,
-            check_invariants: false,
             timeout_secs: None,
             trace: false,
             trace_filter: None,
             trace_sample: 1,
-            profile: false,
         }
     }
 }
@@ -187,12 +195,6 @@ impl RunSpec {
         self
     }
 
-    /// Opts release builds into invariant checking.
-    pub fn check_invariants(mut self, on: bool) -> Self {
-        self.check_invariants = on;
-        self
-    }
-
     /// Accepted for compatibility and ignored: every cell runs its
     /// event loop on one thread (`--jobs` is the parallelism).
     pub fn sim_threads(self, _threads: usize) -> Self {
@@ -223,25 +225,19 @@ impl RunSpec {
         self
     }
 
-    /// Enables engine self-profiling for this cell.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
-        self
-    }
-
     /// Applies the machine-shaping overrides (`gpus`, `page_size`,
-    /// `page_size_mode`, `topology`, `inject`, `check_invariants`) to
-    /// `cfg`, parsing the
+    /// `page_size_mode`, `topology`, `inject`) to `cfg`, parsing the
     /// string grammars and validating the result. Experiment knobs
     /// (`scale`/`intensity`/`seed`) and execution knobs
-    /// (`timeout_secs`/trace/profile) are untouched: they
-    /// belong to other layers.
+    /// (`timeout_secs`/trace) are left to other layers; `timeout_secs`
+    /// is only checked ([`timeout_from_secs`]).
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the offending field when a
-    /// topology or inject spec fails to parse or the resulting
-    /// configuration fails [`SimConfig::validate`].
+    /// topology or inject spec fails to parse, the timeout is not a
+    /// valid duration, or the resulting configuration fails
+    /// [`SimConfig::validate`].
     pub fn apply_to(&self, cfg: &mut SimConfig) -> Result<(), ConfigError> {
         if let Some(gpus) = self.gpus {
             cfg.num_gpus = gpus;
@@ -261,16 +257,10 @@ impl RunSpec {
             cfg.inject =
                 InjectConfig::parse(spec).map_err(|e| ConfigError::new("inject", e.to_string()))?;
         }
-        if self.check_invariants {
-            cfg.check_invariants = true;
+        if let Some(secs) = self.timeout_secs {
+            timeout_from_secs(secs)?;
         }
         cfg.validate()
-    }
-
-    /// True when every field still holds its default: applying the spec
-    /// to a config is then a no-op beyond validation.
-    pub fn is_default(&self) -> bool {
-        *self == RunSpec::default()
     }
 
     /// Renders the spec as a stable single-line `key=value;` string in
@@ -288,8 +278,8 @@ impl RunSpec {
         }
         format!(
             "app={};policy={};scale={};intensity={};seed={};gpus={};page_size={};\
-             page_size_mode={};topology={};inject={};check_invariants={};timeout_secs={};\
-             trace={};trace_filter={};trace_sample={};profile={}",
+             page_size_mode={};topology={};inject={};timeout_secs={};\
+             trace={};trace_filter={};trace_sample={}",
             self.app,
             self.policy,
             self.scale,
@@ -300,12 +290,10 @@ impl RunSpec {
             opt(&self.page_size_mode),
             opt(&self.topology),
             opt(&self.inject),
-            self.check_invariants,
             opt(&self.timeout_secs),
             self.trace,
             opt(&self.trace_filter),
             self.trace_sample,
-            self.profile,
         )
     }
 }
@@ -319,7 +307,6 @@ mod tests {
         let mut cfg = SimConfig::default();
         RunSpec::default().apply_to(&mut cfg).unwrap();
         assert_eq!(cfg, SimConfig::default());
-        assert!(RunSpec::default().is_default());
     }
 
     #[test]
@@ -328,8 +315,7 @@ mod tests {
             .gpus(8)
             .page_size(2 * 1024 * 1024)
             .topology("nvswitch:16")
-            .inject("degrade@1000:wire=*:frac=0.5:for=500")
-            .check_invariants(true);
+            .inject("degrade@1000:wire=*:frac=0.5:for=500");
         let mut cfg = SimConfig::default();
         spec.apply_to(&mut cfg).unwrap();
         assert_eq!(cfg.num_gpus, 8);
@@ -337,7 +323,6 @@ mod tests {
         assert_eq!(cfg.topology.name(), "nvswitch");
         assert_eq!(cfg.topology.switch_radix, 16);
         assert!(!cfg.inject.is_empty());
-        assert!(cfg.check_invariants);
 
         // Large-page mode threads through by stable name (the 2 MB
         // page-size override above must drop back to 4 KB base pages
@@ -367,6 +352,13 @@ mod tests {
         // applied.
         let err = RunSpec::default().gpus(64).apply_to(&mut cfg).unwrap_err();
         assert_eq!(err.field, "num_gpus");
+
+        // A timeout must be a representable duration: negative, infinite
+        // and overflowing budgets are rejected, not panicked on later.
+        for bad in [-1.0, f64::INFINITY, 1e300, f64::NAN] {
+            let err = RunSpec::default().timeout_secs(bad).apply_to(&mut cfg).unwrap_err();
+            assert_eq!(err.field, "timeout_secs", "{bad}");
+        }
     }
 
     #[test]
@@ -375,8 +367,8 @@ mod tests {
         assert_eq!(
             a.canonical(),
             "app=Gemm;policy=grit;scale=0.1;intensity=2;seed=48879;gpus=-;page_size=-;\
-             page_size_mode=-;topology=-;inject=-;check_invariants=false;timeout_secs=-;\
-             trace=false;trace_filter=-;trace_sample=1;profile=false"
+             page_size_mode=-;topology=-;inject=-;timeout_secs=-;\
+             trace=false;trace_filter=-;trace_sample=1"
         );
         let b = a.clone().gpus(8);
         assert_ne!(a.canonical(), b.canonical());
@@ -403,20 +395,18 @@ mod tests {
             .page_size_mode("mixed")
             .topology("ring")
             .inject("retire@10:gpu=0:frames=1")
-            .check_invariants(true)
             .sim_threads(4)
             .timeout_secs(1.5)
             .trace(true)
             .trace_filter("fault,migration")
-            .trace_sample(8)
-            .profile(true);
+            .trace_sample(8);
         assert_eq!(spec.app, "bfs");
         assert_eq!(spec.policy, "ideal");
         assert_eq!(spec.page_size_mode.as_deref(), Some("mixed"));
         // The former shard-count knob still chains, as a no-op.
         assert_eq!(spec, spec.clone().sim_threads(8));
         assert_eq!(spec.timeout_secs, Some(1.5));
-        assert!(spec.trace && spec.profile && spec.check_invariants);
+        assert!(spec.trace);
         assert_eq!(spec.trace_sample, 8);
         // trace_sample clamps to >= 1 so "keep every 0th" can't divide
         // by zero downstream.

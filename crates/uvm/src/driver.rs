@@ -68,8 +68,8 @@ impl DriverOutcome {
 
 /// A violated cross-structure VM invariant: which GPU/page broke, at
 /// which driver cycle, and why. Returned by
-/// [`UvmDriver::check_invariants`]; the automatic debug-build checks
-/// panic with its [`Display`](std::fmt::Display) rendering.
+/// [`UvmDriver::check_invariants`]; the automatic sweeps panic with its
+/// [`Display`](std::fmt::Display) rendering.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InvariantViolation {
     /// The GPU whose state is inconsistent, when attributable to one.
@@ -395,8 +395,7 @@ impl UvmDriver {
     }
 
     /// Fault-injection outcome counters (all zero when no plan is active,
-    /// except `invariant_checks`, which also counts debug-build epoch
-    /// sweeps).
+    /// except `invariant_checks`, which also counts epoch sweeps).
     pub fn resilience_counters(&self) -> ResilienceCounters {
         self.resilience
     }
@@ -530,13 +529,12 @@ impl UvmDriver {
     }
 
     /// Automatic invariant sweep: runs after every applied injection and
-    /// at epoch boundaries, in debug builds always and in release builds
-    /// when `check_invariants` is set. A violation is a simulator bug and
-    /// fails loudly.
+    /// at epoch boundaries, in every build. A violation is a simulator bug
+    /// and fails loudly.
     fn auto_check_invariants(&mut self, now: Cycle) {
         // The Ideal upper bound deliberately fakes local mappings on every
         // GPU; its state is exempt from the consistency invariants.
-        if self.is_ideal() || (!cfg!(debug_assertions) && !self.cfg.check_invariants) {
+        if self.is_ideal() {
             return;
         }
         self.clock = self.clock.max(now);
@@ -721,7 +719,7 @@ impl UvmDriver {
             }
         }
         // Epoch boundaries are a natural consistency point: sweep the
-        // invariants in debug builds and under `--check-invariants`.
+        // invariants.
         self.auto_check_invariants(now);
         Some(out)
     }
@@ -1857,25 +1855,26 @@ mod tests {
         assert_eq!(d.pagesize_series(), vec![0.0; 9]);
     }
 
+    struct Ideal;
+    impl PlacementPolicy for Ideal {
+        fn name(&self) -> String {
+            "ideal".into()
+        }
+        fn on_fault(
+            &mut self,
+            _f: &FaultInfo,
+            _p: &crate::central::PageState,
+            _t: &mut CentralPageTable,
+        ) -> PolicyDecision {
+            PolicyDecision::plain(Resolution::Ideal)
+        }
+        fn is_ideal(&self) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn ideal_pays_only_cold_cost() {
-        struct Ideal;
-        impl PlacementPolicy for Ideal {
-            fn name(&self) -> String {
-                "ideal".into()
-            }
-            fn on_fault(
-                &mut self,
-                _f: &FaultInfo,
-                _p: &crate::central::PageState,
-                _t: &mut CentralPageTable,
-            ) -> PolicyDecision {
-                PolicyDecision::plain(Resolution::Ideal)
-            }
-            fn is_ideal(&self) -> bool {
-                true
-            }
-        }
         let mut d = UvmDriver::new(SimConfig::default(), 100, Box::new(Ideal));
         let first = d.handle_fault(fault(0, 1, AccessKind::Read, FaultKind::Local, 0));
         let second = d.handle_fault(fault(1, 1, AccessKind::Read, FaultKind::Local, 1_000_000));
@@ -2290,6 +2289,42 @@ mod tests {
         assert_eq!(v.gpu, Some(GpuId::new(1)));
         assert_eq!(v.vpn, Some(PageId(9)));
         assert!(v.to_string().contains("never touched"), "{v}");
+    }
+
+    /// The automatic sweep runs after every applied transition in every
+    /// build, so a corrupted state panics at the next one.
+    #[test]
+    #[should_panic(expected = "never touched")]
+    fn injected_transition_sweeps_the_invariants() {
+        let mut d = injected_driver(
+            "degrade@1000:wire=*:frac=0.5:for=100",
+            1000,
+            Scheme::OnTouch,
+        );
+        d.handle_fault(fault(1, 9, AccessKind::Read, FaultKind::Local, 500));
+        assert_eq!(d.resilience_counters().invariant_checks, 0);
+        // Corrupt the state: a GPU owner on a page marked cold.
+        d.central.page_mut(PageId(9)).touched = false;
+        d.handle_fault(fault(0, 10, AccessKind::Read, FaultKind::Local, 2_000));
+    }
+
+    /// Ideal fakes local mappings on every GPU, which the invariants
+    /// reject, so its driver applies transitions without sweeping.
+    #[test]
+    fn ideal_driver_is_not_swept() {
+        let cfg = SimConfig {
+            inject: grit_sim::InjectConfig::parse("degrade@1000:wire=*:frac=0.5:for=100").unwrap(),
+            ..SimConfig::default()
+        };
+        let mut d = UvmDriver::new(cfg, 100, Box::new(Ideal));
+        d.handle_fault(fault(0, 1, AccessKind::Read, FaultKind::Local, 0));
+        d.handle_fault(fault(1, 1, AccessKind::Read, FaultKind::Local, 1_000_000));
+        let r = d.resilience_counters();
+        assert_eq!(
+            (r.faults_injected, r.recoveries, r.invariant_checks),
+            (1, 1, 0)
+        );
+        assert!(d.check_invariants().is_err(), "a sweep would have panicked");
     }
 
     #[test]

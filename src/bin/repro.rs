@@ -23,9 +23,11 @@
 //! repro all --keep-going           # (default) failed cells become rows, exit 0
 //! ```
 //!
-//! A failed cell — panic, timeout, invariant violation — renders as an
-//! `err!` row in the affected tables and as a structured error record in
-//! `run_report.json`; the process exits nonzero only under `--fail-fast`.
+//! The UVM driver sweeps its VM-state invariants at every epoch boundary
+//! and after every injected fault, in every build. A failed cell — panic,
+//! timeout, invariant violation — renders as an `err!` row in the affected
+//! tables and as a structured error record in `run_report.json`; the
+//! process exits nonzero only under `--fail-fast`.
 //! Interrupting a `--resume` run and re-invoking it completes the
 //! remaining cells and prints byte-identical tables at any `--jobs`.
 //!
@@ -367,9 +369,6 @@ fn print_usage() {
     );
     eprintln!(
         "  --inject SPEC       deterministic fault schedule for every cell, e.g. 'outage@1000:wire=0:for=5000;retire@2000:gpu=1:pct=10'"
-    );
-    eprintln!(
-        "  --check-invariants  run the driver's VM-state invariant sweeps in release builds too"
     );
     eprintln!("  --trace PATH        write a structured JSONL event stream");
     eprintln!("  --trace-filter L    comma-separated event categories (default: all)");
@@ -1111,11 +1110,14 @@ fn main() -> ExitCode {
             "--force" => force = true,
             "--cell-timeout" => {
                 i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()).filter(|v| *v >= 0.0)
-                else {
+                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
                     eprintln!("--cell-timeout needs a non-negative number of seconds");
                     return ExitCode::FAILURE;
                 };
+                if let Err(e) = grit_sim::spec::timeout_from_secs(v) {
+                    eprintln!("--cell-timeout: {e}");
+                    return ExitCode::FAILURE;
+                }
                 ospec = ospec.timeout_secs(v);
             }
             "--resume" => ex::set_resume_dir(Some(PathBuf::from(".grit-resume"))),
@@ -1179,7 +1181,6 @@ fn main() -> ExitCode {
                 }
                 ospec = ospec.inject(spec);
             }
-            "--check-invariants" => ospec = ospec.check_invariants(true),
             "--store-max-bytes" => {
                 i += 1;
                 let Some(v) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)

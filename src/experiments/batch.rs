@@ -121,8 +121,8 @@ impl std::fmt::Debug for CellSpec {
 impl CellSpec {
     /// A cell with the baseline system configuration (under the
     /// process-wide override [`RunSpec`] installed by
-    /// [`set_override_spec`], so `repro --topology` / `--inject` /
-    /// `--check-invariants` reshape every figure driver).
+    /// [`set_override_spec`], so `repro --topology` / `--inject` reshape
+    /// every figure driver).
     pub fn new(app: App, policy: impl Into<PolicySpec>, exp: &ExpConfig) -> Self {
         CellSpec {
             app,
@@ -201,8 +201,7 @@ impl CellSpec {
         let mut spec = RunSpec::new(self.app.abbr(), self.policy_label())
             .scale(self.exp.scale)
             .intensity(self.exp.intensity)
-            .seed(self.exp.seed)
-            .check_invariants(self.cfg.check_invariants);
+            .seed(self.exp.seed);
         if self.cfg.num_gpus != d.num_gpus {
             spec = spec.gpus(self.cfg.num_gpus);
         }
@@ -465,10 +464,9 @@ static RESUME_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 /// (the `repro --store-max-bytes` flag).
 static STORE_MAX_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The process-wide override [`RunSpec`]: the single place the `repro`
-/// batch-override flags (`--topology`, `--inject`, `--check-invariants`,
-/// `--cell-timeout`) land. Machine-shaping fields flow into every
-/// subsequently declared [`CellSpec`]; the timeout seeds
-/// [`BatchOptions::from_defaults`].
+/// batch-override flags (`--topology`, `--inject`, `--cell-timeout`)
+/// land. Machine-shaping fields flow into every subsequently declared
+/// [`CellSpec`]; the timeout seeds [`BatchOptions::from_defaults`].
 static OVERRIDE_SPEC: Mutex<Option<RunSpec>> = Mutex::new(None);
 /// Process-wide progress-heartbeat opt-in (the `repro --progress` flag).
 static PROGRESS: AtomicBool = AtomicBool::new(false);
@@ -491,10 +489,9 @@ pub fn progress_enabled() -> bool {
 /// Installs the process-wide override [`RunSpec`] (`None` clears every
 /// override). The `repro` batch-override flags build one spec and land
 /// it here: its machine-shaping fields (`gpus`, `page_size`, `topology`,
-/// `inject`, `check_invariants`) are applied to every subsequently
-/// declared [`CellSpec`] — flowing into each cell's `SimConfig`, so
-/// resume keys and run reports distinguish overridden runs
-/// automatically — and its `timeout_secs` seeds
+/// `inject`) are applied to every subsequently declared [`CellSpec`] —
+/// flowing into each cell's `SimConfig`, so resume keys and run reports
+/// distinguish overridden runs automatically — and its `timeout_secs` seeds
 /// [`BatchOptions::from_defaults`]. The spec's `app`/`policy`/experiment
 /// knobs are ignored: cells already name those.
 pub fn set_override_spec(spec: Option<RunSpec>) {

@@ -201,5 +201,15 @@ mod tests {
         );
         let ret = s.counters.iter().find(|(n, _)| *n == "retirement").unwrap().1;
         assert!(ret.frames_retired > 0, "retirement must shrink DRAM");
+        // None of the policies runs epochs, so the driver sweeps its
+        // invariants exactly once per applied transition, in every build.
+        for (name, c) in &s.counters {
+            assert_eq!(
+                c.invariant_checks,
+                c.faults_injected + c.recoveries,
+                "{name}: {c:?}"
+            );
+            assert_eq!(c.invariant_checks > 0, *name != "none", "{name}: {c:?}");
+        }
     }
 }

@@ -18,8 +18,7 @@ use grit_metrics::{
 use grit_prof::{span, Phase};
 use grit_sim::{
     Access, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle, GpuId,
-    GritError, InjectConfig, MemLoc, MlpWindow, PageId, PageVec, SimConfig, SliceStream,
-    TopologyConfig,
+    GritError, MemLoc, MlpWindow, PageId, PageVec, SimConfig, SliceStream,
 };
 use grit_trace::{CellTiming, TraceEvent, Tracer};
 use grit_uvm::{
@@ -271,26 +270,6 @@ impl SimulationBuilder {
     /// Accepted for compatibility and ignored: the event loop always runs
     /// on the calling thread.
     pub fn sim_threads(self, _n: usize) -> Self {
-        self
-    }
-
-    /// Wires the interconnect as `topo` describes (default: all-to-all).
-    pub fn topology(mut self, topo: TopologyConfig) -> Self {
-        self.cfg.topology = topo;
-        self
-    }
-
-    /// Schedules deterministic hardware fault injection (default: none).
-    pub fn inject(mut self, inject: InjectConfig) -> Self {
-        self.cfg.inject = inject;
-        self
-    }
-
-    /// Opts release builds into the driver's automatic invariant sweeps
-    /// at epoch boundaries and after every injected fault (debug builds
-    /// always run them).
-    pub fn check_invariants(mut self, on: bool) -> Self {
-        self.cfg.check_invariants = on;
         self
     }
 

@@ -254,9 +254,20 @@ fn rejected(args: &[&str]) -> String {
 /// target runs.
 #[test]
 fn unknown_flag_is_rejected_before_any_target_runs() {
-    for flag in ["--threshold", "--bogus-flag"] {
+    for flag in ["--threshold", "--bogus-flag", "--check-invariants"] {
         let stderr = rejected(&["fig4", "--quick", flag, "300"]);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+}
+
+/// A cell budget that is no representable duration is rejected while the
+/// arguments are parsed, not panicked on when the first batch starts.
+#[test]
+fn unrepresentable_cell_timeout_is_rejected() {
+    for secs in ["inf", "1e300"] {
+        let stderr = rejected(&["fig4", "--quick", "--cell-timeout", secs]);
+        assert!(stderr.contains("invalid timeout_secs"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
 

@@ -94,24 +94,29 @@ fn invalid_specs_become_error_results_not_dead_connections() {
 
     let specs = [
         tiny_spec("GEMM", "grit"),
-        tiny_spec("QUAKE", "grit"),   // unknown app
-        tiny_spec("BFS", "belady"),   // unknown policy
-        tiny_spec("BFS", "on-touch"), // healthy again
+        tiny_spec("QUAKE", "grit"),                  // unknown app
+        tiny_spec("BFS", "belady"),                  // unknown policy
+        tiny_spec("BFS", "on-touch"),                // healthy again
+        tiny_spec("FIR", "grit").timeout_secs(-1.0), // no such duration
+        tiny_spec("FIR", "on-touch"),                // healthy again
     ];
     let results = run_campaign(addr, &specs);
-    assert_eq!(results.len(), 4);
+    assert_eq!(results.len(), 6);
     assert_eq!(results[0].status, "ok");
     assert_eq!(results[1].status, "invalid-spec");
     assert!(results[1].error.as_deref().unwrap_or("").contains("QUAKE"));
     assert_eq!(results[2].status, "invalid-spec");
     assert!(results[2].error.as_deref().unwrap_or("").contains("belady"));
     assert_eq!(results[3].status, "ok");
+    assert_eq!(results[4].status, "invalid-spec");
+    assert!(results[4].error.as_deref().unwrap_or("").contains("timeout_secs"));
+    assert_eq!(results[5].status, "ok");
 
     let mut closer = ServeClient::connect(addr).expect("connect");
     closer.shutdown_server().expect("shutdown");
     drop(closer.finish());
     let summary = handle.join().expect("server thread");
-    assert_eq!(summary.errors, 2);
+    assert_eq!(summary.errors, 3);
 }
 
 #[test]
@@ -148,9 +153,9 @@ fn traced_cells_stream_their_events_before_the_result() {
     handle.join().expect("server thread");
 }
 
-/// Clients written while the sharded event loop existed may still send
-/// `"sim_threads"` in a spec. The server must accept the line and answer
-/// with exactly the counters of the same spec without the field.
+/// Older clients may still send the retired spec fields `"sim_threads"`,
+/// `"check_invariants"` and `"profile"`. The server must accept the line
+/// and answer with exactly the counters of the same spec without them.
 #[test]
 fn submits_carrying_sim_threads_run_like_submits_without_it() {
     use std::io::{BufRead, BufReader, Write};
@@ -164,7 +169,7 @@ fn submits_carrying_sim_threads_run_like_submits_without_it() {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     let lines = format!(
         "{{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":0,\"spec\":{{{spec}}}}}\n\
-         {{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":1,\"spec\":{{{spec},\"sim_threads\":2}}}}\n\
+         {{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":1,\"spec\":{{{spec},\"sim_threads\":2,\"check_invariants\":true,\"profile\":true}}}}\n\
          {{\"schema\":\"grit-serve/v1\",\"type\":\"shutdown\"}}\n"
     );
     stream.write_all(lines.as_bytes()).expect("send");

@@ -28,12 +28,10 @@ fn exemplar_lines() -> Vec<String> {
         .page_size(2 * 1024 * 1024)
         .topology("nvswitch")
         .inject("retire@10:gpu=0:frames=1")
-        .check_invariants(true)
         .timeout_secs(30.0)
         .trace(true)
         .trace_filter("fault,migration")
-        .trace_sample(16)
-        .profile(true);
+        .trace_sample(16);
     let requests = [
         Request::Submit { id: 0, spec: plain },
         Request::Submit {
