@@ -8,6 +8,11 @@
 //! (§II-B2), duplication with write-collapse (§II-B3), GPS-style store
 //! broadcast, prefetch fills, and capacity evictions.
 //!
+//! Each page-state change is made in one place: `evict_page` removes a
+//! page from a GPU, whether an LRU victim or a page of a retired frame;
+//! `pull` moves a page's bytes to a GPU; `make_exclusive` leaves one GPU
+//! the page's only holder (migration, write-collapse, prefetch).
+//!
 //! Latency attribution follows Fig. 3: every cycle the driver charges lands
 //! in one of the six [`LatencyClass`] buckets.
 
@@ -108,6 +113,9 @@ pub struct UvmDriver {
     /// Which 2 MB frames are currently coalesced (inert under uniform
     /// 4 KB pages).
     large: LargePageTable,
+    /// Base pages per 64 KB access-counter group (GPS subscription and
+    /// counter-trip migration granularity).
+    pages_per_group: u64,
     policy: Box<dyn PlacementPolicy>,
     /// Whether the policy runs epochs and so consumes the access feed.
     wants_access_feed: bool,
@@ -215,6 +223,7 @@ impl UvmDriver {
                 footprint_pages,
             ),
             large: LargePageTable::from_config(cfg.page_size_mode, cfg.page_size, footprint_pages),
+            pages_per_group: (65_536 / cfg.page_size).max(1),
             wants_access_feed: policy.epoch_len().is_some(),
             policy,
             prefetcher: None,
@@ -592,8 +601,9 @@ impl UvmDriver {
     }
 
     /// Executes one scheduled ECC retirement on `gpu`: shrinks the DRAM
-    /// capacity and re-places every force-evicted page (owners move back
-    /// to host memory, replicas are dropped).
+    /// capacity and re-places every force-evicted page through
+    /// [`UvmDriver::evict_page`] (owners move back to host memory, replicas
+    /// are dropped), charged to the host class.
     fn apply_retirement(&mut self, gpu: GpuId, now: Cycle) -> DriverOutcome {
         let mut out = DriverOutcome {
             done_at: now,
@@ -610,56 +620,15 @@ impl UvmDriver {
         self.resilience.frames_retired += (before - self.memories[gpu.index()].capacity()) as u64;
         self.resilience.pages_force_evicted += evicted.len() as u64;
         for (vpn, dirty) in evicted {
-            let o = self.replace_retired_page(gpu, vpn, dirty, now);
+            let o = self.evict_page(
+                gpu,
+                vpn,
+                dirty,
+                SplinterCause::Retirement,
+                LatencyClass::Host,
+                now,
+            );
             out.merge(o);
-        }
-        out
-    }
-
-    /// Re-places one page force-evicted by frame retirement. Mirrors
-    /// [`UvmDriver::evict_page`], but the page is already gone from the
-    /// retired memory, so the dirty bit is passed in rather than looked
-    /// up.
-    fn replace_retired_page(
-        &mut self,
-        gpu: GpuId,
-        vpn: PageId,
-        dirty: bool,
-        now: Cycle,
-    ) -> DriverOutcome {
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
-        let lat = self.cfg.lat;
-        self.faults.evictions += 1;
-        self.tracer.emit(EventCategory::Eviction, || TraceEvent::Eviction {
-            cycle: now,
-            gpu,
-            vpn,
-        });
-        // Retirement force-evicts part of the frame's range.
-        self.splinter_frame(vpn, SplinterCause::Retirement, now, &mut out);
-        if self.central.page(vpn).owner == MemLoc::Gpu(gpu) {
-            // The authoritative copy goes back to host memory; dirty pages
-            // pay the full PCIe write-back, clean ones a control message.
-            let bytes = if dirty { self.cfg.page_size } else { 64 };
-            let t = self.fabric.gpu_to_host(gpu, now, bytes);
-            self.breakdown.record(LatencyClass::Host, t - now);
-            self.central.page_mut(vpn).owner = MemLoc::Host;
-            for g in GpuId::all(self.cfg.num_gpus) {
-                if self.local_pts[g.index()].invalidate(vpn) {
-                    out.invalidated.push((g, vpn));
-                    self.breakdown.record(LatencyClass::Host, lat.invalidation_per_gpu);
-                }
-            }
-            out.done_at = t;
-        } else {
-            self.central.page_mut(vpn).replicas.remove(gpu);
-            if self.local_pts[gpu.index()].invalidate(vpn) {
-                out.invalidated.push((gpu, vpn));
-                self.breakdown.record(LatencyClass::Host, lat.invalidation_per_gpu);
-            }
         }
         out
     }
@@ -829,19 +798,13 @@ impl UvmDriver {
                     // faulting GPU eagerly replicates the whole touched
                     // 64 KB group, and writers subscribe too (their stores
                     // broadcast instead of collapsing).
-                    let pages_per_group = (65_536 / self.cfg.page_size).max(1);
-                    let base = fault.vpn.group_base(pages_per_group);
+                    let base = fault.vpn.group_base(self.pages_per_group);
                     let mut out = self.duplicate_to(fault.gpu, fault.vpn, t);
-                    for i in 0..pages_per_group {
-                        let p = base.offset(i);
-                        if p == fault.vpn
-                            || p.vpn() >= self.footprint_pages
-                            || !self.central.page(p).touched
-                        {
-                            continue;
+                    for p in self.touched_pages(base, self.pages_per_group) {
+                        if p != fault.vpn {
+                            let o = self.duplicate_to(fault.gpu, p, t);
+                            out.merge(o);
                         }
-                        let o = self.duplicate_to(fault.gpu, p, t);
-                        out.merge(o);
                     }
                     out
                 } else {
@@ -915,9 +878,8 @@ impl UvmDriver {
         // the trip was on a coalesced frame's aliased counter.
         self.counters.reset_group_key(group);
         if self.large.enabled() {
-            let pages_per_group = (65_536 / self.cfg.page_size).max(1);
             self.large.note_counter_trip(match frame {
-                Some(_) => (self.large.pages_per_frame() / pages_per_group).max(1),
+                Some(_) => (self.large.pages_per_frame() / self.pages_per_group).max(1),
                 None => 0,
             });
         }
@@ -926,20 +888,13 @@ impl UvmDriver {
         let t = now + lat.host_fault_base;
         let (base, span_pages) = match frame {
             Some(fb) => (fb, self.large.pages_per_frame()),
-            None => {
-                let pages_per_group = (65_536 / self.cfg.page_size).max(1);
-                (vpn.group_base(pages_per_group), pages_per_group)
-            }
+            None => (vpn.group_base(self.pages_per_group), self.pages_per_group),
         };
         let mut out = DriverOutcome {
             done_at: t,
             ..Default::default()
         };
-        for i in 0..span_pages {
-            let p = base.offset(i);
-            if p.vpn() >= self.footprint_pages || !self.central.page(p).touched {
-                continue;
-            }
+        for p in self.touched_pages(base, span_pages) {
             let o = self.migrate_page(gpu, p, t, LatencyClass::PageMigration);
             out.merge(o);
         }
@@ -1086,6 +1041,19 @@ impl UvmDriver {
     // Mechanisms.
     // ------------------------------------------------------------------
 
+    /// The touched pages of the `len`-page span starting at `base`, in
+    /// VPN order and clipped to the footprint: the pages a GPS group
+    /// subscription or a counter-trip migration carries along.
+    fn touched_pages(&self, base: PageId, len: u64) -> Vec<PageId> {
+        (0..len)
+            .map(|i| base.offset(i))
+            .filter(|&p| p.vpn() < self.footprint_pages && self.central.page(p).touched)
+            .collect()
+    }
+
+    /// Makes `vpn` resident on `gpu` as a page placement; a capacity
+    /// victim goes through [`UvmDriver::evict_page`] with the dirty bit it
+    /// held, charged to `class`.
     fn insert_resident(
         &mut self,
         gpu: GpuId,
@@ -1096,40 +1064,43 @@ impl UvmDriver {
     ) {
         self.page_insertions += 1;
         if let Some(victim) = self.memories[gpu.index()].insert(vpn) {
-            self.faults.evictions += 1;
-            self.tracer.emit(EventCategory::Eviction, || TraceEvent::Eviction {
-                cycle: now,
-                gpu,
-                vpn: victim,
-            });
-            let o = self.evict_page(gpu, victim, now, class);
+            let dirty = self.memories[gpu.index()].is_dirty(victim);
+            let o = self.evict_page(gpu, victim, dirty, SplinterCause::Eviction, class, now);
             out.merge(o);
         }
     }
 
-    /// Removes a victim page from `gpu`: local pages are written back to
-    /// the host, replicas are simply dropped. Charged to `class` because
-    /// eviction cost belongs to whichever scheme caused the pressure
-    /// (Fig. 3 folds duplication-driven eviction into "page-duplication").
+    /// Removes `vpn` from `gpu`, which no longer holds it: an LRU capacity
+    /// victim or a page whose frame was retired. The only place that
+    /// counts an eviction. An owned page moves back to the host (a dirty
+    /// one pays the full PCIe write-back, a clean one a control message)
+    /// and every GPU loses its translation; a replica is simply dropped.
+    /// Charged to `class` because eviction cost belongs to whichever
+    /// scheme caused the pressure (Fig. 3 folds duplication-driven
+    /// eviction into "page-duplication"); retirement charges the host.
     fn evict_page(
         &mut self,
         gpu: GpuId,
         vpn: PageId,
-        now: Cycle,
+        dirty: bool,
+        cause: SplinterCause,
         class: LatencyClass,
+        now: Cycle,
     ) -> DriverOutcome {
         let mut out = DriverOutcome {
             done_at: now,
             ..Default::default()
         };
-        let state = *self.central.page_mut(vpn);
+        self.faults.evictions += 1;
+        self.tracer.emit(EventCategory::Eviction, || TraceEvent::Eviction {
+            cycle: now,
+            gpu,
+            vpn,
+        });
+        // Losing any base page leaves the frame partially resident.
+        self.splinter_frame(vpn, cause, now, &mut out);
         let lat = self.cfg.lat;
-        // Evicting any base page leaves the frame partially resident.
-        self.splinter_frame(vpn, SplinterCause::Eviction, now, &mut out);
-        if state.owner == MemLoc::Gpu(gpu) {
-            // The authoritative copy moves back to host memory; only dirty
-            // pages pay the PCIe write-back, clean ones are dropped.
-            let dirty = self.memories[gpu.index()].is_dirty(vpn);
+        if self.central.page(vpn).owner == MemLoc::Gpu(gpu) {
             let bytes = if dirty { self.cfg.page_size } else { 64 };
             let t = self.fabric.gpu_to_host(gpu, now, bytes);
             self.breakdown.record(class, t - now);
@@ -1141,7 +1112,6 @@ impl UvmDriver {
                 }
             }
             out.done_at = t;
-            let _ = dirty;
         } else {
             // A replica (or stale residency): drop it locally.
             self.central.page_mut(vpn).replicas.remove(gpu);
@@ -1151,6 +1121,48 @@ impl UvmDriver {
             }
         }
         out
+    }
+
+    /// Pulls one page's bytes from `owner` to `dst`, starting at `t`;
+    /// returns the arrival cycle: a peer copy crosses the fabric, a host
+    /// copy comes over PCIe, and `dst` already holding the bytes (it is
+    /// the owner) costs nothing.
+    fn pull(&mut self, owner: MemLoc, dst: GpuId, t: Cycle) -> Cycle {
+        match owner {
+            MemLoc::Gpu(src) if src != dst => {
+                self.fabric.gpu_to_gpu(src, dst, t, self.cfg.page_size)
+            }
+            MemLoc::Gpu(_) => t,
+            MemLoc::Host => self.fabric.gpu_to_host(dst, t, self.cfg.page_size),
+        }
+    }
+
+    /// Makes `dst` the page's only holder: owner with no replicas,
+    /// resident and mapped `Local`. `arrived: Some(t)` places the page
+    /// at `t` as an insertion (which may evict, charged to `class`);
+    /// `None` means `dst` already holds it and only refreshes its
+    /// recency. Peers' copies and translations must already be gone.
+    fn make_exclusive(
+        &mut self,
+        dst: GpuId,
+        vpn: PageId,
+        arrived: Option<Cycle>,
+        class: LatencyClass,
+        out: &mut DriverOutcome,
+    ) {
+        {
+            let p = self.central.page_mut(vpn);
+            p.owner = MemLoc::Gpu(dst);
+            p.replicas.clear();
+        }
+        match arrived {
+            Some(t) => self.insert_resident(dst, vpn, t, class, out),
+            None => {
+                self.memories[dst.index()].touch(vpn);
+            }
+        }
+        self.local_pts[dst.index()].map(vpn, Mapping::Local);
+        out.mapping = Some(Mapping::Local);
     }
 
     fn migrate_page(
@@ -1170,9 +1182,7 @@ impl UvmDriver {
 
         if state.owner == MemLoc::Gpu(dst) && !state.is_duplicated() {
             // Already local and exclusive: just (re)establish the mapping.
-            self.local_pts[dst.index()].map(vpn, Mapping::Local);
-            self.memories[dst.index()].touch(vpn);
-            out.mapping = Some(Mapping::Local);
+            self.make_exclusive(dst, vpn, None, class, &mut out);
             return out;
         }
 
@@ -1201,12 +1211,11 @@ impl UvmDriver {
         let mut t = now;
 
         // 1. Flush/drain the source GPU that owns the page.
-        if let MemLoc::Gpu(src) = state.owner {
-            if src != dst {
-                self.breakdown.record(class, lat.flush_drain);
-                out.stalls.push((src, t + lat.flush_drain));
-                t += lat.flush_drain;
-            }
+        let moving_from = state.owner.gpu().filter(|&src| src != dst);
+        if let Some(src) = moving_from {
+            self.breakdown.record(class, lat.flush_drain);
+            out.stalls.push((src, t + lat.flush_drain));
+            t += lat.flush_drain;
         }
 
         // 2. Invalidate every other GPU's translation (and replicas).
@@ -1216,29 +1225,15 @@ impl UvmDriver {
         t = t.max(teardown.done_at);
 
         // 3. Move the data.
-        let arrive = match state.owner {
-            MemLoc::Gpu(src) if src != dst => {
-                self.fabric.gpu_to_gpu(src, dst, t, self.cfg.page_size)
-            }
-            MemLoc::Gpu(_) => t, // dst already holds the bytes (was owner with replicas)
-            MemLoc::Host => self.fabric.gpu_to_host(dst, t, self.cfg.page_size),
-        };
+        let arrive = self.pull(state.owner, dst, t);
         self.breakdown.record(class, arrive - now);
 
-        // 4. Update authoritative and local state.
-        if let MemLoc::Gpu(src) = state.owner {
-            if src != dst {
-                self.memories[src.index()].remove(vpn);
-            }
+        // 4. Update authoritative and local state. The placement counts
+        // as an insertion even when `dst` already owned the bytes.
+        if let Some(src) = moving_from {
+            self.memories[src.index()].remove(vpn);
         }
-        {
-            let p = self.central.page_mut(vpn);
-            p.owner = MemLoc::Gpu(dst);
-            p.replicas.clear();
-        }
-        self.insert_resident(dst, vpn, arrive, class, &mut out);
-        self.local_pts[dst.index()].map(vpn, Mapping::Local);
-        out.mapping = Some(Mapping::Local);
+        self.make_exclusive(dst, vpn, Some(arrive), class, &mut out);
         out.done_at = out.done_at.max(arrive);
         self.migration_latency.record(out.done_at.saturating_sub(now));
         out
@@ -1460,10 +1455,7 @@ impl UvmDriver {
         // Copy from the authoritative owner; the driver mediates the
         // replica creation (dup_overhead).
         let now = now + self.cfg.lat.dup_overhead;
-        let arrive = match state.owner {
-            MemLoc::Gpu(src) => self.fabric.gpu_to_gpu(src, gpu, now, self.cfg.page_size),
-            MemLoc::Host => self.fabric.gpu_to_host(gpu, now, self.cfg.page_size),
-        };
+        let arrive = self.pull(state.owner, gpu, now);
         self.breakdown.record(
             LatencyClass::PageDuplication,
             arrive - now + self.cfg.lat.dup_overhead,
@@ -1535,28 +1527,15 @@ impl UvmDriver {
 
         // Data: the writer reuses its replica if it has one, otherwise
         // pulls the authoritative copy.
-        if !had_copy {
-            let arrive = match state.owner {
-                MemLoc::Gpu(src) if src != writer => {
-                    self.fabric.gpu_to_gpu(src, writer, t, self.cfg.page_size)
-                }
-                MemLoc::Gpu(_) => t,
-                MemLoc::Host => self.fabric.gpu_to_host(writer, t, self.cfg.page_size),
-            };
+        let arrived = if had_copy {
+            None
+        } else {
+            let arrive = self.pull(state.owner, writer, t);
             self.breakdown.record(LatencyClass::WriteCollapse, arrive - t);
             t = arrive;
-            self.insert_resident(writer, vpn, t, LatencyClass::WriteCollapse, &mut out);
-        } else {
-            self.memories[writer.index()].touch(vpn);
-        }
-
-        {
-            let p = self.central.page_mut(vpn);
-            p.owner = MemLoc::Gpu(writer);
-            p.replicas.clear();
-        }
-        self.local_pts[writer.index()].map(vpn, Mapping::Local);
-        out.mapping = Some(Mapping::Local);
+            Some(t)
+        };
+        self.make_exclusive(writer, vpn, arrived, LatencyClass::WriteCollapse, &mut out);
         out.done_at = out.done_at.max(t);
         out
     }
@@ -1601,18 +1580,14 @@ impl UvmDriver {
                 continue;
             }
             // Background fill: consumes PCIe bandwidth but does not stall
-            // the GPU; future touches then hit locally without faulting.
-            let arrive = self.fabric.gpu_to_host(gpu, now, self.cfg.page_size);
-            let _ = arrive;
-            {
-                let p = self.central.page_mut(cand);
-                p.owner = MemLoc::Gpu(gpu);
-                p.touched = true;
-                p.sharers.insert(gpu);
-            }
+            // the GPU (the page is placed at `now`, not at its arrival);
+            // future touches then hit locally without faulting.
+            self.pull(MemLoc::Host, gpu, now);
+            // The fill counts as a read touch: a GPU owns only pages it
+            // has touched.
+            self.central.note_fault(gpu, cand, false);
             let mut scratch = DriverOutcome::default();
-            self.insert_resident(gpu, cand, now, LatencyClass::Host, &mut scratch);
-            self.local_pts[gpu.index()].map(cand, Mapping::Local);
+            self.make_exclusive(gpu, cand, Some(now), LatencyClass::Host, &mut scratch);
         }
     }
 }
@@ -2129,6 +2104,27 @@ mod tests {
         assert_eq!(d.central.page(PageId(0)).owner, MemLoc::Host);
         assert!(out.invalidated.iter().any(|&(g, _)| g == GpuId::new(0)));
         assert!(d.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn retirement_writes_back_a_dirty_page_in_full() {
+        // The same retirement as above, with page 0 (the LRU page, so the
+        // first force-evicted) dirty in one driver only: the dirty owner
+        // ships the whole page over PCIe, the clean one a 64-byte message.
+        let pcie_bytes = |dirty: bool| {
+            let mut d = injected_driver("retire@500000:gpu=0:frames=4", 8, Scheme::OnTouch);
+            for p in 0..6u64 {
+                d.handle_fault(fault(0, p, AccessKind::Read, FaultKind::Local, p * 50_000));
+            }
+            if dirty {
+                d.mark_page_dirty(GpuId::new(0), PageId(0));
+            }
+            d.handle_fault(fault(1, 7, AccessKind::Read, FaultKind::Local, 600_000));
+            assert_eq!(d.resilience_counters().pages_force_evicted, 4);
+            d.fabric_stats().pcie_bytes
+        };
+        let page_size = SimConfig::default().page_size;
+        assert_eq!(pcie_bytes(true) - pcie_bytes(false), page_size - 64);
     }
 
     #[test]

@@ -178,11 +178,7 @@ fn run_validate(exp: &ExpConfig) -> bool {
 
 fn dump_trace(app_name: &str, path: &str, exp: &ExpConfig) -> bool {
     use grit_workloads::{write_trace, App, WorkloadBuilder};
-    let Some(app) = App::TABLE2
-        .into_iter()
-        .chain(App::DNN)
-        .find(|a| a.abbr().eq_ignore_ascii_case(app_name))
-    else {
+    let Some(app) = App::parse(app_name) else {
         eprintln!("unknown app {app_name}");
         return false;
     };

@@ -289,3 +289,35 @@ fn removed_page_size_mode_is_rejected() {
         "{stderr}"
     );
 }
+
+/// `dump-trace` accepts every app the simulator runs, the extension
+/// workloads included, and `trace-info` reads each dump back.
+#[test]
+fn dump_trace_round_trips_every_app_kind() {
+    let dir = scratch_dir_for("dump-trace");
+    for app in ["SPMV", "GEMM"] {
+        let path = dir.join(format!("{app}.bin"));
+        let path = path.to_str().unwrap();
+        let dump = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["dump-trace", app, path, "--quick"])
+            .output()
+            .expect("repro runs");
+        assert!(
+            dump.status.success(),
+            "dump-trace {app}: {}",
+            String::from_utf8_lossy(&dump.stderr)
+        );
+        let info = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["trace-info", path])
+            .output()
+            .expect("repro runs");
+        assert!(
+            info.status.success(),
+            "trace-info {app}: {}",
+            String::from_utf8_lossy(&info.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&info.stdout);
+        assert!(stdout.contains(&format!("app:        {app}\n")), "{stdout}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,7 @@
 //! at the same site, so the two can never drift.
 
 use grit::experiments::{CellSpec, ExpConfig, PolicyKind};
-use grit_sim::Scheme;
+use grit_sim::{InjectConfig, ResilienceCounters, Scheme, SimConfig};
 use grit_trace::{events_to_jsonl, EventCategory, Json, TraceConfig, TraceEvent};
 use grit_workloads::App;
 
@@ -23,21 +23,44 @@ fn event_counts_match_fault_counters() {
         PolicyKind::Static(Scheme::Duplication),
         PolicyKind::GRIT,
     ];
+    // ECC retirement force-evicts pages through the same eviction path
+    // as capacity pressure, so those evictions must be traced too.
+    let retiring = SimConfig {
+        inject: InjectConfig::parse("retire@100000:gpu=0:pct=30;retire@200000:gpu=1:pct=30")
+            .expect("valid inject spec"),
+        ..SimConfig::default()
+    };
+    let mut cells = Vec::new();
     for app in [App::Bfs, App::St] {
         for policy in policies {
-            let out = CellSpec::new(app, policy, &exp).traced(TraceConfig::default()).run();
-            let events = out.events.as_deref().expect("tracing was enabled");
-            let f = &out.metrics.faults;
+            cells.push((CellSpec::new(app, policy, &exp), false));
+        }
+    }
+    let dup = PolicyKind::Static(Scheme::Duplication);
+    cells.push((CellSpec::new(App::Bfs, dup, &exp).with_cfg(retiring), true));
+    for (cell, retires) in cells {
+        let label = format!("{:?}/{}", cell.app, cell.policy_label());
+        let out = cell.traced(TraceConfig::default()).run();
+        let events = out.events.as_deref().expect("tracing was enabled");
+        let f = &out.metrics.faults;
+        for (cat, counter) in [
+            (EventCategory::Fault, f.total_faults()),
+            (EventCategory::Migration, f.migrations),
+            (EventCategory::Duplication, f.duplications),
+            (EventCategory::Collapse, f.collapses),
+            (EventCategory::Eviction, f.evictions),
+            (EventCategory::SchemeChange, f.scheme_changes),
+        ] {
             assert_eq!(
-                count(events, EventCategory::Fault),
-                f.total_faults(),
-                "{app:?}/{policy:?}: fault events vs counters"
+                count(events, cat),
+                counter,
+                "{label}: {cat:?} events vs counters"
             );
-            assert_eq!(count(events, EventCategory::Migration), f.migrations);
-            assert_eq!(count(events, EventCategory::Duplication), f.duplications);
-            assert_eq!(count(events, EventCategory::Collapse), f.collapses);
-            assert_eq!(count(events, EventCategory::Eviction), f.evictions);
-            assert_eq!(count(events, EventCategory::SchemeChange), f.scheme_changes);
+        }
+        if retires {
+            let aux = out.metrics.aux("resilience_counters").expect("injected runs report");
+            let forced = ResilienceCounters::from_aux(aux).pages_force_evicted;
+            assert!(forced > 0, "{label}: no page lost its frame");
         }
     }
 }
