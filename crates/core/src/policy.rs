@@ -130,11 +130,6 @@ impl GritPolicy {
         self.nap.stats()
     }
 
-    /// PA-Cache hit/miss statistics.
-    pub fn pa_cache_stats(&self) -> grit_mem::CacheStats {
-        self.store.cache_stats()
-    }
-
     /// Scheme changes decided so far.
     pub fn scheme_changes(&self) -> u64 {
         self.scheme_changes

@@ -706,11 +706,6 @@ impl FaultPlan {
         self.transitions.is_empty()
     }
 
-    /// Whether any outage windows exist (routing needs alternates).
-    pub fn has_outages(&self) -> bool {
-        self.outages.iter().any(|l| !l.is_empty())
-    }
-
     /// Whether wire `wire` is inside an outage window at cycle `t`.
     pub fn wire_down(&self, wire: usize, t: Cycle) -> bool {
         self.outages.get(wire).is_some_and(|l| l.iter().any(|&(s, e)| s <= t && t < e))

@@ -71,8 +71,6 @@ fn hop_kind(class: HopClass) -> LinkKind {
 #[derive(Clone, Debug)]
 pub struct Fabric {
     num_gpus: usize,
-    /// Stable topology name, for diagnostics.
-    topology: &'static str,
     /// One wire per topology link, indexed by link id. For the default
     /// all-to-all this is the legacy upper-triangular pair layout.
     links: Vec<Link>,
@@ -125,7 +123,6 @@ impl Fabric {
         let routing = Routing::compute(&graph);
         Fabric {
             num_gpus,
-            topology: topo.name(),
             links: graph.links.iter().map(|l| Link::new(l.bytes_per_cycle, l.latency)).collect(),
             classes: graph.links.iter().map(|l| l.class).collect(),
             routing,
@@ -166,11 +163,6 @@ impl Fabric {
             })
             .collect();
         self.plan = plan;
-    }
-
-    /// The installed fault plan (empty unless injection is configured).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The routing table active at cycle `now`: the base table, unless an
@@ -348,11 +340,6 @@ impl Fabric {
         self.num_gpus
     }
 
-    /// Stable name of the wired topology (e.g. `"all-to-all"`).
-    pub fn topology_name(&self) -> &'static str {
-        self.topology
-    }
-
     /// Number of GPU-side wires in the topology graph (excludes host PCIe).
     pub fn num_wire_links(&self) -> usize {
         self.links.len()
@@ -373,11 +360,6 @@ impl Fabric {
     /// booked (topology wires, PCIe data and control channels).
     pub fn queue_wait_hist(&self) -> &LatencyHistogram {
         &self.queue_hist
-    }
-
-    /// Wire class of one GPU-side link, by link id.
-    pub fn wire_class(&self, link: u32) -> HopClass {
-        self.classes[link as usize]
     }
 
     /// Aggregate traffic across the fabric, split by wire class.

@@ -3,8 +3,8 @@
 //! The simulator's existing observability is all in the *simulated* cycle
 //! domain (trace events, latency breakdowns, histograms). This crate adds
 //! the other axis: span-based wall-clock phase timers and a Chrome
-//! trace-event export — the profiling layer the 32–64-GPU scale work
-//! needs before it can be driven by data instead of guesses.
+//! trace-event export, so performance work on the event loop is driven by
+//! data instead of guesses.
 //!
 //! # Design
 //!

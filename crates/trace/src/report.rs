@@ -17,9 +17,6 @@ use crate::json::Json;
 /// Schema tag written into every [`RunReport`]; v9 writes each per-layer
 /// counter once, as an aux series of the cell's metrics.
 pub const RUN_REPORT_SCHEMA: &str = "grit-run-report/v9";
-/// The previous tag, still read: [`RunReport::from_json`] skips the
-/// per-layer metric objects v8 wrote next to the aux series.
-const RUN_REPORT_SCHEMA_PREV: &str = "grit-run-report/v8";
 
 fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field {key:?}"))
@@ -137,8 +134,7 @@ pub fn metrics_to_json(m: &RunMetrics) -> Json {
 }
 
 /// Parses the object form produced by [`metrics_to_json`]. Unknown keys
-/// are ignored, so v8 documents, which also carry `fabric`, `resilience`
-/// and `pagesize` objects, parse to the same metrics.
+/// are ignored.
 ///
 /// # Errors
 ///
@@ -584,9 +580,6 @@ impl CycleProfile {
 /// The run's self-profile, emitted only when
 /// profiling was enabled. `wall` is wall-clock and thread-dependent;
 /// `cycle` is the deterministic comparison surface.
-///
-/// Documents written while the sharded event loop existed also carry a
-/// `speculation` object (`null` or its telemetry); readers ignore it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileReport {
     /// Wall-clock phase totals, phases with at least one span.
@@ -745,7 +738,7 @@ impl RunReport {
     /// Returns a description of the first schema violation.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let schema = req_str(v, "schema")?;
-        if schema != RUN_REPORT_SCHEMA && schema != RUN_REPORT_SCHEMA_PREV {
+        if schema != RUN_REPORT_SCHEMA {
             return Err(format!("unsupported run-report schema: {schema:?}"));
         }
         let system_obj = req(v, "system")?.as_obj().ok_or("field \"system\" is not an object")?;
@@ -886,30 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn v8_documents_with_per_layer_objects_still_parse() {
-        // A v8 writer also emitted `fabric`, `resilience` and `pagesize`
-        // objects next to the aux series they were derived from. The
-        // reader ignores them.
-        let report = RunReport {
-            cells: vec![sample_cell(0)],
-            ..RunReport::default()
-        };
-        let mut j = report.to_json();
-        let Json::Obj(fields) = &mut j else {
-            unreachable!()
-        };
-        fields[0].1 = Json::Str("grit-run-report/v8".into());
-        let text = j.to_string().replace(
-            "\"aux\":{",
-            "\"fabric\":{\"nvlink_bytes\":4096},\"resilience\":{\"faults_injected\":4},\
-             \"pagesize\":{\"coalesces\":8},\"aux\":{",
-        );
-        assert!(text.contains("\"pagesize\":{"), "{text}");
-        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
     fn failed_cell_report_round_trips() {
         let mut c = sample_cell(3);
         c.status = "panicked".into();
@@ -949,30 +918,6 @@ mod tests {
             store: None,
         };
         let text = report.to_json().to_string();
-        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn sharded_era_fields_are_ignored_on_read() {
-        // Documents written while the sharded event loop existed carry
-        // `sim_threads` (top level and per batch) and a
-        // `profile.speculation` object; they must load as if absent.
-        let report = RunReport {
-            batches: vec![BatchProfile::default()],
-            profile: Some(sample_profile()),
-            ..RunReport::default()
-        };
-        let text = report
-            .to_json()
-            .to_string()
-            .replace("\"jobs\":0,", "\"jobs\":0,\"sim_threads\":2,")
-            .replace(
-                "\"wall\":[",
-                "\"speculation\":{\"rounds\":3,\"per_gpu_committed\":[1,2]},\"wall\":[",
-            );
-        assert_eq!(text.matches("sim_threads").count(), 2, "{text}");
-        assert!(text.contains("\"speculation\""));
         let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
     }
@@ -1062,8 +1007,12 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        // Only v9 and v8 are read; older and unknown tags are refused.
-        for tag in ["grit-run-report/v999", "grit-run-report/v7"] {
+        // Only v9 is read; older and unknown tags are refused.
+        for tag in [
+            "grit-run-report/v999",
+            "grit-run-report/v8",
+            "grit-run-report/v7",
+        ] {
             let mut j = RunReport::default().to_json();
             if let Json::Obj(fields) = &mut j {
                 fields[0].1 = Json::Str(tag.into());

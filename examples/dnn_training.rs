@@ -19,9 +19,9 @@ fn main() {
 
     println!("Model-parallel DNN training, 4 GPUs\n");
     for app in App::DNN {
-        let ot = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp).metrics;
+        let on_touch = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp);
+        let (ot, attrs) = (on_touch.metrics, on_touch.page_attrs);
         let grit = run_cell(app, PolicyKind::GRIT, &exp).metrics;
-        let attrs = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp).page_attrs;
 
         println!("=== {} ===", app.abbr());
         println!(

@@ -516,17 +516,22 @@ fn figure(name: &str) -> Option<Figure> {
             }
         },
         "stats" => |exp, _, _| {
-            use grit::experiments::{run_cell, PolicyKind};
+            use grit::experiments::{run_grid, CellResultExt, PolicyKind};
             use grit_sim::Scheme;
-            for app in grit_workloads::App::TABLE2 {
-                for p in [
-                    PolicyKind::Static(Scheme::OnTouch),
-                    PolicyKind::Static(Scheme::AccessCounter),
-                    PolicyKind::Static(Scheme::Duplication),
-                    PolicyKind::GRIT,
-                    PolicyKind::Ideal,
-                ] {
-                    let out = run_cell(app, p, exp);
+            let apps = grit_workloads::App::TABLE2;
+            let policies = [
+                PolicyKind::Static(Scheme::OnTouch),
+                PolicyKind::Static(Scheme::AccessCounter),
+                PolicyKind::Static(Scheme::Duplication),
+                PolicyKind::GRIT,
+                PolicyKind::Ideal,
+            ];
+            for (app, row) in apps.iter().zip(run_grid(&apps, &policies, exp)) {
+                for (p, cell) in policies.iter().zip(&row) {
+                    let Some(out) = cell.output() else {
+                        println!("{:<5} {:<16} err!", app.abbr(), p.label());
+                        continue;
+                    };
                     let m = &out.metrics;
                     let fl = m.aux("fault_latency_summary").unwrap_or(&[]).to_vec();
                     println!(
@@ -873,7 +878,7 @@ fn cmd_submit(a: &SubmitArgs) -> ExitCode {
                 }
             }
         }
-        let outs = ex::run_batch_with(&cells, &ex::BatchOptions::from_defaults());
+        let outs = ex::run_batch(&cells);
         let mut errs = 0usize;
         for (i, out) in outs.iter().enumerate() {
             if let Err(e) = out {
@@ -984,11 +989,13 @@ fn main() -> ExitCode {
     // The machine/execution overrides accumulate into one RunSpec — the
     // same struct the result store keys on and the serve wire carries.
     let mut ospec = grit_sim::RunSpec::default();
+    // The batch execution flags fill one BatchOptions, installed once
+    // after the loop; the timeout comes from `ospec`.
+    let mut bopts = ex::BatchOptions::new();
     let mut trace_filter_raw: Option<String> = None;
     let mut port: u16 = 0;
     let mut port_file: Option<PathBuf> = None;
     let mut store_dir: Option<PathBuf> = None;
-    let mut store_max_bytes: Option<u64> = None;
     let mut connect_addr: Option<String> = None;
     let mut apps_raw: Option<String> = None;
     let mut policies_raw: Option<String> = None;
@@ -1032,7 +1039,7 @@ fn main() -> ExitCode {
                     eprintln!("--jobs needs a positive integer");
                     return ExitCode::FAILURE;
                 };
-                ex::set_jobs(v);
+                bopts.jobs = Some(v);
             }
             "--csv" => {
                 i += 1;
@@ -1116,17 +1123,17 @@ fn main() -> ExitCode {
                 }
                 ospec = ospec.timeout_secs(v);
             }
-            "--resume" => ex::set_resume_dir(Some(PathBuf::from(".grit-resume"))),
+            "--resume" => bopts.resume_dir = Some(PathBuf::from(".grit-resume")),
             "--resume-dir" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
                     eprintln!("--resume-dir needs a directory");
                     return ExitCode::FAILURE;
                 };
-                ex::set_resume_dir(Some(PathBuf::from(dir)));
+                bopts.resume_dir = Some(PathBuf::from(dir));
             }
-            "--fail-fast" => ex::set_fail_fast(true),
-            "--keep-going" => ex::set_fail_fast(false),
+            "--fail-fast" => bopts.fail_fast = true,
+            "--keep-going" => bopts.fail_fast = false,
             "--topology" => {
                 i += 1;
                 let Some(spec) = args.get(i) else {
@@ -1184,8 +1191,7 @@ fn main() -> ExitCode {
                     eprintln!("--store-max-bytes needs a positive byte count");
                     return ExitCode::FAILURE;
                 };
-                store_max_bytes = Some(v);
-                ex::set_store_max_bytes(Some(v));
+                bopts.store_max_bytes = Some(v);
             }
             "--port" => {
                 i += 1;
@@ -1213,7 +1219,7 @@ fn main() -> ExitCode {
                 // resume store are the same directory, so `submit
                 // --local` and a server share hits.
                 store_dir = Some(PathBuf::from(dir));
-                ex::set_resume_dir(Some(PathBuf::from(dir)));
+                bopts.resume_dir = Some(PathBuf::from(dir));
             }
             "--connect" => {
                 i += 1;
@@ -1263,6 +1269,8 @@ fn main() -> ExitCode {
         i += 1;
     }
     ex::set_override_spec(Some(ospec.clone()));
+    bopts.timeout = ex::BatchOptions::from(&ospec).timeout;
+    ex::set_batch_defaults(bopts);
 
     // Trace tooling takes positional arguments.
     if targets.first().map(String::as_str) == Some("dump-trace") {
@@ -1400,6 +1408,7 @@ fn main() -> ExitCode {
         }
         let dir = store_dir.clone().unwrap_or_else(|| PathBuf::from(".grit-serve-store"));
         let started = Instant::now();
+        let store_max_bytes = ex::BatchOptions::from_defaults().store_max_bytes;
         match grit::service::serve(&sopts, Some(dir), store_max_bytes) {
             Ok(s) => {
                 report_sink::record_target("serve", started.elapsed().as_secs_f64());

@@ -10,10 +10,15 @@
 //! `Result<RunOutput, CellError>`, so one poisoned cell — a panic inside
 //! the simulator, an expired wall-clock budget, a violated invariant —
 //! becomes a marked row in the tables and `run_report.json` instead of
-//! aborting the whole campaign. Execution knobs travel in a
+//! aborting the whole campaign. Execution knobs travel in one
 //! [`BatchOptions`] struct (worker count, per-cell timeout, resume
-//! directory, fail-fast), replacing the old positional
-//! `run_batch_with_jobs(cells, jobs)` signature.
+//! directory, fail-fast, store size budget). A process installs its
+//! defaults once with [`set_batch_defaults`] (the `repro` execution flags
+//! land there), and [`run_batch`] runs under them.
+//!
+//! Every cell runs through this executor: [`CellSpec::run`] is a one-cell
+//! [`run_batch`], and [`run_scouted`] is the two-pass shape (a scout run,
+//! then a rerun sized from it) of the timeline figures.
 //!
 //! Fault isolation is three-layered:
 //! 1. `catch_unwind` around each cell converts panics into
@@ -32,9 +37,9 @@
 //! shared [`super::workload_cache`], which builds each distinct trace once
 //! no matter how many cells (or workers) request it.
 //!
-//! The worker count is resolved, in priority order, from the programmatic
-//! override ([`set_jobs`], wired to `repro --jobs N`), the `GRIT_JOBS`
-//! environment variable, and the machine's available parallelism.
+//! The worker count is resolved, in priority order, from the installed
+//! defaults' `jobs` (`repro --jobs N`), the `GRIT_JOBS` environment
+//! variable, and the machine's available parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -253,27 +258,25 @@ impl CellSpec {
         ))
     }
 
-    /// Runs this cell (workload via the shared cache) and submits its
-    /// trace events and report record to the process-wide sinks.
-    ///
-    /// This is the *infallible* entry point for callers outside the batch
-    /// executor (single-cell drivers, tests).
+    /// Runs this cell as a one-cell [`run_batch`]: the convenience entry
+    /// point for tests and examples.
     ///
     /// # Panics
     ///
-    /// Panics on any simulation failure; batch execution goes through
-    /// [`run_batch`], which isolates failures as [`CellError`] values.
+    /// Panics when the cell fails; call [`run_batch`] to get the failure
+    /// as a [`CellError`] value instead.
     pub fn run(&self) -> RunOutput {
-        let out = self.run_inner(&CancelToken::new()).unwrap_or_else(|e| panic!("{e}"));
-        self.submit(&out);
-        out
+        run_batch(std::slice::from_ref(self))
+            .pop()
+            .expect("one result per cell")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the cell without submitting to the global sinks, threading a
     /// cancellation token into the simulation loop. The batch executor
-    /// uses this so it can submit results in declaration order after the
-    /// whole batch finishes, keeping the trace stream byte-identical at
-    /// any worker count.
+    /// submits results in declaration order after the whole batch
+    /// finishes, keeping the trace stream byte-identical at any worker
+    /// count.
     fn run_inner(&self, cancel: &CancelToken) -> Result<RunOutput, CellError> {
         let build_start = Instant::now();
         let (workload, cache_hit) = {
@@ -309,17 +312,6 @@ impl CellSpec {
         out.events = tracer.map(|t| t.take_events());
         Ok(out)
     }
-
-    /// Submits a finished run to the global JSONL writer and the report
-    /// collector. No-ops when neither sink is active.
-    fn submit(&self, out: &RunOutput) {
-        if let Some(events) = &out.events {
-            if let Err(e) = trace_writer::submit_global(&self.meta(), events) {
-                eprintln!("trace: failed to write events for {}: {e}", self.app);
-            }
-        }
-        report_sink::record_cell(self, out);
-    }
 }
 
 /// Convenience accessors for one batch result, so drivers can build
@@ -353,11 +345,10 @@ impl CellResultExt for Result<RunOutput, CellError> {
 ///
 /// The defaults ([`BatchOptions::default`]) run every cell with
 /// [`effective_jobs`] workers, no timeout, no resume store, and
-/// keep-going semantics; [`BatchOptions::from_defaults`] additionally
-/// picks up the process-wide settings installed by the `repro` CLI flags
-/// (the override [`RunSpec`]'s timeout, `--resume`, `--fail-fast`,
-/// `--store-max-bytes`); `BatchOptions::from(&RunSpec)` lifts the
-/// execution knobs out of one explicit spec (the serve path).
+/// keep-going semantics; [`BatchOptions::from_defaults`] returns the
+/// process-wide value installed by [`set_batch_defaults`] (the `repro`
+/// execution flags); `BatchOptions::from(&RunSpec)` lifts the execution
+/// knobs out of one explicit spec (the serve path).
 #[derive(Clone, Debug, Default)]
 pub struct BatchOptions {
     /// Worker threads; `None` resolves via [`effective_jobs`].
@@ -382,17 +373,14 @@ impl BatchOptions {
         BatchOptions::default()
     }
 
-    /// Options seeded from the process-wide defaults installed by
-    /// [`set_override_spec`], [`set_resume_dir`], [`set_fail_fast`] and
-    /// [`set_store_max_bytes`].
+    /// The process-wide options installed by [`set_batch_defaults`];
+    /// all-default options when none are installed.
     pub fn from_defaults() -> Self {
-        BatchOptions {
-            jobs: None,
-            timeout: default_timeout(),
-            resume_dir: default_resume_dir(),
-            fail_fast: FAIL_FAST_DEFAULT.load(Ordering::Relaxed),
-            store_max_bytes: default_store_max_bytes(),
-        }
+        DEFAULTS
+            .lock()
+            .expect("batch defaults lock poisoned")
+            .clone()
+            .unwrap_or_default()
     }
 
     /// Sets an explicit worker count.
@@ -452,21 +440,15 @@ impl From<&RunSpec> for BatchOptions {
 /// computed by `build.rs`: the model identity every resume key embeds.
 pub const MODEL_HASH: &str = env!("GRIT_MODEL_HASH");
 
-/// Explicit worker-count override; 0 means "not set".
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// Process-wide fail-fast default (the `repro --fail-fast` flag).
-static FAIL_FAST_DEFAULT: AtomicBool = AtomicBool::new(false);
+/// The process-wide batch options (the `repro` execution flags `--jobs`,
+/// `--cell-timeout`, `--resume`, `--fail-fast`, `--store-max-bytes`);
+/// `None` until [`set_batch_defaults`] installs a value.
+static DEFAULTS: Mutex<Option<BatchOptions>> = Mutex::new(None);
 /// Latched when any batch aborts due to fail-fast; the CLI exit code.
 static FAIL_FAST_TRIGGERED: AtomicBool = AtomicBool::new(false);
-/// Process-wide resume directory (the `repro --resume` flag).
-static RESUME_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-/// Process-wide result-store size budget in bytes; 0 means "unbounded"
-/// (the `repro --store-max-bytes` flag).
-static STORE_MAX_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The process-wide override [`RunSpec`]: the single place the `repro`
-/// batch-override flags (`--topology`, `--inject`, `--cell-timeout`)
-/// land. Machine-shaping fields flow into every subsequently declared
-/// [`CellSpec`]; the timeout seeds [`BatchOptions::from_defaults`].
+/// machine-shaping flags (`--topology`, `--page-size`, `--inject`) land.
+/// Its fields flow into every subsequently declared [`CellSpec`].
 static OVERRIDE_SPEC: Mutex<Option<RunSpec>> = Mutex::new(None);
 /// Process-wide progress-heartbeat opt-in (the `repro --progress` flag).
 static PROGRESS: AtomicBool = AtomicBool::new(false);
@@ -487,13 +469,13 @@ pub fn progress_enabled() -> bool {
 }
 
 /// Installs the process-wide override [`RunSpec`] (`None` clears every
-/// override). The `repro` batch-override flags build one spec and land
-/// it here: its machine-shaping fields (`gpus`, `page_size`, `topology`,
-/// `inject`) are applied to every subsequently declared [`CellSpec`] —
-/// flowing into each cell's `SimConfig`, so resume keys and run reports
-/// distinguish overridden runs automatically — and its `timeout_secs` seeds
-/// [`BatchOptions::from_defaults`]. The spec's `app`/`policy`/experiment
-/// knobs are ignored: cells already name those.
+/// override). The `repro` machine-shaping flags build one spec and land
+/// it here: its `gpus`, `page_size`, `topology` and `inject` fields are
+/// applied to every subsequently declared [`CellSpec`] — flowing into
+/// each cell's `SimConfig`, so resume keys and run reports distinguish
+/// overridden runs automatically. The spec's `app`/`policy`/experiment
+/// knobs and its timeout are ignored: cells already name the former, and
+/// the timeout travels in [`BatchOptions`].
 pub fn set_override_spec(spec: Option<RunSpec>) {
     *OVERRIDE_SPEC.lock().expect("override spec lock poisoned") = spec;
 }
@@ -531,47 +513,11 @@ fn topology_label(t: &TopologyConfig) -> String {
     }
 }
 
-/// Sets the worker count for subsequent [`run_batch`] calls (0 clears the
-/// override). The `repro --jobs N` flag lands here.
-pub fn set_jobs(jobs: usize) {
-    JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
-}
-
-fn default_timeout() -> Option<Duration> {
-    override_spec().timeout_secs.map(Duration::from_secs_f64)
-}
-
-/// Sets the process-wide resume-store directory picked up by
-/// [`BatchOptions::from_defaults`]. The `repro --resume` flag lands here;
-/// `None` clears it.
-pub fn set_resume_dir(dir: Option<PathBuf>) {
-    *RESUME_DIR.lock().expect("resume dir lock poisoned") = dir;
-}
-
-fn default_resume_dir() -> Option<PathBuf> {
-    RESUME_DIR.lock().expect("resume dir lock poisoned").clone()
-}
-
-/// Sets the process-wide result-store size budget picked up by
-/// [`BatchOptions::from_defaults`]. The `repro --store-max-bytes N` flag
-/// lands here; `None` clears it (unbounded).
-pub fn set_store_max_bytes(bytes: Option<u64>) {
-    let encoded = bytes.map_or(0, |b| usize::try_from(b.max(1)).unwrap_or(usize::MAX));
-    STORE_MAX_BYTES.store(encoded, Ordering::Relaxed);
-}
-
-fn default_store_max_bytes() -> Option<u64> {
-    match STORE_MAX_BYTES.load(Ordering::Relaxed) {
-        0 => None,
-        b => Some(b as u64),
-    }
-}
-
-/// Sets the process-wide fail-fast default picked up by
-/// [`BatchOptions::from_defaults`]. The `repro --fail-fast` flag lands
-/// here.
-pub fn set_fail_fast(yes: bool) {
-    FAIL_FAST_DEFAULT.store(yes, Ordering::Relaxed);
+/// Installs the process-wide [`BatchOptions`] that
+/// [`BatchOptions::from_defaults`] returns and [`run_batch`] runs under.
+/// `repro` fills one value from its execution flags and installs it once.
+pub fn set_batch_defaults(opts: BatchOptions) {
+    *DEFAULTS.lock().expect("batch defaults lock poisoned") = Some(opts);
 }
 
 /// Whether any batch in this process aborted due to fail-fast; `repro`
@@ -580,12 +526,16 @@ pub fn fail_fast_triggered() -> bool {
     FAIL_FAST_TRIGGERED.load(Ordering::Relaxed)
 }
 
-/// The worker count [`run_batch`] will use: the [`set_jobs`] override,
-/// else `GRIT_JOBS`, else the machine's available parallelism.
+/// The worker count [`run_batch`] will use: the installed defaults'
+/// `jobs`, else `GRIT_JOBS`, else the machine's available parallelism.
 pub fn effective_jobs() -> usize {
-    let explicit = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit;
+    let installed = DEFAULTS
+        .lock()
+        .expect("batch defaults lock poisoned")
+        .as_ref()
+        .and_then(|o| o.jobs);
+    if let Some(n) = installed {
+        return n;
     }
     if let Some(n) = std::env::var("GRIT_JOBS")
         .ok()
@@ -616,23 +566,12 @@ pub fn run_batch_with(
     cells: &[CellSpec],
     opts: &BatchOptions,
 ) -> Vec<Result<RunOutput, CellError>> {
-    run_batch_with_stats(cells, opts).0
-}
-
-/// [`run_batch_with`], additionally returning this batch's result-store
-/// traffic (hits, misses, quarantined files). The store named by
-/// `opts.resume_dir` is opened for this batch, so the counters cover
-/// exactly these cells; they are all zero when resumption is disabled.
-pub fn run_batch_with_stats(
-    cells: &[CellSpec],
-    opts: &BatchOptions,
-) -> (Vec<Result<RunOutput, CellError>>, grit_trace::StoreCounters) {
     let store = opts
         .resume_dir
         .as_ref()
         .filter(|_| trace_writer::global_config().is_none())
         .and_then(|dir| open_store(dir, opts.store_max_bytes));
-    run_batch_on(cells, opts, store.as_ref())
+    run_batch_on(cells, opts, store.as_ref()).0
 }
 
 /// Opens the result store at `dir`, or logs why it cannot and runs
@@ -643,11 +582,13 @@ pub(crate) fn open_store(dir: &Path, max_bytes: Option<u64>) -> Option<ResultSto
         .ok()
 }
 
-/// [`run_batch_with_stats`] on an already open `store` instead of the
-/// one `opts` names (`opts.resume_dir` and `opts.store_max_bytes` are
-/// not read): a long-lived process opens its store once and shares it
-/// between batches. The counters still cover exactly these cells — the
-/// campaign service reports them per cell to remote clients.
+/// [`run_batch_with`] on an already open `store` instead of the one
+/// `opts` names (`opts.resume_dir` and `opts.store_max_bytes` are not
+/// read), additionally returning this batch's result-store traffic (hits,
+/// misses, quarantined files): a long-lived process opens its store once
+/// and shares it between batches. The counters cover exactly these cells
+/// — the campaign service reports them per cell to remote clients; they
+/// are all zero without a store.
 pub(crate) fn run_batch_on(
     cells: &[CellSpec],
     opts: &BatchOptions,
@@ -780,7 +721,14 @@ pub(crate) fn run_batch_on(
     // code so error accounting is uniform).
     for (cell, result) in cells.iter().zip(&results) {
         match result {
-            Ok(out) => cell.submit(out),
+            Ok(out) => {
+                if let Some(events) = &out.events {
+                    if let Err(e) = trace_writer::submit_global(&cell.meta(), events) {
+                        eprintln!("trace: failed to write events for {}: {e}", cell.app);
+                    }
+                }
+                report_sink::record_cell(cell, out);
+            }
             Err(e) => {
                 eprintln!(
                     "cell failed [{}]: app={} policy={}: {e}",
@@ -805,6 +753,31 @@ pub(crate) fn run_batch_on(
     let store_counters = store.as_ref().map(ResultStore::counters).unwrap_or_default();
     report_sink::record_store(store_counters);
     (results, store_counters)
+}
+
+/// Runs `first` as one batch, then `next(cell, &scout)` for every
+/// successful scout as a second batch: the scout-then-observed-rerun
+/// shape of the timeline figures. Each entry is the rerun cell and its
+/// output, in the order of `first`, or `None` when either run failed.
+pub fn run_scouted(
+    first: &[CellSpec],
+    next: impl Fn(&CellSpec, &RunOutput) -> CellSpec,
+) -> Vec<Option<(CellSpec, RunOutput)>> {
+    let picked: Vec<Option<CellSpec>> = first
+        .iter()
+        .zip(run_batch(first))
+        .map(|(cell, scout)| scout.ok().map(|s| next(cell, &s)))
+        .collect();
+    let reruns: Vec<CellSpec> = picked.iter().flatten().cloned().collect();
+    let mut outs = run_batch(&reruns).into_iter();
+    picked
+        .into_iter()
+        .map(|pick| {
+            let cell = pick?;
+            let out = outs.next().expect("one result per rerun cell").ok()?;
+            Some((cell, out))
+        })
+        .collect()
 }
 
 /// Runs an `apps x policies` grid — the shape of most figures — and
@@ -893,11 +866,12 @@ mod tests {
     #[test]
     fn jobs_resolution_prefers_override() {
         // No override: some positive count.
-        set_jobs(0);
+        set_batch_defaults(BatchOptions::new());
         assert!(effective_jobs() >= 1);
-        set_jobs(3);
+        set_batch_defaults(BatchOptions::new().jobs(3));
         assert_eq!(effective_jobs(), 3);
-        set_jobs(0);
+        assert_eq!(BatchOptions::from_defaults().jobs, Some(3));
+        set_batch_defaults(BatchOptions::new());
     }
 
     #[test]

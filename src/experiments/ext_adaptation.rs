@@ -10,14 +10,15 @@
 use grit_metrics::Table;
 use grit_workloads::App;
 
-use super::{run_batch, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
 /// Number of timeline rows reported.
 pub const INTERVALS: usize = 16;
 
-/// The rerun cell with the timeline observer, sized from a scout run.
-fn observed_cell(app: App, scout: &RunOutput, exp: &ExpConfig) -> CellSpec {
+/// The rerun of `scout_cell` with the timeline observer, sized from the
+/// scout run.
+fn observed_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
     let interval = (scout.metrics.total_cycles / INTERVALS as u64).max(1);
     let obs = ObserverConfig {
         track_page: None,
@@ -26,7 +27,7 @@ fn observed_cell(app: App, scout: &RunOutput, exp: &ExpConfig) -> CellSpec {
         grid_intervals: 0,
         scheme_timeline: true,
     };
-    CellSpec::new(app, PolicyKind::GRIT, exp).observed(obs)
+    scout_cell.clone().observed(obs)
 }
 
 /// Assembles the timeline table from an observed run.
@@ -59,46 +60,21 @@ fn table_for(app: App, out: &RunOutput) -> Table {
     table
 }
 
-/// Runs the timeline for one application under GRIT.
-pub fn run_app(app: App, exp: &ExpConfig) -> Table {
-    // Scout for the run length, then rerun with the timeline observer.
-    let scout = CellSpec::new(app, PolicyKind::GRIT, exp).run();
-    let out = observed_cell(app, &scout, exp).run();
-    table_for(app, &out)
-}
-
-fn failed_table(app: App) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Extension: GRIT adaptation timeline for {} (cell failed)",
-            app.abbr()
-        ),
-        vec!["error".into()],
-    );
-    t.push_row("cell", vec![f64::NAN]);
-    t
-}
-
-/// Runs the timeline for the two most adaptive applications. An app whose
-/// scout or observed run failed yields a one-cell error table.
+/// Runs the timeline for the two most adaptive applications under GRIT:
+/// a scout run for the run length, then a rerun with the timeline
+/// observer. An app whose scout or observed run failed yields a one-cell
+/// error table.
 pub fn run(exp: &ExpConfig) -> Vec<Table> {
     let apps = [App::Gemm, App::St];
-    let scouts = run_batch(&apps.map(|a| CellSpec::new(a, PolicyKind::GRIT, exp)));
-    let picked: Vec<Option<CellSpec>> = apps
-        .iter()
-        .zip(&scouts)
-        .map(|(&a, s)| s.output().map(|scout| observed_cell(a, scout, exp)))
-        .collect();
-    let cells: Vec<CellSpec> = picked.iter().flatten().cloned().collect();
-    let outs = run_batch(&cells);
-    let mut out_iter = outs.iter();
+    let scouts = apps.map(|a| CellSpec::new(a, PolicyKind::GRIT, exp));
     apps.iter()
-        .zip(&picked)
-        .map(|(&a, pick)| {
-            pick.as_ref()
-                .and_then(|_| out_iter.next())
-                .and_then(CellResultExt::output)
-                .map_or_else(|| failed_table(a), |o| table_for(a, o))
+        .zip(run_scouted(&scouts, observed_cell))
+        .map(|(&app, run)| match run {
+            Some((_, out)) => table_for(app, &out),
+            None => failed_table(format!(
+                "Extension: GRIT adaptation timeline for {} (cell failed)",
+                app.abbr()
+            )),
         })
         .collect()
 }
@@ -122,8 +98,9 @@ mod tests {
 
     #[test]
     fn gemm_starts_on_touch_and_ends_duplication_heavy() {
-        let t = run_app(App::Gemm, &ExpConfig::quick());
-        let (first, last) = first_and_last_nonempty(&t);
+        let t = &run(&ExpConfig::quick())[0];
+        assert!(t.title().contains("for GEMM"), "{}", t.title());
+        let (first, last) = first_and_last_nonempty(t);
         assert!(
             first[0] > 50.0,
             "the run must start under the on-touch baseline: {first:?}"
@@ -136,7 +113,8 @@ mod tests {
 
     #[test]
     fn timeline_rows_are_percentages() {
-        let t = run_app(App::St, &ExpConfig::quick());
+        let t = &run(&ExpConfig::quick())[1];
+        assert!(t.title().contains("for ST"), "{}", t.title());
         for (_, row) in t.rows() {
             let sum: f64 = row.iter().sum();
             assert!(sum <= 100.0 + 1e-6);

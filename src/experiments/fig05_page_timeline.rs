@@ -3,10 +3,10 @@
 //! off) vs all-shared in ST (every GPU throughout).
 
 use grit_metrics::Table;
-use grit_sim::{PageId, Scheme, SimConfig};
+use grit_sim::{Scheme, SimConfig};
 use grit_workloads::App;
 
-use super::{run_batch, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
 fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
@@ -15,7 +15,7 @@ fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
     CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp)
 }
 
-fn tracked_cell(app: App, scout: &RunOutput, exp: &ExpConfig) -> (PageId, CellSpec) {
+fn tracked_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
     let page = scout.attrs.hottest(2).expect("workload must have at least one shared page");
     // Pass 2: rerun with the tracked-page observer. The interval shrinks
     // with the scaled runs so several intervals land inside the page's
@@ -26,15 +26,20 @@ fn tracked_cell(app: App, scout: &RunOutput, exp: &ExpConfig) -> (PageId, CellSp
         interval_cycles: interval,
         ..Default::default()
     };
-    (page, scout_cell(app, exp).observed(obs))
+    scout_cell.clone().observed(obs)
 }
 
-fn table_for(app: App, page: PageId, out: &RunOutput) -> Table {
+fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
+    let page = cell.observer.as_ref().and_then(|o| o.track_page).expect("page tracked");
     let observer = out.observer.as_ref().expect("observer configured");
     let gpus = SimConfig::default().num_gpus;
     let cols: Vec<String> = (0..gpus).map(|g| format!("GPU{g}")).collect();
     let mut table = Table::new(
-        format!("Fig 5: access mix over time for {} of {}", page, app.abbr()),
+        format!(
+            "Fig 5: access mix over time for {} of {}",
+            page,
+            cell.app.abbr()
+        ),
         cols,
     );
     for (i, fracs) in observer.page_by_gpu.fractions().into_iter().enumerate() {
@@ -46,48 +51,20 @@ fn table_for(app: App, page: PageId, out: &RunOutput) -> Table {
     table
 }
 
-/// Per-interval GPU access fractions for the hottest shared page of `app`.
-pub fn run_app(app: App, exp: &ExpConfig) -> Table {
-    let scout = scout_cell(app, exp).run();
-    let (page, cell) = tracked_cell(app, &scout, exp);
-    table_for(app, page, &cell.run())
-}
-
-fn failed_table(app: App) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Fig 5: access mix over time for {} (cell failed)",
-            app.abbr()
-        ),
-        vec!["error".into()],
-    );
-    t.push_row("cell", vec![f64::NAN]);
-    t
-}
-
 /// Runs the figure for the paper's two exemplars, C2D and ST. Both
 /// scout passes run as one batch, then both observed passes. An app whose
 /// scout or observed run failed yields a one-cell error table instead of
 /// aborting the figure.
 pub fn run(exp: &ExpConfig) -> Vec<Table> {
     let apps = [App::C2d, App::St];
-    let scouts = run_batch(&apps.map(|a| scout_cell(a, exp)));
-    let picked: Vec<Option<(PageId, CellSpec)>> = apps
-        .iter()
-        .zip(&scouts)
-        .map(|(app, scout)| scout.output().map(|s| tracked_cell(*app, s, exp)))
-        .collect();
-    let cells: Vec<CellSpec> = picked.iter().flatten().map(|(_, c)| c.clone()).collect();
-    let outputs = run_batch(&cells);
-    let mut out_iter = outputs.iter();
     apps.iter()
-        .zip(&picked)
-        .map(|(app, pick)| match pick {
-            Some((page, _)) => match out_iter.next().and_then(CellResultExt::output) {
-                Some(out) => table_for(*app, *page, out),
-                None => failed_table(*app),
-            },
-            None => failed_table(*app),
+        .zip(run_scouted(&apps.map(|a| scout_cell(a, exp)), tracked_cell))
+        .map(|(app, run)| match run {
+            Some((cell, out)) => table_for(&cell, &out),
+            None => failed_table(format!(
+                "Fig 5: access mix over time for {} (cell failed)",
+                app.abbr()
+            )),
         })
         .collect()
 }
@@ -98,7 +75,8 @@ mod tests {
 
     #[test]
     fn st_page_is_touched_by_multiple_gpus_over_time() {
-        let t = run_app(App::St, &ExpConfig::quick());
+        let t = &run(&ExpConfig::quick())[1];
+        assert!(t.title().ends_with("of ST"), "{}", t.title());
         let mut gpus_seen = std::collections::HashSet::new();
         for (_, row) in t.rows() {
             for (g, &v) in row.iter().enumerate() {
@@ -112,7 +90,8 @@ mod tests {
 
     #[test]
     fn rows_are_percentages() {
-        let t = run_app(App::C2d, &ExpConfig::quick());
+        let t = &run(&ExpConfig::quick())[0];
+        assert!(t.title().ends_with("of C2D"), "{}", t.title());
         for (_, row) in t.rows() {
             let sum: f64 = row.iter().sum();
             assert!(sum <= 100.0 + 1e-6);

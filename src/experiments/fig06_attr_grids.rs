@@ -8,49 +8,40 @@ use grit_metrics::{AttrGrid, Table};
 use grit_sim::Scheme;
 use grit_workloads::App;
 
-use super::{run_batch, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_scouted, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
 /// Grids for one application.
-pub struct AppGrids {
-    /// The application.
-    pub app: App,
+struct AppGrids {
     /// Private(1)/shared(2) grid.
-    pub private_shared: AttrGrid,
+    private_shared: AttrGrid,
     /// Read(1)/read-write(2) grid.
-    pub read_rw: AttrGrid,
+    read_rw: AttrGrid,
 }
 
 fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
     CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp)
 }
 
-fn grid_cell(app: App, scout: &RunOutput, exp: &ExpConfig, bins: usize) -> CellSpec {
+fn grid_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
     // The scout run sizes the 50 intervals to the execution length.
     let interval = (scout.metrics.total_cycles / 50).max(1);
     let obs = ObserverConfig {
         track_page: None,
         interval_cycles: interval,
-        grid_page_bins: bins,
+        grid_page_bins: 64,
         grid_intervals: 50,
         scheme_timeline: false,
     };
-    scout_cell(app, exp).observed(obs)
+    scout_cell.clone().observed(obs)
 }
 
-fn grids_from(app: App, out: &RunOutput) -> AppGrids {
+fn grids_from(out: &RunOutput) -> AppGrids {
     let observer = out.observer.as_ref().expect("grids configured");
     AppGrids {
-        app,
         private_shared: observer.grid_private_shared.clone().expect("ps grid"),
         read_rw: observer.grid_read_rw.clone().expect("rw grid"),
     }
-}
-
-/// Records the grids for `app` with `bins` page bins.
-pub fn grids_for(app: App, exp: &ExpConfig, bins: usize) -> AppGrids {
-    let scout = scout_cell(app, exp).run();
-    grids_from(app, &grid_cell(app, &scout, exp, bins).run())
 }
 
 /// Runs Figs. 6–8 and reports neighbor agreement plus attribute mix.
@@ -58,21 +49,9 @@ pub fn grids_for(app: App, exp: &ExpConfig, bins: usize) -> AppGrids {
 /// the same GEMM run), and the scout/grid passes run batched.
 pub fn run(exp: &ExpConfig) -> Table {
     let apps = [App::Gemm, App::St];
-    let scouts = run_batch(&apps.map(|a| scout_cell(a, exp)));
-    let picked: Vec<Option<CellSpec>> = apps
-        .iter()
-        .zip(&scouts)
-        .map(|(app, scout)| scout.output().map(|s| grid_cell(*app, s, exp, 64)))
-        .collect();
-    let cells: Vec<CellSpec> = picked.iter().flatten().cloned().collect();
-    let outputs = run_batch(&cells);
-    let mut out_iter = outputs.iter();
-    let mut grids = apps.iter().zip(&picked).map(|(app, pick)| {
-        pick.as_ref()
-            .and_then(|_| out_iter.next())
-            .and_then(CellResultExt::output)
-            .map(|o| grids_from(*app, o))
-    });
+    let mut grids = run_scouted(&apps.map(|a| scout_cell(a, exp)), grid_cell)
+        .into_iter()
+        .map(|run| run.map(|(_, out)| grids_from(&out)));
     let gemm = grids.next().flatten();
     let st = grids.next().flatten();
 
@@ -131,14 +110,10 @@ mod tests {
 
     #[test]
     fn gemm_has_both_attribute_classes() {
-        let g = grids_for(App::Gemm, &ExpConfig::quick(), 64);
-        assert!(
-            g.private_shared.frac_of_touched(1) > 0.05,
-            "private pages exist"
-        );
-        assert!(
-            g.private_shared.frac_of_touched(2) > 0.05,
-            "shared pages exist"
-        );
+        let t = run(&ExpConfig::quick());
+        let (label, row) = &t.rows()[0];
+        assert_eq!(label, "GEMM private/shared (Fig 6)");
+        assert!(row[1] > 0.05, "private pages exist");
+        assert!(row[2] > 0.05, "shared pages exist");
     }
 }

@@ -6,13 +6,12 @@ use grit_metrics::Table;
 use grit_sim::Scheme;
 use grit_workloads::App;
 
-use super::{CellSpec, ExpConfig, PolicyKind};
-use crate::runner::ObserverConfig;
+use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
+use crate::runner::{ObserverConfig, RunOutput};
 
-/// Runs the figure for `app` (the paper uses ST).
-pub fn run_app(app: App, exp: &ExpConfig) -> Table {
-    let base = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
-    let scout = base.run();
+/// The rerun of `scout_cell` tracking its hottest shared read-write page,
+/// with the interval sized from the scout run.
+fn observed_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
     let page = scout
         .attrs
         .hottest_written(2)
@@ -23,13 +22,17 @@ pub fn run_app(app: App, exp: &ExpConfig) -> Table {
         interval_cycles: interval,
         ..Default::default()
     };
-    let out = base.observed(obs).run();
-    let observer = out.observer.expect("observer configured");
+    scout_cell.clone().observed(obs)
+}
+
+fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
+    let page = cell.observer.as_ref().and_then(|o| o.track_page).expect("page tracked");
+    let observer = out.observer.as_ref().expect("observer configured");
     let mut table = Table::new(
         format!(
             "Fig 10: read/write mix over time for {} of {}",
             page,
-            app.abbr()
+            cell.app.abbr()
         ),
         vec!["reads%".into(), "writes%".into()],
     );
@@ -42,9 +45,19 @@ pub fn run_app(app: App, exp: &ExpConfig) -> Table {
     table
 }
 
-/// The paper's exemplar: ST.
+/// Runs the figure for the paper's exemplar, ST: a scout run picks the
+/// page, an observed rerun records its mix. A failed run yields a
+/// one-cell error table.
 pub fn run(exp: &ExpConfig) -> Table {
-    run_app(App::St, exp)
+    let app = App::St;
+    let scout = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
+    match run_scouted(&[scout], observed_cell).pop().flatten() {
+        Some((cell, out)) => table_for(&cell, &out),
+        None => failed_table(format!(
+            "Fig 10: read/write mix over time for {} (cell failed)",
+            app.abbr()
+        )),
+    }
 }
 
 #[cfg(test)]

@@ -41,13 +41,14 @@ pub mod result_store;
 pub mod workload_cache;
 
 pub use batch::{
-    effective_jobs, fail_fast_triggered, override_spec, run_batch, run_batch_with,
-    run_batch_with_stats, run_grid, set_fail_fast, set_jobs, set_override_spec, set_progress,
-    set_resume_dir, set_store_max_bytes, BatchOptions, CellResultExt, CellSpec, PolicySpec,
+    effective_jobs, fail_fast_triggered, override_spec, run_batch, run_batch_with, run_grid,
+    run_scouted, set_batch_defaults, set_override_spec, set_progress, BatchOptions, CellResultExt,
+    CellSpec, PolicySpec,
 };
 
 use grit_baselines::{FirstTouchPolicy, GpsPolicy, GriffinDpcPolicy, IdealPolicy};
 use grit_core::{GritConfig, GritPolicy};
+use grit_metrics::Table;
 use grit_sim::{Scheme, SimConfig};
 use grit_uvm::{PlacementPolicy, StaticPolicy};
 use grit_workloads::App;
@@ -233,7 +234,9 @@ impl ExpConfig {
     }
 }
 
-/// Runs one `(app, policy)` cell with the baseline system configuration.
+/// Runs one `(app, policy)` cell with the baseline system configuration:
+/// a one-cell [`CellSpec::run`] for tests and examples, which panics when
+/// the cell fails.
 pub fn run_cell(app: App, policy: PolicyKind, exp: &ExpConfig) -> RunOutput {
     run_cell_with(app, policy, exp, SimConfig::default(), None)
 }
@@ -258,6 +261,14 @@ pub fn run_cell_with(
         trace: None,
     }
     .run()
+}
+
+/// The one-cell table a per-app figure shows in place of its own when
+/// the app's cell failed: one `error` column, rendered as an error marker.
+fn failed_table(title: String) -> Table {
+    let mut t = Table::new(title, vec!["error".into()]);
+    t.push_row("cell", vec![f64::NAN]);
+    t
 }
 
 /// The eight Table II applications, the row set of most figures.

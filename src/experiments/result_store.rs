@@ -562,9 +562,8 @@ fn decode_payload(v: &Json) -> Option<RunOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{
-        run_batch_with_stats, run_cell, BatchOptions, CellSpec, ExpConfig, PolicyKind,
-    };
+    use crate::experiments::batch::run_batch_on;
+    use crate::experiments::{run_cell, BatchOptions, CellSpec, ExpConfig, PolicyKind};
     use crate::runner::ObserverConfig;
     use grit_sim::{InjectConfig, PageSizeMode, SimConfig};
     use grit_workloads::App;
@@ -616,9 +615,17 @@ mod tests {
         let dir = tmp_dir(tag);
         let cell = CellSpec::new(App::Bfs, PolicyKind::FirstTouch, &tiny_exp());
         let key = cell.resume_key().expect("a plain cell is storable");
-        let opts = BatchOptions::new().jobs(1).resume_dir(&dir);
-        let (fresh, _) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
-        let fresh = fresh[0].as_ref().unwrap();
+        // Each run opens the store afresh, as a new process would.
+        let run = || {
+            let store = ResultStore::open(&dir).unwrap();
+            let (mut outs, counters) = run_batch_on(
+                std::slice::from_ref(&cell),
+                &BatchOptions::new(),
+                Some(&store),
+            );
+            (outs.pop().unwrap().unwrap(), counters)
+        };
+        let (fresh, _) = run();
 
         let store = ResultStore::open(&dir).unwrap();
         let path = store.path_for(&key);
@@ -638,16 +645,15 @@ mod tests {
         }
         fs::write(&path, Json::Obj(fields).to_string()).unwrap();
 
-        let (rerun, counters) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
-        let rerun = rerun[0].as_ref().unwrap();
+        let (rerun, counters) = run();
         assert!(!rerun.timing.resumed, "a {schema} file must not be served");
         assert_eq!(rerun.metrics, fresh.metrics);
         assert_eq!((counters.hits, counters.quarantined), (0, 1));
 
         // The re-run stored a fresh v4 entry; the old file is not seen
         // again.
-        let (resumed, counters) = run_batch_with_stats(std::slice::from_ref(&cell), &opts);
-        assert!(resumed[0].as_ref().unwrap().timing.resumed);
+        let (resumed, counters) = run();
+        assert!(resumed.timing.resumed);
         assert_eq!((counters.hits, counters.quarantined), (1, 0));
         assert_eq!(fs::read_dir(store.quarantine_dir()).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);

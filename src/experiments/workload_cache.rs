@@ -154,7 +154,7 @@ impl WorkloadCache {
     }
 }
 
-/// The process-wide cache used by `run_cell`/`run_batch`.
+/// The process-wide cache every batch (`run_batch`) builds workloads through.
 pub fn global() -> &'static WorkloadCache {
     static CACHE: OnceLock<WorkloadCache> = OnceLock::new();
     CACHE.get_or_init(WorkloadCache::new)

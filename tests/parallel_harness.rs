@@ -4,19 +4,19 @@
 //! trace exactly once however many cells request it.
 
 use grit::experiments::{
-    fig17_grit, run_batch_with, set_jobs, table2_apps, workload_cache, BatchOptions, CellSpec,
-    ExpConfig, PolicyKind,
+    fig17_grit, run_batch_with, set_batch_defaults, table2_apps, workload_cache, BatchOptions,
+    CellSpec, ExpConfig, PolicyKind,
 };
 use grit_sim::SimConfig;
 
 #[test]
 fn fig17_table_is_identical_serial_and_parallel() {
     let exp = ExpConfig::quick();
-    set_jobs(1);
+    set_batch_defaults(BatchOptions::new().jobs(1));
     let serial = fig17_grit::run(&exp);
-    set_jobs(4);
+    set_batch_defaults(BatchOptions::new().jobs(4));
     let parallel = fig17_grit::run(&exp);
-    set_jobs(0);
+    set_batch_defaults(BatchOptions::new());
     assert_eq!(
         serial, parallel,
         "worker count must not change a figure's table"

@@ -202,39 +202,6 @@ fn profile_flags_end_to_end() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A v8 report written while the sharded event loop existed carries
-/// `sim_threads` (top level and per batch), a `profile.speculation`
-/// object and `spec_*` wall phases. It still loads, and `repro profile`
-/// renders it without the removed section.
-#[test]
-fn profile_renders_reports_with_sharded_engine_fields() {
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_report_v8_sharded.json");
-    let text = fs::read_to_string(&path).expect("fixture present");
-    assert!(text.contains("\"sim_threads\":2") && text.contains("\"speculation\":{"));
-    let report = RunReport::from_json(&Json::parse(&text).expect("valid JSON"))
-        .expect("old report still matches the schema");
-    assert_eq!(report.batches.len(), 1);
-    let profile = report.profile.expect("profile object");
-    assert!(profile.wall.iter().any(|p| p.phase == "spec_execute"));
-    assert_eq!(profile.cycle.mlp_stall_cycles, 4_166_018);
-
-    let rendered = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["profile", path.to_str().unwrap()])
-        .output()
-        .expect("repro profile runs");
-    assert!(
-        rendered.status.success(),
-        "{}",
-        String::from_utf8_lossy(&rendered.stderr)
-    );
-    let out = String::from_utf8_lossy(&rendered.stdout);
-    assert!(out.contains("wall-clock phases"), "{out}");
-    assert!(out.contains("spec_execute"), "{out}");
-    assert!(out.contains("fault_occupancy"), "{out}");
-    assert!(!out.contains("speculation"), "{out}");
-}
-
 /// Runs `repro` with `args`, which it must reject before any target
 /// runs: a nonzero exit and nothing on stdout. Returns stderr.
 fn rejected(args: &[&str]) -> String {
@@ -319,5 +286,67 @@ fn dump_trace_round_trips_every_app_kind() {
         let stdout = String::from_utf8_lossy(&info.stdout);
         assert!(stdout.contains(&format!("app:        {app}\n")), "{stdout}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs `repro` with `args`, which must exit 0. Returns stdout.
+fn succeeded(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// fig10's scout and observed runs go through the batch executor, so a
+/// cell budget no run can meet yields the one-cell error table.
+#[test]
+fn fig10_honours_the_cell_timeout() {
+    let out = succeeded(&["fig10", "--quick", "--cell-timeout", "0.0001"]);
+    assert!(out.contains("(cell failed)"), "{out}");
+    assert!(out.contains("err!"), "{out}");
+}
+
+/// `repro stats` runs its 8 x 5 grid as one batch: a failed cell prints
+/// an `APP POLICY err!` line in its place and the process still exits 0.
+#[test]
+fn stats_renders_failed_cells_as_error_rows() {
+    let out = succeeded(&["stats", "--quick", "--cell-timeout", "0.0001"]);
+    assert_eq!(out.lines().count(), 40, "{out}");
+    assert!(
+        out.lines().any(|l| l.starts_with("BFS   on-touch         err!")),
+        "{out}"
+    );
+}
+
+/// Both of fig10's passes land in the result store, so a second run
+/// serves them without simulating.
+#[test]
+fn fig10_cells_resume_from_the_store() {
+    let dir = scratch_dir_for("fig10-resume");
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let metrics = dir.join("metrics");
+    let metrics = metrics.to_str().unwrap();
+    let first = succeeded(&["fig10", "--quick", "--resume-dir", store]);
+    let second = succeeded(&[
+        "fig10",
+        "--quick",
+        "--resume-dir",
+        store,
+        "--metrics-out",
+        metrics,
+        "--force",
+    ]);
+    assert_eq!(first, second);
+    let text = fs::read_to_string(dir.join("metrics/run_report.json")).expect("report written");
+    let report = RunReport::from_json(&Json::parse(&text).expect("valid JSON")).expect("schema");
+    let store = report.store.expect("store counters recorded");
+    assert_eq!((store.hits, store.misses), (2, 0));
     let _ = fs::remove_dir_all(&dir);
 }

@@ -92,11 +92,11 @@ fn stream(jobs: usize) -> String {
 
 #[test]
 fn default_topology_tables_match_pre_topology_goldens_at_any_jobs() {
-    ex::set_jobs(1);
+    ex::set_batch_defaults(BatchOptions::new().jobs(1));
     let serial = render_tables();
-    ex::set_jobs(4);
+    ex::set_batch_defaults(BatchOptions::new().jobs(4));
     let parallel = render_tables();
-    ex::set_jobs(0);
+    ex::set_batch_defaults(BatchOptions::new());
     assert_eq!(
         serial, parallel,
         "tables diverge between --jobs 1 and --jobs 4"
