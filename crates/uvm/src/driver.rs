@@ -36,9 +36,17 @@ use crate::prefetch::Prefetcher;
 
 /// Side effects of a driver operation the runner must apply to GPU-side
 /// hardware structures (TLBs, cached lines) and frontends (stalls).
+///
+/// The driver owns one outcome buffer and clears it at the start of each
+/// public operation ([`UvmDriver::handle_fault`],
+/// [`UvmDriver::maybe_run_epoch`], [`UvmDriver::record_remote_access`]);
+/// every transition the operation runs pushes its effects into it. The
+/// caller applies the returned outcome before its next driver call, so a
+/// warm fault path allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct DriverOutcome {
-    /// Cycle at which the faulting GPU's access may replay.
+    /// Cycle at which the faulting GPU's access may replay. Set by
+    /// [`UvmDriver::handle_fault`] only; zero after the other operations.
     pub done_at: Cycle,
     /// GPUs stalled (pipeline drain / invalidation application) until the
     /// given cycle.
@@ -49,25 +57,21 @@ pub struct DriverOutcome {
     /// frame_base)` pairs: the runner must drop the owner's large-TLB
     /// entry for the frame. Always empty under uniform 4 KB pages.
     pub splintered: Vec<(GpuId, PageId)>,
-    /// The mapping the mechanism installed for the *faulting* GPU and page,
-    /// when the operation resolved a fault. Lets the runner replay the
-    /// access without a second page-table lookup. Only meaningful on
-    /// [`UvmDriver::handle_fault`] results; side-effect outcomes (epochs,
-    /// counter trips) leave it unset or stale.
+    /// The first mapping the operation installed. On a
+    /// [`UvmDriver::handle_fault`] result that is the mapping of the
+    /// *faulting* GPU and page (GPS group duplication and prefetch fills
+    /// run after it), which lets the runner replay the access without a
+    /// second page-table lookup.
     pub mapping: Option<Mapping>,
 }
 
 impl DriverOutcome {
-    fn merge(&mut self, other: DriverOutcome) {
-        self.done_at = self.done_at.max(other.done_at);
-        self.stalls.extend(other.stalls);
-        self.invalidated.extend(other.invalidated);
-        self.splintered.extend(other.splintered);
-        // The first mapping recorded belongs to the faulting page; merged
-        // side effects (group duplication, teardown) must not clobber it.
-        if self.mapping.is_none() {
-            self.mapping = other.mapping;
-        }
+    fn clear(&mut self) {
+        self.done_at = 0;
+        self.stalls.clear();
+        self.invalidated.clear();
+        self.splintered.clear();
+        self.mapping = None;
     }
 }
 
@@ -159,6 +163,8 @@ pub struct UvmDriver {
     /// sites coincide with [`FaultCounters`] increments so per-category
     /// event counts equal the counters when unfiltered and unsampled.
     tracer: Tracer,
+    /// Side effects of the public operation in progress.
+    out: DriverOutcome,
 }
 
 impl std::fmt::Debug for UvmDriver {
@@ -245,6 +251,7 @@ impl UvmDriver {
             resilience: ResilienceCounters::default(),
             clock: 0,
             tracer: Tracer::disabled(),
+            out: DriverOutcome::default(),
             cfg,
         })
     }
@@ -553,18 +560,20 @@ impl UvmDriver {
         }
     }
 
+    /// Starts a public operation at `now`: advances the driver clock and
+    /// clears the outcome buffer the operation fills.
+    fn begin(&mut self, now: Cycle) {
+        self.clock = self.clock.max(now);
+        self.out.clear();
+    }
+
     /// Applies every scheduled fault transition with `cycle <= now`:
     /// emits `FaultInjected`/`Recovered` events, executes ECC frame
-    /// retirements, and sweeps the invariants after each change. A no-op
-    /// (returning `None`) without a plan or with nothing due.
-    fn apply_injections(&mut self, now: Cycle) -> Option<DriverOutcome> {
-        if self.next_transition >= self.plan.transitions().len() {
-            return None;
-        }
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
+    /// retirements, and sweeps the invariants after each change. Returns
+    /// when the retirements' write-backs complete (no earlier than `now`),
+    /// or `None` without a plan or with nothing due.
+    fn apply_injections(&mut self, now: Cycle) -> Option<Cycle> {
+        let mut done = now;
         let mut any = false;
         while let Some(&tr) = self.plan.transitions().get(self.next_transition) {
             if tr.cycle > now {
@@ -582,8 +591,7 @@ impl UvmDriver {
                 });
                 if tr.kind == InjectedKind::Retire {
                     if let Some(g) = tr.gpu {
-                        let o = self.apply_retirement(GpuId::new(g), tr.cycle);
-                        out.merge(o);
+                        done = done.max(self.apply_retirement(GpuId::new(g), tr.cycle));
                     }
                 }
             } else {
@@ -597,21 +605,18 @@ impl UvmDriver {
             }
             self.auto_check_invariants(tr.cycle);
         }
-        any.then_some(out)
+        any.then_some(done)
     }
 
     /// Executes one scheduled ECC retirement on `gpu`: shrinks the DRAM
     /// capacity and re-places every force-evicted page through
     /// [`UvmDriver::evict_page`] (owners move back to host memory, replicas
-    /// are dropped), charged to the host class.
-    fn apply_retirement(&mut self, gpu: GpuId, now: Cycle) -> DriverOutcome {
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
+    /// are dropped), charged to the host class. Returns when the last
+    /// write-back completes.
+    fn apply_retirement(&mut self, gpu: GpuId, now: Cycle) -> Cycle {
         let cursor = self.retire_cursor[gpu.index()];
         let Some(&(_, count)) = self.plan.retirements(gpu.index()).get(cursor) else {
-            return out;
+            return now;
         };
         self.retire_cursor[gpu.index()] = cursor + 1;
         let before = self.memories[gpu.index()].capacity();
@@ -619,47 +624,34 @@ impl UvmDriver {
         let evicted = self.memories[gpu.index()].retire_frames(frames);
         self.resilience.frames_retired += (before - self.memories[gpu.index()].capacity()) as u64;
         self.resilience.pages_force_evicted += evicted.len() as u64;
-        for (vpn, dirty) in evicted {
-            let o = self.evict_page(
-                gpu,
-                vpn,
-                dirty,
-                SplinterCause::Retirement,
-                LatencyClass::Host,
-                now,
-            );
-            out.merge(o);
-        }
-        out
+        evicted.into_iter().fold(now, |done, (vpn, dirty)| {
+            let cause = SplinterCause::Retirement;
+            done.max(self.evict_page(gpu, vpn, dirty, cause, LatencyClass::Host, now))
+        })
     }
 
     /// If the policy runs epochs and `now` has passed the next boundary,
     /// executes the epoch callback and its directives. Scheduled fault
-    /// injections due by `now` are applied first either way.
-    pub fn maybe_run_epoch(&mut self, now: Cycle) -> Option<DriverOutcome> {
-        self.clock = self.clock.max(now);
-        let injected = self.apply_injections(now);
-        match (injected, self.run_due_epoch(now)) {
-            (Some(mut a), Some(b)) => {
-                a.merge(b);
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        }
+    /// injections due by `now` are applied first either way. `None` when
+    /// neither ran.
+    pub fn maybe_run_epoch(&mut self, now: Cycle) -> Option<&DriverOutcome> {
+        self.begin(now);
+        let injected = self.apply_injections(now).is_some();
+        let epoch = self.run_due_epoch(now);
+        (injected || epoch).then_some(&self.out)
     }
 
-    fn run_due_epoch(&mut self, now: Cycle) -> Option<DriverOutcome> {
-        let epoch = self.policy.epoch_len()?;
-        let due = self.next_epoch?;
+    /// Runs the epoch callback when a boundary is due; returns whether it
+    /// ran.
+    fn run_due_epoch(&mut self, now: Cycle) -> bool {
+        let (Some(epoch), Some(due)) = (self.policy.epoch_len(), self.next_epoch) else {
+            return false;
+        };
         if now < due {
-            return None;
+            return false;
         }
         self.next_epoch = Some(due + epoch.max(1));
         let directives = self.policy.on_epoch(now, &mut self.central);
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
         // Interval-based classifiers ship per-GPU access profiles to the
         // host every epoch — the CPU–GPU communication overhead §VI-C1
         // holds against Griffin-DPC. Every GPU stalls while its profile
@@ -667,8 +659,7 @@ impl UvmDriver {
         let profile_bytes = 8 * (self.central.len() as u64 / self.cfg.num_gpus as u64).max(64);
         for g in GpuId::all(self.cfg.num_gpus) {
             let t = self.fabric.gpu_to_host(g, now, profile_bytes);
-            out.stalls.push((g, t));
-            out.done_at = out.done_at.max(t);
+            self.out.stalls.push((g, t));
         }
         self.breakdown.record(
             LatencyClass::Host,
@@ -678,8 +669,7 @@ impl UvmDriver {
             match d {
                 Directive::MigratePage { vpn, to } => {
                     if self.central.page(vpn).owner != MemLoc::Gpu(to) {
-                        let o = self.migrate_page(to, vpn, now, LatencyClass::PageMigration);
-                        out.merge(o);
+                        self.migrate_page(to, vpn, now, LatencyClass::PageMigration);
                         // Epoch placement settles pages too: the target
                         // frame may now be fully private on `to`.
                         self.try_coalesce(vpn, now);
@@ -690,15 +680,16 @@ impl UvmDriver {
         // Epoch boundaries are a natural consistency point: sweep the
         // invariants.
         self.auto_check_invariants(now);
-        Some(out)
+        true
     }
 
     /// Services one page fault end to end: host trip, policy decision,
     /// mechanism, PTE update, replay release.
-    pub fn handle_fault(&mut self, fault: FaultInfo) -> DriverOutcome {
+    pub fn handle_fault(&mut self, fault: FaultInfo) -> &DriverOutcome {
         let _prof = span(Phase::FaultHandling);
-        self.clock = self.clock.max(fault.now);
-        let injected = self.apply_injections(fault.now);
+        self.begin(fault.now);
+        // Retirement write-backs due by now hold the replay too.
+        let injected = self.apply_injections(fault.now).unwrap_or(fault.now);
         match fault.fault {
             FaultKind::Local => self.faults.local_faults += 1,
             FaultKind::Protection => self.faults.protection_faults += 1,
@@ -723,12 +714,9 @@ impl UvmDriver {
             // The Ideal of Fig. 1 has no fault machinery at all: data is
             // magically local (first cold read pays one fetch), writes are
             // free. Skip the host trip and the serial driver service.
-            let mut out =
-                self.ideal_touch(fault.gpu, fault.vpn, fault.now, was_touched, fault.kind);
-            if let Some(inj) = injected {
-                out.merge(inj);
-            }
-            return out;
+            let done = self.ideal_touch(fault.gpu, fault.vpn, fault.now, was_touched, fault.kind);
+            self.out.done_at = done.max(injected);
+            return &self.out;
         }
 
         // Host trip: fault message + reply over PCIe, driver servicing,
@@ -756,11 +744,6 @@ impl UvmDriver {
         self.breakdown.record(LatencyClass::Host, pcie_trip + queue_wait + host_cost);
         let mut t = service_start + host_cost;
 
-        let mut out = DriverOutcome::default();
-        if let Some(inj) = injected {
-            out.merge(inj);
-        }
-
         if decision.scheme_changed {
             self.faults.scheme_changes += 1;
             if let Some(scheme) = self.central.scheme_of(fault.vpn) {
@@ -779,17 +762,18 @@ impl UvmDriver {
             if state.is_duplicated()
                 && self.central.scheme_of(fault.vpn) != Some(Scheme::Duplication)
             {
-                let o = self.teardown_replicas(fault.vpn, t);
-                t = t.max(o.done_at);
-                out.merge(o);
+                t = t.max(self.teardown_replicas(fault.vpn, t));
             }
         }
 
-        let o = match decision.resolution {
+        let done = match decision.resolution {
             Resolution::Migrate => {
                 self.migrate_page(fault.gpu, fault.vpn, t, LatencyClass::PageMigration)
             }
-            Resolution::MapRemote => self.map_remote(fault.gpu, fault.vpn, t),
+            Resolution::MapRemote => {
+                self.map_remote(fault.gpu, fault.vpn);
+                t
+            }
             Resolution::Duplicate => {
                 if fault.kind.is_write() && self.policy.write_mode() == WriteMode::Collapse {
                     self.collapse_exclusive(fault.gpu, fault.vpn, t)
@@ -799,14 +783,13 @@ impl UvmDriver {
                     // 64 KB group, and writers subscribe too (their stores
                     // broadcast instead of collapsing).
                     let base = fault.vpn.group_base(self.pages_per_group);
-                    let mut out = self.duplicate_to(fault.gpu, fault.vpn, t);
-                    for p in self.touched_pages(base, self.pages_per_group) {
-                        if p != fault.vpn {
-                            let o = self.duplicate_to(fault.gpu, p, t);
-                            out.merge(o);
+                    let mut done = self.duplicate_to(fault.gpu, fault.vpn, t);
+                    for p in (0..self.pages_per_group).map(|i| base.offset(i)) {
+                        if p != fault.vpn && self.carried(p) {
+                            done = done.max(self.duplicate_to(fault.gpu, p, t));
                         }
                     }
-                    out
+                    done
                 } else {
                     // Reads replicate; a write under collapse semantics was
                     // handled above.
@@ -815,36 +798,37 @@ impl UvmDriver {
             }
             Resolution::Ideal => unreachable!("ideal handled before the host trip"),
         };
-        out.merge(o);
+        let done = done.max(injected);
 
         // Prefetch fills ride in the background after the fault resolves.
         if self.prefetcher.is_some() {
-            self.run_prefetch(fault.gpu, fault.vpn, out.done_at);
+            self.run_prefetch(fault.gpu, fault.vpn, done);
         }
 
         // Fault resolution settles placement: the frame may just have
         // become fully private and resident on one GPU.
         self.try_coalesce(fault.vpn, fault.now);
 
-        out.done_at += lat.fault_replay;
-        self.fault_latency.record(out.done_at.saturating_sub(fault.now));
-        out
+        self.out.done_at = done + lat.fault_replay;
+        self.fault_latency.record(self.out.done_at.saturating_sub(fault.now));
+        &self.out
     }
 
     /// Observes one remote (post-cache) access under the counter-based
-    /// scheme; returns a migration outcome when the 64 KB-group counter
-    /// trips (§II-B2 step 3–5).
+    /// scheme; returns the side effects when the 64 KB-group counter
+    /// trips and migrates the group (§II-B2 step 3–5) or a scheduled
+    /// fault injection applied, `None` otherwise.
     pub fn record_remote_access(
         &mut self,
         now: Cycle,
         gpu: GpuId,
         vpn: PageId,
-    ) -> Option<DriverOutcome> {
-        self.clock = self.clock.max(now);
-        let injected = self.apply_injections(now);
+    ) -> Option<&DriverOutcome> {
+        self.begin(now);
+        let injected = self.apply_injections(now).is_some();
         self.policy.on_remote_access(now, gpu, vpn);
         if self.scheme_of(vpn) != Scheme::AccessCounter {
-            return injected;
+            return injected.then_some(&self.out);
         }
         // A coalesced 2 MB frame exposes one translation, so the hardware
         // can only count at frame granularity: all of its 64 KB counter
@@ -870,7 +854,7 @@ impl UvmDriver {
             }
         }
         if !tripped {
-            return injected;
+            return injected.then_some(&self.out);
         }
         // Counter tripped: the UVM driver broadcasts invalidations, then
         // migrates the whole tracked region to the heavy accessor — a
@@ -890,21 +874,15 @@ impl UvmDriver {
             Some(fb) => (fb, self.large.pages_per_frame()),
             None => (vpn.group_base(self.pages_per_group), self.pages_per_group),
         };
-        let mut out = DriverOutcome {
-            done_at: t,
-            ..Default::default()
-        };
-        for p in self.touched_pages(base, span_pages) {
-            let o = self.migrate_page(gpu, p, t, LatencyClass::PageMigration);
-            out.merge(o);
+        for p in (0..span_pages).map(|i| base.offset(i)) {
+            if self.carried(p) {
+                self.migrate_page(gpu, p, t, LatencyClass::PageMigration);
+            }
         }
         // The whole region now sits on the accessor: re-coalesce if the
         // frame came out fully private (frame migration end-to-end).
         self.try_coalesce(vpn, t);
-        if let Some(inj) = injected {
-            out.merge(inj);
-        }
-        Some(out)
+        Some(&self.out)
     }
 
     /// One remote data fetch/store of a cache line by `gpu` from `owner`'s
@@ -982,13 +960,7 @@ impl UvmDriver {
     /// shootdown and queues it on the outcome. A no-op under uniform
     /// 4 KB pages or when the frame was not coalesced, so every
     /// sharing/eviction path hooks this unconditionally.
-    fn splinter_frame(
-        &mut self,
-        vpn: PageId,
-        cause: SplinterCause,
-        now: Cycle,
-        out: &mut DriverOutcome,
-    ) {
+    fn splinter_frame(&mut self, vpn: PageId, cause: SplinterCause, now: Cycle) {
         if let Some((base, owner)) = self.large.splinter(vpn, cause) {
             self.tracer.emit(EventCategory::PageSplintered, || {
                 TraceEvent::PageSplintered {
@@ -1004,7 +976,7 @@ impl UvmDriver {
                 LatencyClass::Host,
                 self.cfg.lat.scheme_change + self.cfg.lat.invalidation_per_gpu,
             );
-            out.splintered.push((owner, base));
+            self.out.splintered.push((owner, base));
         }
     }
 
@@ -1041,32 +1013,41 @@ impl UvmDriver {
     // Mechanisms.
     // ------------------------------------------------------------------
 
-    /// The touched pages of the `len`-page span starting at `base`, in
-    /// VPN order and clipped to the footprint: the pages a GPS group
-    /// subscription or a counter-trip migration carries along.
-    fn touched_pages(&self, base: PageId, len: u64) -> Vec<PageId> {
-        (0..len)
-            .map(|i| base.offset(i))
-            .filter(|&p| p.vpn() < self.footprint_pages && self.central.page(p).touched)
-            .collect()
+    /// Whether `p` lies inside the footprint and has been touched: the
+    /// pages of a 64 KB group or 2 MB frame that a GPS group subscription
+    /// or a counter-trip migration carries along. No transition changes
+    /// `touched`, so the span walks test it page by page as they go.
+    fn carried(&self, p: PageId) -> bool {
+        p.vpn() < self.footprint_pages && self.central.page(p).touched
     }
 
-    /// Makes `vpn` resident on `gpu` as a page placement; a capacity
-    /// victim goes through [`UvmDriver::evict_page`] with the dirty bit it
-    /// held, charged to `class`.
+    /// Installs `m` as `gpu`'s translation of `vpn`. The first mapping an
+    /// operation installs is recorded on its outcome: on a fault that is
+    /// the faulting page's, since GPS group duplication and prefetch fills
+    /// run after the fault is resolved.
+    fn install(&mut self, gpu: GpuId, vpn: PageId, m: Mapping) {
+        self.local_pts[gpu.index()].map(vpn, m);
+        self.out.mapping.get_or_insert(m);
+    }
+
+    /// Makes `vpn` resident on `gpu` as a page placement at `now`; a
+    /// capacity victim goes through [`UvmDriver::evict_page`] with the
+    /// dirty bit it held, charged to `class`. Returns when the victim's
+    /// eviction completes, or `now` without one.
     fn insert_resident(
         &mut self,
         gpu: GpuId,
         vpn: PageId,
         now: Cycle,
         class: LatencyClass,
-        out: &mut DriverOutcome,
-    ) {
+    ) -> Cycle {
         self.page_insertions += 1;
-        if let Some(victim) = self.memories[gpu.index()].insert(vpn) {
-            let dirty = self.memories[gpu.index()].is_dirty(victim);
-            let o = self.evict_page(gpu, victim, dirty, SplinterCause::Eviction, class, now);
-            out.merge(o);
+        match self.memories[gpu.index()].insert(vpn) {
+            Some(victim) => {
+                let dirty = self.memories[gpu.index()].is_dirty(victim);
+                self.evict_page(gpu, victim, dirty, SplinterCause::Eviction, class, now)
+            }
+            None => now,
         }
     }
 
@@ -1078,6 +1059,7 @@ impl UvmDriver {
     /// Charged to `class` because eviction cost belongs to whichever
     /// scheme caused the pressure (Fig. 3 folds duplication-driven
     /// eviction into "page-duplication"); retirement charges the host.
+    /// Returns when the write-back completes (`now` for a replica).
     fn evict_page(
         &mut self,
         gpu: GpuId,
@@ -1086,11 +1068,7 @@ impl UvmDriver {
         cause: SplinterCause,
         class: LatencyClass,
         now: Cycle,
-    ) -> DriverOutcome {
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
+    ) -> Cycle {
         self.faults.evictions += 1;
         self.tracer.emit(EventCategory::Eviction, || TraceEvent::Eviction {
             cycle: now,
@@ -1098,7 +1076,7 @@ impl UvmDriver {
             vpn,
         });
         // Losing any base page leaves the frame partially resident.
-        self.splinter_frame(vpn, cause, now, &mut out);
+        self.splinter_frame(vpn, cause, now);
         let lat = self.cfg.lat;
         if self.central.page(vpn).owner == MemLoc::Gpu(gpu) {
             let bytes = if dirty { self.cfg.page_size } else { 64 };
@@ -1107,20 +1085,20 @@ impl UvmDriver {
             self.central.page_mut(vpn).owner = MemLoc::Host;
             for g in GpuId::all(self.cfg.num_gpus) {
                 if self.local_pts[g.index()].invalidate(vpn) {
-                    out.invalidated.push((g, vpn));
+                    self.out.invalidated.push((g, vpn));
                     self.breakdown.record(class, lat.invalidation_per_gpu);
                 }
             }
-            out.done_at = t;
+            t
         } else {
             // A replica (or stale residency): drop it locally.
             self.central.page_mut(vpn).replicas.remove(gpu);
             if self.local_pts[gpu.index()].invalidate(vpn) {
-                out.invalidated.push((gpu, vpn));
+                self.out.invalidated.push((gpu, vpn));
                 self.breakdown.record(class, lat.invalidation_per_gpu);
             }
+            now
         }
-        out
     }
 
     /// Pulls one page's bytes from `owner` to `dst`, starting at `t`;
@@ -1139,51 +1117,44 @@ impl UvmDriver {
 
     /// Makes `dst` the page's only holder: owner with no replicas,
     /// resident and mapped `Local`. `arrived: Some(t)` places the page
-    /// at `t` as an insertion (which may evict, charged to `class`);
-    /// `None` means `dst` already holds it and only refreshes its
-    /// recency. Peers' copies and translations must already be gone.
+    /// at `t` as an insertion (which may evict, charged to `class`) and
+    /// returns when that completes; `None` means `dst` already holds it
+    /// and only refreshes its recency, and returns 0. Peers' copies and
+    /// translations must already be gone.
     fn make_exclusive(
         &mut self,
         dst: GpuId,
         vpn: PageId,
         arrived: Option<Cycle>,
         class: LatencyClass,
-        out: &mut DriverOutcome,
-    ) {
+    ) -> Cycle {
         {
             let p = self.central.page_mut(vpn);
             p.owner = MemLoc::Gpu(dst);
             p.replicas.clear();
         }
-        match arrived {
-            Some(t) => self.insert_resident(dst, vpn, t, class, out),
+        let done = match arrived {
+            Some(t) => self.insert_resident(dst, vpn, t, class),
             None => {
                 self.memories[dst.index()].touch(vpn);
+                0
             }
-        }
-        self.local_pts[dst.index()].map(vpn, Mapping::Local);
-        out.mapping = Some(Mapping::Local);
+        };
+        self.install(dst, vpn, Mapping::Local);
+        done
     }
 
-    fn migrate_page(
-        &mut self,
-        dst: GpuId,
-        vpn: PageId,
-        now: Cycle,
-        class: LatencyClass,
-    ) -> DriverOutcome {
+    /// Moves `vpn` to `dst` as its sole holder; returns when the data has
+    /// arrived and any capacity victim's write-back has completed.
+    fn migrate_page(&mut self, dst: GpuId, vpn: PageId, now: Cycle, class: LatencyClass) -> Cycle {
         let _prof = span(Phase::Migration);
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
         let state = self.central.page(vpn);
         let lat = self.cfg.lat;
 
         if state.owner == MemLoc::Gpu(dst) && !state.is_duplicated() {
             // Already local and exclusive: just (re)establish the mapping.
-            self.make_exclusive(dst, vpn, None, class, &mut out);
-            return out;
+            self.make_exclusive(dst, vpn, None, class);
+            return now;
         }
 
         // Graceful degradation: a migration whose source route is fully
@@ -1207,22 +1178,19 @@ impl UvmDriver {
         });
         // A base page leaving its frame's owner breaks the frame's
         // privacy; a no-op when the frame was not coalesced.
-        self.splinter_frame(vpn, SplinterCause::FalseSharing, now, &mut out);
+        self.splinter_frame(vpn, SplinterCause::FalseSharing, now);
         let mut t = now;
 
         // 1. Flush/drain the source GPU that owns the page.
         let moving_from = state.owner.gpu().filter(|&src| src != dst);
         if let Some(src) = moving_from {
             self.breakdown.record(class, lat.flush_drain);
-            out.stalls.push((src, t + lat.flush_drain));
+            self.out.stalls.push((src, t + lat.flush_drain));
             t += lat.flush_drain;
         }
 
         // 2. Invalidate every other GPU's translation (and replicas).
-        let mut teardown = self.teardown_mappings_except(vpn, dst, t, class);
-        out.stalls.append(&mut teardown.stalls);
-        out.invalidated.append(&mut teardown.invalidated);
-        t = t.max(teardown.done_at);
+        t = t.max(self.teardown_mappings_except(vpn, dst, t, class));
 
         // 3. Move the data.
         let arrive = self.pull(state.owner, dst, t);
@@ -1233,10 +1201,9 @@ impl UvmDriver {
         if let Some(src) = moving_from {
             self.memories[src.index()].remove(vpn);
         }
-        self.make_exclusive(dst, vpn, Some(arrive), class, &mut out);
-        out.done_at = out.done_at.max(arrive);
-        self.migration_latency.record(out.done_at.saturating_sub(now));
-        out
+        let done = self.make_exclusive(dst, vpn, Some(arrive), class);
+        self.migration_latency.record(done.saturating_sub(now));
+        done
     }
 
     /// Handles a migration whose `src -> dst` route is severed: retries
@@ -1245,7 +1212,8 @@ impl UvmDriver {
     /// and `dst` maps it remotely (the fabric stages remote reads through
     /// the host while the outage lasts); a dirty copy is staged to host
     /// memory over the source's always-available PCIe link so it stays
-    /// reachable. Never panics, never drops the page.
+    /// reachable. Never panics, never drops the page. Returns when the
+    /// page is reachable from `dst`.
     fn blocked_migration(
         &mut self,
         dst: GpuId,
@@ -1253,7 +1221,7 @@ impl UvmDriver {
         vpn: PageId,
         now: Cycle,
         class: LatencyClass,
-    ) -> DriverOutcome {
+    ) -> Cycle {
         self.resilience.migrations_blocked += 1;
         let mut t = now;
         for attempt in 0..self.backoff.max_attempts {
@@ -1274,17 +1242,11 @@ impl UvmDriver {
                 // path proceeds from the retry time.
                 self.resilience.retry_successes += 1;
                 self.breakdown.record(class, t - now);
-                let mut out = self.migrate_page(dst, vpn, t, class);
-                out.done_at = out.done_at.max(t);
-                return out;
+                return self.migrate_page(dst, vpn, t, class);
             }
         }
         // Retries exhausted; fall back.
         self.breakdown.record(class, t - now);
-        let mut out = DriverOutcome {
-            done_at: t,
-            ..Default::default()
-        };
         let dirty = self.memories[src.index()].is_dirty(vpn);
         let staged = dirty;
         self.tracer.emit(EventCategory::FallbackRemote, || {
@@ -1300,12 +1262,10 @@ impl UvmDriver {
             // it in host memory so every GPU can still reach it.
             self.resilience.host_staged += 1;
             // Host staging pulls a page out of the frame's residency.
-            self.splinter_frame(vpn, SplinterCause::Eviction, t, &mut out);
-            let mut teardown = self.teardown_mappings_except(vpn, dst, t, class);
-            out.stalls.append(&mut teardown.stalls);
-            out.invalidated.append(&mut teardown.invalidated);
-            let t2 = self.fabric.gpu_to_host(src, teardown.done_at.max(t), self.cfg.page_size);
-            self.breakdown.record(class, t2 - t);
+            self.splinter_frame(vpn, SplinterCause::Eviction, t);
+            let torn_down = self.teardown_mappings_except(vpn, dst, t, class);
+            let staged_at = self.fabric.gpu_to_host(src, torn_down, self.cfg.page_size);
+            self.breakdown.record(class, staged_at - t);
             self.memories[src.index()].remove(vpn);
             {
                 let p = self.central.page_mut(vpn);
@@ -1313,46 +1273,41 @@ impl UvmDriver {
                 p.replicas.clear();
             }
             if self.local_pts[src.index()].invalidate(vpn) {
-                out.invalidated.push((src, vpn));
+                self.out.invalidated.push((src, vpn));
             }
-            self.local_pts[dst.index()].map(vpn, Mapping::RemoteHost);
-            out.mapping = Some(Mapping::RemoteHost);
-            out.done_at = out.done_at.max(t2);
+            self.install(dst, vpn, Mapping::RemoteHost);
+            staged_at
         } else {
             // The source copy is clean and authoritative: leave it owned
             // by `src` and access it remotely until placement re-places
             // the group.
             self.resilience.fallback_remote += 1;
-            self.local_pts[dst.index()].map(vpn, Mapping::Remote(src));
-            out.mapping = Some(Mapping::Remote(src));
+            self.install(dst, vpn, Mapping::Remote(src));
+            t
         }
-        out
     }
 
     /// Invalidates every GPU mapping of `vpn` except `keep`'s, dropping
-    /// replicas from memory; returns the teardown outcome.
+    /// replicas from memory; returns when the invalidations complete.
     fn teardown_mappings_except(
         &mut self,
         vpn: PageId,
         keep: GpuId,
         now: Cycle,
         class: LatencyClass,
-    ) -> DriverOutcome {
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
+    ) -> Cycle {
         let lat = self.cfg.lat;
+        let mut done = now;
         let mut replicas = self.central.page(vpn).replicas;
         for g in GpuId::all(self.cfg.num_gpus) {
             if g == keep {
                 continue;
             }
             if self.local_pts[g.index()].invalidate(vpn) {
-                out.invalidated.push((g, vpn));
+                self.out.invalidated.push((g, vpn));
                 self.breakdown.record(class, lat.invalidation_per_gpu);
-                out.stalls.push((g, now + lat.invalidation_per_gpu));
-                out.done_at = out.done_at.max(now + lat.invalidation_per_gpu);
+                done = now + lat.invalidation_per_gpu;
+                self.out.stalls.push((g, done));
             }
             if replicas.remove(g) {
                 self.memories[g.index()].remove(vpn);
@@ -1364,70 +1319,49 @@ impl UvmDriver {
         if keep_replica {
             p.replicas.insert(keep);
         }
-        out
+        done
     }
 
     /// Tears down every replica of a page (scheme reset away from
-    /// duplication, §V-F): PTE/TLB invalidations in each holder.
-    fn teardown_replicas(&mut self, vpn: PageId, now: Cycle) -> DriverOutcome {
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
+    /// duplication, §V-F): PTE/TLB invalidations in each holder. Returns
+    /// when the invalidations complete.
+    fn teardown_replicas(&mut self, vpn: PageId, now: Cycle) -> Cycle {
         let lat = self.cfg.lat;
+        let mut done = now;
         let replicas = self.central.page(vpn).replicas;
         for g in replicas.iter() {
             self.memories[g.index()].remove(vpn);
             if self.local_pts[g.index()].invalidate(vpn) {
-                out.invalidated.push((g, vpn));
+                self.out.invalidated.push((g, vpn));
             }
             self.breakdown.record(LatencyClass::WriteCollapse, lat.invalidation_per_gpu);
-            out.stalls.push((g, now + lat.invalidation_per_gpu));
-            out.done_at = out.done_at.max(now + lat.invalidation_per_gpu);
+            done = now + lat.invalidation_per_gpu;
+            self.out.stalls.push((g, done));
         }
         self.central.page_mut(vpn).replicas.clear();
-        out
+        done
     }
 
-    fn map_remote(&mut self, gpu: GpuId, vpn: PageId, now: Cycle) -> DriverOutcome {
-        let state = self.central.page(vpn);
-        match state.owner {
-            MemLoc::Gpu(owner) if owner != gpu => {
-                self.local_pts[gpu.index()].map(vpn, Mapping::Remote(owner));
-                DriverOutcome {
-                    done_at: now,
-                    mapping: Some(Mapping::Remote(owner)),
-                    ..Default::default()
-                }
-            }
+    /// Maps `vpn` on `gpu` where it lies; completes at once.
+    fn map_remote(&mut self, gpu: GpuId, vpn: PageId) {
+        let m = match self.central.page(vpn).owner {
+            MemLoc::Gpu(owner) if owner != gpu => Mapping::Remote(owner),
             MemLoc::Gpu(_) => {
                 // Owner faulted on its own page (stale PTE): remap local.
-                self.local_pts[gpu.index()].map(vpn, Mapping::Local);
                 self.memories[gpu.index()].touch(vpn);
-                DriverOutcome {
-                    done_at: now,
-                    mapping: Some(Mapping::Local),
-                    ..Default::default()
-                }
+                Mapping::Local
             }
-            MemLoc::Host => {
-                // The page stays in host memory; the GPU reads it over
-                // PCIe while the access counters tick (§II-B2).
-                self.local_pts[gpu.index()].map(vpn, Mapping::RemoteHost);
-                DriverOutcome {
-                    done_at: now,
-                    mapping: Some(Mapping::RemoteHost),
-                    ..Default::default()
-                }
-            }
-        }
+            // The page stays in host memory; the GPU reads it over PCIe
+            // while the access counters tick (§II-B2).
+            MemLoc::Host => Mapping::RemoteHost,
+        };
+        self.install(gpu, vpn, m);
     }
 
-    fn duplicate_to(&mut self, gpu: GpuId, vpn: PageId, now: Cycle) -> DriverOutcome {
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
+    /// Adds `gpu` to the page's holders as a read-only replica; returns
+    /// when the copy has arrived and any capacity victim's write-back has
+    /// completed.
+    fn duplicate_to(&mut self, gpu: GpuId, vpn: PageId, now: Cycle) -> Cycle {
         let state = self.central.page(vpn);
 
         if state.owner == MemLoc::Gpu(gpu) || state.replicas.contains(gpu) {
@@ -1437,10 +1371,9 @@ impl UvmDriver {
             } else {
                 Mapping::Replica
             };
-            self.local_pts[gpu.index()].map(vpn, m);
+            self.install(gpu, vpn, m);
             self.memories[gpu.index()].touch(vpn);
-            out.mapping = Some(m);
-            return out;
+            return now;
         }
 
         self.faults.duplications += 1;
@@ -1451,7 +1384,7 @@ impl UvmDriver {
             from: state.owner,
         });
         // A replica on a peer ends the frame's single-owner privacy.
-        self.splinter_frame(vpn, SplinterCause::FalseSharing, now, &mut out);
+        self.splinter_frame(vpn, SplinterCause::FalseSharing, now);
         // Copy from the authoritative owner; the driver mediates the
         // replica creation (dup_overhead).
         let now = now + self.cfg.lat.dup_overhead;
@@ -1461,14 +1394,14 @@ impl UvmDriver {
             arrive - now + self.cfg.lat.dup_overhead,
         );
         self.central.page_mut(vpn).replicas.insert(gpu);
-        self.insert_resident(gpu, vpn, arrive, LatencyClass::PageDuplication, &mut out);
-        self.local_pts[gpu.index()].map(vpn, Mapping::Replica);
-        out.mapping = Some(Mapping::Replica);
-        out.done_at = out.done_at.max(arrive);
-        out
+        let done = self.insert_resident(gpu, vpn, arrive, LatencyClass::PageDuplication);
+        self.install(gpu, vpn, Mapping::Replica);
+        done
     }
 
-    fn collapse_exclusive(&mut self, writer: GpuId, vpn: PageId, now: Cycle) -> DriverOutcome {
+    /// Makes the writer the page's sole holder, invalidating every other
+    /// copy and translation; returns when the writer may proceed.
+    fn collapse_exclusive(&mut self, writer: GpuId, vpn: PageId, now: Cycle) -> Cycle {
         let state = self.central.page(vpn);
         let others = state.holders().without(writer);
         let had_copy = state.holders().contains(writer);
@@ -1479,14 +1412,10 @@ impl UvmDriver {
             return self.migrate_page(writer, vpn, now, LatencyClass::PageMigration);
         }
 
-        let mut out = DriverOutcome {
-            done_at: now,
-            ..Default::default()
-        };
         let mut t = now;
         // The writer takes exclusive ownership away from the current
         // holders: any coalesced frame over this range is falsely shared.
-        self.splinter_frame(vpn, SplinterCause::FalseSharing, now, &mut out);
+        self.splinter_frame(vpn, SplinterCause::FalseSharing, now);
         if !others.is_empty() {
             self.faults.collapses += 1;
             self.tracer.emit(EventCategory::Collapse, || TraceEvent::Collapse {
@@ -1509,21 +1438,17 @@ impl UvmDriver {
                 LatencyClass::WriteCollapse,
                 lat.flush_drain + lat.invalidation_per_gpu,
             );
-            out.stalls.push((g, t + lat.flush_drain));
+            self.out.stalls.push((g, t + lat.flush_drain));
             flush_end = flush_end.max(t + lat.flush_drain + lat.invalidation_per_gpu);
             self.local_pts[g.index()].invalidate(vpn);
-            out.invalidated.push((g, vpn));
+            self.out.invalidated.push((g, vpn));
             self.memories[g.index()].remove(vpn);
         }
         // Ownership moves to the writer: every other translation of this
         // page — including remote mappings held by non-holders — is stale
         // and must be shot down.
-        let mut teardown =
-            self.teardown_mappings_except(vpn, writer, flush_end, LatencyClass::WriteCollapse);
-        out.stalls.append(&mut teardown.stalls);
-        out.invalidated.append(&mut teardown.invalidated);
-        flush_end = flush_end.max(teardown.done_at);
-        t = flush_end;
+        let class = LatencyClass::WriteCollapse;
+        t = flush_end.max(self.teardown_mappings_except(vpn, writer, flush_end, class));
 
         // Data: the writer reuses its replica if it has one, otherwise
         // pulls the authoritative copy.
@@ -1535,11 +1460,11 @@ impl UvmDriver {
             t = arrive;
             Some(t)
         };
-        self.make_exclusive(writer, vpn, arrived, LatencyClass::WriteCollapse, &mut out);
-        out.done_at = out.done_at.max(t);
-        out
+        t.max(self.make_exclusive(writer, vpn, arrived, class))
     }
 
+    /// The Ideal upper bound's fault: maps the page `Local` on `gpu`;
+    /// returns when the access may replay.
     fn ideal_touch(
         &mut self,
         gpu: GpuId,
@@ -1547,7 +1472,7 @@ impl UvmDriver {
         now: Cycle,
         was_touched: bool,
         kind: AccessKind,
-    ) -> DriverOutcome {
+    ) -> Cycle {
         let mut done = now;
         if !was_touched && !kind.is_write() {
             // The one cost Ideal pays: the first cold *read* fetch. Writes
@@ -1561,14 +1486,13 @@ impl UvmDriver {
         }
         // Every GPU sees the page as local; no capacity pressure is
         // modelled for the unrealizable upper bound.
-        self.local_pts[gpu.index()].map(vpn, Mapping::Local);
-        DriverOutcome {
-            done_at: done,
-            mapping: Some(Mapping::Local),
-            ..Default::default()
-        }
+        self.install(gpu, vpn, Mapping::Local);
+        done
     }
 
+    /// Places the prefetcher's cold neighbours of `vpn` on `gpu` at `now`.
+    /// The fills do not delay the fault's replay, but a capacity victim's
+    /// invalidations land on the fault's outcome.
     fn run_prefetch(&mut self, gpu: GpuId, vpn: PageId, now: Cycle) {
         let Some(pf) = self.prefetcher.as_mut() else {
             return;
@@ -1586,8 +1510,7 @@ impl UvmDriver {
             // The fill counts as a read touch: a GPU owns only pages it
             // has touched.
             self.central.note_fault(gpu, cand, false);
-            let mut scratch = DriverOutcome::default();
-            self.make_exclusive(gpu, cand, Some(now), LatencyClass::Host, &mut scratch);
+            self.make_exclusive(gpu, cand, Some(now), LatencyClass::Host);
         }
     }
 }
@@ -1636,7 +1559,7 @@ mod tests {
     fn on_touch_ping_pong_invalidates_previous_owner() {
         let mut d = driver(Scheme::OnTouch);
         d.handle_fault(fault(0, 5, AccessKind::Read, FaultKind::Local, 0));
-        let out = d.handle_fault(fault(1, 5, AccessKind::Read, FaultKind::Local, 100_000));
+        let out = d.handle_fault(fault(1, 5, AccessKind::Read, FaultKind::Local, 100_000)).clone();
         assert_eq!(d.central.page(PageId(5)).owner, MemLoc::Gpu(GpuId::new(1)));
         assert_eq!(d.translate(GpuId::new(0), PageId(5)), None);
         assert!(out.invalidated.contains(&(GpuId::new(0), PageId(5))));
@@ -1693,13 +1616,15 @@ mod tests {
         );
 
         // GPU1 writes: everyone else collapses.
-        let out = d.handle_fault(fault(
-            1,
-            9,
-            AccessKind::Write,
-            FaultKind::Protection,
-            300_000,
-        ));
+        let out = d
+            .handle_fault(fault(
+                1,
+                9,
+                AccessKind::Write,
+                FaultKind::Protection,
+                300_000,
+            ))
+            .clone();
         let st = d.central.page(PageId(9));
         assert_eq!(st.owner, MemLoc::Gpu(GpuId::new(1)));
         assert!(st.replicas.is_empty());
@@ -1735,6 +1660,47 @@ mod tests {
         assert!(d.oversubscription_rate() > 0.0);
     }
 
+    #[test]
+    fn prefetch_evictions_reach_the_fault_outcome() {
+        /// Nominates the page after each filled page.
+        struct NextPage;
+        impl Prefetcher for NextPage {
+            fn name(&self) -> String {
+                "next-page".into()
+            }
+            fn on_fill(&mut self, _gpu: GpuId, vpn: PageId, footprint: u64) -> Vec<PageId> {
+                (vpn.vpn() + 1 < footprint).then(|| vpn.offset(1)).into_iter().collect()
+            }
+        }
+        // Footprint 8 pages -> capacity 6 per GPU. GPU0 fills its memory
+        // with pages 0..6; GPU1 maps page 1 remotely.
+        let cfg = SimConfig::default();
+        let mut d = UvmDriver::new(cfg, 8, Box::new(StaticPolicy::new(Scheme::AccessCounter)));
+        for p in 0..6 {
+            d.handle_fault(fault(0, p, AccessKind::Read, FaultKind::Local, p * 100_000));
+        }
+        d.handle_fault(fault(1, 1, AccessKind::Read, FaultKind::Local, 700_000));
+        assert_eq!(
+            d.translate(GpuId::new(1), PageId(1)),
+            Some(Mapping::Remote(GpuId::new(0)))
+        );
+        // Page 6 evicts page 0; its prefetched neighbour, page 7, evicts
+        // page 1, whose remote mapping on GPU1 must be shot down too.
+        d.set_prefetcher(Box::new(NextPage));
+        let out = d.handle_fault(fault(0, 6, AccessKind::Read, FaultKind::Local, 800_000)).clone();
+        assert_eq!(d.central.page(PageId(7)).owner, MemLoc::Gpu(GpuId::new(0)));
+        assert_eq!(d.fault_counters().evictions, 2);
+        assert_eq!(d.translate(GpuId::new(1), PageId(1)), None);
+        assert!(out.invalidated.contains(&(GpuId::new(0), PageId(0))));
+        assert!(out.invalidated.contains(&(GpuId::new(0), PageId(1))));
+        assert!(out.invalidated.contains(&(GpuId::new(1), PageId(1))));
+        assert_eq!(
+            out.mapping,
+            Some(Mapping::Local),
+            "the faulting page's mapping"
+        );
+    }
+
     /// 512 KB base pages -> 4 base pages per 2 MB frame, so whole frames
     /// coalesce after a handful of faults.
     fn large_cfg() -> SimConfig {
@@ -1758,7 +1724,7 @@ mod tests {
         assert_eq!(d.large_pages().counters().coalesces, 1);
 
         // GPU1 pulls one base page out of the frame: false sharing.
-        let out = d.handle_fault(fault(1, 2, AccessKind::Read, FaultKind::Local, 500_000));
+        let out = d.handle_fault(fault(1, 2, AccessKind::Read, FaultKind::Local, 500_000)).clone();
         assert_eq!(d.coalesced_frame(PageId(0)), None);
         assert!(out.splintered.contains(&(GpuId::new(0), PageId(0))));
         assert_eq!(d.large_pages().counters().splinters_false_sharing, 1);
@@ -1851,7 +1817,7 @@ mod tests {
     #[test]
     fn ideal_pays_only_cold_cost() {
         let mut d = UvmDriver::new(SimConfig::default(), 100, Box::new(Ideal));
-        let first = d.handle_fault(fault(0, 1, AccessKind::Read, FaultKind::Local, 0));
+        let first = d.handle_fault(fault(0, 1, AccessKind::Read, FaultKind::Local, 0)).clone();
         let second = d.handle_fault(fault(1, 1, AccessKind::Read, FaultKind::Local, 1_000_000));
         assert!(first.done_at > 0);
         // Second toucher pays only host trip + replay, no transfer.
@@ -2093,7 +2059,7 @@ mod tests {
         d.mark_page_dirty(GpuId::new(0), PageId(0));
         assert_eq!(d.memories[0].capacity(), 6);
         // The next driver entry past the schedule applies the retirement.
-        let out = d.handle_fault(fault(1, 7, AccessKind::Read, FaultKind::Local, 600_000));
+        let out = d.handle_fault(fault(1, 7, AccessKind::Read, FaultKind::Local, 600_000)).clone();
         assert_eq!(d.memories[0].capacity(), 2);
         let r = d.resilience_counters();
         assert_eq!(r.faults_injected, 1);
@@ -2203,7 +2169,7 @@ mod tests {
             } else {
                 AccessKind::Read
             };
-            let out = d.handle_fault(fault(gpu, page, kind, FaultKind::Local, i * 25_000));
+            let out = d.handle_fault(fault(gpu, page, kind, FaultKind::Local, i * 25_000)).clone();
             if kind.is_write() {
                 d.mark_page_dirty(GpuId::new(gpu), PageId(page));
             }

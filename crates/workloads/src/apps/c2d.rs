@@ -23,10 +23,9 @@ pub fn generate(ctx: &mut GenCtx) -> Vec<GpuTrace> {
     // space) rather than repeating epochs: each buffer is still produced
     // once and consumed once, preserving the two-fault PC pattern.
     let layers = (ctx.reps(LAYERS as u64) as usize).max(8);
-    let acts = Segment::new(
-        weights.end(),
-        (ctx.pages - weights.end()).max(layers as u64),
-    );
+    // The activations fill the rest of the footprint. With fewer pages
+    // than layers, `partition` hands neighbouring layers the same page.
+    let acts = Segment::new(weights.end(), ctx.pages - weights.end());
 
     {
         for layer in 0..layers {

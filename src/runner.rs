@@ -122,6 +122,21 @@ impl GpuFrontend {
     }
 }
 
+/// Applies a driver operation's side effects to the GPU frontends. The
+/// driver clears its outcome at its next call, so this runs first.
+fn apply_outcome(gpus: &mut [GpuFrontend], out: &DriverOutcome) {
+    for &(gpu, until) in &out.stalls {
+        let f = &mut gpus[gpu.index()];
+        f.ready = f.ready.max(until);
+    }
+    for &(gpu, vpn) in &out.invalidated {
+        gpus[gpu.index()].invalidate_page(vpn);
+    }
+    for &(gpu, frame) in &out.splintered {
+        gpus[gpu.index()].invalidate_large(frame);
+    }
+}
+
 /// Optional per-figure instrumentation attached to a run.
 #[derive(Clone, Debug, Default)]
 pub struct ObserverConfig {
@@ -430,7 +445,7 @@ impl Simulation {
                 continue;
             };
             if let Some(out) = self.driver.maybe_run_epoch(self.gpus[g].ready) {
-                self.apply_outcome(g, &out);
+                apply_outcome(&mut self.gpus, out);
             }
             if self.gpus[g].at_barrier() {
                 // Not re-pushed: the GPU re-enters the heap when the
@@ -574,7 +589,7 @@ impl Simulation {
                     fault: FaultKind::Local,
                 });
                 t = t.max(out.done_at);
-                self.apply_outcome(g, &out);
+                apply_outcome(&mut self.gpus, out);
                 // The outcome carries the mapping the mechanism installed,
                 // saving a second page-table lookup on the walk path.
                 mapping = out.mapping;
@@ -604,13 +619,13 @@ impl Simulation {
                 fault: FaultKind::Protection,
             });
             t = t.max(out.done_at);
-            self.apply_outcome(g, &out);
-            self.tlb_fill(g, vpn);
+            apply_outcome(&mut self.gpus, out);
             mapping = out.mapping.ok_or_else(|| {
                 GritError::Cell(CellError::Invariant(
                     "collapse must leave the writer mapped".into(),
                 ))
             })?;
+            self.tlb_fill(g, vpn);
         }
 
         // Data access through the cache hierarchy. Each probe inserts the
@@ -640,7 +655,7 @@ impl Simulation {
                         // The counter-triggered migration proceeds in the
                         // background; this access already completed
                         // remotely, but the system-wide side effects apply.
-                        self.apply_outcome(g, &out);
+                        apply_outcome(&mut self.gpus, out);
                     }
                 }
             }
@@ -667,19 +682,6 @@ impl Simulation {
         match (key, f.tlb_2m.as_mut()) {
             (Some(base), Some(t2)) => t2.fill(base),
             _ => f.tlb.fill(vpn),
-        }
-    }
-
-    fn apply_outcome(&mut self, _faulting: usize, out: &DriverOutcome) {
-        for &(gpu, until) in &out.stalls {
-            let f = &mut self.gpus[gpu.index()];
-            f.ready = f.ready.max(until);
-        }
-        for &(gpu, vpn) in &out.invalidated {
-            self.gpus[gpu.index()].invalidate_page(vpn);
-        }
-        for &(gpu, frame) in &out.splintered {
-            self.gpus[gpu.index()].invalidate_large(frame);
         }
     }
 
