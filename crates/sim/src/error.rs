@@ -3,7 +3,7 @@
 //! Everything a batch executor needs to keep running when one experiment
 //! cell goes wrong: [`CellError`] is the typed per-cell failure surfaced
 //! in results and reports, [`GritError`] is the crate-family-wide error
-//! wrapping configuration, workload and cell failures, and [`CancelToken`]
+//! wrapping configuration and cell failures, and [`CancelToken`]
 //! carries soft wall-clock budgets and batch-wide abort flags into the
 //! simulation hot loop.
 
@@ -42,8 +42,6 @@ pub enum CellError {
     Invariant(String),
     /// The cell's configuration failed validation.
     Config(ConfigError),
-    /// The workload could not be built.
-    Workload(String),
 }
 
 impl CellError {
@@ -55,7 +53,6 @@ impl CellError {
             CellError::Cancelled => "cancelled",
             CellError::Invariant(_) => "invariant-violated",
             CellError::Config(_) => "config-error",
-            CellError::Workload(_) => "workload-error",
         }
     }
 }
@@ -75,7 +72,6 @@ impl fmt::Display for CellError {
             CellError::Cancelled => write!(f, "cell cancelled by batch abort"),
             CellError::Invariant(msg) => write!(f, "{msg}"),
             CellError::Config(e) => write!(f, "{e}"),
-            CellError::Workload(msg) => write!(f, "workload build failed: {msg}"),
         }
     }
 }
@@ -102,8 +98,6 @@ pub enum GritError {
     /// A configuration failed [`crate::SimConfig::validate`] (or a
     /// structural precondition such as a workload/GPU-count mismatch).
     Config(ConfigError),
-    /// A workload could not be built.
-    Workload(String),
     /// A cell-level execution failure (panic, timeout, cancellation,
     /// invariant violation).
     Cell(CellError),
@@ -113,7 +107,6 @@ impl fmt::Display for GritError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GritError::Config(e) => write!(f, "{e}"),
-            GritError::Workload(msg) => write!(f, "workload build failed: {msg}"),
             GritError::Cell(e) => write!(f, "{e}"),
         }
     }
@@ -124,7 +117,6 @@ impl Error for GritError {
         match self {
             GritError::Config(e) => Some(e),
             GritError::Cell(e) => Some(e),
-            GritError::Workload(_) => None,
         }
     }
 }
@@ -145,7 +137,6 @@ impl From<GritError> for CellError {
     fn from(e: GritError) -> Self {
         match e {
             GritError::Config(c) => CellError::Config(c),
-            GritError::Workload(m) => CellError::Workload(m),
             GritError::Cell(c) => c,
         }
     }

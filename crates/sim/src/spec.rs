@@ -229,16 +229,25 @@ impl RunSpec {
     /// `page_size_mode`, `topology`, `inject`) to `cfg`, parsing the
     /// string grammars and validating the result. Experiment knobs
     /// (`scale`/`intensity`/`seed`) and execution knobs
-    /// (`timeout_secs`/trace) are left to other layers; `timeout_secs`
-    /// is only checked ([`timeout_from_secs`]).
+    /// (`timeout_secs`/trace) are left to other layers; `scale`,
+    /// `intensity` and `timeout_secs` are only checked.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] naming the offending field when a
-    /// topology or inject spec fails to parse, the timeout is not a
-    /// valid duration, or the resulting configuration fails
+    /// Returns a [`ConfigError`] naming the offending field when `scale`
+    /// or `intensity` is not a finite positive number, a topology or
+    /// inject spec fails to parse, the timeout is not a valid duration
+    /// ([`timeout_from_secs`]), or the resulting configuration fails
     /// [`SimConfig::validate`].
     pub fn apply_to(&self, cfg: &mut SimConfig) -> Result<(), ConfigError> {
+        for (field, value) in [("scale", self.scale), ("intensity", self.intensity)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(ConfigError::new(
+                    field,
+                    format!("{value} is not a finite positive number"),
+                ));
+            }
+        }
         if let Some(gpus) = self.gpus {
             cfg.num_gpus = gpus;
         }
@@ -358,6 +367,15 @@ mod tests {
         for bad in [-1.0, f64::INFINITY, 1e300, f64::NAN] {
             let err = RunSpec::default().timeout_secs(bad).apply_to(&mut cfg).unwrap_err();
             assert_eq!(err.field, "timeout_secs", "{bad}");
+        }
+
+        // Scale and intensity size the workload: a non-finite or
+        // non-positive value is rejected before anything is built.
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let err = RunSpec::default().scale(bad).apply_to(&mut cfg).unwrap_err();
+            assert_eq!(err.field, "scale", "{bad}");
+            let err = RunSpec::default().intensity(bad).apply_to(&mut cfg).unwrap_err();
+            assert_eq!(err.field, "intensity", "{bad}");
         }
     }
 

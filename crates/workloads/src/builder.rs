@@ -106,7 +106,8 @@ impl WorkloadBuilder {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero GPUs, more than 16
-    /// GPUs, non-positive scale, or a page size [`try_build`] rejects).
+    /// GPUs, non-finite or non-positive scale, or a page size
+    /// [`try_build`] rejects).
     ///
     /// [`try_build`]: WorkloadBuilder::try_build
     pub fn build(self) -> MultiGpuWorkload {
@@ -122,10 +123,10 @@ impl WorkloadBuilder {
 
     /// Generates the workload, reporting degenerate configurations as a
     /// [`ConfigError`] instead of panicking: GPU count outside 1–16,
-    /// non-positive scale or intensity, a non-power-of-two page size, a
-    /// page size whose line count overflows the simulator's 16-bit line
-    /// indices, or a page size larger than the scaled footprint (the
-    /// whole working set must span at least one page).
+    /// non-finite or non-positive scale or intensity, a non-power-of-two
+    /// page size, a page size whose line count overflows the simulator's
+    /// 16-bit line indices, or a page size larger than the scaled
+    /// footprint (the whole working set must span at least one page).
     ///
     /// # Errors
     ///
@@ -137,11 +138,11 @@ impl WorkloadBuilder {
                 format!("{} out of range 1..=16", self.num_gpus),
             ));
         }
-        if self.scale.is_nan() || self.scale <= 0.0 {
-            return Err(ConfigError::new("scale", "must be positive"));
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(ConfigError::new("scale", "must be finite and positive"));
         }
-        if self.intensity.is_nan() || self.intensity <= 0.0 {
-            return Err(ConfigError::new("intensity", "must be positive"));
+        if !(self.intensity.is_finite() && self.intensity > 0.0) {
+            return Err(ConfigError::new("intensity", "must be finite and positive"));
         }
         let lines_per_page = grit_sim::lines_per_page_checked(self.page_size)?;
         let footprint_bytes = (self.app.footprint_bytes() as f64 * self.scale).ceil() as u64;
@@ -320,15 +321,20 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.field, "page_size");
         assert!(err.reason.contains("footprint"), "{}", err.reason);
-        // Scale and intensity must be positive, GPU count in range.
-        assert_eq!(
-            WorkloadBuilder::new(App::Bfs).scale(0.0).try_build().unwrap_err().field,
-            "scale"
-        );
-        assert_eq!(
-            WorkloadBuilder::new(App::Bfs).intensity(0.0).try_build().unwrap_err().field,
-            "intensity"
-        );
+        // Scale and intensity must be finite and positive, GPU count in
+        // range.
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            assert_eq!(
+                WorkloadBuilder::new(App::Bfs).scale(bad).try_build().unwrap_err().field,
+                "scale",
+                "{bad}"
+            );
+            assert_eq!(
+                WorkloadBuilder::new(App::Bfs).intensity(bad).try_build().unwrap_err().field,
+                "intensity",
+                "{bad}"
+            );
+        }
         assert_eq!(
             WorkloadBuilder::new(App::Bfs).num_gpus(17).try_build().unwrap_err().field,
             "num_gpus"

@@ -2,55 +2,23 @@
 //!
 //! ```text
 //! repro all                # every figure at the default scale
-//! repro fig17              # one figure
-//! repro fig17 --quick      # CI-sized inputs
-//! repro fig17 --full       # Table II full footprints (slow)
+//! repro fig17 --quick      # one figure, CI-sized inputs
 //! repro all --jobs 8       # cap the worker pool (default: all cores)
-//! repro list               # figure index
+//! repro list               # every target and flag
 //! ```
+//!
+//! The command line is two tables: `TARGETS` (names, aliases, what each
+//! does and the runner) and `FLAGS` (names, value, help and where the
+//! value lands). One loop reads the flags, [`RunSpec::apply_to`] checks the
+//! configuration they make before any target runs, and `repro list` prints
+//! both tables.
 //!
 //! Experiment cells fan out across a worker pool sized by `--jobs`, the
 //! `GRIT_JOBS` environment variable, or the machine's core count; tables
-//! are byte-identical to a serial run regardless of the worker count.
-//!
-//! Resilience flags:
-//!
-//! ```text
-//! repro all --cell-timeout 120     # budget each cell; expired cells become err! rows
-//! repro all --resume               # persist finished cells under .grit-resume/
-//! repro all --resume-dir DIR       # ... under an explicit store directory
-//! repro all --fail-fast            # abort the campaign on the first failed cell
-//! repro all --keep-going           # (default) failed cells become rows, exit 0
-//! ```
-//!
-//! The UVM driver sweeps its VM-state invariants at every epoch boundary
-//! and after every injected fault, in every build. A failed cell — panic,
-//! timeout, invariant violation — renders as an `err!` row in the affected
-//! tables and as a structured error record in `run_report.json`; the
-//! process exits nonzero only under `--fail-fast`.
-//! Interrupting a `--resume` run and re-invoking it completes the
-//! remaining cells and prints byte-identical tables at any `--jobs`.
-//!
-//! Observability flags:
-//!
-//! ```text
-//! repro fig18 --trace t.jsonl          # structured event stream (JSONL)
-//! repro fig18 --trace t.jsonl --trace-filter fault,migration --trace-sample 16
-//! repro all --metrics-out out/         # out/run_report.json
-//! ```
-//!
-//! Profiling flags and tooling:
-//!
-//! ```text
-//! repro fig17 --profile                  # wall-clock phase timers
-//! repro fig17 --profile-out prof.json    # Chrome trace-event / Perfetto JSON
-//! repro all --progress                   # 1 Hz heartbeat (cells done, ETA, phase)
-//! repro profile out/run_report.json      # render a report's profile section
-//! ```
-//!
-//! Profiling is zero-overhead when disabled (one relaxed atomic load per
-//! span site). `--metrics-out` refuses to overwrite an existing
-//! `run_report.json` unless `--force` is given.
+//! are byte-identical to a serial run regardless of the worker count. A
+//! failed cell — panic, timeout, invariant violation — renders as an `err!`
+//! row in the affected tables and as a structured error record in
+//! `run_report.json`; the process exits nonzero only under `--fail-fast`.
 
 use std::collections::{HashMap, HashSet};
 use std::env;
@@ -61,70 +29,818 @@ use std::time::{Duration, Instant};
 
 use grit::experiments::{self as ex, report_sink, ExpConfig};
 use grit_metrics::Table;
-use grit_trace::{
-    writer as trace_writer, CategoryMask, HistReport, Json, PhaseEntry, RunReport, TraceConfig,
-};
+use grit_sim::{RunSpec, SimConfig};
+use grit_trace::{writer as trace_writer, CategoryMask, HistReport, Json, PhaseEntry, RunReport};
 
-const FIGURES: &[(&str, &str)] = &[
-    ("fig1", "Uniform schemes + Ideal vs on-touch (motivation)"),
-    ("fig3", "Page-handling latency breakdown per scheme"),
-    ("fig4", "Private/shared pages and accesses"),
-    ("fig5", "Shared-page access mix over time (C2D, ST)"),
-    ("fig6", "Attribute grids: GEMM & ST (Figs 6-8)"),
-    ("fig9", "Accesses to read vs read-write pages"),
-    ("fig10", "Read/write mix over time for one RW page (ST)"),
-    ("fig17", "HEADLINE: GRIT vs uniform schemes"),
-    ("fig18", "GPU page faults per policy"),
-    ("fig19", "Scheme mix under GRIT"),
-    ("fig20", "Component ablation"),
-    ("fig21", "Fault-threshold sensitivity"),
-    ("fig22", "2/8/16-GPU scaling (Figs 22-24)"),
-    ("fig25", "2MB pages with enlarged inputs"),
-    ("fig26", "Griffin comparison"),
-    ("fig27", "GPS comparison"),
-    ("fig28", "Griffin-DPC + Trans-FW comparison"),
-    ("fig29", "First-touch comparison"),
-    ("fig30", "Prefetching combination"),
-    ("fig31", "DNN model parallelism"),
-    ("oracle", "EXT: GRIT vs profile-guided static oracle"),
-    ("pacache", "EXT: PA-Cache capacity sweep"),
-    (
-        "sweeps",
-        "EXT: capacity / remote-gap / MLP sensitivity sweeps",
-    ),
-    (
-        "adapt",
-        "EXT: GRIT adaptation timeline (scheme mix over time)",
-    ),
-    ("extra", "EXT: GRIT on SpMV and PageRank"),
-    (
-        "ext-topology",
-        "EXT: topology x GPU-count sweep (GRIT vs on-touch, fabric queueing)",
-    ),
-    (
-        "ext-resilience",
-        "EXT: injected-fault scenarios x GPU count (slowdown vs healthy run)",
-    ),
-    (
-        "ext-pagesize",
-        "EXT: page-size mode x policy sweep (2MB coalescing, per-size TLBs)",
-    ),
+/// Everything the command line sets. Scale, intensity, seed, the machine
+/// overrides, the cell timeout and the trace knobs land in `spec`, the
+/// same `RunSpec` the result store keys on and the serve wire carries; the
+/// batch execution flags land in `batch`.
+#[derive(Default)]
+struct Args {
+    spec: RunSpec,
+    batch: ex::BatchOptions,
+    /// Targets, and the operands of a command.
+    positional: Vec<String>,
+    csv_dir: Option<PathBuf>,
+    trace_path: Option<PathBuf>,
+    metrics_dir: Option<PathBuf>,
+    force: bool,
+    profile: bool,
+    profile_out: Option<PathBuf>,
+    serve: grit_serve::ServeOptions,
+    connect: Option<String>,
+    apps: Option<String>,
+    policies: Option<String>,
+    local: bool,
+    retry: bool,
+    shutdown: bool,
+}
+
+/// One command-line flag.
+struct Flag {
+    /// The flag, then its aliases.
+    names: &'static [&'static str],
+    help: &'static str,
+    set: Set,
+}
+
+/// Where a flag's value lands.
+enum Set {
+    /// A flag without a value.
+    Switch(fn(&mut Args)),
+    /// A flag followed by one value, named by the placeholder; the setter
+    /// returns `None` for a malformed value.
+    Value(&'static str, fn(&mut Args, &str) -> Option<()>),
+}
+
+use Set::{Switch, Value};
+
+/// A value that parses as a positive number.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n > T::default())
+}
+
+/// `--quick` / `--full`: a preset's scale and intensity.
+fn preset(a: &mut Args, exp: ExpConfig) {
+    a.spec.scale = exp.scale;
+    a.spec.intensity = exp.intensity;
+}
+
+/// A directory for output files, created if missing.
+fn out_dir(v: &str) -> Option<PathBuf> {
+    fs::create_dir_all(v).ok().map(|()| PathBuf::from(v))
+}
+
+const FLAGS: &[Flag] = &[
+    Flag {
+        names: &["--quick"],
+        help: "CI-sized inputs (scale 0.04, intensity 1.5)",
+        set: Switch(|a| preset(a, ExpConfig::quick())),
+    },
+    Flag {
+        names: &["--full"],
+        help: "Table II full footprints (scale 1, intensity 2; slow)",
+        set: Switch(|a| preset(a, ExpConfig::full())),
+    },
+    Flag {
+        names: &["--scale"],
+        help: "footprint scale relative to Table II, finite and positive (default 0.1)",
+        set: Value("X", |a, v| v.parse().ok().map(|x| a.spec.scale = x)),
+    },
+    Flag {
+        names: &["--intensity"],
+        help: "trace-length multiplier, finite and positive (default 2)",
+        set: Value("X", |a, v| v.parse().ok().map(|x| a.spec.intensity = x)),
+    },
+    Flag {
+        names: &["--seed"],
+        help: "workload seed, an unsigned integer (default 48879)",
+        set: Value("N", |a, v| v.parse().ok().map(|n| a.spec.seed = n)),
+    },
+    Flag {
+        names: &["--jobs", "-j"],
+        help: "worker threads for experiment cells (also GRIT_JOBS; default: all cores)",
+        set: Value("N", |a, v| positive(v).map(|n| a.batch.jobs = Some(n))),
+    },
+    Flag {
+        names: &["--csv"],
+        help: "also write each table as DIR/<table>.csv",
+        set: Value("DIR", |a, v| out_dir(v).map(|d| a.csv_dir = Some(d))),
+    },
+    Flag {
+        names: &["--trace"],
+        help: "write a structured JSONL event stream",
+        set: Value("PATH", |a, v| {
+            a.spec.trace = true;
+            a.trace_path = Some(PathBuf::from(v));
+            Some(())
+        }),
+    },
+    Flag {
+        names: &["--trace-filter"],
+        help: "comma-separated event categories, e.g. fault,migration (default: all)",
+        set: Value("LIST", |a, v| {
+            CategoryMask::parse(v).ok().map(|_| a.spec.trace_filter = Some(v.to_string()))
+        }),
+    },
+    Flag {
+        names: &["--trace-sample"],
+        help: "keep every Nth event per category, N at least 1 (default 1)",
+        set: Value("N", |a, v| positive(v).map(|n| a.spec.trace_sample = n)),
+    },
+    Flag {
+        names: &["--metrics-out"],
+        help: "write DIR/run_report.json (refuses to overwrite one without --force)",
+        set: Value("DIR", |a, v| out_dir(v).map(|d| a.metrics_dir = Some(d))),
+    },
+    Flag {
+        names: &["--force"],
+        help: "allow overwriting an existing run_report.json",
+        set: Switch(|a| a.force = true),
+    },
+    Flag {
+        names: &["--profile"],
+        help: "wall-clock phase timers, also in run_report.json (no overhead when off)",
+        set: Switch(|a| a.profile = true),
+    },
+    Flag {
+        names: &["--profile-out"],
+        help: "write a Chrome trace-event / Perfetto JSON span trace (implies --profile)",
+        set: Value("PATH", |a, v| {
+            a.profile = true;
+            a.profile_out = Some(PathBuf::from(v));
+            Some(())
+        }),
+    },
+    Flag {
+        names: &["--progress"],
+        help: "1 Hz heartbeat: cells done, ETA, current phase",
+        set: Switch(|_| ex::set_progress(true)),
+    },
+    Flag {
+        names: &["--cell-timeout"],
+        help: "wall-clock budget per cell (expired cells become err! rows)",
+        set: Value("SECS", |a, v| {
+            v.parse().ok().map(|s| a.spec.timeout_secs = Some(s))
+        }),
+    },
+    Flag {
+        names: &["--resume"],
+        help: "store finished cells under .grit-resume/ and skip them on re-run",
+        set: Switch(|a| a.batch.resume_dir = Some(PathBuf::from(".grit-resume"))),
+    },
+    Flag {
+        names: &["--resume-dir", "--store"],
+        help: "like --resume, in DIR; also the store of serve (default .grit-serve-store/)",
+        set: Value("DIR", |a, v| {
+            v.parse().ok().map(|d| a.batch.resume_dir = Some(d))
+        }),
+    },
+    Flag {
+        names: &["--store-max-bytes"],
+        help: "bound any result store; oldest entries are evicted deterministically",
+        set: Value("N", |a, v| {
+            positive(v).map(|n| a.batch.store_max_bytes = Some(n))
+        }),
+    },
+    Flag {
+        names: &["--fail-fast"],
+        help: "abort the campaign (exit nonzero) on the first failed cell",
+        set: Switch(|a| a.batch.fail_fast = true),
+    },
+    Flag {
+        names: &["--keep-going"],
+        help: "render failed cells as rows and keep running (default)",
+        set: Switch(|a| a.batch.fail_fast = false),
+    },
+    Flag {
+        names: &["--topology"],
+        help: "all-to-all (default), nvswitch[:RADIX], ring, mesh2d or hierarchical links",
+        set: Value("T", |a, v| {
+            v.parse().ok().map(|s| a.spec.topology = Some(s))
+        }),
+    },
+    Flag {
+        names: &["--page-size"],
+        help: "base page size in bytes for every cell (default 4096)",
+        set: Value("N", |a, v| {
+            v.parse().ok().map(|n| a.spec.page_size = Some(n))
+        }),
+    },
+    Flag {
+        names: &["--page-size-mode"],
+        help: "uniform4k (default) or mixed: coalesce private pages into 2 MB frames",
+        set: Value("M", |a, v| {
+            v.parse().ok().map(|s| a.spec.page_size_mode = Some(s))
+        }),
+    },
+    Flag {
+        names: &["--inject"],
+        help: "fault schedule, e.g. 'outage@1000:wire=0:for=5000;retire@2000:gpu=1:pct=10'",
+        set: Value("SPEC", |a, v| {
+            v.parse().ok().map(|s| a.spec.inject = Some(s))
+        }),
+    },
+    Flag {
+        names: &["--port"],
+        help: "serve: TCP port (default 0, an ephemeral port)",
+        set: Value("N", |a, v| v.parse().ok().map(|n| a.serve.port = n)),
+    },
+    Flag {
+        names: &["--port-file"],
+        help: "serve: write the bound address to PATH",
+        set: Value("PATH", |a, v| {
+            v.parse().ok().map(|s| a.serve.port_file = Some(s))
+        }),
+    },
+    Flag {
+        names: &["--max-queued"],
+        help: "serve: admission bound on queued cells (default 0, unbounded)",
+        set: Value("N", |a, v| v.parse().ok().map(|n| a.serve.max_queued = n)),
+    },
+    Flag {
+        names: &["--connect"],
+        help: "submit: run the campaign on the server at HOST:PORT",
+        set: Value("HOST:PORT", |a, v| {
+            v.parse().ok().map(|s| a.connect = Some(s))
+        }),
+    },
+    Flag {
+        names: &["--apps"],
+        help: "submit: comma-separated apps, e.g. GEMM,BFS",
+        set: Value("LIST", |a, v| v.parse().ok().map(|s| a.apps = Some(s))),
+    },
+    Flag {
+        names: &["--policies"],
+        help: "submit: comma-separated policies, e.g. grit,on-touch (default grit)",
+        set: Value("LIST", |a, v| v.parse().ok().map(|s| a.policies = Some(s))),
+    },
+    Flag {
+        names: &["--local"],
+        help: "submit: run the campaign through the in-process engine",
+        set: Switch(|a| a.local = true),
+    },
+    Flag {
+        names: &["--retry"],
+        help: "submit: resubmit unresolved cells with capped exponential backoff",
+        set: Switch(|a| a.retry = true),
+    },
+    Flag {
+        names: &["--shutdown"],
+        help: "submit: stop the server afterwards (alone: only stop it)",
+        set: Switch(|a| a.shutdown = true),
+    },
 ];
 
-/// Tables that later targets can reuse — `repro all` runs fig17/fig18
-/// before the summary, and the digest must not re-run them.
+/// One named target.
+struct Target {
+    /// The name, then its aliases.
+    names: &'static [&'static str],
+    help: &'static str,
+    run: Run,
+}
+
+/// Prints a target's tables for the experiment config.
+type Tables = fn(&ExpConfig, &mut Out);
+
+/// A command: the flags and the operands after its name.
+type Command = fn(&Args, &[String]) -> Result<(), String>;
+
+/// How a target runs.
+enum Run {
+    /// A figure of the evaluation: `all` runs every one, in slice order.
+    Figure(Tables),
+    /// Prints tables like a figure, but only when named.
+    Named(Tables),
+    /// Runs alone, on the operands its placeholders name.
+    Command(&'static str, Command),
+}
+
+const TARGETS: &[Target] = &[
+    Target {
+        names: &["fig1"],
+        help: "Uniform schemes + Ideal vs on-touch (motivation)",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig01_schemes::run(exp), "fig1")),
+    },
+    Target {
+        names: &["fig3"],
+        help: "Page-handling latency breakdown per scheme",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig03_breakdown::run(exp), "fig3")),
+    },
+    Target {
+        names: &["fig4"],
+        help: "Private/shared pages and accesses",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig04_sharing::run(exp), "fig4")),
+    },
+    Target {
+        names: &["fig5"],
+        help: "Shared-page access mix over time (C2D, ST)",
+        run: Run::Figure(|exp, out| {
+            for (i, t) in ex::fig05_page_timeline::run(exp).into_iter().enumerate() {
+                out.emit(&t, &format!("fig5_{i}"));
+            }
+        }),
+    },
+    Target {
+        names: &["fig6", "fig7", "fig8"],
+        help: "Attribute grids: GEMM & ST (Figs 6-8)",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig06_attr_grids::run(exp), "fig6_8")),
+    },
+    Target {
+        names: &["fig9"],
+        help: "Accesses to read vs read-write pages",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig09_rw::run(exp), "fig9")),
+    },
+    Target {
+        names: &["fig10"],
+        help: "Read/write mix over time for one RW page (ST)",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig10_rw_timeline::run(exp), "fig10")),
+    },
+    Target {
+        names: &["fig17"],
+        help: "HEADLINE: GRIT vs uniform schemes",
+        run: Run::Figure(|exp, out| {
+            let t = ex::fig17_grit::run(exp);
+            out.emit(&t, "fig17");
+            let (ot, ac, d) = ex::fig17_grit::headline(&t);
+            println!(
+                "headline: GRIT vs on-touch +{:.0}%  vs access-counter +{:.0}%  vs duplication +{:.0}%",
+                100.0 * ot,
+                100.0 * ac,
+                100.0 * d
+            );
+            println!(
+                "paper:    GRIT vs on-touch +60%  vs access-counter +49%  vs duplication +29%\n"
+            );
+            out.fig17 = Some(t);
+        }),
+    },
+    Target {
+        names: &["fig18"],
+        help: "GPU page faults per policy",
+        run: Run::Figure(|exp, out| {
+            let t = ex::fig18_faults::run(exp);
+            out.emit(&t, "fig18");
+            out.fig18 = Some(t);
+        }),
+    },
+    Target {
+        names: &["fig19"],
+        help: "Scheme mix under GRIT",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig19_scheme_mix::run(exp), "fig19")),
+    },
+    Target {
+        names: &["fig20"],
+        help: "Component ablation",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig20_ablation::run(exp), "fig20")),
+    },
+    Target {
+        names: &["fig21"],
+        help: "Fault-threshold sensitivity",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig21_threshold::run(exp), "fig21")),
+    },
+    Target {
+        names: &["fig22", "fig23", "fig24"],
+        help: "2/8/16-GPU scaling (Figs 22-24)",
+        run: Run::Figure(|exp, out| {
+            for (n, perf, faults) in ex::fig22_gpu_scaling::run(exp) {
+                println!("--- {n} GPUs ---");
+                out.emit(&perf, &format!("fig22_24_{n}gpu_perf"));
+                out.emit(&faults, &format!("fig22_24_{n}gpu_faults"));
+            }
+        }),
+    },
+    Target {
+        names: &["fig25"],
+        help: "2MB pages with enlarged inputs",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig25_large_pages::run(exp), "fig25")),
+    },
+    Target {
+        names: &["fig26"],
+        help: "Griffin comparison",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig26_griffin::run(exp), "fig26")),
+    },
+    Target {
+        names: &["fig27"],
+        help: "GPS comparison",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig27_gps::run(exp), "fig27")),
+    },
+    Target {
+        names: &["fig28"],
+        help: "Griffin-DPC + Trans-FW comparison",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig28_transfw::run(exp), "fig28")),
+    },
+    Target {
+        names: &["fig29"],
+        help: "First-touch comparison",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig29_first_touch::run(exp), "fig29")),
+    },
+    Target {
+        names: &["fig30"],
+        help: "Prefetching combination",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig30_prefetch::run(exp), "fig30")),
+    },
+    Target {
+        names: &["fig31"],
+        help: "DNN model parallelism",
+        run: Run::Figure(|exp, out| out.emit(&ex::fig31_dnn::run(exp), "fig31")),
+    },
+    Target {
+        names: &["oracle"],
+        help: "EXT: GRIT vs profile-guided static oracle",
+        run: Run::Figure(|exp, out| out.emit(&ex::ext_oracle::run(exp), "oracle")),
+    },
+    Target {
+        names: &["pacache"],
+        help: "EXT: PA-Cache capacity sweep",
+        run: Run::Figure(|exp, out| out.emit(&ex::ext_pa_cache::run(exp), "pacache")),
+    },
+    Target {
+        names: &["sweeps"],
+        help: "EXT: capacity / remote-gap / MLP sensitivity sweeps",
+        run: Run::Figure(|exp, out| {
+            out.emit(&ex::ext_sweeps::run_capacity(exp), "sweep_capacity");
+            out.emit(&ex::ext_sweeps::run_remote_gap(exp), "sweep_remote_gap");
+            out.emit(&ex::ext_sweeps::run_mlp(exp), "sweep_mlp");
+        }),
+    },
+    Target {
+        names: &["adapt"],
+        help: "EXT: GRIT adaptation timeline (scheme mix over time)",
+        run: Run::Figure(|exp, out| {
+            for (i, t) in ex::ext_adaptation::run(exp).into_iter().enumerate() {
+                out.emit(&t, &format!("adapt_{i}"));
+            }
+        }),
+    },
+    Target {
+        names: &["extra"],
+        help: "EXT: GRIT on SpMV and PageRank",
+        run: Run::Figure(|exp, out| out.emit(&ex::ext_workloads::run(exp), "extra_workloads")),
+    },
+    Target {
+        names: &["ext-topology", "topology"],
+        help: "EXT: topology x GPU-count sweep (GRIT vs on-touch, fabric queueing)",
+        run: Run::Figure(|exp, out| {
+            let study = ex::ext_topology::run(exp);
+            out.emit(&study.speedup, "ext_topology_speedup");
+            out.emit(&study.queue, "ext_topology_queue");
+        }),
+    },
+    Target {
+        names: &["ext-resilience", "resilience"],
+        help: "EXT: injected-fault scenarios x GPU count (slowdown vs healthy run)",
+        run: Run::Figure(|exp, out| {
+            let study = ex::ext_resilience::run(exp);
+            out.emit(&study.slowdown, "ext_resilience_slowdown");
+            for (scenario, r) in &study.counters {
+                println!(
+                    "[resilience] {scenario}: injected {} recovered {} blocked {} \
+                     (retried-ok {} remote {} staged {}) retired-frames {} checks {}",
+                    r.faults_injected,
+                    r.recoveries,
+                    r.migrations_blocked,
+                    r.retry_successes,
+                    r.fallback_remote,
+                    r.host_staged,
+                    r.frames_retired,
+                    r.invariant_checks,
+                );
+                if !r.all_blocked_resolved() {
+                    eprintln!("[repro] {scenario}: blocked migrations left unresolved");
+                }
+            }
+        }),
+    },
+    Target {
+        names: &["ext-pagesize", "pagesize"],
+        help: "EXT: page-size mode x policy sweep (2MB coalescing, per-size TLBs)",
+        run: Run::Figure(|exp, out| {
+            let study = ex::ext_pagesize::run(exp);
+            out.emit(&study.speedup, "ext_pagesize_speedup");
+            out.emit(&study.tlb, "ext_pagesize_tlb");
+            out.emit(&study.activity, "ext_pagesize_activity");
+        }),
+    },
+    Target {
+        names: &["summary"],
+        help: "one-screen digest of the headline results",
+        run: Run::Figure(run_summary),
+    },
+    Target {
+        names: &["tables"],
+        help: "print the configuration tables (Table I-V)",
+        run: Run::Named(|_, _| print_config_tables()),
+    },
+    Target {
+        names: &["validate"],
+        help: "check every generator against its characterization band",
+        run: Run::Named(|exp, _| {
+            if !run_validate(exp) {
+                eprintln!("[repro] at least one generator drifted from its band");
+            }
+        }),
+    },
+    Target {
+        names: &["stats"],
+        help: "per-cell counters of the Table II apps under five policies",
+        run: Run::Named(|exp, _| run_stats(exp)),
+    },
+    Target {
+        names: &["dump-trace"],
+        help: "write one app's trace at the experiment scale",
+        run: Run::Command("<APP> <PATH>", dump_trace),
+    },
+    Target {
+        names: &["trace-info"],
+        help: "summarize a trace file",
+        run: Run::Command("<PATH>", trace_info),
+    },
+    Target {
+        names: &["profile"],
+        help: "render the profile section of a run_report.json",
+        run: Run::Command("<REPORT>", cmd_profile),
+    },
+    Target {
+        names: &["submit"],
+        help: "run an --apps x --policies campaign on --connect HOST:PORT or --local",
+        run: Run::Command("", cmd_submit),
+    },
+    Target {
+        names: &["serve"],
+        help: "campaign server (grit-serve/v1 over TCP); SIGINT/SIGTERM drain it",
+        run: Run::Command("", cmd_serve),
+    },
+    Target {
+        names: &["list", "--list", "-l"],
+        help: "every target and flag",
+        run: Run::Command("", list),
+    },
+];
+
+/// The target named `name` (aliases included).
+fn target(name: &str) -> Option<&'static Target> {
+    TARGETS.iter().find(|t| t.names.contains(&name))
+}
+
+const LIST_HINT: &str = "`repro list` shows every target and flag";
+
+/// `repro list`: every target, then every flag.
+fn list(_: &Args, _: &[String]) -> Result<(), String> {
+    let row = |names: &[&str], arg: &str, help: &str| {
+        eprintln!("  {:<28} {help}", format!("{} {arg}", names.join(", ")));
+    };
+    eprintln!("usage: repro <target>... [flags]   (all: every target up to summary)");
+    eprintln!("targets:");
+    for t in TARGETS {
+        match t.run {
+            Run::Command(operands, _) => row(t.names, operands, t.help),
+            _ => row(t.names, "", t.help),
+        }
+    }
+    eprintln!("flags:");
+    for f in FLAGS {
+        match f.set {
+            Value(value, _) => row(f.names, value, f.help),
+            Switch(_) => row(f.names, "", f.help),
+        }
+    }
+    Ok(())
+}
+
+/// Reads the command line: every flag through `FLAGS`, everything else a
+/// target or operand. Then checks the configuration the flags make, once,
+/// before anything is built.
+fn read_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args::default();
+    while let Some(arg) = argv.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.names.contains(&arg.as_str())) else {
+            if arg.starts_with('-') && target(&arg).is_none() {
+                return Err(format!("unknown flag {arg}; {LIST_HINT}"));
+            }
+            a.positional.push(arg);
+            continue;
+        };
+        match flag.set {
+            Switch(set) => set(&mut a),
+            Value(value, set) => {
+                if argv.next().and_then(|v| set(&mut a, &v)).is_none() {
+                    return Err(format!("{} needs {value}: {}", flag.names[0], flag.help));
+                }
+            }
+        }
+    }
+    a.spec.apply_to(&mut SimConfig::default()).map_err(|e| e.to_string())?;
+    // A half-finished campaign must not silently clobber a report the user
+    // still needs; make replacement an explicit decision.
+    if let Some(path) = a.metrics_dir.as_ref().map(|dir| dir.join("run_report.json")) {
+        if path.exists() && !a.force {
+            return Err(format!(
+                "refusing to overwrite existing {}; pass --force to replace it",
+                path.display()
+            ));
+        }
+    }
+    a.batch.timeout = ex::BatchOptions::from(&a.spec).timeout;
+    Ok(a)
+}
+
+fn main() -> ExitCode {
+    match read_args(env::args().skip(1)).and_then(|a| run(&a)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Installs the flags' process-wide settings and runs the targets: a
+/// command alone, on the operands after its name, or any number of
+/// figures and reports in one session.
+fn run(a: &Args) -> Result<(), String> {
+    ex::set_override_spec(Some(a.spec.clone()));
+    ex::set_batch_defaults(a.batch.clone());
+    let Some((first, operands)) = a.positional.split_first() else {
+        return Err(format!("usage: repro <target>... [flags]; {LIST_HINT}"));
+    };
+    if let Some(Run::Command(placeholders, command)) = target(first).map(|t| &t.run) {
+        if operands.len() != placeholders.split_whitespace().count() {
+            return Err(format!("usage: repro {first} {placeholders}"));
+        }
+        return command(a, operands);
+    }
+    // Resolve every target before running any, so an unknown name fails
+    // before the targets ahead of it print their tables.
+    let mut tables: Vec<(&str, Tables)> = Vec::new();
+    for name in &a.positional {
+        match target(name).map(|t| &t.run) {
+            Some(Run::Figure(run) | Run::Named(run)) => tables.push((name, *run)),
+            Some(Run::Command(..)) => {
+                return Err(format!("{name} runs alone, as the first target"))
+            }
+            None if name == "all" => tables.extend(TARGETS.iter().filter_map(|t| match t.run {
+                Run::Figure(run) => Some((t.names[0], run)),
+                _ => None,
+            })),
+            None => return Err(format!("unknown figure: {name}; {LIST_HINT}")),
+        }
+    }
+    if let Some(path) = &a.trace_path {
+        let cfg = grit::service::trace_config(&a.spec)?;
+        trace_writer::install_global(cfg, path)
+            .map_err(|e| format!("cannot create trace file {}: {e}", path.display()))?;
+    }
+    let mut out = Out {
+        csv_dir: a.csv_dir.clone(),
+        ..Out::default()
+    };
+    session(a, tables.len(), |exp| {
+        for (name, run) in &tables {
+            eprintln!("[repro] running {name} ...");
+            let started = Instant::now();
+            run(exp, &mut out);
+            let seconds = started.elapsed().as_secs_f64();
+            report_sink::record_target(name, seconds);
+            eprintln!("[repro] {name} time: {seconds:.2}s");
+            if ex::fail_fast_triggered() {
+                eprintln!(
+                    "[repro] fail-fast: a cell failed during {name}; skipping remaining targets"
+                );
+                break;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Runs `body` between the banner and the closing reports: the total
+/// time, the trace flush, the wall-clock profile and `run_report.json`.
+fn session(
+    a: &Args,
+    targets: usize,
+    body: impl FnOnce(&ExpConfig) -> Result<(), String>,
+) -> Result<(), String> {
+    let exp = ExpConfig::from(&a.spec);
+    if a.metrics_dir.is_some() {
+        report_sink::enable();
+    }
+    grit_prof::set_enabled(a.profile);
+    grit_prof::set_capture(a.profile_out.is_some());
+    eprintln!(
+        "[repro] scale={} intensity={} seed={:#x} jobs={}",
+        exp.scale,
+        exp.intensity,
+        exp.seed,
+        ex::effective_jobs()
+    );
+    let t0 = Instant::now();
+    body(&exp)?;
+    let total_seconds = t0.elapsed().as_secs_f64();
+    eprintln!(
+        "[repro] total time: {total_seconds:.2}s ({targets} targets, {} jobs)",
+        ex::effective_jobs()
+    );
+    trace_writer::flush_global().map_err(|e| format!("trace: flush failed: {e}"))?;
+    if a.profile {
+        let totals: Vec<PhaseEntry> = grit_prof::phase_totals()
+            .iter()
+            .filter(|t| t.count > 0)
+            .map(|t| PhaseEntry {
+                phase: t.phase.name().to_string(),
+                nanos: t.nanos,
+                count: t.count,
+            })
+            .collect();
+        if totals.is_empty() {
+            eprintln!("[repro] profile: no spans recorded");
+        } else {
+            eprintln!("[repro] wall-clock phases:");
+            eprint!("{}", render_phase_table(&totals));
+        }
+    }
+    if let Some(path) = &a.profile_out {
+        let (events, dropped) = grit_prof::drain_events();
+        fs::write(path, grit_prof::chrome_trace_json(&events, dropped))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!(
+            "[repro] wrote {} ({} span events, {} dropped)",
+            path.display(),
+            events.len(),
+            dropped
+        );
+    }
+    if let Some(dir) = &a.metrics_dir {
+        let report = report_sink::build_report(&exp, ex::effective_jobs(), total_seconds);
+        let path = dir.join("run_report.json");
+        fs::write(&path, format!("{}\n", report.to_json()))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!(
+            "[repro] wrote {} ({} cells)",
+            path.display(),
+            report.cells.len()
+        );
+    }
+    if ex::fail_fast_triggered() {
+        return Err("[repro] exiting nonzero: a cell failed under --fail-fast".to_string());
+    }
+    Ok(())
+}
+
+/// `repro serve`: the campaign server, on the batch store (`--resume-dir`,
+/// `--store`, `--resume`; `.grit-serve-store/` when none is given).
+fn cmd_serve(a: &Args, _: &[String]) -> Result<(), String> {
+    if a.trace_path.is_some() {
+        // A global trace writer would disable the shared store for every
+        // client; served cells opt into tracing per spec.
+        eprintln!("serve ignores --trace; clients request traces per cell");
+    }
+    session(a, 1, |_| {
+        let sopts = a.serve.clone().jobs(ex::effective_jobs());
+        let dir = a.batch.resume_dir.clone().unwrap_or_else(|| PathBuf::from(".grit-serve-store"));
+        let started = Instant::now();
+        let s = grit::service::serve(&sopts, Some(dir), a.batch.store_max_bytes)
+            .map_err(|e| format!("serve: {e}"))?;
+        report_sink::record_target("serve", started.elapsed().as_secs_f64());
+        eprintln!(
+            "[repro] serve: {} cells ({} store hits, {} errors) over {} connections",
+            s.cells, s.store_hits, s.errors, s.connections
+        );
+        Ok(())
+    })
+}
+
+/// Where targets print: stdout, the `--csv` directory, and the tables
+/// later targets reuse — `repro all` runs fig17/fig18 before the summary,
+/// and the digest must not re-run them.
 #[derive(Default)]
-struct TableCache {
+struct Out {
+    csv_dir: Option<PathBuf>,
     fig17: Option<Table>,
     fig18: Option<Table>,
 }
 
-fn run_summary(exp: &ExpConfig, cache: &mut TableCache) {
+impl Out {
+    /// Prints a table and optionally writes its CSV rendering to the
+    /// `--csv` directory.
+    fn emit(&self, table: &Table, name: &str) {
+        println!("{}", table.to_text());
+        if let Some(dir) = &self.csv_dir {
+            let path = dir.join(format!("{name}.csv"));
+            if let Err(e) = fs::write(&path, table.to_csv()) {
+                eprintln!("[repro] failed to write {}: {e}", path.display());
+            }
+        }
+    }
+}
+
+fn run_summary(exp: &ExpConfig, out: &mut Out) {
     use grit::experiments::fig17_grit;
     use grit::experiments::fig18_faults;
-    let t17 = cache.fig17.get_or_insert_with(|| fig17_grit::run(exp));
+    let t17 = out.fig17.get_or_insert_with(|| fig17_grit::run(exp));
     let (ot, ac, d) = fig17_grit::headline(t17);
-    let t18 = cache.fig18.get_or_insert_with(|| fig18_faults::run(exp));
+    let t18 = out.fig18.get_or_insert_with(|| fig18_faults::run(exp));
     println!("== GRIT reproduction digest ==");
     println!(
         "performance: GRIT vs on-touch {:+.0}%, vs access-counter {:+.0}%, vs duplication {:+.0}%",
@@ -176,68 +892,49 @@ fn run_validate(exp: &ExpConfig) -> bool {
     ok
 }
 
-fn dump_trace(app_name: &str, path: &str, exp: &ExpConfig) -> bool {
+/// `repro dump-trace <APP> <PATH>`: writes one app's trace at the
+/// experiment scale.
+fn dump_trace(a: &Args, operands: &[String]) -> Result<(), String> {
     use grit_workloads::{write_trace, App, WorkloadBuilder};
-    let Some(app) = App::parse(app_name) else {
-        eprintln!("unknown app {app_name}");
-        return false;
-    };
+    use std::io::Write;
+    let (app_name, path) = (&operands[0], &operands[1]);
+    let app = App::parse(app_name).ok_or_else(|| format!("unknown app {app_name}"))?;
     let w = WorkloadBuilder::new(app)
-        .scale(exp.scale)
-        .intensity(exp.intensity)
-        .seed(exp.seed)
+        .scale(a.spec.scale)
+        .intensity(a.spec.intensity)
+        .seed(a.spec.seed)
         .build();
-    let file = match fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot create {path}: {e}");
-            return false;
-        }
-    };
-    match write_trace(&w, std::io::BufWriter::new(file)) {
-        Ok(()) => {
-            eprintln!(
-                "[repro] wrote {}: {} accesses over {} pages",
-                path,
-                w.total_accesses(),
-                w.footprint_pages
-            );
-            true
-        }
-        Err(e) => {
-            eprintln!("write failed: {e}");
-            false
-        }
-    }
+    let file = fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut out = std::io::BufWriter::new(file);
+    write_trace(&w, &mut out).map_err(|e| format!("write failed: {e}"))?;
+    // Dropping the writer would discard a failed final write.
+    out.flush().map_err(|e| format!("write failed: {e}"))?;
+    eprintln!(
+        "[repro] wrote {}: {} accesses over {} pages",
+        path,
+        w.total_accesses(),
+        w.footprint_pages
+    );
+    Ok(())
 }
 
-fn trace_info(path: &str) -> bool {
+/// `repro trace-info <PATH>`: summarizes a trace file.
+fn trace_info(_: &Args, operands: &[String]) -> Result<(), String> {
     use grit_workloads::{characterize, read_trace};
-    let file = match fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return false;
-        }
-    };
-    match read_trace(std::io::BufReader::new(file)) {
-        Ok(w) => {
-            println!("app:        {}", w.app.abbr());
-            println!("GPUs:       {}", w.streams.len());
-            println!("footprint:  {} pages", w.footprint_pages);
-            println!("accesses:   {}", w.total_accesses());
-            println!("phases:     {}", w.barriers[0].len());
-            let c = characterize(w);
-            println!("shared:     {:.1}% of pages", 100.0 * c.shared_pages);
-            println!("writes:     {:.1}% of accesses", 100.0 * c.write_accesses);
-            println!("shared-RW:  {:.1}% of pages", 100.0 * c.shared_rw_pages);
-            true
-        }
-        Err(e) => {
-            eprintln!("not a valid trace: {e}");
-            false
-        }
-    }
+    let path = &operands[0];
+    let file = fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let w =
+        read_trace(std::io::BufReader::new(file)).map_err(|e| format!("not a valid trace: {e}"))?;
+    println!("app:        {}", w.app.abbr());
+    println!("GPUs:       {}", w.streams.len());
+    println!("footprint:  {} pages", w.footprint_pages);
+    println!("accesses:   {}", w.total_accesses());
+    println!("phases:     {}", w.barriers[0].len());
+    let c = characterize(w);
+    println!("shared:     {:.1}% of pages", 100.0 * c.shared_pages);
+    println!("writes:     {:.1}% of accesses", 100.0 * c.write_accesses);
+    println!("shared-RW:  {:.1}% of pages", 100.0 * c.shared_rw_pages);
+    Ok(())
 }
 
 /// Renders wall-clock phase totals as an aligned text table.
@@ -278,39 +975,18 @@ fn render_hist(name: &str, h: &HistReport) -> String {
     )
 }
 
-fn load_json(path: &str) -> Option<Json> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return None;
-        }
-    };
-    match Json::parse(&text) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            None
-        }
-    }
-}
-
 /// `repro profile <run_report.json>`: renders the report's `profile`
 /// object — phase table and cycle-domain histograms.
-fn cmd_profile(path: &str) -> bool {
-    let Some(json) = load_json(path) else {
-        return false;
-    };
-    let report = match RunReport::from_json(&json) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{path}: not a run report: {e}");
-            return false;
-        }
-    };
+fn cmd_profile(_: &Args, operands: &[String]) -> Result<(), String> {
+    let path = &operands[0];
+    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let json = Json::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
+    let report =
+        RunReport::from_json(&json).map_err(|e| format!("{path}: not a run report: {e}"))?;
     let Some(profile) = &report.profile else {
-        eprintln!("{path} has no profile section; re-run repro with --profile --metrics-out");
-        return false;
+        return Err(format!(
+            "{path} has no profile section; re-run repro with --profile --metrics-out"
+        ));
     };
     println!("== wall-clock phases ==");
     print!("{}", render_phase_table(&profile.wall));
@@ -331,74 +1007,47 @@ fn cmd_profile(path: &str) -> bool {
         "  mlp_stall_cycles       {}",
         profile.cycle.mlp_stall_cycles
     );
-    true
+    Ok(())
 }
 
-fn print_usage() {
-    eprintln!(
-        "usage: repro <figN|all|tables|list> [--quick|--full] [--jobs N] [--scale X] [--intensity X] [--seed N] [--csv DIR] [--trace PATH] [--metrics-out DIR] [--cell-timeout SECS] [--resume|--resume-dir DIR] [--fail-fast|--keep-going]"
-    );
-    eprintln!("figures:");
-    for (name, desc) in FIGURES {
-        eprintln!("  {name:<7} {desc}");
-    }
-    eprintln!("  tables   print the configuration tables (Table I-V)");
-    eprintln!("  summary  one-screen digest of the headline results");
-    eprintln!("  validate check every generator against its characterization band");
-    eprintln!("  dump-trace <APP> <PATH> / trace-info <PATH>  trace tooling");
-    eprintln!(
-        "  serve    long-lived campaign server (grit-serve/v1 over TCP): --port N (0 = ephemeral), --port-file PATH, --store DIR (default .grit-serve-store), --store-max-bytes N, --max-queued N (admission control; 0 = unbounded), --jobs N; SIGINT/SIGTERM drains queued cells before exit"
-    );
-    eprintln!(
-        "  submit   run an --apps x --policies campaign: --connect HOST:PORT against a server (--shutdown stops it afterwards, --retry resubmits unresolved cells with capped exponential backoff), or --local through the in-process engine; stdout carries only the table"
-    );
-    eprintln!("  profile <REPORT>    render the profile section of a run_report.json");
-    eprintln!(
-        "  --jobs N  worker threads for experiment cells (also GRIT_JOBS; default: all cores)"
-    );
-    eprintln!(
-        "  --topology T        interconnect for every cell: all-to-all (default), nvswitch[:RADIX], ring, mesh2d, hierarchical"
-    );
-    eprintln!("  --page-size N       base page size in bytes for every cell (default 4096)");
-    eprintln!(
-        "  --page-size-mode M  large-page management for every cell: uniform4k (default) or mixed (coalesce private 2 MB frames)"
-    );
-    eprintln!(
-        "  --inject SPEC       deterministic fault schedule for every cell, e.g. 'outage@1000:wire=0:for=5000;retire@2000:gpu=1:pct=10'"
-    );
-    eprintln!("  --trace PATH        write a structured JSONL event stream");
-    eprintln!("  --trace-filter L    comma-separated event categories (default: all)");
-    eprintln!("  --trace-sample N    keep every Nth event per category (default: 1)");
-    eprintln!(
-        "  --metrics-out DIR   write run_report.json (refuses to overwrite an existing run_report.json without --force)"
-    );
-    eprintln!("  --force             allow overwriting an existing run_report.json");
-    eprintln!(
-        "  --profile           wall-clock phase timers (profile object in run_report.json; zero overhead when off)"
-    );
-    eprintln!(
-        "  --profile-out PATH  write a Chrome trace-event / Perfetto JSON span trace (implies --profile)"
-    );
-    eprintln!("  --progress          1 Hz heartbeat: cells done, ETA, current phase");
-    eprintln!("  --cell-timeout SECS wall-clock budget per cell (expired cells become err! rows)");
-    eprintln!(
-        "  --resume            store finished cells under .grit-resume/ and skip them on re-run"
-    );
-    eprintln!("  --resume-dir DIR    like --resume, with an explicit store directory");
-    eprintln!(
-        "  --store-max-bytes N bound any result store; oldest entries are evicted deterministically"
-    );
-    eprintln!("  --fail-fast         abort the campaign (exit nonzero) on the first failed cell");
-    eprintln!("  --keep-going        render failed cells as rows and keep running (default)");
-}
-
-/// Prints a table and optionally appends its CSV rendering to `csv_dir`.
-fn emit(table: &Table, name: &str, csv_dir: &Option<PathBuf>) {
-    println!("{}", table.to_text());
-    if let Some(dir) = csv_dir {
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = fs::write(&path, table.to_csv()) {
-            eprintln!("[repro] failed to write {}: {e}", path.display());
+/// `repro stats`: one line of counters per cell of the Table II apps
+/// under five policies, run as one batch; a failed cell prints `err!`.
+fn run_stats(exp: &ExpConfig) {
+    use grit::experiments::{run_grid, CellResultExt, PolicyKind};
+    use grit_sim::Scheme;
+    let apps = grit_workloads::App::TABLE2;
+    let policies = [
+        PolicyKind::Static(Scheme::OnTouch),
+        PolicyKind::Static(Scheme::AccessCounter),
+        PolicyKind::Static(Scheme::Duplication),
+        PolicyKind::GRIT,
+        PolicyKind::Ideal,
+    ];
+    for (app, row) in apps.iter().zip(run_grid(&apps, &policies, exp)) {
+        for (p, cell) in policies.iter().zip(&row) {
+            let Some(out) = cell.output() else {
+                println!("{:<5} {:<16} err!", app.abbr(), p.label());
+                continue;
+            };
+            let m = &out.metrics;
+            let fl = m.aux("fault_latency_summary").unwrap_or(&[]).to_vec();
+            println!(
+                "{:<5} {:<16} cycles={:<12} acc={:<9} faults(l={},p={}) migr={} dup={} col={} evic={} remote={} fault-lat(mean={:.0} p99={:.0}) bd[{}]",
+                app.abbr(),
+                p.label(),
+                m.total_cycles,
+                m.accesses,
+                m.faults.local_faults,
+                m.faults.protection_faults,
+                m.faults.migrations,
+                m.faults.duplications,
+                m.faults.collapses,
+                m.faults.evictions,
+                m.remote_accesses,
+                fl.get(1).copied().unwrap_or(0.0),
+                fl.get(3).copied().unwrap_or(0.0),
+                m.breakdown,
+            );
         }
     }
 }
@@ -497,182 +1146,6 @@ fn print_config_tables() {
             g.pages() * 4
         );
     }
-}
-
-/// Runs one named target: the experiment config, the `--csv` directory
-/// and the tables later targets reuse.
-type Figure = fn(&ExpConfig, &Option<PathBuf>, &mut TableCache);
-
-/// The runner for a target name (aliases included), or `None` for an
-/// unknown name. `main` resolves every target before running any, so a
-/// typo fails fast instead of after the targets before it.
-fn figure(name: &str) -> Option<Figure> {
-    Some(match name {
-        "tables" => |_, _, _| print_config_tables(),
-        "summary" => |exp, _, cache| run_summary(exp, cache),
-        "validate" => |exp, _, _| {
-            if !run_validate(exp) {
-                eprintln!("[repro] at least one generator drifted from its band");
-            }
-        },
-        "stats" => |exp, _, _| {
-            use grit::experiments::{run_grid, CellResultExt, PolicyKind};
-            use grit_sim::Scheme;
-            let apps = grit_workloads::App::TABLE2;
-            let policies = [
-                PolicyKind::Static(Scheme::OnTouch),
-                PolicyKind::Static(Scheme::AccessCounter),
-                PolicyKind::Static(Scheme::Duplication),
-                PolicyKind::GRIT,
-                PolicyKind::Ideal,
-            ];
-            for (app, row) in apps.iter().zip(run_grid(&apps, &policies, exp)) {
-                for (p, cell) in policies.iter().zip(&row) {
-                    let Some(out) = cell.output() else {
-                        println!("{:<5} {:<16} err!", app.abbr(), p.label());
-                        continue;
-                    };
-                    let m = &out.metrics;
-                    let fl = m.aux("fault_latency_summary").unwrap_or(&[]).to_vec();
-                    println!(
-                        "{:<5} {:<16} cycles={:<12} acc={:<9} faults(l={},p={}) migr={} dup={} col={} evic={} remote={} fault-lat(mean={:.0} p99={:.0}) bd[{}]",
-                        app.abbr(),
-                        p.label(),
-                        m.total_cycles,
-                        m.accesses,
-                        m.faults.local_faults,
-                        m.faults.protection_faults,
-                        m.faults.migrations,
-                        m.faults.duplications,
-                        m.faults.collapses,
-                        m.faults.evictions,
-                        m.remote_accesses,
-                        fl.get(1).copied().unwrap_or(0.0),
-                        fl.get(3).copied().unwrap_or(0.0),
-                        m.breakdown,
-                    );
-                }
-            }
-        },
-        "fig1" => |exp, csv_dir, _| emit(&ex::fig01_schemes::run(exp), "fig1", csv_dir),
-        "fig3" => |exp, csv_dir, _| emit(&ex::fig03_breakdown::run(exp), "fig3", csv_dir),
-        "fig4" => |exp, csv_dir, _| emit(&ex::fig04_sharing::run(exp), "fig4", csv_dir),
-        "fig5" => |exp, csv_dir, _| {
-            for (i, t) in ex::fig05_page_timeline::run(exp).into_iter().enumerate() {
-                emit(&t, &format!("fig5_{i}"), csv_dir);
-            }
-        },
-        "fig6" | "fig7" | "fig8" => {
-            |exp, csv_dir, _| emit(&ex::fig06_attr_grids::run(exp), "fig6_8", csv_dir)
-        }
-        "fig9" => |exp, csv_dir, _| emit(&ex::fig09_rw::run(exp), "fig9", csv_dir),
-        "fig10" => |exp, csv_dir, _| emit(&ex::fig10_rw_timeline::run(exp), "fig10", csv_dir),
-        "fig17" => |exp, csv_dir, cache| {
-            let t = ex::fig17_grit::run(exp);
-            emit(&t, "fig17", csv_dir);
-            let (ot, ac, d) = ex::fig17_grit::headline(&t);
-            println!(
-                "headline: GRIT vs on-touch +{:.0}%  vs access-counter +{:.0}%  vs duplication +{:.0}%",
-                100.0 * ot,
-                100.0 * ac,
-                100.0 * d
-            );
-            println!(
-                "paper:    GRIT vs on-touch +60%  vs access-counter +49%  vs duplication +29%\n"
-            );
-            cache.fig17 = Some(t);
-        },
-        "fig18" => |exp, csv_dir, cache| {
-            let t = ex::fig18_faults::run(exp);
-            emit(&t, "fig18", csv_dir);
-            cache.fig18 = Some(t);
-        },
-        "fig19" => |exp, csv_dir, _| emit(&ex::fig19_scheme_mix::run(exp), "fig19", csv_dir),
-        "fig20" => |exp, csv_dir, _| emit(&ex::fig20_ablation::run(exp), "fig20", csv_dir),
-        "fig21" => |exp, csv_dir, _| emit(&ex::fig21_threshold::run(exp), "fig21", csv_dir),
-        "fig22" | "fig23" | "fig24" => |exp, csv_dir, _| {
-            for (n, perf, faults) in ex::fig22_gpu_scaling::run(exp) {
-                println!("--- {n} GPUs ---");
-                emit(&perf, &format!("fig22_24_{n}gpu_perf"), csv_dir);
-                emit(&faults, &format!("fig22_24_{n}gpu_faults"), csv_dir);
-            }
-        },
-        "fig25" => |exp, csv_dir, _| emit(&ex::fig25_large_pages::run(exp), "fig25", csv_dir),
-        "fig26" => |exp, csv_dir, _| emit(&ex::fig26_griffin::run(exp), "fig26", csv_dir),
-        "fig27" => |exp, csv_dir, _| emit(&ex::fig27_gps::run(exp), "fig27", csv_dir),
-        "fig28" => |exp, csv_dir, _| emit(&ex::fig28_transfw::run(exp), "fig28", csv_dir),
-        "fig29" => |exp, csv_dir, _| emit(&ex::fig29_first_touch::run(exp), "fig29", csv_dir),
-        "fig30" => |exp, csv_dir, _| emit(&ex::fig30_prefetch::run(exp), "fig30", csv_dir),
-        "fig31" => |exp, csv_dir, _| emit(&ex::fig31_dnn::run(exp), "fig31", csv_dir),
-        "oracle" => |exp, csv_dir, _| emit(&ex::ext_oracle::run(exp), "oracle", csv_dir),
-        "pacache" => |exp, csv_dir, _| emit(&ex::ext_pa_cache::run(exp), "pacache", csv_dir),
-        "extra" => |exp, csv_dir, _| emit(&ex::ext_workloads::run(exp), "extra_workloads", csv_dir),
-        "adapt" => |exp, csv_dir, _| {
-            for (i, t) in ex::ext_adaptation::run(exp).into_iter().enumerate() {
-                emit(&t, &format!("adapt_{i}"), csv_dir);
-            }
-        },
-        "sweeps" => |exp, csv_dir, _| {
-            emit(
-                &ex::ext_sweeps::run_capacity(exp),
-                "sweep_capacity",
-                csv_dir,
-            );
-            emit(
-                &ex::ext_sweeps::run_remote_gap(exp),
-                "sweep_remote_gap",
-                csv_dir,
-            );
-            emit(&ex::ext_sweeps::run_mlp(exp), "sweep_mlp", csv_dir);
-        },
-        "ext-topology" | "topology" => |exp, csv_dir, _| {
-            let study = ex::ext_topology::run(exp);
-            emit(&study.speedup, "ext_topology_speedup", csv_dir);
-            emit(&study.queue, "ext_topology_queue", csv_dir);
-        },
-        "ext-pagesize" | "pagesize" => |exp, csv_dir, _| {
-            let study = ex::ext_pagesize::run(exp);
-            emit(&study.speedup, "ext_pagesize_speedup", csv_dir);
-            emit(&study.tlb, "ext_pagesize_tlb", csv_dir);
-            emit(&study.activity, "ext_pagesize_activity", csv_dir);
-        },
-        "ext-resilience" | "resilience" => |exp, csv_dir, _| {
-            let study = ex::ext_resilience::run(exp);
-            emit(&study.slowdown, "ext_resilience_slowdown", csv_dir);
-            for (scenario, r) in &study.counters {
-                println!(
-                    "[resilience] {scenario}: injected {} recovered {} blocked {} \
-                     (retried-ok {} remote {} staged {}) retired-frames {} checks {}",
-                    r.faults_injected,
-                    r.recoveries,
-                    r.migrations_blocked,
-                    r.retry_successes,
-                    r.fallback_remote,
-                    r.host_staged,
-                    r.frames_retired,
-                    r.invariant_checks,
-                );
-                if !r.all_blocked_resolved() {
-                    eprintln!("[repro] {scenario}: blocked migrations left unresolved");
-                }
-            }
-        },
-        _ => return None,
-    })
-}
-
-/// Inputs to `repro submit`, collected from the flag loop.
-struct SubmitArgs {
-    /// Override spec with scale/intensity/seed and trace knobs applied;
-    /// app and policy are filled per campaign cell.
-    base: grit_sim::RunSpec,
-    connect: Option<String>,
-    apps: Option<String>,
-    policies: Option<String>,
-    shutdown: bool,
-    local: bool,
-    retry: bool,
-    trace_path: Option<PathBuf>,
 }
 
 fn split_list(raw: &str) -> Vec<String> {
@@ -834,7 +1307,7 @@ fn run_served_campaign(
 /// (`--connect`) or through the in-process engine (`--local`). Status
 /// goes to stderr; stdout carries only the table, so the two paths can
 /// be diffed directly.
-fn cmd_submit(a: &SubmitArgs) -> ExitCode {
+fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
     let apps = a.apps.as_deref().map(split_list).unwrap_or_default();
     let pols = a
         .policies
@@ -842,25 +1315,22 @@ fn cmd_submit(a: &SubmitArgs) -> ExitCode {
         .map(split_list)
         .unwrap_or_else(|| vec!["grit".to_string()]);
     if apps.is_empty() && !a.shutdown {
-        eprintln!("submit needs --apps A,B,... (or --shutdown to only stop a server)");
-        return ExitCode::FAILURE;
+        return Err("submit needs --apps A,B,... (or --shutdown to only stop a server)".into());
     }
     for app in &apps {
         if grit_workloads::App::parse(app).is_none() {
-            eprintln!("submit: unknown app '{app}'");
-            return ExitCode::FAILURE;
+            return Err(format!("submit: unknown app '{app}'"));
         }
     }
     for p in &pols {
         if ex::PolicyKind::parse(p).is_none() {
-            eprintln!("submit: unknown policy '{p}'");
-            return ExitCode::FAILURE;
+            return Err(format!("submit: unknown policy '{p}'"));
         }
     }
     let mut specs = Vec::new();
     for app in &apps {
         for p in &pols {
-            let mut s = a.base.clone();
+            let mut s = a.spec.clone();
             s.app = app.clone();
             s.policy = p.clone();
             specs.push(s);
@@ -870,13 +1340,7 @@ fn cmd_submit(a: &SubmitArgs) -> ExitCode {
     let (cycles, hits, errs, trace_text) = if a.local {
         let mut cells = Vec::new();
         for spec in &specs {
-            match grit::service::parse_spec_cell(spec) {
-                Ok(c) => cells.push(c),
-                Err(e) => {
-                    eprintln!("submit: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            cells.push(grit::service::parse_spec_cell(spec).map_err(|e| format!("submit: {e}"))?);
         }
         let outs = ex::run_batch(&cells);
         let mut errs = 0usize;
@@ -899,27 +1363,18 @@ fn cmd_submit(a: &SubmitArgs) -> ExitCode {
             .collect();
         (cycles, hits, errs, trace_text)
     } else {
-        let Some(addr) = &a.connect else {
-            eprintln!("submit needs --connect HOST:PORT (or --local)");
-            return ExitCode::FAILURE;
-        };
+        let addr = a.connect.as_deref().ok_or("submit needs --connect HOST:PORT (or --local)")?;
         let (results, traces, server_errors) =
-            match run_served_campaign(addr, &specs, a.shutdown, a.retry) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("submit: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            run_served_campaign(addr, &specs, a.shutdown, a.retry)
+                .map_err(|e| format!("submit: {e}"))?;
         for e in &server_errors {
             eprintln!("[repro] server error: {e}");
         }
         if let Some((i, r)) = results.iter().enumerate().find(|(i, r)| r.id != *i as u64) {
-            eprintln!(
+            return Err(format!(
                 "[repro] submit: result {i} carries id {} — declaration order broken",
                 r.id
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         let mut errs = 0usize;
         for r in &results {
@@ -948,10 +1403,8 @@ fn cmd_submit(a: &SubmitArgs) -> ExitCode {
     };
 
     if let Some(path) = &a.trace_path {
-        if let Err(e) = fs::write(path, &trace_text) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        fs::write(path, &trace_text)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     eprintln!(
         "[repro] submit: {} cells, {} store hits, {} errors",
@@ -963,540 +1416,8 @@ fn cmd_submit(a: &SubmitArgs) -> ExitCode {
         print!("{}", render_campaign(&apps, &pols, &cycles).to_text());
     }
     if errs == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(format!("[repro] submit: {errs} cells failed"))
     }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    if args.is_empty() {
-        print_usage();
-        return ExitCode::FAILURE;
-    }
-
-    let mut exp = ExpConfig::default();
-    let mut targets: Vec<String> = Vec::new();
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut trace_mask = CategoryMask::ALL;
-    let mut trace_sample: u64 = 1;
-    let mut metrics_dir: Option<PathBuf> = None;
-    let mut profile_on = false;
-    let mut profile_out: Option<PathBuf> = None;
-    let mut force = false;
-    // The machine/execution overrides accumulate into one RunSpec — the
-    // same struct the result store keys on and the serve wire carries.
-    let mut ospec = grit_sim::RunSpec::default();
-    // The batch execution flags fill one BatchOptions, installed once
-    // after the loop; the timeout comes from `ospec`.
-    let mut bopts = ex::BatchOptions::new();
-    let mut trace_filter_raw: Option<String> = None;
-    let mut port: u16 = 0;
-    let mut port_file: Option<PathBuf> = None;
-    let mut store_dir: Option<PathBuf> = None;
-    let mut connect_addr: Option<String> = None;
-    let mut apps_raw: Option<String> = None;
-    let mut policies_raw: Option<String> = None;
-    let mut do_shutdown = false;
-    let mut local_mode = false;
-    let mut do_retry = false;
-    let mut max_queued: usize = 0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => exp = ExpConfig::quick(),
-            "--full" => exp = ExpConfig::full(),
-            "--scale" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    eprintln!("--scale needs a number");
-                    return ExitCode::FAILURE;
-                };
-                exp.scale = v;
-            }
-            "--intensity" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    eprintln!("--intensity needs a number");
-                    return ExitCode::FAILURE;
-                };
-                exp.intensity = v;
-            }
-            "--seed" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                };
-                exp.seed = v;
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<usize>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                bopts.jobs = Some(v);
-            }
-            "--csv" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--csv needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                let dir = PathBuf::from(dir);
-                if let Err(e) = fs::create_dir_all(&dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                csv_dir = Some(dir);
-            }
-            "--trace" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--trace needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                trace_path = Some(PathBuf::from(path));
-            }
-            "--trace-filter" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--trace-filter needs a comma-separated category list");
-                    return ExitCode::FAILURE;
-                };
-                match CategoryMask::parse(list) {
-                    Ok(mask) => trace_mask = mask,
-                    Err(e) => {
-                        eprintln!("--trace-filter: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                trace_filter_raw = Some(list.clone());
-            }
-            "--trace-sample" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--trace-sample needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                trace_sample = n;
-            }
-            "--metrics-out" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--metrics-out needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                let dir = PathBuf::from(dir);
-                if let Err(e) = fs::create_dir_all(&dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                metrics_dir = Some(dir);
-            }
-            "--profile" => profile_on = true,
-            "--profile-out" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--profile-out needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                profile_out = Some(PathBuf::from(path));
-                profile_on = true;
-            }
-            "--progress" => ex::set_progress(true),
-            "--force" => force = true,
-            "--cell-timeout" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--cell-timeout needs a non-negative number of seconds");
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = grit_sim::spec::timeout_from_secs(v) {
-                    eprintln!("--cell-timeout: {e}");
-                    return ExitCode::FAILURE;
-                }
-                ospec = ospec.timeout_secs(v);
-            }
-            "--resume" => bopts.resume_dir = Some(PathBuf::from(".grit-resume")),
-            "--resume-dir" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--resume-dir needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                bopts.resume_dir = Some(PathBuf::from(dir));
-            }
-            "--fail-fast" => bopts.fail_fast = true,
-            "--keep-going" => bopts.fail_fast = false,
-            "--topology" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    eprintln!("--topology needs a name (all-to-all, nvswitch[:RADIX], ring, mesh2d, hierarchical)");
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = grit_sim::TopologyConfig::parse(spec) {
-                    eprintln!("--topology: {e}");
-                    return ExitCode::FAILURE;
-                }
-                ospec = ospec.topology(spec);
-            }
-            "--page-size" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--page-size needs a byte count (e.g. 4096, 65536)");
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = grit_sim::lines_per_page_checked(v) {
-                    eprintln!("--page-size: {e}");
-                    return ExitCode::FAILURE;
-                }
-                ospec = ospec.page_size(v);
-            }
-            "--page-size-mode" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    eprintln!("--page-size-mode needs a mode (uniform4k, mixed)");
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = grit_sim::PageSizeMode::parse(spec) {
-                    eprintln!("--page-size-mode: {e}");
-                    return ExitCode::FAILURE;
-                }
-                ospec = ospec.page_size_mode(spec.as_str());
-            }
-            "--inject" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    eprintln!(
-                        "--inject needs a spec, e.g. 'degrade@1000:wire=0:frac=0.25:for=100000'"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = grit_sim::InjectConfig::parse(spec) {
-                    eprintln!("--inject: {e}");
-                    return ExitCode::FAILURE;
-                }
-                ospec = ospec.inject(spec);
-            }
-            "--store-max-bytes" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--store-max-bytes needs a positive byte count");
-                    return ExitCode::FAILURE;
-                };
-                bopts.store_max_bytes = Some(v);
-            }
-            "--port" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u16>().ok()) else {
-                    eprintln!("--port needs a TCP port number (0 = ephemeral)");
-                    return ExitCode::FAILURE;
-                };
-                port = v;
-            }
-            "--port-file" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--port-file needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                port_file = Some(PathBuf::from(path));
-            }
-            "--store" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--store needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                // One flag, one store: the serve store and the local
-                // resume store are the same directory, so `submit
-                // --local` and a server share hits.
-                store_dir = Some(PathBuf::from(dir));
-                bopts.resume_dir = Some(PathBuf::from(dir));
-            }
-            "--connect" => {
-                i += 1;
-                let Some(addr) = args.get(i) else {
-                    eprintln!("--connect needs HOST:PORT");
-                    return ExitCode::FAILURE;
-                };
-                connect_addr = Some(addr.clone());
-            }
-            "--apps" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--apps needs a comma-separated list (e.g. GEMM,BFS)");
-                    return ExitCode::FAILURE;
-                };
-                apps_raw = Some(list.clone());
-            }
-            "--policies" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--policies needs a comma-separated list (e.g. grit,on-touch)");
-                    return ExitCode::FAILURE;
-                };
-                policies_raw = Some(list.clone());
-            }
-            "--shutdown" => do_shutdown = true,
-            "--local" => local_mode = true,
-            "--retry" => do_retry = true,
-            "--max-queued" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--max-queued needs a cell count (0 = unbounded)");
-                    return ExitCode::FAILURE;
-                };
-                max_queued = v;
-            }
-            "list" | "--list" | "-l" => {
-                print_usage();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-            other => targets.push(other.to_string()),
-        }
-        i += 1;
-    }
-    ex::set_override_spec(Some(ospec.clone()));
-    bopts.timeout = ex::BatchOptions::from(&ospec).timeout;
-    ex::set_batch_defaults(bopts);
-
-    // Trace tooling takes positional arguments.
-    if targets.first().map(String::as_str) == Some("dump-trace") {
-        let (Some(app), Some(path)) = (targets.get(1), targets.get(2)) else {
-            eprintln!("usage: repro dump-trace <APP> <PATH> [--scale X]");
-            return ExitCode::FAILURE;
-        };
-        return if dump_trace(app, path, &exp) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if targets.first().map(String::as_str) == Some("trace-info") {
-        let Some(path) = targets.get(1) else {
-            eprintln!("usage: repro trace-info <PATH>");
-            return ExitCode::FAILURE;
-        };
-        return if trace_info(path) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if targets.first().map(String::as_str) == Some("profile") {
-        let Some(path) = targets.get(1) else {
-            eprintln!("usage: repro profile <run_report.json>");
-            return ExitCode::FAILURE;
-        };
-        return if cmd_profile(path) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if targets.first().map(String::as_str) == Some("submit") {
-        let mut base = ospec.clone().scale(exp.scale).intensity(exp.intensity).seed(exp.seed);
-        if trace_path.is_some() {
-            base = base.trace(true).trace_sample(trace_sample);
-            if let Some(filter) = &trace_filter_raw {
-                base = base.trace_filter(filter);
-            }
-        }
-        return cmd_submit(&SubmitArgs {
-            base,
-            connect: connect_addr,
-            apps: apps_raw,
-            policies: policies_raw,
-            shutdown: do_shutdown,
-            local: local_mode,
-            retry: do_retry,
-            trace_path,
-        });
-    }
-
-    // A half-finished campaign must not silently clobber a report the user
-    // still needs; make replacement an explicit decision.
-    if let Some(dir) = &metrics_dir {
-        let path = dir.join("run_report.json");
-        if path.exists() && !force {
-            eprintln!(
-                "refusing to overwrite existing {}; pass --force to replace it",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let serve_mode = targets.first().map(String::as_str) == Some("serve");
-    if serve_mode && targets.len() > 1 {
-        eprintln!("serve takes no figure targets");
-        return ExitCode::FAILURE;
-    }
-
-    if targets.iter().any(|t| t == "all") {
-        // Every figure, capped by the digest — which reuses the fig17 and
-        // fig18 tables computed moments earlier.
-        targets = FIGURES.iter().map(|(n, _)| n.to_string()).collect();
-        targets.push("summary".to_string());
-    }
-    if targets.is_empty() {
-        print_usage();
-        return ExitCode::FAILURE;
-    }
-    // Resolve every target before running any, so an unknown name fails
-    // before the targets ahead of it print their tables.
-    if let Some(t) = targets.iter().find(|t| !serve_mode && figure(t).is_none()) {
-        eprintln!("unknown figure: {t}");
-        print_usage();
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = &trace_path {
-        if serve_mode {
-            // A global trace writer would disable the shared store for
-            // every client; served cells opt into tracing per spec.
-            eprintln!("serve ignores --trace; clients request traces per cell");
-        } else {
-            let cfg = TraceConfig {
-                categories: trace_mask,
-                sample_every: trace_sample,
-            };
-            if let Err(e) = trace_writer::install_global(cfg, path) {
-                eprintln!("cannot create trace file {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if metrics_dir.is_some() {
-        report_sink::enable();
-    }
-    if profile_on {
-        grit_prof::set_enabled(true);
-    }
-    if profile_out.is_some() {
-        grit_prof::set_capture(true);
-    }
-
-    eprintln!(
-        "[repro] scale={} intensity={} seed={:#x} jobs={}",
-        exp.scale,
-        exp.intensity,
-        exp.seed,
-        ex::effective_jobs()
-    );
-    let mut cache = TableCache::default();
-    let t0 = Instant::now();
-    if serve_mode {
-        let mut sopts = grit_serve::ServeOptions::new()
-            .port(port)
-            .jobs(ex::effective_jobs())
-            .max_queued(max_queued);
-        if let Some(pf) = &port_file {
-            sopts = sopts.port_file(pf);
-        }
-        let dir = store_dir.clone().unwrap_or_else(|| PathBuf::from(".grit-serve-store"));
-        let started = Instant::now();
-        let store_max_bytes = ex::BatchOptions::from_defaults().store_max_bytes;
-        match grit::service::serve(&sopts, Some(dir), store_max_bytes) {
-            Ok(s) => {
-                report_sink::record_target("serve", started.elapsed().as_secs_f64());
-                eprintln!(
-                    "[repro] serve: {} cells ({} store hits, {} errors) over {} connections",
-                    s.cells, s.store_hits, s.errors, s.connections
-                );
-            }
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        for t in &targets {
-            eprintln!("[repro] running {t} ...");
-            let started = Instant::now();
-            let run = figure(t).expect("targets were resolved before the run");
-            run(&exp, &csv_dir, &mut cache);
-            let seconds = started.elapsed().as_secs_f64();
-            report_sink::record_target(t, seconds);
-            eprintln!("[repro] {t} time: {seconds:.2}s");
-            if ex::fail_fast_triggered() {
-                eprintln!(
-                    "[repro] fail-fast: a cell failed during {t}; skipping remaining targets"
-                );
-                break;
-            }
-        }
-    }
-    let total_seconds = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "[repro] total time: {total_seconds:.2}s ({} targets, {} jobs)",
-        targets.len(),
-        ex::effective_jobs()
-    );
-
-    if trace_path.is_some() {
-        if let Err(e) = trace_writer::flush_global() {
-            eprintln!("trace: flush failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if profile_on {
-        let totals: Vec<PhaseEntry> = grit_prof::phase_totals()
-            .iter()
-            .filter(|t| t.count > 0)
-            .map(|t| PhaseEntry {
-                phase: t.phase.name().to_string(),
-                nanos: t.nanos,
-                count: t.count,
-            })
-            .collect();
-        if totals.is_empty() {
-            eprintln!("[repro] profile: no spans recorded");
-        } else {
-            eprintln!("[repro] wall-clock phases:");
-            eprint!("{}", render_phase_table(&totals));
-        }
-    }
-    if let Some(path) = &profile_out {
-        let (events, dropped) = grit_prof::drain_events();
-        if let Err(e) = fs::write(path, grit_prof::chrome_trace_json(&events, dropped)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[repro] wrote {} ({} span events, {} dropped)",
-            path.display(),
-            events.len(),
-            dropped
-        );
-    }
-    if let Some(dir) = &metrics_dir {
-        let report = report_sink::build_report(&exp, ex::effective_jobs(), total_seconds);
-        let path = dir.join("run_report.json");
-        if let Err(e) = fs::write(&path, format!("{}\n", report.to_json())) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[repro] wrote {} ({} cells)",
-            path.display(),
-            report.cells.len()
-        );
-    }
-    if ex::fail_fast_triggered() {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

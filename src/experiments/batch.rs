@@ -493,9 +493,10 @@ pub fn override_spec() -> RunSpec {
 fn apply_cell_overrides(mut cfg: SimConfig) -> SimConfig {
     let spec = override_spec();
     if let Err(e) = spec.apply_to(&mut cfg) {
-        // The CLI validates the grammar before installing the spec, so
-        // this only fires when an override conflicts with a cell's own
-        // configuration; the cell keeps what could be applied.
+        // The CLI checks the spec against the default configuration
+        // before installing it, so this only fires when an override
+        // conflicts with a cell's own configuration; the cell keeps what
+        // could be applied.
         eprintln!("override spec: {e}");
     }
     cfg

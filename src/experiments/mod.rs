@@ -49,7 +49,7 @@ pub use batch::{
 use grit_baselines::{FirstTouchPolicy, GpsPolicy, GriffinDpcPolicy, IdealPolicy};
 use grit_core::{GritConfig, GritPolicy};
 use grit_metrics::Table;
-use grit_sim::{Scheme, SimConfig};
+use grit_sim::{RunSpec, Scheme, SimConfig};
 use grit_uvm::{PlacementPolicy, StaticPolicy};
 use grit_workloads::App;
 
@@ -230,6 +230,17 @@ impl ExpConfig {
             scale: 1.0,
             intensity: 2.0,
             ..Default::default()
+        }
+    }
+}
+
+impl From<&RunSpec> for ExpConfig {
+    /// The experiment knobs of one spec: its scale, intensity and seed.
+    fn from(spec: &RunSpec) -> Self {
+        ExpConfig {
+            scale: spec.scale,
+            intensity: spec.intensity,
+            seed: spec.seed,
         }
     }
 }

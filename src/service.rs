@@ -40,23 +40,27 @@ pub fn parse_spec_cell(spec: &RunSpec) -> Result<CellSpec, String> {
         .ok_or_else(|| format!("unknown policy '{}'", spec.policy))?;
     let mut cfg = SimConfig::default();
     spec.apply_to(&mut cfg).map_err(|e| e.to_string())?;
-    let exp = ExpConfig {
-        scale: spec.scale,
-        intensity: spec.intensity,
-        seed: spec.seed,
-    };
-    let mut cell = CellSpec::new(app, policy, &exp).with_cfg(cfg);
+    let mut cell = CellSpec::new(app, policy, &ExpConfig::from(spec)).with_cfg(cfg);
     if spec.trace {
-        let categories = match &spec.trace_filter {
-            Some(filter) => CategoryMask::parse(filter)?,
-            None => CategoryMask::ALL,
-        };
-        cell = cell.traced(TraceConfig {
-            categories,
-            sample_every: spec.trace_sample.max(1),
-        });
+        cell = cell.traced(trace_config(spec)?);
     }
     Ok(cell)
+}
+
+/// The event filter and sampling `spec` asks for.
+///
+/// # Errors
+///
+/// The first unknown category name in `trace_filter`.
+pub fn trace_config(spec: &RunSpec) -> Result<TraceConfig, String> {
+    let categories = match &spec.trace_filter {
+        Some(filter) => CategoryMask::parse(filter)?,
+        None => CategoryMask::ALL,
+    };
+    Ok(TraceConfig {
+        categories,
+        sample_every: spec.trace_sample.max(1),
+    })
 }
 
 /// Runs one spec through the batch engine, honoring the spec's own

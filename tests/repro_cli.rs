@@ -210,6 +210,7 @@ fn rejected(args: &[&str]) -> String {
         .output()
         .expect("repro runs");
     assert!(!out.status.success(), "{args:?} must be rejected");
+    assert_eq!(out.status.code(), Some(1), "{args:?}");
     assert!(
         out.stdout.is_empty(),
         "{args:?}: a target ran before the rejection"
@@ -227,6 +228,27 @@ fn unknown_flag_is_rejected_before_any_target_runs() {
     }
 }
 
+/// Every value flag rejects a missing or malformed value while the
+/// arguments are read, and the message names the flag.
+#[test]
+fn malformed_flag_values_are_rejected_naming_the_flag() {
+    for (flag, value) in [
+        ("--jobs", Some("0")),
+        ("--trace-sample", Some("0")),
+        ("--store-max-bytes", Some("0")),
+        ("--port", Some("70000")),
+        ("--max-queued", Some("x")),
+        ("--seed", Some("-1")),
+        ("--trace-filter", Some("bogus")),
+        ("--scale", None),
+    ] {
+        let mut args = vec!["fig4", "--quick", flag];
+        args.extend(value);
+        let stderr = rejected(&args);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}
+
 /// A cell budget that is no representable duration is rejected while the
 /// arguments are parsed, not panicked on when the first batch starts.
 #[test]
@@ -235,6 +257,27 @@ fn unrepresentable_cell_timeout_is_rejected() {
         let stderr = rejected(&["fig4", "--quick", "--cell-timeout", secs]);
         assert!(stderr.contains("invalid timeout_secs"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+/// The configuration the flags make is checked as a whole before anything
+/// is built: a scale or intensity that is not a finite positive number,
+/// and overrides that each parse but conflict, exit 1 naming the field.
+#[test]
+fn bad_configurations_are_rejected_before_any_target_runs() {
+    for (args, field) in [
+        (&["--scale", "inf"][..], "invalid scale"),
+        (&["--intensity", "nan"], "invalid intensity"),
+        (
+            &["--page-size", "2097152", "--page-size-mode", "mixed"],
+            "invalid page_size_mode",
+        ),
+    ] {
+        let mut argv = vec!["fig4", "--quick", "--jobs", "2"];
+        argv.extend(args);
+        let stderr = rejected(&argv);
+        assert!(stderr.contains(field), "{argv:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
     }
 }
 
@@ -348,5 +391,69 @@ fn fig10_cells_resume_from_the_store() {
     let report = RunReport::from_json(&Json::parse(&text).expect("valid JSON")).expect("schema");
     let store = report.store.expect("store counters recorded");
     assert_eq!((store.hits, store.misses), (2, 0));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Kills and reaps a child process when dropped, so a failing test
+/// leaves no server behind.
+struct Reaped(std::process::Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `repro serve` keeps its results in the batch store directory, so
+/// `--resume-dir` chooses it as `--store` does.
+#[test]
+fn serve_stores_results_under_the_resume_dir() {
+    let dir = scratch_dir_for("serve-resume-dir");
+    let store = dir.join("store");
+    let port_file = dir.join("port.txt");
+    let mut server = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["serve", "--port", "0", "--jobs", "1", "--port-file"])
+            .arg(&port_file)
+            .arg("--resume-dir")
+            .arg(&store)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn repro serve"),
+    );
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let addr = loop {
+        let text = fs::read_to_string(&port_file).unwrap_or_default();
+        if !text.trim().is_empty() {
+            break text.trim().to_string();
+        }
+        assert!(
+            server.0.try_wait().expect("poll server").is_none(),
+            "server exited early"
+        );
+        assert!(std::time::Instant::now() < deadline, "no port file");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    let out = succeeded(&[
+        "submit",
+        "--connect",
+        &addr,
+        "--apps",
+        "GEMM",
+        "--scale",
+        "0.02",
+        "--intensity",
+        "0.5",
+        "--shutdown",
+    ]);
+    assert!(out.contains("GEMM"), "{out}");
+    assert!(server.0.wait().expect("server exits").success());
+    let stored = fs::read_dir(&store)
+        .expect("store directory written")
+        .filter(|e| e.as_ref().expect("dir entry").path().extension() == Some("json".as_ref()))
+        .count();
+    assert_eq!(stored, 1, "one cell, one store file");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -39,6 +39,27 @@ fn run_campaign(addr: std::net::SocketAddr, specs: &[RunSpec]) -> Vec<grit_serve
     outcome.results
 }
 
+/// Sends raw request `lines` on a fresh connection, half-closes it, and
+/// returns the results that come back before `done`, in id order.
+fn raw_results(addr: std::net::SocketAddr, lines: &str) -> Vec<grit_serve::CellResult> {
+    use std::io::{BufRead, BufReader, Write};
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(lines.as_bytes()).expect("send");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut results = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        let v = grit_trace::Json::parse(&line.expect("recv")).expect("JSON line");
+        match grit_serve::Response::from_json(&v).expect("v1 response") {
+            grit_serve::Response::Result(r) => results.push(r),
+            grit_serve::Response::Done { .. } => break,
+            _ => {}
+        }
+    }
+    results.sort_by_key(|r| r.id);
+    results
+}
+
 #[test]
 fn campaign_round_trip_hits_the_shared_store_and_keeps_declaration_order() {
     let store = scratch_dir("roundtrip");
@@ -112,11 +133,29 @@ fn invalid_specs_become_error_results_not_dead_connections() {
     assert!(results[4].error.as_deref().unwrap_or("").contains("timeout_secs"));
     assert_eq!(results[5].status, "ok");
 
-    let mut closer = ServeClient::connect(addr).expect("connect");
-    closer.shutdown_server().expect("shutdown");
-    drop(closer.finish());
+    // JSON reads `1e400` as infinity: the cell is answered, never built,
+    // and the next cell on the same connection still runs.
+    let infinite = r#""app":"FIR","policy":"grit","scale":1e400,"intensity":0.5,"seed":24082"#;
+    let healthy = r#""app":"FIR","policy":"grit","scale":0.02,"intensity":0.5,"seed":24082"#;
+    let raw = raw_results(
+        addr,
+        &format!(
+            "{{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":0,\"spec\":{{{infinite}}}}}\n\
+             {{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":1,\"spec\":{{{healthy}}}}}\n\
+             {{\"schema\":\"grit-serve/v1\",\"type\":\"shutdown\"}}\n"
+        ),
+    );
+    let [infinite, next] = &raw[..] else {
+        panic!("expected two results, got {raw:?}")
+    };
+    assert_eq!(infinite.status, "invalid-spec");
+    assert!(
+        infinite.error.as_deref().unwrap_or("").contains("scale"),
+        "{infinite:?}"
+    );
+    assert_eq!(next.status, "ok", "{:?}", next.error);
     let summary = handle.join().expect("server thread");
-    assert_eq!(summary.errors, 3);
+    assert_eq!(summary.errors, 4);
 }
 
 #[test]
@@ -158,34 +197,22 @@ fn traced_cells_stream_their_events_before_the_result() {
 /// and answer with exactly the counters of the same spec without them.
 #[test]
 fn submits_carrying_sim_threads_run_like_submits_without_it() {
-    use std::io::{BufRead, BufReader, Write};
-
     let server =
         Server::start(&ServeOptions::new().jobs(2), spec_runner(None, None)).expect("start server");
     let addr = server.local_addr();
     let handle = thread::spawn(move || server.run());
 
     let spec = r#""app":"FIR","policy":"grit","scale":0.02,"intensity":0.5,"seed":24082"#;
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    let lines = format!(
-        "{{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":0,\"spec\":{{{spec}}}}}\n\
-         {{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":1,\"spec\":{{{spec},\"sim_threads\":2,\"check_invariants\":true,\"profile\":true}}}}\n\
-         {{\"schema\":\"grit-serve/v1\",\"type\":\"shutdown\"}}\n"
+    let results = raw_results(
+        addr,
+        &format!(
+            "{{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":0,\"spec\":{{{spec}}}}}\n\
+             {{\"schema\":\"grit-serve/v1\",\"type\":\"submit\",\"id\":1,\"spec\":{{{spec},\"sim_threads\":2,\"check_invariants\":true,\"profile\":true}}}}\n\
+             {{\"schema\":\"grit-serve/v1\",\"type\":\"shutdown\"}}\n"
+        ),
     );
-    stream.write_all(lines.as_bytes()).expect("send");
-    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
-    let mut results = Vec::new();
-    for line in BufReader::new(stream).lines() {
-        let v = grit_trace::Json::parse(&line.expect("recv")).expect("JSON line");
-        match grit_serve::Response::from_json(&v).expect("v1 response") {
-            grit_serve::Response::Result(r) => results.push(r),
-            grit_serve::Response::Done { .. } => break,
-            _ => {}
-        }
-    }
     handle.join().expect("server thread");
 
-    results.sort_by_key(|r| r.id);
     let [plain, legacy] = &results[..] else {
         panic!("expected two results, got {results:?}")
     };
