@@ -209,14 +209,6 @@ impl FaultClass {
             FaultClass::Protection => "protection",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "local" => Some(FaultClass::Local),
-            "protection" => Some(FaultClass::Protection),
-            _ => None,
-        }
-    }
 }
 
 /// Which interconnect link class carried a transfer.
@@ -243,17 +235,6 @@ impl LinkKind {
             LinkKind::InterNode => "inter-node",
             LinkKind::Pcie => "pcie",
             LinkKind::PcieCtrl => "pcie-ctrl",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "nvlink" => Some(LinkKind::Nvlink),
-            "switch" => Some(LinkKind::Switch),
-            "inter-node" => Some(LinkKind::InterNode),
-            "pcie" => Some(LinkKind::Pcie),
-            "pcie-ctrl" => Some(LinkKind::PcieCtrl),
-            _ => None,
         }
     }
 }
@@ -386,23 +367,6 @@ fn loc_to_json(loc: MemLoc) -> Json {
         MemLoc::Gpu(g) => Json::UInt(g.index() as u64),
         MemLoc::Host => Json::Str("host".into()),
     }
-}
-
-fn loc_from_json(v: &Json) -> Result<MemLoc, String> {
-    if let Some(g) = v.as_u64() {
-        Ok(MemLoc::Gpu(GpuId::new(g as u8)))
-    } else if v.as_str() == Some("host") {
-        Ok(MemLoc::Host)
-    } else {
-        Err(format!("invalid memory location: {v}"))
-    }
-}
-
-fn scheme_from_json(s: &str) -> Result<Scheme, String> {
-    Scheme::ALL
-        .into_iter()
-        .find(|sch| sch.to_string() == s)
-        .ok_or_else(|| format!("unknown scheme: {s:?}"))
 }
 
 impl TraceEvent {
@@ -555,141 +519,6 @@ impl TraceEvent {
         }
         Json::Obj(fields)
     }
-
-    /// Decodes an event from its JSON object form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<TraceEvent, String> {
-        let ty = v.get("type").and_then(Json::as_str).ok_or("event missing \"type\"")?;
-        let cat = EventCategory::parse(ty).ok_or_else(|| format!("unknown event type: {ty:?}"))?;
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{ty} event missing integer {key:?}"))
-        };
-        let cycle = u("cycle")?;
-        let gpu = || u("gpu").map(|g| GpuId::new(g as u8));
-        Ok(match cat {
-            EventCategory::Fault => TraceEvent::Fault {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                kind: v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .and_then(FaultClass::parse)
-                    .ok_or("fault event missing \"kind\"")?,
-                write: v
-                    .get("write")
-                    .and_then(Json::as_bool)
-                    .ok_or("fault event missing \"write\"")?,
-            },
-            EventCategory::Migration => TraceEvent::Migration {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                from: loc_from_json(v.get("from").ok_or("migration event missing \"from\"")?)?,
-            },
-            EventCategory::Duplication => TraceEvent::Duplication {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                from: loc_from_json(v.get("from").ok_or("duplication event missing \"from\"")?)?,
-            },
-            EventCategory::Collapse => TraceEvent::Collapse {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                holders: u("holders")? as u8,
-            },
-            EventCategory::Eviction => TraceEvent::Eviction {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-            },
-            EventCategory::SchemeChange => TraceEvent::SchemeChange {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                scheme: scheme_from_json(
-                    v.get("scheme")
-                        .and_then(Json::as_str)
-                        .ok_or("scheme-change event missing \"scheme\"")?,
-                )?,
-            },
-            EventCategory::LinkTransfer => TraceEvent::LinkTransfer {
-                cycle,
-                link: v
-                    .get("link")
-                    .and_then(Json::as_str)
-                    .and_then(LinkKind::parse)
-                    .ok_or("link-transfer event missing \"link\"")?,
-                src: loc_from_json(v.get("src").ok_or("link-transfer event missing \"src\"")?)?,
-                dst: loc_from_json(v.get("dst").ok_or("link-transfer event missing \"dst\"")?)?,
-                bytes: u("bytes")?,
-                delivered: u("delivered")?,
-                // Optional v2 route fields; v1 lines are single-hop.
-                hop: v.get("hop").and_then(Json::as_u64).unwrap_or(0) as u8,
-                hops: v.get("hops").and_then(Json::as_u64).unwrap_or(1) as u8,
-            },
-            EventCategory::FaultInjected | EventCategory::Recovered => {
-                let kind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .and_then(InjectedKind::parse)
-                    .ok_or_else(|| format!("{ty} event missing \"kind\""))?;
-                let wire = v.get("wire").and_then(Json::as_u64).map(|w| w as u32);
-                let gpu = v.get("gpu").and_then(Json::as_u64).map(|g| GpuId::new(g as u8));
-                if cat == EventCategory::FaultInjected {
-                    TraceEvent::FaultInjected {
-                        cycle,
-                        kind,
-                        wire,
-                        gpu,
-                    }
-                } else {
-                    TraceEvent::Recovered {
-                        cycle,
-                        kind,
-                        wire,
-                        gpu,
-                    }
-                }
-            }
-            EventCategory::MigrationRetried => TraceEvent::MigrationRetried {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                attempt: u("attempt")? as u8,
-            },
-            EventCategory::FallbackRemote => TraceEvent::FallbackRemote {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                staged: v
-                    .get("staged")
-                    .and_then(Json::as_bool)
-                    .ok_or("fallback-remote event missing \"staged\"")?,
-            },
-            EventCategory::PageCoalesced => TraceEvent::PageCoalesced {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-            },
-            EventCategory::PageSplintered => TraceEvent::PageSplintered {
-                cycle,
-                gpu: gpu()?,
-                vpn: PageId(u("vpn")?),
-                cause: v
-                    .get("cause")
-                    .and_then(Json::as_str)
-                    .and_then(SplinterCause::parse)
-                    .ok_or("page-splintered event missing \"cause\"")?,
-            },
-        })
-    }
 }
 
 /// Renders events as JSONL: one compact object per line, trailing newline.
@@ -840,8 +669,13 @@ mod tests {
             },
         ];
         for ev in events {
-            let back = TraceEvent::from_json(&ev.to_json()).unwrap();
-            assert_eq!(back, ev);
+            let j = ev.to_json();
+            assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
+            assert_eq!(
+                j.get("type").and_then(Json::as_str),
+                Some(ev.category().name())
+            );
+            assert_eq!(j.get("cycle").and_then(Json::as_u64), Some(ev.cycle()));
         }
     }
 
@@ -857,12 +691,10 @@ mod tests {
             hop: 0,
             hops: 1,
         };
-        let text = ev.to_json().to_string();
-        assert!(!text.contains("\"hop\""), "v1 compatibility broken: {text}");
-        // And a v1 line (no hop/hops) parses back to the same event.
         assert_eq!(
-            TraceEvent::from_json(&Json::parse(&text).unwrap()).unwrap(),
-            ev
+            ev.to_json().to_string(),
+            r#"{"type":"link-transfer","cycle":7,"link":"nvlink","src":0,"dst":1,"bytes":64,"delivered":99}"#,
+            "v1 compatibility broken"
         );
     }
 
@@ -877,7 +709,7 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         assert!(text.ends_with('\n'));
         for line in text.lines() {
-            TraceEvent::from_json(&Json::parse(line).unwrap()).unwrap();
+            assert_eq!(Json::parse(line).unwrap(), events[0].to_json());
         }
     }
 }

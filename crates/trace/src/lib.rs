@@ -7,8 +7,9 @@
 //!
 //! The workspace builds fully offline with no serde, so this crate carries
 //! its own minimal JSON value type ([`Json`]) with a compact writer and a
-//! recursive-descent parser — enough for JSONL traces and `run_report.json`,
-//! and their round-trip tests.
+//! recursive-descent parser. The writer emits JSONL traces and
+//! `run_report.json`; the parser reads back only what the program itself
+//! consumes: result-store metrics and the report's `profile` object.
 //!
 //! Design constraints, in order:
 //!
@@ -34,8 +35,8 @@ pub use event::{
 };
 pub use json::Json;
 pub use report::{
-    metrics_from_json, metrics_to_json, BatchProfile, CellReport, CellTiming, CycleProfile,
-    HistReport, PhaseEntry, ProfileReport, RunReport, SeriesReport, StoreCounters, TargetTiming,
+    metrics_from_json, metrics_to_json, CellTiming, CycleProfile, HistReport, PhaseEntry,
+    ProfileReport, StoreCounters,
 };
 pub use sink::{TraceConfig, Tracer};
 pub use writer::CellMeta;

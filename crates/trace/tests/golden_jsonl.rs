@@ -5,8 +5,9 @@
 //! breaks, so either fix the regression or consciously update the golden
 //! file (and bump the schema note in DESIGN.md §10).
 
-use grit_sim::{GpuId, MemLoc, PageId, Scheme};
-use grit_trace::{events_to_jsonl, FaultClass, Json, LinkKind, TraceEvent};
+use grit_pagesize::SplinterCause;
+use grit_sim::{GpuId, InjectedKind, MemLoc, PageId, Scheme};
+use grit_trace::{events_to_jsonl, EventCategory, FaultClass, Json, LinkKind, TraceEvent};
 
 fn golden_events() -> Vec<TraceEvent> {
     let g = GpuId::new;
@@ -105,6 +106,43 @@ fn golden_events() -> Vec<TraceEvent> {
             hop: 1,
             hops: 3,
         },
+        // grit-trace/v3: fault-injection events carry a wire or a GPU.
+        TraceEvent::FaultInjected {
+            cycle: 1200,
+            kind: InjectedKind::Outage,
+            wire: Some(3),
+            gpu: None,
+        },
+        TraceEvent::Recovered {
+            cycle: 1300,
+            kind: InjectedKind::Storm,
+            wire: None,
+            gpu: Some(g(2)),
+        },
+        TraceEvent::MigrationRetried {
+            cycle: 1400,
+            gpu: g(1),
+            vpn: PageId(77),
+            attempt: 2,
+        },
+        TraceEvent::FallbackRemote {
+            cycle: 1500,
+            gpu: g(0),
+            vpn: PageId(78),
+            staged: true,
+        },
+        // grit-trace/v4: large-page coalescing and splintering.
+        TraceEvent::PageCoalesced {
+            cycle: 1600,
+            gpu: g(2),
+            vpn: PageId(512),
+        },
+        TraceEvent::PageSplintered {
+            cycle: 1700,
+            gpu: g(2),
+            vpn: PageId(512),
+            cause: SplinterCause::FalseSharing,
+        },
     ]
 }
 
@@ -121,9 +159,17 @@ fn serialization_matches_golden_file_byte_for_byte() {
 
 #[test]
 fn golden_lines_parse_back_to_the_same_events() {
-    let parsed: Vec<TraceEvent> = GOLDEN
-        .lines()
-        .map(|line| TraceEvent::from_json(&Json::parse(line).unwrap()).unwrap())
-        .collect();
-    assert_eq!(parsed, golden_events());
+    let events = golden_events();
+    assert_eq!(GOLDEN.lines().count(), events.len());
+    for (line, event) in GOLDEN.lines().zip(&events) {
+        assert_eq!(Json::parse(line).unwrap(), event.to_json(), "{line}");
+    }
+}
+
+#[test]
+fn golden_file_covers_every_event_category() {
+    let covered: Vec<EventCategory> = golden_events().iter().map(TraceEvent::category).collect();
+    for cat in EventCategory::ALL {
+        assert!(covered.contains(&cat), "no golden line for {}", cat.name());
+    }
 }

@@ -30,7 +30,10 @@ use std::time::{Duration, Instant};
 use grit::experiments::{self as ex, report_sink, ExpConfig};
 use grit_metrics::Table;
 use grit_sim::{RunSpec, SimConfig};
-use grit_trace::{writer as trace_writer, CategoryMask, HistReport, Json, PhaseEntry, RunReport};
+use grit_trace::report::RUN_REPORT_SCHEMA;
+use grit_trace::{
+    writer as trace_writer, CategoryMask, HistReport, Json, PhaseEntry, ProfileReport,
+};
 
 /// Everything the command line sets. Scale, intensity, seed, the machine
 /// overrides, the cell timeout and the trace knobs land in `spec`, the
@@ -87,11 +90,6 @@ fn preset(a: &mut Args, exp: ExpConfig) {
     a.spec.intensity = exp.intensity;
 }
 
-/// A directory for output files, created if missing.
-fn out_dir(v: &str) -> Option<PathBuf> {
-    fs::create_dir_all(v).ok().map(|()| PathBuf::from(v))
-}
-
 const FLAGS: &[Flag] = &[
     Flag {
         names: &["--quick"],
@@ -126,7 +124,10 @@ const FLAGS: &[Flag] = &[
     Flag {
         names: &["--csv"],
         help: "also write each table as DIR/<table>.csv",
-        set: Value("DIR", |a, v| out_dir(v).map(|d| a.csv_dir = Some(d))),
+        set: Value("DIR", |a, v| {
+            a.csv_dir = Some(PathBuf::from(v));
+            Some(())
+        }),
     },
     Flag {
         names: &["--trace"],
@@ -152,7 +153,10 @@ const FLAGS: &[Flag] = &[
     Flag {
         names: &["--metrics-out"],
         help: "write DIR/run_report.json (refuses to overwrite one without --force)",
-        set: Value("DIR", |a, v| out_dir(v).map(|d| a.metrics_dir = Some(d))),
+        set: Value("DIR", |a, v| {
+            a.metrics_dir = Some(PathBuf::from(v));
+            Some(())
+        }),
     },
     Flag {
         names: &["--force"],
@@ -723,6 +727,11 @@ fn session(
     body: impl FnOnce(&ExpConfig) -> Result<(), String>,
 ) -> Result<(), String> {
     let exp = ExpConfig::from(&a.spec);
+    // Output directories are made only once the command line has passed
+    // every check, so a rejected command leaves nothing behind.
+    for dir in [&a.csv_dir, &a.metrics_dir].into_iter().flatten() {
+        fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
     if a.metrics_dir.is_some() {
         report_sink::enable();
     }
@@ -743,21 +752,13 @@ fn session(
         ex::effective_jobs()
     );
     trace_writer::flush_global().map_err(|e| format!("trace: flush failed: {e}"))?;
-    if a.profile {
-        let totals: Vec<PhaseEntry> = grit_prof::phase_totals()
-            .iter()
-            .filter(|t| t.count > 0)
-            .map(|t| PhaseEntry {
-                phase: t.phase.name().to_string(),
-                nanos: t.nanos,
-                count: t.count,
-            })
-            .collect();
+    let wall = a.profile.then(phase_entries);
+    if let Some(totals) = &wall {
         if totals.is_empty() {
             eprintln!("[repro] profile: no spans recorded");
         } else {
             eprintln!("[repro] wall-clock phases:");
-            eprint!("{}", render_phase_table(&totals));
+            eprint!("{}", render_phase_table(totals));
         }
     }
     if let Some(path) = &a.profile_out {
@@ -772,15 +773,12 @@ fn session(
         );
     }
     if let Some(dir) = &a.metrics_dir {
-        let report = report_sink::build_report(&exp, ex::effective_jobs(), total_seconds);
+        let report = report_sink::build_report(&exp, ex::effective_jobs(), total_seconds, wall);
         let path = dir.join("run_report.json");
-        fs::write(&path, format!("{}\n", report.to_json()))
+        fs::write(&path, format!("{report}\n"))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "[repro] wrote {} ({} cells)",
-            path.display(),
-            report.cells.len()
-        );
+        let cells = report.get("cells").and_then(Json::as_arr).map_or(0, <[Json]>::len);
+        eprintln!("[repro] wrote {} ({cells} cells)", path.display());
     }
     if ex::fail_fast_triggered() {
         return Err("[repro] exiting nonzero: a cell failed under --fail-fast".to_string());
@@ -937,6 +935,19 @@ fn trace_info(_: &Args, operands: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The wall-clock totals of every phase that recorded a span.
+fn phase_entries() -> Vec<PhaseEntry> {
+    grit_prof::phase_totals()
+        .iter()
+        .filter(|t| t.count > 0)
+        .map(|t| PhaseEntry {
+            phase: t.phase.name().to_string(),
+            nanos: t.nanos,
+            count: t.count,
+        })
+        .collect()
+}
+
 /// Renders wall-clock phase totals as an aligned text table.
 fn render_phase_table(entries: &[PhaseEntry]) -> String {
     let mut out = String::new();
@@ -976,37 +987,37 @@ fn render_hist(name: &str, h: &HistReport) -> String {
 }
 
 /// `repro profile <run_report.json>`: renders the report's `profile`
-/// object — phase table and cycle-domain histograms.
+/// object — phase table and cycle-domain histograms. Only the `schema` tag
+/// and the `profile` object are read.
 fn cmd_profile(_: &Args, operands: &[String]) -> Result<(), String> {
     let path = &operands[0];
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
-    let report =
-        RunReport::from_json(&json).map_err(|e| format!("{path}: not a run report: {e}"))?;
-    let Some(profile) = &report.profile else {
+    let schema = json.get("schema").and_then(Json::as_str).unwrap_or_default();
+    if schema != RUN_REPORT_SCHEMA {
+        return Err(format!(
+            "{path}: not a run report: unsupported run-report schema: {schema:?}"
+        ));
+    }
+    let Some(profile) = json.get("profile") else {
         return Err(format!(
             "{path} has no profile section; re-run repro with --profile --metrics-out"
         ));
     };
+    let profile =
+        ProfileReport::from_json(profile).map_err(|e| format!("{path}: not a run report: {e}"))?;
     println!("== wall-clock phases ==");
     print!("{}", render_phase_table(&profile.wall));
     println!("\n== cycle-domain (deterministic) ==");
-    println!(
-        "{}",
-        render_hist("fault_occupancy", &profile.cycle.fault_occupancy)
-    );
-    println!(
-        "{}",
-        render_hist("migration_latency", &profile.cycle.migration_latency)
-    );
-    println!(
-        "{}",
-        render_hist("fabric_queue", &profile.cycle.fabric_queue)
-    );
-    println!(
-        "  mlp_stall_cycles       {}",
-        profile.cycle.mlp_stall_cycles
-    );
+    let c = &profile.cycle;
+    for (name, hist) in [
+        ("fault_occupancy", &c.fault_occupancy),
+        ("migration_latency", &c.migration_latency),
+        ("fabric_queue", &c.fabric_queue),
+    ] {
+        println!("{}", render_hist(name, hist));
+    }
+    println!("  mlp_stall_cycles       {}", c.mlp_stall_cycles);
     Ok(())
 }
 

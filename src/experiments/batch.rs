@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use grit_sim::{
     CancelState, CancelToken, CellError, RunSpec, SimConfig, TopologyConfig, TopologyKind,
 };
-use grit_trace::{writer as trace_writer, BatchProfile, CellMeta, CellTiming, TraceConfig, Tracer};
+use grit_trace::{writer as trace_writer, CellMeta, CellTiming, TraceConfig, Tracer};
 use grit_uvm::{PlacementPolicy, Prefetcher};
 use grit_workloads::App;
 
@@ -595,7 +595,6 @@ pub(crate) fn run_batch_on(
     opts: &BatchOptions,
     store: Option<&ResultStore>,
 ) -> (Vec<Result<RunOutput, CellError>>, grit_trace::StoreCounters) {
-    let profile = report_sink::enabled() && !cells.is_empty();
     let cache_before = workload_cache::global().stats();
     let start = Instant::now();
     // A one-cell batch (every served cell) runs on one worker whatever
@@ -728,7 +727,6 @@ pub(crate) fn run_batch_on(
                         eprintln!("trace: failed to write events for {}: {e}", cell.app);
                     }
                 }
-                report_sink::record_cell(cell, out);
             }
             Err(e) => {
                 eprintln!(
@@ -737,19 +735,12 @@ pub(crate) fn run_batch_on(
                     cell.app,
                     cell.policy_label()
                 );
-                report_sink::record_cell_error(cell, e);
             }
         }
+        report_sink::record_cell(cell, result.as_ref());
     }
-    if profile {
-        let cache_after = workload_cache::global().stats();
-        report_sink::record_batch(BatchProfile {
-            cells: cells.len() as u64,
-            jobs: jobs as u64,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            workload_cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
-            workload_cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
-        });
+    if !cells.is_empty() {
+        report_sink::record_batch(cells.len(), jobs, start, cache_before);
     }
     let store_counters = store.as_ref().map(ResultStore::counters).unwrap_or_default();
     report_sink::record_store(store_counters);

@@ -3,46 +3,50 @@
 //! The `repro` binary runs figure drivers that know nothing about report
 //! files; this module gives the batch executor a place to deposit what it
 //! observed (cells, timings, cache behaviour) so that one `run_report.json`
-//! can be assembled after all targets finish. Recording
-//! is off by default and every `record_*` call is a cheap no-op until
-//! [`enable`] flips the switch, so figure drivers and tests pay nothing.
+//! can be assembled after all targets finish. Each row is written as JSON
+//! when it is recorded, so this module is the one description of the
+//! report's layout. Recording is off by default and every `record_*` call
+//! is a cheap no-op until [`enable`] flips the switch, so figure drivers
+//! and tests pay nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
+use std::time::Instant;
 
-use grit_sim::CellError;
-use grit_trace::{
-    BatchProfile, CellReport, CycleProfile, PhaseEntry, ProfileReport, RunReport, SeriesReport,
-    StoreCounters, TargetTiming,
-};
+use grit_metrics::{IntervalSeries, RunMetrics};
+use grit_sim::{CellError, SimConfig};
+use grit_trace::report::RUN_REPORT_SCHEMA;
+use grit_trace::{metrics_to_json, CycleProfile, Json, PhaseEntry, ProfileReport, StoreCounters};
 
 use crate::runner::RunOutput;
 
 use super::batch::CellSpec;
+use super::workload_cache::{self, CacheCounters};
 use super::ExpConfig;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
+/// The report rows recorded so far, plus the run-wide totals that are
+/// written once at the end.
+#[derive(Default)]
 struct CollectorState {
-    targets: Vec<TargetTiming>,
-    batches: Vec<BatchProfile>,
-    cells: Vec<CellReport>,
+    targets: Vec<Json>,
+    batches: Vec<Json>,
+    cells: Vec<Json>,
+    /// Every successful cell's `prof_*` series, merged in sequence order.
+    cycle: CycleProfile,
     store: StoreCounters,
 }
 
-static STATE: Mutex<CollectorState> = Mutex::new(CollectorState {
-    targets: Vec::new(),
-    batches: Vec::new(),
-    cells: Vec::new(),
-    store: StoreCounters {
-        hits: 0,
-        misses: 0,
-        quarantined: 0,
-    },
-});
+static STATE: LazyLock<Mutex<CollectorState>> = LazyLock::new(Mutex::default);
 
 fn state() -> std::sync::MutexGuard<'static, CollectorState> {
     STATE.lock().expect("report collector poisoned")
+}
+
+/// A JSON object with `fields`, in order.
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Turns recording on for the rest of the process (the `repro` binary
@@ -56,80 +60,109 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Records one executed cell. Called by the batch executor in declaration
-/// order, so `seq` doubles as the trace-stream cell sequence number.
-pub fn record_cell(spec: &CellSpec, out: &RunOutput) {
+/// Records one cell. Called by the batch executor in declaration order, so
+/// `seq` doubles as the trace-stream cell sequence number, and a failed
+/// cell keeps its slot as an error row.
+pub fn record_cell(spec: &CellSpec, result: Result<&RunOutput, &CellError>) {
     if !enabled() {
         return;
     }
-    let mut series = Vec::new();
-    if let Some(obs) = &out.observer {
-        series.push(SeriesReport::from_series("page_by_gpu", &obs.page_by_gpu));
-        series.push(SeriesReport::from_series("page_rw", &obs.page_rw));
-        if let Some(timeline) = &obs.scheme_timeline {
-            series.push(SeriesReport::from_series("scheme_timeline", timeline));
+    let mut st = state();
+    let seq = st.cells.len() as u64;
+    st.cells.push(cell_row(seq, spec, result));
+    if let Ok(out) = result {
+        st.cycle.absorb_aux(&out.metrics.aux);
+    }
+}
+
+/// One `cells` row: the cell's identity, what running it produced, and its
+/// canonical `RunSpec` (also the result-store key). A failed cell's row has
+/// zeroed metrics, a machine-readable `status` label and the error message.
+fn cell_row(seq: u64, spec: &CellSpec, result: Result<&RunOutput, &CellError>) -> Json {
+    let mut fields = vec![
+        ("seq", seq.into()),
+        ("app", spec.app.to_string().into()),
+        ("policy", spec.policy_label().into()),
+        ("num_gpus", spec.cfg.num_gpus.into()),
+        ("page_size", spec.cfg.page_size.into()),
+        ("scale", spec.exp.scale.into()),
+        ("intensity", spec.exp.intensity.into()),
+        ("seed", spec.exp.seed.into()),
+    ];
+    fields.extend(match result {
+        Ok(out) => {
+            let mut series = Vec::new();
+            if let Some(obs) = &out.observer {
+                series.push(series_row("page_by_gpu", &obs.page_by_gpu));
+                series.push(series_row("page_rw", &obs.page_rw));
+                if let Some(timeline) = &obs.scheme_timeline {
+                    series.push(series_row("scheme_timeline", timeline));
+                }
+            }
+            [
+                ("build_seconds", out.timing.build_seconds.into()),
+                ("sim_seconds", out.timing.sim_seconds.into()),
+                ("workload_cache_hit", out.timing.workload_cache_hit.into()),
+                (
+                    "events_recorded",
+                    out.events.as_ref().map_or(0, Vec::len).into(),
+                ),
+                (
+                    "status",
+                    if out.timing.resumed { "resumed" } else { "ok" }.into(),
+                ),
+                ("error", Json::Null),
+                ("metrics", metrics_to_json(&out.metrics)),
+                ("series", Json::Arr(series)),
+            ]
         }
-    }
-    let mut st = state();
-    let seq = st.cells.len() as u64;
-    st.cells.push(CellReport {
-        seq,
-        app: spec.app.to_string(),
-        policy: spec.policy_label(),
-        num_gpus: spec.cfg.num_gpus as u64,
-        page_size: spec.cfg.page_size,
-        scale: spec.exp.scale,
-        intensity: spec.exp.intensity,
-        seed: spec.exp.seed,
-        build_seconds: out.timing.build_seconds,
-        sim_seconds: out.timing.sim_seconds,
-        workload_cache_hit: out.timing.workload_cache_hit,
-        events_recorded: out.events.as_ref().map_or(0, |e| e.len() as u64),
-        status: if out.timing.resumed { "resumed" } else { "ok" }.into(),
-        error: None,
-        spec: Some(spec.to_run_spec().canonical()),
-        metrics: out.metrics.clone(),
-        series,
+        Err(err) => [
+            ("build_seconds", Json::Float(0.0)),
+            ("sim_seconds", Json::Float(0.0)),
+            ("workload_cache_hit", false.into()),
+            ("events_recorded", Json::UInt(0)),
+            ("status", err.status().into()),
+            ("error", err.to_string().into()),
+            ("metrics", metrics_to_json(&RunMetrics::default())),
+            ("series", Json::Arr(Vec::new())),
+        ],
     });
+    fields.push(("spec", spec.to_run_spec().canonical().into()));
+    obj(fields)
 }
 
-/// Records a failed cell as a structured error row: zeroed metrics, a
-/// machine-readable `status` label and the human-readable error message.
-/// Called by the batch executor in declaration order alongside
-/// [`record_cell`], so failed cells keep their sequence slot.
-pub fn record_cell_error(spec: &CellSpec, err: &CellError) {
+/// One observer time series: its interval and one row of bucket counters
+/// per interval.
+fn series_row(name: &str, s: &IntervalSeries) -> Json {
+    let rows = s.iter().map(|(_, row)| Json::Arr(row.iter().map(|&v| v.into()).collect()));
+    obj(vec![
+        ("name", name.into()),
+        ("interval_cycles", s.interval_cycles().into()),
+        ("rows", Json::Arr(rows.collect())),
+    ])
+}
+
+/// Records one batch: its cells, its workers, the wall-clock time since
+/// `start` and the workload-cache traffic since `cache_before`.
+pub fn record_batch(cells: usize, jobs: usize, start: Instant, cache_before: CacheCounters) {
     if !enabled() {
         return;
     }
-    let mut st = state();
-    let seq = st.cells.len() as u64;
-    st.cells.push(CellReport {
-        seq,
-        app: spec.app.to_string(),
-        policy: spec.policy_label(),
-        num_gpus: spec.cfg.num_gpus as u64,
-        page_size: spec.cfg.page_size,
-        scale: spec.exp.scale,
-        intensity: spec.exp.intensity,
-        seed: spec.exp.seed,
-        build_seconds: 0.0,
-        sim_seconds: 0.0,
-        workload_cache_hit: false,
-        events_recorded: 0,
-        status: err.status().into(),
-        error: Some(err.to_string()),
-        spec: Some(spec.to_run_spec().canonical()),
-        metrics: Default::default(),
-        series: Vec::new(),
-    });
-}
-
-/// Records one batch execution profile.
-pub fn record_batch(profile: BatchProfile) {
-    if !enabled() {
-        return;
-    }
-    state().batches.push(profile);
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let cache = workload_cache::global().stats();
+    state().batches.push(obj(vec![
+        ("cells", cells.into()),
+        ("jobs", jobs.into()),
+        ("wall_seconds", wall_seconds.into()),
+        (
+            "workload_cache_hits",
+            cache.hits.saturating_sub(cache_before.hits).into(),
+        ),
+        (
+            "workload_cache_misses",
+            cache.misses.saturating_sub(cache_before.misses).into(),
+        ),
+    ]));
 }
 
 /// Records a target's wall-clock time (the `time:` lines `repro` prints).
@@ -137,10 +170,10 @@ pub fn record_target(name: &str, seconds: f64) {
     if !enabled() {
         return;
     }
-    state().targets.push(TargetTiming {
-        name: name.to_string(),
-        seconds,
-    });
+    state().targets.push(obj(vec![
+        ("name", name.into()),
+        ("seconds", seconds.into()),
+    ]));
 }
 
 /// Accumulates one batch's result-store traffic (hits, misses,
@@ -154,56 +187,48 @@ pub fn record_store(counters: StoreCounters) {
 }
 
 /// Assembles the full `run_report.json` document from everything recorded
-/// so far.
-pub fn build_report(exp: &ExpConfig, jobs: usize, total_seconds: f64) -> RunReport {
+/// so far. `wall` holds the wall-clock phase totals of a profiled run; the
+/// `profile` object, and the `store` object of a run without store
+/// traffic, are left out when absent.
+pub fn build_report(
+    exp: &ExpConfig,
+    jobs: usize,
+    total_seconds: f64,
+    wall: Option<Vec<PhaseEntry>>,
+) -> Json {
     let st = state();
-    RunReport {
-        scale: exp.scale,
-        intensity: exp.intensity,
-        seed: exp.seed,
-        jobs: jobs as u64,
-        total_seconds,
-        system: grit_sim::SimConfig::default()
-            .describe()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        targets: st.targets.clone(),
-        batches: st.batches.clone(),
-        cells: st.cells.clone(),
-        profile: grit_prof::enabled().then(|| build_profile(&st.cells)),
-        store: st.store.any().then_some(st.store),
+    let system = SimConfig::default().describe().into_iter().map(|(k, v)| (k, v.into()));
+    let mut fields = vec![
+        ("schema", RUN_REPORT_SCHEMA.into()),
+        ("scale", exp.scale.into()),
+        ("intensity", exp.intensity.into()),
+        ("seed", exp.seed.into()),
+        ("jobs", jobs.into()),
+        ("total_seconds", total_seconds.into()),
+        ("system", obj(system.collect())),
+        ("targets", Json::Arr(st.targets.clone())),
+        ("batches", Json::Arr(st.batches.clone())),
+        ("cells", Json::Arr(st.cells.clone())),
+    ];
+    if let Some(wall) = wall {
+        let cycle = st.cycle.clone();
+        fields.push(("profile", ProfileReport { wall, cycle }.to_json()));
     }
-}
-
-/// Assembles the report's `profile` object: wall-clock phase totals from
-/// the process-wide `grit-prof` accumulators, and the deterministic
-/// cycle-domain sections merged from every successful cell's `prof_*`
-/// aux series in sequence order.
-fn build_profile(cells: &[CellReport]) -> ProfileReport {
-    let wall: Vec<PhaseEntry> = grit_prof::phase_totals()
-        .iter()
-        .filter(|t| t.count > 0)
-        .map(|t| PhaseEntry {
-            phase: t.phase.name().to_string(),
-            nanos: t.nanos,
-            count: t.count,
-        })
-        .collect();
-    let mut cycle = CycleProfile::default();
-    for cell in cells.iter().filter(|c| c.status == "ok" || c.status == "resumed") {
-        cycle.absorb_aux(&cell.metrics.aux);
+    if st.store.any() {
+        fields.push(("store", st.store.to_json()));
     }
-    ProfileReport { wall, cycle }
+    obj(fields)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::PolicyKind;
+    use grit_workloads::App;
 
     // `enable` is process-global and sticky, so these tests only exercise
-    // the disabled path plus pure assembly; the enabled round trip is
-    // covered by the `repro` CLI integration test, which owns its process.
+    // the disabled path plus pure assembly; the enabled path is covered by
+    // the `repro` CLI integration tests, which own their process.
 
     #[test]
     fn disabled_recording_is_a_no_op() {
@@ -215,9 +240,62 @@ mod tests {
     #[test]
     fn empty_report_assembles() {
         let exp = ExpConfig::quick();
-        let report = build_report(&exp, 2, 0.0);
-        assert_eq!(report.jobs, 2);
-        assert!(!report.system.is_empty());
-        assert!(report.cells.is_empty());
+        let report = build_report(&exp, 2, 0.0, None);
+        assert_eq!(
+            report.get("schema").and_then(Json::as_str),
+            Some(RUN_REPORT_SCHEMA)
+        );
+        assert_eq!(report.get("jobs").and_then(Json::as_u64), Some(2));
+        assert!(!report.get("system").and_then(Json::as_obj).unwrap().is_empty());
+        assert_eq!(
+            report.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(0)
+        );
+        assert!(report.get("profile").is_none() && report.get("store").is_none());
+        let profiled = build_report(&exp, 2, 0.0, Some(Vec::new()));
+        assert!(profiled.get("profile").unwrap().get("cycle").is_some());
+    }
+
+    #[test]
+    fn ok_and_error_rows_share_one_key_order() {
+        let exp = ExpConfig {
+            scale: 0.02,
+            intensity: 0.5,
+            seed: 0x5EED,
+        };
+        let spec = CellSpec::new(App::Bfs, PolicyKind::GRIT, &exp);
+        let keys = |row: &Json| -> Vec<String> {
+            row.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect()
+        };
+        let out = spec.run();
+        let ok = cell_row(0, &spec, Ok(&out));
+        let err = CellError::Panicked {
+            message: "boom".into(),
+        };
+        let failed = cell_row(1, &spec, Err(&err));
+        assert_eq!(keys(&ok), keys(&failed));
+        assert_eq!(keys(&ok)[..3], ["seq", "app", "policy"]);
+        assert_eq!(keys(&ok).last().map(String::as_str), Some("spec"));
+        assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
+
+        // A failed cell keeps its identity, names its failure and zeroes
+        // the outcome.
+        assert_eq!(failed.get("seq").and_then(Json::as_u64), Some(1));
+        assert_eq!(failed.get("app"), ok.get("app"));
+        assert_eq!(failed.get("spec"), ok.get("spec"));
+        assert_eq!(
+            failed.get("status").and_then(Json::as_str),
+            Some("panicked")
+        );
+        assert_eq!(
+            failed.get("error").and_then(Json::as_str),
+            Some(err.to_string().as_str())
+        );
+        let metrics = failed.get("metrics").unwrap();
+        assert_eq!(metrics.get("total_cycles").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            failed.get("series").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(0)
+        );
     }
 }
