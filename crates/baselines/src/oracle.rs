@@ -1,6 +1,6 @@
-//! A profile-guided *static oracle*: run the workload once, classify every
-//! page from its whole-run attributes (Table III applied offline with
-//! perfect knowledge), and replay with the per-page best static scheme.
+//! A profile-guided *static oracle*: classify every page from the whole
+//! trace's attributes (Table III applied offline with perfect knowledge),
+//! and replay with the per-page best static scheme.
 //!
 //! This is not in the paper's evaluation — it is the natural upper bound
 //! for any *static* per-page placement, sitting between the best uniform
@@ -37,8 +37,8 @@ pub struct OraclePolicy {
 }
 
 impl OraclePolicy {
-    /// Builds the oracle from a profiling run's page attributes, applying
-    /// Table III with whole-run knowledge: private pages pin with
+    /// Builds the oracle from whole-run page attributes (a workload's
+    /// `page_attrs()`), applying Table III with whole-run knowledge: private pages pin with
     /// on-touch, read-shared pages duplicate, written shared pages use
     /// counter-based migration.
     pub fn from_profile(profile: &PageAttrTracker) -> Self {
@@ -137,8 +137,7 @@ mod tests {
         for &(g, p) in accesses.iter().rev() {
             backward.record(GpuId::new(g), PageId(p), AccessKind::Write);
         }
-        let reloaded = PageAttrTracker::from_exported(&forward.export_pages());
-        let oracles = [&forward, &backward, &reloaded].map(OraclePolicy::from_profile);
+        let oracles = [&forward, &backward].map(OraclePolicy::from_profile);
         for p in 0..128 {
             let want = oracles[0].scheme_for(PageId(p));
             assert!(

@@ -1,7 +1,7 @@
 //! Per-page attribute tracking: private vs shared, read vs read-write
 //! (paper §IV-B, Figs. 4 and 9).
 
-use grit_sim::{AccessKind, GpuId, GpuSet, PageId, PageVec};
+use grit_sim::{AccessKind, AccessStream, GpuId, GpuSet, PageId, PageVec};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PageRecord {
@@ -33,9 +33,16 @@ pub struct PageAttrSummary {
     pub accesses_to_read_write: u64,
     /// Pages that are both shared and read-write (the hard class of §VI-A).
     pub shared_read_write_pages: u64,
+    /// Accesses that were writes.
+    pub write_accesses: u64,
 }
 
 impl PageAttrSummary {
+    /// Accesses recorded.
+    pub fn accesses(&self) -> u64 {
+        self.accesses_to_private + self.accesses_to_shared
+    }
+
     /// Fraction of pages that are shared.
     pub fn shared_page_frac(&self) -> f64 {
         frac(self.shared_pages, self.total_pages)
@@ -43,10 +50,7 @@ impl PageAttrSummary {
 
     /// Fraction of accesses going to shared pages.
     pub fn shared_access_frac(&self) -> f64 {
-        frac(
-            self.accesses_to_shared,
-            self.accesses_to_private + self.accesses_to_shared,
-        )
+        frac(self.accesses_to_shared, self.accesses())
     }
 
     /// Fraction of pages that are read-write.
@@ -60,6 +64,11 @@ impl PageAttrSummary {
             self.accesses_to_read_write,
             self.accesses_to_read + self.accesses_to_read_write,
         )
+    }
+
+    /// Fraction of accesses that are writes.
+    pub fn write_access_frac(&self) -> f64 {
+        frac(self.write_accesses, self.accesses())
     }
 
     /// Fraction of pages that are shared *and* read-write.
@@ -76,11 +85,13 @@ fn frac(n: u64, d: u64) -> f64 {
     }
 }
 
-/// Tracks whole-run page attributes in a dense [`PageVec`] over the
-/// footprint.
+/// Tracks page attributes in a dense [`PageVec`] over the footprint.
 ///
 /// Definitions follow the paper exactly: a *private page* is accessed by
 /// one GPU during the entire execution; a *read page* never sees a write.
+/// They are properties of the trace, so whole-run attributes come from
+/// [`PageAttrTracker::from_streams`] over a workload's per-GPU streams;
+/// recording access by access gives the "so far" view of Figs. 6–8.
 ///
 /// ```
 /// use grit_metrics::PageAttrTracker;
@@ -98,8 +109,7 @@ fn frac(n: u64, d: u64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct PageAttrTracker {
     pages: PageVec<Option<PageRecord>>,
-    /// Pages touched at least once.
-    touched: usize,
+    writes: u64,
 }
 
 impl PageAttrTracker {
@@ -107,8 +117,28 @@ impl PageAttrTracker {
     pub fn new(footprint_pages: u64) -> Self {
         PageAttrTracker {
             pages: PageVec::new(footprint_pages),
-            touched: 0,
+            writes: 0,
         }
+    }
+
+    /// Records every access of per-GPU streams: GPU `g` issues what the
+    /// `g`-th stream yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access lies at or past the footprint.
+    pub fn from_streams<S: AccessStream>(
+        footprint_pages: u64,
+        streams: impl IntoIterator<Item = S>,
+    ) -> Self {
+        let mut t = PageAttrTracker::new(footprint_pages);
+        for (g, mut stream) in streams.into_iter().enumerate() {
+            let gpu = GpuId::new(g as u8);
+            while let Some(a) = stream.next_access() {
+                t.record(gpu, a.vpn, a.kind);
+            }
+        }
+        t
     }
 
     /// Records one access.
@@ -118,14 +148,11 @@ impl PageAttrTracker {
     /// Panics if `vpn` lies at or past the footprint.
     #[inline]
     pub fn record(&mut self, gpu: GpuId, vpn: PageId, kind: AccessKind) {
-        let slot = self.pages.get_mut(vpn);
-        if slot.is_none() {
-            self.touched += 1;
-        }
-        let rec = slot.get_or_insert_with(PageRecord::default);
+        let rec = self.pages.get_mut(vpn).get_or_insert_with(PageRecord::default);
         rec.accessors.insert(gpu);
         rec.written |= kind.is_write();
         rec.accesses += 1;
+        self.writes += u64::from(kind.is_write());
     }
 
     /// Whether the page has been touched by more than one GPU so far.
@@ -136,11 +163,6 @@ impl PageAttrTracker {
     /// Whether the page has been written so far.
     pub fn is_written(&self, vpn: PageId) -> bool {
         self.pages.get(vpn).is_some_and(|r| r.written)
-    }
-
-    /// Number of distinct pages touched.
-    pub fn pages_touched(&self) -> usize {
-        self.touched
     }
 
     /// Every touched page with its record, in ascending VPN order.
@@ -174,41 +196,13 @@ impl PageAttrTracker {
         self.records().map(|(vpn, r)| (vpn, r.accessors.len(), r.written, r.accesses))
     }
 
-    /// Exports every page record as `(vpn, accessor bitmask, written,
-    /// accesses)`, sorted by VPN — a stable wire form for on-disk result
-    /// stores. [`PageAttrTracker::from_exported`] inverts it exactly.
-    pub fn export_pages(&self) -> Vec<(u64, u16, bool, u64)> {
-        self.records()
-            .map(|(vpn, r)| (vpn.vpn(), r.accessors.bits(), r.written, r.accesses))
-            .collect()
-    }
-
-    /// Rebuilds a tracker from [`PageAttrTracker::export_pages`] rows. The
-    /// rows do not carry the footprint, so the rebuilt tracker has no
-    /// footprint bound: pages past the last row read as untouched.
-    pub fn from_exported(rows: &[(u64, u16, bool, u64)]) -> Self {
-        let mut t = PageAttrTracker {
-            pages: PageVec::unbounded(),
-            touched: 0,
-        };
-        for &(vpn, bits, written, accesses) in rows {
-            let slot = t.pages.get_mut(PageId(vpn));
-            if slot.is_none() {
-                t.touched += 1;
-            }
-            *slot = Some(PageRecord {
-                accessors: GpuSet::from_bits(bits),
-                written,
-                accesses,
-            });
-        }
-        t
-    }
-
-    /// Aggregates the whole-run summary over the touched pages in
-    /// ascending VPN order.
+    /// Aggregates the summary over the touched pages in ascending VPN
+    /// order.
     pub fn summary(&self) -> PageAttrSummary {
-        let mut s = PageAttrSummary::default();
+        let mut s = PageAttrSummary {
+            write_accesses: self.writes,
+            ..PageAttrSummary::default()
+        };
         for (_, rec) in self.records() {
             s.total_pages += 1;
             let shared = rec.accessors.len() > 1;
@@ -293,24 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trip() {
-        let mut t = PageAttrTracker::new(16);
-        t.record(g(0), PageId(7), AccessKind::Write);
-        t.record(g(1), PageId(7), AccessKind::Read);
-        t.record(g(2), PageId(3), AccessKind::Read);
-        t.record(g(2), PageId(3), AccessKind::Read);
-        let rows = t.export_pages();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, 3); // sorted by vpn
-        let back = PageAttrTracker::from_exported(&rows);
-        assert_eq!(back.summary(), t.summary());
-        assert_eq!(back.export_pages(), rows);
-        assert!(back.is_shared(PageId(7)));
-        assert!(back.is_written(PageId(7)));
-        assert_eq!(back.hottest(1), t.hottest(1));
-    }
-
-    #[test]
     fn iteration_is_ascending_by_vpn() {
         let mut t = PageAttrTracker::new(64);
         for vpn in [50, 4, 33, 0, 63] {
@@ -318,8 +294,6 @@ mod tests {
         }
         let order: Vec<u64> = t.iter_pages().map(|(p, ..)| p.vpn()).collect();
         assert_eq!(order, vec![0, 4, 33, 50, 63]);
-        let exported: Vec<u64> = t.export_pages().iter().map(|r| r.0).collect();
-        assert_eq!(exported, order);
     }
 
     #[test]
@@ -335,6 +309,5 @@ mod tests {
         assert!(!t.is_shared(PageId(9)));
         t.record(g(2), PageId(9), AccessKind::Read);
         assert!(t.is_shared(PageId(9)));
-        assert_eq!(t.pages_touched(), 1);
     }
 }

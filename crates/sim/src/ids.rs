@@ -159,17 +159,6 @@ impl GpuSet {
         GpuSet(0)
     }
 
-    /// The raw membership bitmask (bit `i` set ⇔ GPU `i` present). Stable
-    /// across processes; used by on-disk result stores.
-    pub fn bits(self) -> u16 {
-        self.0
-    }
-
-    /// Rebuilds a set from a [`GpuSet::bits`] mask.
-    pub fn from_bits(bits: u16) -> Self {
-        GpuSet(bits)
-    }
-
     /// A set containing exactly one GPU.
     pub fn singleton(g: GpuId) -> Self {
         let mut s = GpuSet(0);

@@ -1,5 +1,6 @@
 //! Workload construction: turns an [`App`] into per-GPU access streams.
 
+use grit_metrics::PageAttrTracker;
 use grit_sim::{ConfigError, SimRng, SliceStream};
 
 use crate::apps;
@@ -210,6 +211,13 @@ impl MultiGpuWorkload {
     /// Total accesses across all GPUs.
     pub fn total_accesses(&self) -> u64 {
         self.streams.iter().map(|s| s.remaining() as u64).sum()
+    }
+
+    /// The page attributes of the trace (paper §IV-B: private vs shared,
+    /// read vs read-write), over every access the streams have left.
+    /// Computed anew on each call, from the streams alone.
+    pub fn page_attrs(&self) -> PageAttrTracker {
+        PageAttrTracker::from_streams(self.footprint_pages, self.streams.iter().cloned())
     }
 }
 

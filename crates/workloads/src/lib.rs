@@ -37,4 +37,4 @@ pub use builder::{GenCtx, MultiGpuWorkload, WorkloadBuilder};
 pub use common::{tb_to_gpu, GpuTrace, Segment};
 pub use spec::{AccessPattern, App};
 pub use trace_io::{read_trace, write_trace, TraceIoError};
-pub use validate::{characterize, validate, Characterization, Expectation};
+pub use validate::{validate, Expectation};

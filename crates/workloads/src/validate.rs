@@ -6,9 +6,7 @@
 //! generators against drift: a refactor that silently turns FIR into a
 //! shared workload would invalidate half the evaluation.
 
-use std::collections::HashMap;
-
-use grit_sim::AccessStream;
+use grit_metrics::PageAttrSummary;
 
 use crate::builder::MultiGpuWorkload;
 use crate::spec::App;
@@ -87,67 +85,14 @@ impl Expectation {
     }
 }
 
-/// Measured characterization of a generated workload.
-#[derive(Clone, Copy, Debug)]
-pub struct Characterization {
-    /// Distinct pages touched.
-    pub pages: u64,
-    /// Total accesses.
-    pub accesses: u64,
-    /// Fraction of pages shared by more than one GPU.
-    pub shared_pages: f64,
-    /// Fraction of accesses that are writes.
-    pub write_accesses: f64,
-    /// Fraction of pages both shared and written.
-    pub shared_rw_pages: f64,
-}
-
-/// Measures a workload's sharing/write characterization (consumes the
-/// streams; clone the workload if it is still needed).
-pub fn characterize(workload: MultiGpuWorkload) -> Characterization {
-    let mut sharers: HashMap<u64, u16> = HashMap::new();
-    let mut written: HashMap<u64, bool> = HashMap::new();
-    let mut accesses = 0u64;
-    let mut writes = 0u64;
-    for (g, mut stream) in workload.streams.into_iter().enumerate() {
-        let bit = 1u16 << g;
-        while let Some(a) = stream.next_access() {
-            accesses += 1;
-            *sharers.entry(a.vpn.vpn()).or_insert(0) |= bit;
-            *written.entry(a.vpn.vpn()).or_insert(false) |= a.is_write();
-            if a.is_write() {
-                writes += 1;
-            }
-        }
-    }
-    let pages = sharers.len() as u64;
-    let shared = sharers.values().filter(|m| m.count_ones() > 1).count() as u64;
-    let shared_rw =
-        sharers.iter().filter(|(p, m)| m.count_ones() > 1 && written[*p]).count() as u64;
-    Characterization {
-        pages,
-        accesses,
-        shared_pages: ratio(shared, pages),
-        write_accesses: ratio(writes, accesses),
-        shared_rw_pages: ratio(shared_rw, pages),
-    }
-}
-
-fn ratio(n: u64, d: u64) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        n as f64 / d as f64
-    }
-}
-
-/// Validates a workload against its application's expected band.
+/// Validates a workload against its application's expected band and
+/// returns the summary of its page attributes.
 ///
 /// # Errors
 ///
 /// Returns a description of the first band violated.
-pub fn validate(app: App, workload: MultiGpuWorkload) -> Result<Characterization, String> {
-    let c = characterize(workload);
+pub fn validate(app: App, workload: &MultiGpuWorkload) -> Result<PageAttrSummary, String> {
+    let s = workload.page_attrs().summary();
     let e = Expectation::for_app(app);
     let check = |name: &str, v: f64, (lo, hi): (f64, f64)| {
         if v < lo || v > hi {
@@ -156,14 +101,18 @@ pub fn validate(app: App, workload: MultiGpuWorkload) -> Result<Characterization
             Ok(())
         }
     };
-    check("shared-page fraction", c.shared_pages, e.shared_pages)?;
-    check("write-access fraction", c.write_accesses, e.write_accesses)?;
+    check("shared-page fraction", s.shared_page_frac(), e.shared_pages)?;
+    check(
+        "write-access fraction",
+        s.write_access_frac(),
+        e.write_accesses,
+    )?;
     check(
         "shared-RW-page fraction",
-        c.shared_rw_pages,
+        s.shared_read_write_frac(),
         e.shared_rw_pages,
     )?;
-    Ok(c)
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -178,9 +127,9 @@ mod tests {
     #[test]
     fn every_app_passes_its_own_band() {
         for app in App::TABLE2.iter().chain(App::DNN.iter()).chain(App::EXTRA.iter()) {
-            let c = validate(*app, build(*app))
+            let s = validate(*app, &build(*app))
                 .unwrap_or_else(|e| panic!("characterization drifted: {e}"));
-            assert!(c.pages > 0 && c.accesses > 0);
+            assert!(s.total_pages > 0 && s.accesses() > 0);
         }
     }
 
@@ -188,9 +137,9 @@ mod tests {
     fn bands_discriminate_between_apps() {
         // ST's trace must *fail* FIR's band (and vice versa): the bands are
         // tight enough to catch a generator mix-up.
-        assert!(validate(App::Fir, build(App::St)).is_err());
-        assert!(validate(App::St, build(App::Fir)).is_err());
-        assert!(validate(App::Bfs, build(App::Bs)).is_err());
+        assert!(validate(App::Fir, &build(App::St)).is_err());
+        assert!(validate(App::St, &build(App::Fir)).is_err());
+        assert!(validate(App::Bfs, &build(App::Bs)).is_err());
     }
 
     #[test]
@@ -211,11 +160,11 @@ mod tests {
             ],
             barriers: vec![vec![], vec![]],
         };
-        let c = characterize(w);
-        assert_eq!(c.pages, 2);
-        assert_eq!(c.accesses, 3);
-        assert!((c.shared_pages - 0.5).abs() < 1e-12); // page 1 only
-        assert!((c.write_accesses - 1.0 / 3.0).abs() < 1e-12);
-        assert!((c.shared_rw_pages - 0.5).abs() < 1e-12);
+        let s = w.page_attrs().summary();
+        assert_eq!(s.total_pages, 2);
+        assert_eq!(s.accesses(), 3);
+        assert!((s.shared_page_frac() - 0.5).abs() < 1e-12); // page 1 only
+        assert!((s.write_access_frac() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((s.shared_read_write_frac() - 0.5).abs() < 1e-12);
     }
 }

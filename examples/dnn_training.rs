@@ -19,8 +19,9 @@ fn main() {
 
     println!("Model-parallel DNN training, 4 GPUs\n");
     for app in App::DNN {
-        let on_touch = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp);
-        let (ot, attrs) = (on_touch.metrics, on_touch.page_attrs);
+        let on_touch = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), &exp);
+        let attrs = on_touch.workload().page_attrs().summary();
+        let ot = on_touch.run().metrics;
         let grit = run_cell(app, PolicyKind::GRIT, &exp).metrics;
 
         println!("=== {} ===", app.abbr());

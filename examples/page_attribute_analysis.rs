@@ -28,9 +28,11 @@ fn main() {
         seed: 42,
     };
 
-    // Pass 1: whole-run attributes on the on-touch baseline.
-    let scout = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp);
-    let s = scout.page_attrs;
+    // Whole-run attributes are properties of the trace.
+    let attrs = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), &exp)
+        .workload()
+        .page_attrs();
+    let s = attrs.summary();
     println!(
         "=== {} ({}, {} pattern) ===",
         app.abbr(),
@@ -57,14 +59,15 @@ fn main() {
         100.0 * s.shared_read_write_frac()
     );
 
-    // Pass 2: track the hottest shared page over time (Fig. 5 style).
-    if let Some(page) = scout.attrs.hottest(2) {
+    // Track the hottest shared page over time (Fig. 5 style); an
+    // on-touch run sizes the intervals.
+    if let Some(page) = attrs.hottest(2) {
+        let scout = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp);
         let interval = (scout.metrics.total_cycles / 24).max(1);
         let obs = ObserverConfig {
             track_page: Some(page),
             interval_cycles: interval,
             grid_page_bins: 64,
-            grid_intervals: 50,
             scheme_timeline: false,
         };
         let out = run_cell_with(

@@ -8,22 +8,25 @@
 
 use grit::experiments::PolicyKind;
 use grit::prelude::*;
-use grit_workloads::{characterize, read_trace, validate, write_trace};
+use grit_workloads::{read_trace, validate, write_trace};
 
 fn main() {
     let app = App::St;
     let build = || WorkloadBuilder::new(app).scale(0.05).intensity(1.5).seed(99).build();
 
     // 1. Validate the generated trace against the paper's band for ST.
-    let c = validate(app, build()).expect("ST must match its characterization band");
+    let s = validate(app, &build()).expect("ST must match its characterization band");
     println!("== generated {} trace ==", app.abbr());
-    println!("pages:      {}", c.pages);
-    println!("accesses:   {}", c.accesses);
-    println!("shared:     {:.1}% of pages", 100.0 * c.shared_pages);
-    println!("writes:     {:.1}% of accesses", 100.0 * c.write_accesses);
+    println!("pages:      {}", s.total_pages);
+    println!("accesses:   {}", s.accesses());
+    println!("shared:     {:.1}% of pages", 100.0 * s.shared_page_frac());
+    println!(
+        "writes:     {:.1}% of accesses",
+        100.0 * s.write_access_frac()
+    );
     println!(
         "shared-RW:  {:.1}% of pages (paper: 99%)",
-        100.0 * c.shared_rw_pages
+        100.0 * s.shared_read_write_frac()
     );
 
     // 2. Serialize and reload.
@@ -32,11 +35,10 @@ fn main() {
     println!(
         "\nserialized: {} bytes ({:.1} B/access)",
         buf.len(),
-        buf.len() as f64 / c.accesses as f64
+        buf.len() as f64 / s.accesses() as f64
     );
     let loaded = read_trace(buf.as_slice()).expect("round trip");
-    let c2 = characterize(loaded);
-    assert_eq!(c.accesses, c2.accesses);
+    assert_eq!(loaded.page_attrs().summary(), s);
 
     // 3. Replay both through the simulator: identical results.
     let cfg = SimConfig::default();

@@ -540,9 +540,9 @@ const TARGETS: &[Target] = &[
     Target {
         names: &["validate"],
         help: "check every generator against its characterization band",
-        run: Run::Named(|exp, _| {
+        run: Run::Named(|exp, out| {
             if !run_validate(exp) {
-                eprintln!("[repro] at least one generator drifted from its band");
+                out.failure = Some("[repro] at least one generator drifted from its band".into());
             }
         }),
     },
@@ -716,7 +716,8 @@ fn run(a: &Args) -> Result<(), String> {
             }
         }
         Ok(())
-    })
+    })?;
+    out.failure.map_or(Ok(()), Err)
 }
 
 /// Runs `body` between the banner and the closing reports: the total
@@ -817,6 +818,9 @@ struct Out {
     csv_dir: Option<PathBuf>,
     fig17: Option<Table>,
     fig18: Option<Table>,
+    /// A failed check (`validate`): the session still finishes its
+    /// reports, then exits 1 with this one line.
+    failure: Option<String>,
 }
 
 impl Out {
@@ -872,14 +876,14 @@ fn run_validate(exp: &ExpConfig) -> bool {
             .intensity(exp.intensity)
             .seed(exp.seed)
             .build();
-        match validate(app, w) {
-            Ok(c) => println!(
+        match validate(app, &w) {
+            Ok(s) => println!(
                 "  {:<8} OK  ({} pages, {} accesses, {:.0}% shared, {:.0}% writes)",
                 app.abbr(),
-                c.pages,
-                c.accesses,
-                100.0 * c.shared_pages,
-                100.0 * c.write_accesses
+                s.total_pages,
+                s.accesses(),
+                100.0 * s.shared_page_frac(),
+                100.0 * s.write_access_frac()
             ),
             Err(e) => {
                 ok = false;
@@ -918,7 +922,7 @@ fn dump_trace(a: &Args, operands: &[String]) -> Result<(), String> {
 
 /// `repro trace-info <PATH>`: summarizes a trace file.
 fn trace_info(_: &Args, operands: &[String]) -> Result<(), String> {
-    use grit_workloads::{characterize, read_trace};
+    use grit_workloads::read_trace;
     let path = &operands[0];
     let file = fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let w =
@@ -928,10 +932,16 @@ fn trace_info(_: &Args, operands: &[String]) -> Result<(), String> {
     println!("footprint:  {} pages", w.footprint_pages);
     println!("accesses:   {}", w.total_accesses());
     println!("phases:     {}", w.barriers[0].len());
-    let c = characterize(w);
-    println!("shared:     {:.1}% of pages", 100.0 * c.shared_pages);
-    println!("writes:     {:.1}% of accesses", 100.0 * c.write_accesses);
-    println!("shared-RW:  {:.1}% of pages", 100.0 * c.shared_rw_pages);
+    let s = w.page_attrs().summary();
+    println!("shared:     {:.1}% of pages", 100.0 * s.shared_page_frac());
+    println!(
+        "writes:     {:.1}% of accesses",
+        100.0 * s.write_access_frac()
+    );
+    println!(
+        "shared-RW:  {:.1}% of pages",
+        100.0 * s.shared_read_write_frac()
+    );
     Ok(())
 }
 

@@ -24,7 +24,6 @@ fn observed_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
         track_page: None,
         interval_cycles: interval,
         grid_page_bins: 0,
-        grid_intervals: 0,
         scheme_timeline: true,
     };
     scout_cell.clone().observed(obs)

@@ -29,45 +29,33 @@ pub fn run(exp: &ExpConfig) -> Table {
             "ideal".into(),
         ],
     );
-    // Phase 1: the online policies. The on-touch run doubles as the
-    // profiling pass (the oracle gets whole-run knowledge the online
-    // policies never see).
     let online = [
         PolicyKind::Static(Scheme::OnTouch),
         PolicyKind::GRIT,
         PolicyKind::Ideal,
     ];
-    let rows = run_grid(&table2_apps(), &online, exp);
-    // Phase 2: one oracle cell per app, seeded with that app's profile (an
-    // app whose profiling pass failed gets no oracle cell and NaN columns).
-    let oracle_cells: Vec<Option<CellSpec>> = table2_apps()
+    // One oracle cell per app, seeded with the whole-trace page
+    // attributes (the knowledge the online policies never see).
+    let oracle_cells: Vec<CellSpec> = table2_apps()
         .into_iter()
-        .zip(&rows)
-        .map(|(app, runs)| {
-            runs[0].output().map(|profile| {
-                let attrs = profile.attrs.clone();
-                let factory = PolicySpec::Factory(Arc::new(move |_, _| {
-                    Box::new(OraclePolicy::from_profile(&attrs))
-                }));
-                CellSpec::new(app, factory, exp)
-            })
+        .map(|app| {
+            let profile = CellSpec::new(app, online[0], exp).workload().page_attrs();
+            let factory = PolicySpec::Factory(Arc::new(move |_, _| {
+                Box::new(OraclePolicy::from_profile(&profile))
+            }));
+            CellSpec::new(app, factory, exp)
         })
         .collect();
-    let flat: Vec<CellSpec> = oracle_cells.iter().flatten().cloned().collect();
-    let oracles = run_batch(&flat);
-    let mut oracle_iter = oracles.iter();
-    for ((app, runs), pick) in table2_apps().into_iter().zip(&rows).zip(&oracle_cells) {
+    let rows = run_grid(&table2_apps(), &online, exp);
+    let oracles = run_batch(&oracle_cells);
+    for ((app, runs), oracle) in table2_apps().into_iter().zip(&rows).zip(&oracles) {
         let base = runs[0].cycles();
-        let oracle = pick
-            .as_ref()
-            .and_then(|_| oracle_iter.next())
-            .map_or(f64::NAN, CellResultExt::cycles);
         table.push_row(
             app.abbr(),
             vec![
                 runs[0].metric(|_| 1.0),
                 base / runs[1].cycles(),
-                base / oracle,
+                base / oracle.cycles(),
                 base / runs[2].cycles(),
             ],
         );

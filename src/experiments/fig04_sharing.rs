@@ -4,10 +4,11 @@
 use grit_metrics::Table;
 use grit_sim::Scheme;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{table2_apps, CellSpec, ExpConfig, PolicyKind};
 
-/// Runs the figure (page attributes are policy-independent; the on-touch
-/// baseline run supplies them).
+/// Runs the figure. Page attributes are properties of the trace, so each
+/// row reads the workload of the app's on-touch cell; nothing is
+/// simulated.
 pub fn run(exp: &ExpConfig) -> Table {
     let mut table = Table::new(
         "Fig 4: private/shared pages and accesses (%)",
@@ -18,24 +19,15 @@ pub fn run(exp: &ExpConfig) -> Table {
             "acc-shared".into(),
         ],
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .map(|app| CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp))
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, out) in table2_apps().into_iter().zip(&outputs) {
-        let row = match out.output() {
-            Some(o) => {
-                let s = o.page_attrs;
-                vec![
-                    100.0 * (1.0 - s.shared_page_frac()),
-                    100.0 * s.shared_page_frac(),
-                    100.0 * (1.0 - s.shared_access_frac()),
-                    100.0 * s.shared_access_frac(),
-                ]
-            }
-            None => vec![f64::NAN; 4],
-        };
+    for app in table2_apps() {
+        let cell = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
+        let s = cell.workload().page_attrs().summary();
+        let row = vec![
+            100.0 * (1.0 - s.shared_page_frac()),
+            100.0 * s.shared_page_frac(),
+            100.0 * (1.0 - s.shared_access_frac()),
+            100.0 * s.shared_access_frac(),
+        ];
         table.push_row(app.abbr(), row);
     }
     table

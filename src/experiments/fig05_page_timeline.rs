@@ -10,13 +10,18 @@ use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
 fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
-    // Pass 1: find the page to track (the paper picks "a certain page"
-    // with significant sharing).
+    // Pass 1: time the run, to size the intervals.
     CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp)
 }
 
 fn tracked_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
-    let page = scout.attrs.hottest(2).expect("workload must have at least one shared page");
+    // The paper picks "a certain page" with significant sharing: the
+    // trace's hottest page touched by more than one GPU.
+    let page = scout_cell
+        .workload()
+        .page_attrs()
+        .hottest(2)
+        .expect("workload must have at least one shared page");
     // Pass 2: rerun with the tracked-page observer. The interval shrinks
     // with the scaled runs so several intervals land inside the page's
     // active window (producer-consumer pages live in a narrow span).

@@ -9,7 +9,7 @@ use grit_sim::Scheme;
 use grit_workloads::App;
 
 use super::{run_scouted, CellSpec, ExpConfig, PolicyKind};
-use crate::runner::{ObserverConfig, RunOutput};
+use crate::runner::{ObserverConfig, RunOutput, GRID_INTERVALS};
 
 /// Grids for one application.
 struct AppGrids {
@@ -24,13 +24,12 @@ fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
 }
 
 fn grid_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
-    // The scout run sizes the 50 intervals to the execution length.
-    let interval = (scout.metrics.total_cycles / 50).max(1);
+    // The scout run sizes the grid rows to the execution length.
+    let interval = (scout.metrics.total_cycles / GRID_INTERVALS as u64).max(1);
     let obs = ObserverConfig {
         track_page: None,
         interval_cycles: interval,
         grid_page_bins: 64,
-        grid_intervals: 50,
         scheme_timeline: false,
     };
     scout_cell.clone().observed(obs)

@@ -4,9 +4,10 @@
 use grit_metrics::Table;
 use grit_sim::Scheme;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{table2_apps, CellSpec, ExpConfig, PolicyKind};
 
-/// Runs the figure.
+/// Runs the figure from each app's trace, read through the workload of
+/// its on-touch cell (nothing is simulated).
 pub fn run(exp: &ExpConfig) -> Table {
     let mut table = Table::new(
         "Fig 9: accesses to read vs read-write pages (%)",
@@ -18,25 +19,16 @@ pub fn run(exp: &ExpConfig) -> Table {
             "shared-rw-pages".into(),
         ],
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .map(|app| CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp))
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, out) in table2_apps().into_iter().zip(&outputs) {
-        let row = match out.output() {
-            Some(o) => {
-                let s = o.page_attrs;
-                vec![
-                    100.0 * (1.0 - s.read_write_page_frac()),
-                    100.0 * s.read_write_page_frac(),
-                    100.0 * (1.0 - s.read_write_access_frac()),
-                    100.0 * s.read_write_access_frac(),
-                    100.0 * s.shared_read_write_frac(),
-                ]
-            }
-            None => vec![f64::NAN; 5],
-        };
+    for app in table2_apps() {
+        let cell = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
+        let s = cell.workload().page_attrs().summary();
+        let row = vec![
+            100.0 * (1.0 - s.read_write_page_frac()),
+            100.0 * s.read_write_page_frac(),
+            100.0 * (1.0 - s.read_write_access_frac()),
+            100.0 * s.read_write_access_frac(),
+            100.0 * s.shared_read_write_frac(),
+        ];
         table.push_row(app.abbr(), row);
     }
     table

@@ -9,11 +9,12 @@ use grit_workloads::App;
 use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
-/// The rerun of `scout_cell` tracking its hottest shared read-write page,
-/// with the interval sized from the scout run.
+/// The rerun of `scout_cell` tracking its trace's hottest shared
+/// read-write page, with the interval sized from the scout run.
 fn observed_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
-    let page = scout
-        .attrs
+    let page = scout_cell
+        .workload()
+        .page_attrs()
         .hottest_written(2)
         .expect("workload must have a shared read-write page");
     let interval = (scout.metrics.total_cycles / 32).max(1);

@@ -48,15 +48,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use grit_metrics::{AttrGrid, IntervalSeries, PageAttrTracker};
+use grit_metrics::{AttrGrid, IntervalSeries};
 use grit_trace::{metrics_from_json, metrics_to_json, CellTiming, Json, StoreCounters};
 
 use crate::runner::{RunObserver, RunOutput};
 
 /// Schema tag of every store file; bump when the layout changes so stale
 /// files are re-run instead of misparsed. v4: a header line carrying the
-/// checksum of the payload line's bytes as written.
-pub const STORE_SCHEMA: &str = "grit-result-store/v4";
+/// checksum of the payload line's bytes as written. v5: the payload has
+/// no per-page attribute rows (page attributes are read from the trace).
+pub const STORE_SCHEMA: &str = "grit-result-store/v5";
 
 /// Subdirectory (under the store root) holding files that failed an
 /// integrity check on load.
@@ -450,20 +451,6 @@ fn opt_to_json<T>(v: &Option<T>, f: impl Fn(&T) -> Json) -> Json {
 
 /// The payload object: everything of a [`RunOutput`] the store keeps.
 fn encode_payload(out: &RunOutput) -> Json {
-    let pages = Json::Arr(
-        out.attrs
-            .export_pages()
-            .into_iter()
-            .map(|(vpn, bits, written, accesses)| {
-                Json::Arr(vec![
-                    Json::UInt(vpn),
-                    Json::UInt(u64::from(bits)),
-                    Json::Bool(written),
-                    Json::UInt(accesses),
-                ])
-            })
-            .collect(),
-    );
     let observer = opt_to_json(&out.observer, |obs| {
         Json::Obj(vec![
             ("page_by_gpu".into(), series_to_json(&obs.page_by_gpu)),
@@ -502,27 +489,12 @@ fn encode_payload(out: &RunOutput) -> Json {
             ]),
         ),
         ("metrics".into(), metrics_to_json(&out.metrics)),
-        ("pages".into(), pages),
         ("observer".into(), observer),
     ])
 }
 
 fn decode_payload(v: &Json) -> Option<RunOutput> {
     let metrics = metrics_from_json(v.get("metrics")?).ok()?;
-    let mut pages = Vec::new();
-    for row in v.get("pages")?.as_arr()? {
-        let row = row.as_arr()?;
-        if row.len() != 4 {
-            return None;
-        }
-        pages.push((
-            row[0].as_u64()?,
-            u16::try_from(row[1].as_u64()?).ok()?,
-            row[2].as_bool()?,
-            row[3].as_u64()?,
-        ));
-    }
-    let attrs = PageAttrTracker::from_exported(&pages);
     let observer = match v.get("observer")? {
         Json::Null => None,
         obs => Some(RunObserver {
@@ -545,8 +517,6 @@ fn decode_payload(v: &Json) -> Option<RunOutput> {
     };
     let timing = v.get("timing")?;
     Some(RunOutput {
-        page_attrs: attrs.summary(),
-        attrs,
         metrics,
         observer,
         timing: CellTiming {
@@ -595,8 +565,6 @@ mod tests {
         let back = store.load("some-key").expect("stored result loads");
         assert_eq!(back.metrics.total_cycles, out.metrics.total_cycles);
         assert_eq!(back.metrics.faults, out.metrics.faults);
-        assert_eq!(back.page_attrs, out.page_attrs);
-        assert_eq!(back.attrs.export_pages(), out.attrs.export_pages());
         assert!(back.timing.resumed);
         assert!(back.events.is_none());
         // A different key misses even though the hash file exists for the
@@ -650,7 +618,7 @@ mod tests {
         assert_eq!(rerun.metrics, fresh.metrics);
         assert_eq!((counters.hits, counters.quarantined), (0, 1));
 
-        // The re-run stored a fresh v4 entry; the old file is not seen
+        // The re-run stored a fresh entry; the old file is not seen
         // again.
         let (resumed, counters) = run();
         assert!(resumed.timing.resumed);
@@ -687,6 +655,8 @@ mod tests {
             Some(format!("{:016x}", fnv1a64(lines[1])).as_str())
         );
         assert_eq!(lines[1], encode_payload(&out).to_string());
+        // Page attributes belong to the trace, not the stored run.
+        assert!(Json::parse(lines[1]).unwrap().get("pages").is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -12,13 +12,13 @@ use std::collections::{BinaryHeap, HashMap};
 
 use grit_mem::{CacheKey, Mapping, SetAssocCache, TlbHierarchy, TranslationLevel, WalkerPool};
 use grit_metrics::{
-    AttrGrid, IntervalSeries, LatencyClass, LatencyHistogram, PageAttrSummary, PageAttrTracker,
-    RunMetrics, SchemeMix,
+    AttrGrid, IntervalSeries, LatencyClass, LatencyHistogram, PageAttrTracker, RunMetrics,
+    SchemeMix,
 };
 use grit_prof::{span, Phase};
 use grit_sim::{
-    Access, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle, GpuId,
-    GritError, MemLoc, MlpWindow, PageId, PageVec, SimConfig, SliceStream,
+    Access, AccessKind, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle,
+    GpuId, GritError, MemLoc, MlpWindow, PageId, PageVec, SimConfig, SliceStream,
 };
 use grit_trace::{CellTiming, TraceEvent, Tracer};
 use grit_uvm::{
@@ -137,6 +137,10 @@ fn apply_outcome(gpus: &mut [GpuFrontend], out: &DriverOutcome) {
     }
 }
 
+/// Rows (time intervals) of the Figs. 6–8 attribute grids (paper: 50).
+/// Accesses past the last row's interval land in the last row.
+pub const GRID_INTERVALS: usize = 50;
+
 /// Optional per-figure instrumentation attached to a run.
 #[derive(Clone, Debug, Default)]
 pub struct ObserverConfig {
@@ -146,11 +150,9 @@ pub struct ObserverConfig {
     /// Interval length in cycles for the tracked-page series (paper: one
     /// million cycles).
     pub interval_cycles: Cycle,
-    /// Record pages × intervals attribute grids (Figs. 6–8), with this
-    /// many page bins. Zero disables the grids.
+    /// Record [`GRID_INTERVALS`] × pages attribute grids (Figs. 6–8),
+    /// with this many page bins. Zero disables the grids.
     pub grid_page_bins: usize,
-    /// Rows (time intervals) for the attribute grids (paper: 50).
-    pub grid_intervals: usize,
     /// Record the per-interval placement-scheme mix of L2-TLB-missing
     /// accesses (the adaptation timeline of the GRIT policy).
     pub scheme_timeline: bool,
@@ -169,7 +171,6 @@ impl ObserverConfig {
     /// Records the Figs. 6–8 attribute grids.
     pub fn with_grids(mut self, page_bins: usize) -> Self {
         self.grid_page_bins = page_bins;
-        self.grid_intervals = 50;
         if self.interval_cycles == 0 {
             self.interval_cycles = 1_000_000;
         }
@@ -200,10 +201,6 @@ pub struct RunObserver {
 pub struct RunOutput {
     /// Aggregate metrics (Fig. 1/3/17/18/19 inputs).
     pub metrics: RunMetrics,
-    /// Whole-run page-attribute summary (Figs. 4 & 9).
-    pub page_attrs: PageAttrSummary,
-    /// The full per-page attribute tracker (page selection for Figs. 5/10).
-    pub attrs: PageAttrTracker,
     /// Time-series instrumentation, when configured.
     pub observer: Option<RunObserver>,
     /// Wall-clock profile of the cell; filled in by the batch executor
@@ -223,7 +220,6 @@ pub struct Simulation {
     /// refreshes them lazily, replacing the per-access O(num_gpus) scan.
     ready_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
     driver: UvmDriver,
-    attrs: PageAttrTracker,
     scheme_mix: SchemeMix,
     accesses: u64,
     local_accesses: u64,
@@ -232,10 +228,18 @@ pub struct Simulation {
     observer_cfg: ObserverConfig,
     obs_page_by_gpu: Option<IntervalSeries>,
     obs_page_rw: Option<IntervalSeries>,
-    obs_grid_ps: Option<AttrGrid>,
-    obs_grid_rw: Option<AttrGrid>,
+    obs_grids: Option<GridObserver>,
     obs_scheme_timeline: Option<IntervalSeries>,
     cancel: CancelToken,
+}
+
+/// The Figs. 6–8 attribute grids and the running tracker they read: each
+/// access is marked with its page's class *so far*, not over the whole
+/// run, so the tracker records as the run goes.
+struct GridObserver {
+    attrs: PageAttrTracker,
+    private_shared: AttrGrid,
+    read_rw: AttrGrid,
 }
 
 /// Fluent constructor for [`Simulation`], absorbing the old
@@ -372,7 +376,6 @@ impl Simulation {
             gpus,
             ready_heap,
             driver,
-            attrs: PageAttrTracker::new(workload.footprint_pages),
             scheme_mix: SchemeMix::default(),
             accesses: 0,
             local_accesses: 0,
@@ -381,8 +384,7 @@ impl Simulation {
             observer_cfg: ObserverConfig::default(),
             obs_page_by_gpu: None,
             obs_page_rw: None,
-            obs_grid_ps: None,
-            obs_grid_rw: None,
+            obs_grids: None,
             obs_scheme_timeline: None,
             cancel: CancelToken::new(),
             cfg,
@@ -398,8 +400,11 @@ impl Simulation {
             self.obs_page_rw = Some(IntervalSeries::new(interval, 2));
         }
         if cfg.grid_page_bins > 0 {
-            self.obs_grid_ps = Some(AttrGrid::new(cfg.grid_intervals, cfg.grid_page_bins));
-            self.obs_grid_rw = Some(AttrGrid::new(cfg.grid_intervals, cfg.grid_page_bins));
+            self.obs_grids = Some(GridObserver {
+                attrs: PageAttrTracker::new(self.footprint_pages),
+                private_shared: AttrGrid::new(GRID_INTERVALS, cfg.grid_page_bins),
+                read_rw: AttrGrid::new(GRID_INTERVALS, cfg.grid_page_bins),
+            });
         }
         if cfg.scheme_timeline {
             self.obs_scheme_timeline = Some(IntervalSeries::new(cfg.interval_cycles.max(1), 3));
@@ -539,8 +544,7 @@ impl Simulation {
         self.gpus[g].ready = t0;
 
         self.accesses += 1;
-        self.attrs.record(gpu, vpn, acc.kind);
-        self.observe(t0, g, vpn, acc.is_write());
+        self.observe(t0, g, vpn, acc.kind);
         if self.driver.wants_access_feed() {
             self.driver.feed_access(t0, gpu, vpn, acc.kind);
         }
@@ -685,26 +689,26 @@ impl Simulation {
         }
     }
 
-    fn observe(&mut self, now: Cycle, g: usize, vpn: PageId, write: bool) {
+    fn observe(&mut self, now: Cycle, g: usize, vpn: PageId, kind: AccessKind) {
         if self.observer_cfg.track_page == Some(vpn) {
             if let Some(s) = &mut self.obs_page_by_gpu {
                 s.record(now, g);
             }
             if let Some(s) = &mut self.obs_page_rw {
-                s.record(now, usize::from(write));
+                s.record(now, usize::from(kind.is_write()));
             }
         }
-        if let Some(grid) = &mut self.obs_grid_ps {
-            let interval = ((now / self.observer_cfg.interval_cycles.max(1)) as usize).min(49);
+        if let Some(grids) = &mut self.obs_grids {
+            grids.attrs.record(GpuId::new(g as u8), vpn, kind);
+            let interval =
+                ((now / self.observer_cfg.interval_cycles.max(1)) as usize).min(GRID_INTERVALS - 1);
             let bin = (vpn.vpn() as usize * self.observer_cfg.grid_page_bins
                 / self.footprint_pages.max(1) as usize)
                 .min(self.observer_cfg.grid_page_bins - 1);
-            let ps_code = if self.attrs.is_shared(vpn) { 2 } else { 1 };
-            grid.mark(interval, bin, ps_code);
-            if let Some(rw) = &mut self.obs_grid_rw {
-                let rw_code = if self.attrs.is_written(vpn) { 2 } else { 1 };
-                rw.mark(interval, bin, rw_code);
-            }
+            let ps_code = if grids.attrs.is_shared(vpn) { 2 } else { 1 };
+            grids.private_shared.mark(interval, bin, ps_code);
+            let rw_code = if grids.attrs.is_written(vpn) { 2 } else { 1 };
+            grids.read_rw.mark(interval, bin, rw_code);
         }
     }
 
@@ -831,20 +835,20 @@ impl Simulation {
             self.gpus.iter().map(|g| g.window.stall_cycles() as f64).collect(),
         );
         let any_observer = self.obs_page_by_gpu.is_some()
-            || self.obs_grid_ps.is_some()
+            || self.obs_grids.is_some()
             || self.obs_scheme_timeline.is_some();
+        let (grid_private_shared, grid_read_rw) =
+            self.obs_grids.map(|g| (g.private_shared, g.read_rw)).unzip();
         let observer = any_observer.then(|| RunObserver {
             page_by_gpu: self.obs_page_by_gpu.unwrap_or_else(|| IntervalSeries::new(1, 1)),
             page_rw: self.obs_page_rw.unwrap_or_else(|| IntervalSeries::new(1, 2)),
-            grid_private_shared: self.obs_grid_ps,
-            grid_read_rw: self.obs_grid_rw,
+            grid_private_shared,
+            grid_read_rw,
             grid_interval_cycles: self.observer_cfg.interval_cycles,
             scheme_timeline: self.obs_scheme_timeline,
         });
         Ok(RunOutput {
             metrics,
-            page_attrs: self.attrs.summary(),
-            attrs: self.attrs,
             observer,
             timing: CellTiming::default(),
             events: None,
@@ -867,7 +871,7 @@ fn hist_aux(h: &LatencyHistogram) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grit_sim::{AccessKind, Scheme};
+    use grit_sim::Scheme;
     use grit_uvm::StaticPolicy;
     use grit_workloads::{App, MultiGpuWorkload, WorkloadBuilder};
 
@@ -1100,9 +1104,11 @@ mod tests {
             vec![vec![], vec![]],
             4,
         );
+        let attrs = w.page_attrs().summary();
         let out = run(w, two_gpu_cfg());
-        assert_eq!(out.page_attrs.shared_read_write_pages, 1);
-        assert_eq!(out.page_attrs.read_pages, 0);
+        assert_eq!(out.metrics.accesses, 2);
+        assert_eq!(attrs.shared_read_write_pages, 1);
+        assert_eq!(attrs.read_pages, 0);
     }
 
     #[test]
@@ -1113,10 +1119,10 @@ mod tests {
             vec![vec![], vec![]],
             4,
         );
+        let attrs = w.page_attrs();
         let policy = Box::new(StaticPolicy::new(Scheme::OnTouch));
         let out = Simulation::try_new(two_gpu_cfg(), w, policy).unwrap().try_run().unwrap();
         assert_eq!(out.metrics.faults.local_faults, 1);
-        assert!(out.attrs.is_written(PageId(3)));
-        let _ = AccessKind::Write; // silence unused import in some cfgs
+        assert!(attrs.is_written(PageId(3)));
     }
 }

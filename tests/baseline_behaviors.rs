@@ -1,6 +1,7 @@
 //! Per-baseline semantic contracts, asserted on full system runs: each
 //! comparator must exhibit exactly the mechanism it models.
 
+use grit::experiments::workload_cache::shared_workload;
 use grit::experiments::{run_cell, ExpConfig, PolicyKind};
 use grit::prelude::*;
 use grit_baselines::OraclePolicy;
@@ -16,7 +17,10 @@ fn first_touch_never_migrates_a_page_twice() {
         let out = run_cell(app, PolicyKind::FirstTouch, &exp());
         // One migration per page maximum (the first touch); capacity
         // evictions can re-home a page, adding at most one more.
-        let pages = out.page_attrs.total_pages;
+        let pages = shared_workload(app, &exp(), &SimConfig::default())
+            .page_attrs()
+            .summary()
+            .total_pages;
         let budget = pages + out.metrics.faults.evictions;
         assert!(
             out.metrics.faults.migrations <= budget,
@@ -84,8 +88,6 @@ fn oracle_beats_every_uniform_scheme_on_static_apps() {
     // On workloads whose page behaviour never changes (GEMM: inputs stay
     // read-shared, outputs stay private), perfect offline classification
     // must dominate every uniform choice.
-    let profile = run_cell(App::Gemm, PolicyKind::Static(Scheme::OnTouch), &exp());
-    let oracle_policy = OraclePolicy::from_profile(&profile.attrs);
     let cfg = SimConfig::default();
     let e = exp();
     let w = WorkloadBuilder::new(App::Gemm)
@@ -93,6 +95,7 @@ fn oracle_beats_every_uniform_scheme_on_static_apps() {
         .intensity(e.intensity)
         .seed(e.seed)
         .build();
+    let oracle_policy = OraclePolicy::from_profile(&w.page_attrs());
     let oracle = Simulation::try_new(cfg, w, Box::new(oracle_policy))
         .unwrap()
         .try_run()

@@ -1,6 +1,7 @@
 //! Oversubscription, GPU-count and page-size behaviour of the full system
 //! (the §III-B capacity model and the §VI-B sensitivity studies).
 
+use grit::experiments::workload_cache::shared_workload;
 use grit::experiments::{run_cell, run_cell_with, ExpConfig, PolicyKind};
 use grit::prelude::*;
 
@@ -94,23 +95,14 @@ fn grit_works_at_every_gpu_count() {
 #[test]
 fn more_gpus_mean_more_sharing() {
     // §VI-B2: pages become more frequently shared as GPUs are added
-    // (input size held constant).
-    let few = run_cell_with(
-        App::St,
-        PolicyKind::Static(Scheme::OnTouch),
-        &exp(),
-        SimConfig::with_gpus(2),
-        None,
-    )
-    .page_attrs;
-    let many = run_cell_with(
-        App::St,
-        PolicyKind::Static(Scheme::OnTouch),
-        &exp(),
-        SimConfig::with_gpus(8),
-        None,
-    )
-    .page_attrs;
+    // (input size held constant). Sharing is a property of the trace.
+    let attrs = |gpus| {
+        shared_workload(App::St, &exp(), &SimConfig::with_gpus(gpus))
+            .page_attrs()
+            .summary()
+    };
+    let few = attrs(2);
+    let many = attrs(8);
     assert!(
         many.shared_page_frac() >= few.shared_page_frac(),
         "sharing must not shrink with more GPUs: {} vs {}",
@@ -129,11 +121,12 @@ fn large_pages_coarsen_the_footprint() {
         scale: 0.8,
         ..exp()
     };
+    let attrs = shared_workload(App::St, &big, &cfg).page_attrs().summary();
     let out = run_cell_with(App::St, PolicyKind::GRIT, &big, cfg, None);
     // 33 MB x 0.8 at 2 MB pages = ~14 pages minimum footprint guard (64).
     assert!(out.metrics.total_cycles > 0);
     assert!(
-        out.page_attrs.total_pages <= 128,
+        attrs.total_pages <= 128,
         "2MB pages collapse the page count"
     );
 }

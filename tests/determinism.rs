@@ -99,13 +99,3 @@ fn serialized_traces_simulate_identically() {
     assert_eq!(direct.faults.total_faults(), via_disk.faults.total_faults());
     assert_eq!(direct.remote_accesses, via_disk.remote_accesses);
 }
-
-#[test]
-fn page_attributes_are_policy_invariant() {
-    // Private/shared and read/RW classification is a property of the trace.
-    let a = run_cell(App::C2d, PolicyKind::Static(Scheme::OnTouch), &tiny()).page_attrs;
-    let b = run_cell(App::C2d, PolicyKind::Static(Scheme::Duplication), &tiny()).page_attrs;
-    assert_eq!(a.total_pages, b.total_pages);
-    assert_eq!(a.shared_pages, b.shared_pages);
-    assert_eq!(a.read_write_pages, b.read_write_pages);
-}

@@ -1,6 +1,7 @@
 //! End-to-end GRIT behaviour: the policy must converge to the right scheme
 //! per page class, reduce faults, and respect its design parameters.
 
+use grit::experiments::workload_cache::shared_workload;
 use grit::experiments::{run_cell, ExpConfig, PolicyKind};
 use grit::prelude::*;
 
@@ -27,15 +28,18 @@ fn grit_keeps_private_apps_on_touch() {
     // execution stays on the on-touch baseline (Fig. 19).
     for app in [App::Fir, App::Sc] {
         let out = run_cell(app, PolicyKind::GRIT, &exp());
+        let pages = shared_workload(app, &exp(), &SimConfig::default())
+            .page_attrs()
+            .summary()
+            .total_pages;
         let (ot, _, _) = out.metrics.scheme_mix.fractions();
         assert!(ot > 0.90, "{app} must stay ~fully on-touch, got {ot}");
         // The only scheme changes come from the few read-shared halo pages
         // at partition borders.
         assert!(
-            out.metrics.faults.scheme_changes <= out.page_attrs.total_pages / 20,
-            "{app}: {} changes across {} pages",
+            out.metrics.faults.scheme_changes <= pages / 20,
+            "{app}: {} changes across {pages} pages",
             out.metrics.faults.scheme_changes,
-            out.page_attrs.total_pages
         );
     }
 }
@@ -200,7 +204,10 @@ fn scheme_changes_only_happen_on_shared_pages() {
     // between schemes a handful of times).
     for app in App::TABLE2 {
         let out = run_cell(app, PolicyKind::GRIT, &exp());
-        let shared = out.page_attrs.shared_pages;
+        let shared = shared_workload(app, &exp(), &SimConfig::default())
+            .page_attrs()
+            .summary()
+            .shared_pages;
         let changes = out.metrics.faults.scheme_changes;
         assert!(
             changes <= shared * 8,

@@ -62,6 +62,7 @@ proptest! {
             .seed(seed)
             .build();
         let expected_accesses = workload.total_accesses();
+        let attrs = workload.page_attrs().summary();
         let p = policy.build(&cfg, workload.footprint_pages);
         // `Simulation::run` panics if any VM invariant breaks.
         let out = Simulation::try_new(cfg, workload, p).unwrap().try_run().unwrap();
@@ -75,7 +76,7 @@ proptest! {
         );
         // Single-GPU nodes can never share pages.
         if gpus == 1 {
-            prop_assert_eq!(out.page_attrs.shared_pages, 0);
+            prop_assert_eq!(attrs.shared_pages, 0);
             prop_assert_eq!(out.metrics.faults.collapses, 0);
         }
     }

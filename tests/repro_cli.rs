@@ -135,7 +135,7 @@ fn profile_flags_end_to_end() {
     fs::create_dir_all(&dir).expect("create profile scratch dir");
     let prof = dir.join("prof.json");
     let run = |extra: &[&str]| {
-        let mut args = vec!["fig4", "--quick", "--jobs", "1"];
+        let mut args = vec!["fig18", "--quick", "--jobs", "1"];
         args.extend_from_slice(extra);
         Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(&args)
@@ -385,6 +385,49 @@ fn succeeded(args: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `repro validate` exits 1 when a generator drifts from its band, with
+/// one stderr line saying so, and 0 when every band holds.
+#[test]
+fn validate_exits_nonzero_on_drift() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["validate", "--scale", "0.001", "--intensity", "0.2"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("DRIFTED"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().filter(|l| l.contains("drifted")).collect();
+    assert_eq!(
+        lines,
+        ["[repro] at least one generator drifted from its band"],
+        "{stderr}"
+    );
+    let ok = succeeded(&["validate", "--quick"]);
+    assert!(!ok.contains("DRIFTED"), "{ok}");
+}
+
+/// Figs. 4 and 9 read page attributes from the trace, so their report
+/// has no cell rows.
+#[test]
+fn attribute_figures_simulate_no_cells() {
+    let dir = scratch_dir_for("fig4-fig9");
+    let stdout = succeeded(&[
+        "fig4",
+        "fig9",
+        "--quick",
+        "--metrics-out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(
+        stdout.contains("Fig 4:") && stdout.contains("Fig 9:"),
+        "{stdout}"
+    );
+    let report = Json::parse(&fs::read_to_string(dir.join("run_report.json")).unwrap()).unwrap();
+    let cells = report.get("cells").and_then(Json::as_arr).expect("cells array");
+    assert!(cells.is_empty(), "{} cell rows", cells.len());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// fig10's scout and observed runs go through the batch executor, so a
