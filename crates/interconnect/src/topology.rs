@@ -1,8 +1,9 @@
 //! Topology-driven fabric: routed GPU↔GPU transfers over a pluggable link
 //! graph, PCIe to the host.
 //!
-//! The GPU-side wire layout comes from `grit-topo`: a [`Fabric`] builds the
-//! configured topology's link graph once, precomputes shortest-path routes,
+//! The GPU-side wire layout is [`grit_sim::TopoGraph`]: a [`Fabric`] builds
+//! the configured topology's link graph once, precomputes shortest-path
+//! routes ([`Routing`]),
 //! and books every transfer hop-by-hop on per-link occupancy, so congestion
 //! composes across hops (a saturated switch trunk delays every route that
 //! crosses it). The default [`grit_sim::TopologyKind::AllToAll`] lays its
@@ -11,11 +12,11 @@
 
 use grit_metrics::LatencyHistogram;
 use grit_prof::{span, Phase};
-use grit_sim::{Cycle, FaultPlan, GpuId, LinkConfig, MemLoc, TopologyConfig};
-use grit_topo::{build_topology, HopClass, Routing, TopoGraph};
+use grit_sim::{Cycle, FaultPlan, GpuId, HopClass, LinkConfig, MemLoc, TopoGraph, TopologyConfig};
 use grit_trace::{EventCategory, LinkKind, TraceEvent, Tracer};
 
 use crate::link::{Link, LinkStats};
+use crate::routing::Routing;
 
 /// Aggregate fabric traffic, split by wire class.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -119,7 +120,7 @@ impl Fabric {
     /// Panics if `num_gpus` is zero.
     pub fn with_topology(num_gpus: usize, cfg: LinkConfig, topo: TopologyConfig) -> Self {
         assert!(num_gpus > 0, "fabric needs at least one GPU");
-        let graph = build_topology(num_gpus, cfg, topo).graph();
+        let graph = TopoGraph::build(num_gpus, cfg, topo);
         let routing = Routing::compute(&graph);
         Fabric {
             num_gpus,

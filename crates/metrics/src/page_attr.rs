@@ -1,7 +1,7 @@
 //! Per-page attribute tracking: private vs shared, read vs read-write
 //! (paper §IV-B, Figs. 4 and 9).
 
-use grit_sim::{AccessKind, AccessStream, GpuId, GpuSet, PageId, PageVec};
+use grit_sim::{AccessKind, GpuId, GpuSet, PageId, PageVec, SliceStream};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PageRecord {
@@ -127,9 +127,9 @@ impl PageAttrTracker {
     /// # Panics
     ///
     /// Panics if an access lies at or past the footprint.
-    pub fn from_streams<S: AccessStream>(
+    pub fn from_streams(
         footprint_pages: u64,
-        streams: impl IntoIterator<Item = S>,
+        streams: impl IntoIterator<Item = SliceStream>,
     ) -> Self {
         let mut t = PageAttrTracker::new(footprint_pages);
         for (g, mut stream) in streams.into_iter().enumerate() {

@@ -8,8 +8,8 @@
 //! chaos scenario replays identically on every run and at any worker
 //! count: the same bytes always flow before the same fault fires.
 //!
-//! This is the service-layer twin of `grit-inject`'s hardware fault
-//! schedule (PR 5): the simulated machine and the machinery serving it
+//! This is the service-layer twin of the hardware fault schedule in
+//! `grit_sim::inject`: the simulated machine and the machinery serving it
 //! are both exercised under deterministic, reproducible failure.
 
 use std::io::{Read, Write};

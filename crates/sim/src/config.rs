@@ -8,7 +8,8 @@
 use std::error::Error;
 use std::fmt;
 
-use grit_inject::InjectConfig;
+use crate::graph::TopoGraph;
+use crate::inject::{FaultPlan, InjectConfig};
 
 /// Bytes per cache line (and per remote fetch, §II-B2).
 pub const CACHE_LINE_BYTES: u64 = 64;
@@ -92,7 +93,7 @@ pub const ACCESS_COUNTER_THRESHOLD_DEFAULT: u32 = 256;
 ///
 /// Under [`PageSizeMode::Uniform4k`] the simulator behaves exactly as it
 /// always has: every mapping is a base page of `SimConfig::page_size`
-/// bytes and the `grit-pagesize` subsystem is inert.
+/// bytes and the driver's large-page table is inert.
 /// [`PageSizeMode::Mixed`] turns on the two-level page-state model where
 /// base pages live inside 2 MB large-page frames: the driver coalesces a
 /// frame once every base page in it is resident on one GPU with no
@@ -239,11 +240,8 @@ impl Default for LinkConfig {
     }
 }
 
-/// Which interconnect topology the fabric instantiates.
-///
-/// The descriptor lives here (rather than in `grit-topo`, which turns it
-/// into a routed link graph) so that [`SimConfig`] — the foundation type
-/// every layer shares — can carry it without a dependency cycle.
+/// Which interconnect topology the fabric instantiates;
+/// [`TopoGraph::build`] lays out its wires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TopologyKind {
     /// Dedicated duplex NVLink per GPU pair (DGX-style, today's default).
@@ -384,6 +382,20 @@ impl TopologyConfig {
     }
 }
 
+/// The `--topology` string that [`TopologyConfig::parse`] reads back: the
+/// kind name, radix-qualified for an NvSwitch fabric whose planes differ
+/// from the default radix.
+impl fmt::Display for TopologyConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let default_radix = TopologyConfig::of(self.kind).switch_radix;
+        if self.kind == TopologyKind::NvSwitch && self.switch_radix != default_radix {
+            write!(f, "{}:{}", self.name(), self.switch_radix)
+        } else {
+            f.write_str(self.name())
+        }
+    }
+}
+
 /// Fixed latencies charged by the UVM driver model and memory system.
 ///
 /// These are the calibration knobs of the reproduction: the paper inherits
@@ -506,7 +518,7 @@ pub struct SimConfig {
     pub access_counter_threshold: u32,
     /// Interconnect parameters.
     pub links: LinkConfig,
-    /// Interconnect topology (all-to-all by default; see `grit-topo`).
+    /// Interconnect topology (all-to-all by default; see [`TopoGraph`]).
     pub topology: TopologyConfig,
     /// Latency model.
     pub lat: LatencyConfig,
@@ -608,7 +620,8 @@ impl SimConfig {
     ///
     /// Returns the first violated constraint (zero GPUs, >16 GPUs,
     /// non-power-of-two page size, cache geometry that does not divide
-    /// evenly, or a capacity ratio outside `(0, 2]`).
+    /// evenly, a capacity ratio outside `(0, 2]`, or a fault plan naming
+    /// a wire or GPU the machine lacks).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_gpus == 0 {
             return Err(ConfigError::new("num_gpus", "must be at least 1"));
@@ -668,21 +681,9 @@ impl SimConfig {
             return Err(ConfigError::new("links", "bandwidths must be positive"));
         }
         self.topology.validate()?;
-        for ev in &self.inject.events {
-            let gpu = match *ev {
-                grit_inject::FaultSpec::Retire { gpu, .. }
-                | grit_inject::FaultSpec::Storm { gpu, .. } => gpu as usize,
-                _ => continue,
-            };
-            if gpu >= self.num_gpus {
-                return Err(ConfigError::new(
-                    "inject",
-                    format!(
-                        "event targets gpu {gpu}, but the system has {} GPUs",
-                        self.num_gpus
-                    ),
-                ));
-            }
+        if !self.inject.is_empty() {
+            let wires = TopoGraph::build(self.num_gpus, self.links, self.topology).links.len();
+            FaultPlan::compile(&self.inject, wires, self.num_gpus)?;
         }
         Ok(())
     }
@@ -904,6 +905,8 @@ mod tests {
             let cfg = TopologyConfig::parse(kind.name()).unwrap();
             assert_eq!(cfg.kind, kind);
             assert_eq!(cfg.name(), kind.name());
+            // Display is parse's inverse.
+            assert_eq!(TopologyConfig::parse(&cfg.to_string()), Ok(cfg));
         }
         assert!(TopologyConfig::parse("torus").is_err());
     }
@@ -913,6 +916,14 @@ mod tests {
         let cfg = TopologyConfig::parse("nvswitch:4").unwrap();
         assert_eq!(cfg.kind, TopologyKind::NvSwitch);
         assert_eq!(cfg.switch_radix, 4);
+        assert_eq!(cfg.to_string(), "nvswitch:4");
+        // A non-default radix prints, and parses back; the default does not.
+        let wide = TopologyConfig::parse("nvswitch:16").unwrap();
+        assert_eq!(TopologyConfig::parse(&wide.to_string()), Ok(wide));
+        assert_eq!(
+            TopologyConfig::parse("nvswitch:8").unwrap().to_string(),
+            "nvswitch"
+        );
         assert!(TopologyConfig::parse("ring:4").is_err());
         assert!(TopologyConfig::parse("nvswitch:zero").is_err());
     }

@@ -2,10 +2,9 @@
 //!
 //! Everything a batch executor needs to keep running when one experiment
 //! cell goes wrong: [`CellError`] is the typed per-cell failure surfaced
-//! in results and reports, [`GritError`] is the crate-family-wide error
-//! wrapping configuration and cell failures, and [`CancelToken`]
-//! carries soft wall-clock budgets and batch-wide abort flags into the
-//! simulation hot loop.
+//! in results and reports (a configuration failure included), and
+//! [`CancelToken`] carries soft wall-clock budgets and batch-wide abort
+//! flags into the simulation hot loop.
 
 use std::error::Error;
 use std::fmt;
@@ -88,57 +87,6 @@ impl Error for CellError {
 impl From<ConfigError> for CellError {
     fn from(e: ConfigError) -> Self {
         CellError::Config(e)
-    }
-}
-
-/// The unified error of the GRIT crate family: everything that can go
-/// wrong building or running a simulation.
-#[derive(Clone, Debug, PartialEq)]
-pub enum GritError {
-    /// A configuration failed [`crate::SimConfig::validate`] (or a
-    /// structural precondition such as a workload/GPU-count mismatch).
-    Config(ConfigError),
-    /// A cell-level execution failure (panic, timeout, cancellation,
-    /// invariant violation).
-    Cell(CellError),
-}
-
-impl fmt::Display for GritError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GritError::Config(e) => write!(f, "{e}"),
-            GritError::Cell(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for GritError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            GritError::Config(e) => Some(e),
-            GritError::Cell(e) => Some(e),
-        }
-    }
-}
-
-impl From<ConfigError> for GritError {
-    fn from(e: ConfigError) -> Self {
-        GritError::Config(e)
-    }
-}
-
-impl From<CellError> for GritError {
-    fn from(e: CellError) -> Self {
-        GritError::Cell(e)
-    }
-}
-
-impl From<GritError> for CellError {
-    fn from(e: GritError) -> Self {
-        match e {
-            GritError::Config(c) => CellError::Config(c),
-            GritError::Cell(c) => c,
-        }
     }
 }
 
@@ -320,23 +268,16 @@ mod tests {
     }
 
     #[test]
-    fn grit_error_wraps_and_converts() {
+    fn config_errors_convert_into_cell_errors() {
         let cfg_err = ConfigError {
             field: "num_gpus",
             reason: "must be at least 1".into(),
         };
-        let g: GritError = cfg_err.clone().into();
-        assert!(matches!(g, GritError::Config(_)));
-        assert!(g.to_string().contains("num_gpus"));
-        let c: CellError = g.into();
+        let c: CellError = cfg_err.clone().into();
         assert_eq!(c, CellError::Config(cfg_err));
-        let back: GritError = CellError::Cancelled.into();
-        assert!(matches!(back, GritError::Cell(CellError::Cancelled)));
+        assert!(c.to_string().contains("num_gpus"));
+        assert_eq!(c.status(), "config-error");
         // Source chains terminate at the config error.
-        let e = GritError::Config(ConfigError {
-            field: "x",
-            reason: "y".into(),
-        });
-        assert!(std::error::Error::source(&e).is_some());
+        assert!(std::error::Error::source(&c).is_some());
     }
 }

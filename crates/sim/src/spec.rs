@@ -21,7 +21,7 @@
 use std::time::Duration;
 
 use crate::config::{ConfigError, SimConfig, TopologyConfig};
-use grit_inject::InjectConfig;
+use crate::inject::InjectConfig;
 
 /// Default experiment scale (fraction of the paper's working-set size);
 /// must agree with `ExpConfig::default()` in the top-level crate.
@@ -238,7 +238,8 @@ impl RunSpec {
     /// or `intensity` is not a finite positive number, a topology or
     /// inject spec fails to parse, the timeout is not a valid duration
     /// ([`timeout_from_secs`]), or the resulting configuration fails
-    /// [`SimConfig::validate`].
+    /// [`SimConfig::validate`] (which also checks the fault plan against
+    /// the machine's wires and GPUs).
     pub fn apply_to(&self, cfg: &mut SimConfig) -> Result<(), ConfigError> {
         for (field, value) in [("scale", self.scale), ("intensity", self.intensity)] {
             if !(value.is_finite() && value > 0.0) {
@@ -263,8 +264,7 @@ impl RunSpec {
                 TopologyConfig::parse(spec).map_err(|e| ConfigError::new("topology", e))?;
         }
         if let Some(spec) = &self.inject {
-            cfg.inject =
-                InjectConfig::parse(spec).map_err(|e| ConfigError::new("inject", e.to_string()))?;
+            cfg.inject = InjectConfig::parse(spec)?;
         }
         if let Some(secs) = self.timeout_secs {
             timeout_from_secs(secs)?;
@@ -350,6 +350,18 @@ mod tests {
 
         let err = RunSpec::default().inject("explode@now").apply_to(&mut cfg).unwrap_err();
         assert_eq!(err.field, "inject");
+
+        // A plan is checked against the machine it runs on: a wire or a
+        // GPU the default 4-GPU fabric lacks is rejected up front.
+        for (bad, needle) in [
+            ("outage@0:wire=99:for=10", "wire 99"),
+            ("retire@0:gpu=9:frames=1", "gpu 9"),
+        ] {
+            let err = RunSpec::default().inject(bad).apply_to(&mut SimConfig::default());
+            let err = err.unwrap_err();
+            assert_eq!(err.field, "inject", "{bad}");
+            assert!(err.reason.contains(needle), "{bad}: {err}");
+        }
 
         // The removed second large-page mode is rejected, not aliased.
         for bad in ["huge", "uniform2m"] {

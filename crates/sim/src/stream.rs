@@ -1,38 +1,13 @@
-//! Access-stream abstraction connecting workload generators to the
+//! The per-GPU access stream connecting workload generators to the
 //! simulator.
 
 use std::sync::Arc;
 
 use crate::access::Access;
 
-/// A lazily generated, per-GPU sequence of memory accesses.
-///
-/// Implementors are the workload generators in `grit-workloads`; the system
-/// runner pulls one access at a time so multi-hundred-million-access traces
-/// never need to be materialized.
-pub trait AccessStream {
-    /// Produces the next access, or `None` when the GPU's work is done.
-    fn next_access(&mut self) -> Option<Access>;
-
-    /// Optional estimate of the total accesses this stream will produce
-    /// (used only for progress reporting; `None` if unknown).
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Blanket impl so `Box<dyn AccessStream>` is itself a stream.
-impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
-    fn next_access(&mut self) -> Option<Access> {
-        (**self).next_access()
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
-    }
-}
-
-/// A stream backed by a pre-materialized, immutably shared trace.
+/// A per-GPU sequence of memory accesses, backed by a pre-materialized,
+/// immutably shared trace. Workload generators in `grit-workloads` build
+/// one per GPU; the system runner pulls one access at a time.
 ///
 /// The trace lives behind an `Arc<[Access]>`, so cloning a stream (or
 /// re-running the same workload under a different policy) shares the
@@ -40,7 +15,7 @@ impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
 /// shared trace plus a private cursor.
 ///
 /// ```
-/// use grit_sim::{Access, AccessStream, PageId, SliceStream};
+/// use grit_sim::{Access, PageId, SliceStream};
 /// let mut s = SliceStream::new(vec![Access::read(PageId(1), 0)]);
 /// assert!(s.next_access().is_some());
 /// assert!(s.next_access().is_none());
@@ -91,19 +66,14 @@ impl SliceStream {
     pub fn remaining(&self) -> usize {
         self.trace.len() - self.pos
     }
-}
 
-impl AccessStream for SliceStream {
-    fn next_access(&mut self) -> Option<Access> {
+    /// Produces the next access, or `None` when the GPU's work is done.
+    pub fn next_access(&mut self) -> Option<Access> {
         let a = self.trace.get(self.pos).copied();
         if a.is_some() {
             self.pos += 1;
         }
         a
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.trace.len() as u64)
     }
 }
 
@@ -122,21 +92,12 @@ mod tests {
     fn slice_stream_yields_in_order_then_none() {
         let acc = vec![Access::read(PageId(1), 0), Access::write(PageId(2), 1)];
         let mut s = SliceStream::new(acc.clone());
-        assert_eq!(s.len_hint(), Some(2));
+        assert_eq!(s.remaining(), 2);
         assert_eq!(s.next_access(), Some(acc[0]));
         assert_eq!(s.remaining(), 1);
         assert_eq!(s.next_access(), Some(acc[1]));
         assert_eq!(s.next_access(), None);
         assert_eq!(s.next_access(), None);
-    }
-
-    #[test]
-    fn boxed_stream_is_a_stream() {
-        let mut s: Box<dyn AccessStream> =
-            Box::new(SliceStream::new(vec![Access::read(PageId(9), 5)]));
-        assert_eq!(s.len_hint(), Some(1));
-        assert!(s.next_access().is_some());
-        assert!(s.next_access().is_none());
     }
 
     #[test]

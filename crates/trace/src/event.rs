@@ -8,7 +8,6 @@
 //! `"type"` discriminant; see `tests/golden_jsonl.rs` for the frozen schema.
 
 use crate::json::Json;
-use grit_pagesize::SplinterCause;
 use grit_sim::{Cycle, GpuId, InjectedKind, MemLoc, PageId, Scheme};
 
 /// Version tag of the JSONL event schema.
@@ -190,6 +189,31 @@ pub enum TraceEvent {
         /// Why the frame splintered.
         cause: SplinterCause,
     },
+}
+
+/// Why a large page splintered back to base pages.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SplinterCause {
+    /// Another GPU began sharing the frame: a remote writer collapsed a
+    /// page to exclusive ownership, a page was duplicated to a peer, or
+    /// a base page migrated away from the frame's owner.
+    FalseSharing,
+    /// Capacity pressure evicted part of the frame (or staged it to the
+    /// host), leaving the range partially resident.
+    Eviction,
+    /// ECC frame retirement force-evicted part of the range.
+    Retirement,
+}
+
+impl SplinterCause {
+    /// Stable label used in trace events and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            SplinterCause::FalseSharing => "false-sharing",
+            SplinterCause::Eviction => "eviction",
+            SplinterCause::Retirement => "retirement",
+        }
+    }
 }
 
 /// Fault classification mirroring `grit_uvm::FaultKind`.

@@ -31,7 +31,8 @@ pub mod sink;
 pub mod writer;
 
 pub use event::{
-    events_to_jsonl, CategoryMask, EventCategory, FaultClass, LinkKind, TraceEvent, TRACE_SCHEMA,
+    events_to_jsonl, CategoryMask, EventCategory, FaultClass, LinkKind, SplinterCause, TraceEvent,
+    TRACE_SCHEMA,
 };
 pub use json::Json;
 pub use report::{
@@ -40,3 +41,22 @@ pub use report::{
 };
 pub use sink::{TraceConfig, Tracer};
 pub use writer::CellMeta;
+
+// Tests of the event payload enums (the `event` module).
+#[cfg(test)]
+mod tests {
+    use crate::SplinterCause;
+
+    #[test]
+    fn splinter_cause_labels_round_trip() {
+        // Each label names exactly one cause, so a trace reader can map it
+        // back.
+        let all = [
+            SplinterCause::FalseSharing,
+            SplinterCause::Eviction,
+            SplinterCause::Retirement,
+        ];
+        let labels: Vec<&str> = all.iter().map(|c| c.name()).collect();
+        assert_eq!(labels, ["false-sharing", "eviction", "retirement"]);
+    }
+}

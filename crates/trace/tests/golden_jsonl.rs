@@ -5,9 +5,10 @@
 //! breaks, so either fix the regression or consciously update the golden
 //! file (and bump the schema note in DESIGN.md §10).
 
-use grit_pagesize::SplinterCause;
 use grit_sim::{GpuId, InjectedKind, MemLoc, PageId, Scheme};
-use grit_trace::{events_to_jsonl, EventCategory, FaultClass, Json, LinkKind, TraceEvent};
+use grit_trace::{
+    events_to_jsonl, EventCategory, FaultClass, Json, LinkKind, SplinterCause, TraceEvent,
+};
 
 fn golden_events() -> Vec<TraceEvent> {
     let g = GpuId::new;

@@ -19,16 +19,16 @@
 use grit_interconnect::Fabric;
 use grit_mem::{GpuMemory, LocalPageTable, Mapping};
 use grit_metrics::{FaultCounters, LatencyBreakdown, LatencyClass, LatencyHistogram};
-use grit_pagesize::{LargePageTable, SplinterCause};
 use grit_prof::{span, Phase};
 use grit_sim::{
     AccessKind, Backoff, ConfigError, Cycle, FaultPlan, GpuId, InjectedKind, MemLoc, PageId,
     ResilienceCounters, Scheme, SimConfig, CACHE_LINE_BYTES,
 };
-use grit_trace::{EventCategory, FaultClass, TraceEvent, Tracer};
+use grit_trace::{EventCategory, FaultClass, SplinterCause, TraceEvent, Tracer};
 
 use crate::central::CentralPageTable;
 use crate::counters::AccessCounters;
+use crate::pagesize::LargePageTable;
 use crate::policy::{
     Directive, FaultInfo, FaultKind, PlacementPolicy, PolicyDecision, Resolution, WriteMode,
 };
@@ -210,8 +210,7 @@ impl UvmDriver {
         let cap = ((footprint_pages as f64 * cfg.capacity_ratio).ceil() as usize).max(1);
         let next_epoch = policy.epoch_len();
         let mut fabric = Fabric::with_topology(cfg.num_gpus, cfg.links, cfg.topology);
-        let plan = FaultPlan::compile(&cfg.inject, fabric.num_wire_links(), cfg.num_gpus)
-            .map_err(|e| ConfigError::new("inject", e.to_string()))?;
+        let plan = FaultPlan::compile(&cfg.inject, fabric.num_wire_links(), cfg.num_gpus)?;
         if !plan.is_empty() {
             fabric.set_fault_plan(plan.clone());
         }
@@ -303,12 +302,6 @@ impl UvmDriver {
     /// Read access to the large-page table (coalesced frames, counters).
     pub fn large_pages(&self) -> &LargePageTable {
         &self.large
-    }
-
-    /// The fixed-order `pagesize_counters` aux series (see
-    /// `grit_pagesize::PageSizeCounters::to_series`).
-    pub fn pagesize_series(&self) -> Vec<f64> {
-        self.large.counter_series()
     }
 
     /// Effective placement scheme of a page (Fig. 19 metric); pages with
@@ -1778,7 +1771,7 @@ mod tests {
         assert_eq!(c.coalesces, 2);
         assert_eq!(d.large_pages().frame_owner(PageId(0)), Some(GpuId::new(1)));
         // The series mirrors the counters (fixed order, 9 slots).
-        let series = d.pagesize_series();
+        let series = d.large_pages().counter_series();
         assert_eq!(series.len(), 9);
         assert_eq!(series[0], 2.0);
     }
@@ -1793,7 +1786,7 @@ mod tests {
             d.record_remote_access(200_000 + i, GpuId::new(1), PageId(7));
         }
         assert_eq!(d.coalesced_frame(PageId(7)), None);
-        assert_eq!(d.pagesize_series(), vec![0.0; 9]);
+        assert_eq!(d.large_pages().counter_series(), vec![0.0; 9]);
     }
 
     struct Ideal;

@@ -13,9 +13,8 @@
 use proptest::prelude::*;
 
 use grit_mem::Mapping;
-use grit_pagesize::SplinterCause;
 use grit_sim::{AccessKind, GpuId, InjectConfig, MemLoc, PageId, PageSizeMode, Scheme, SimConfig};
-use grit_trace::{EventCategory, TraceConfig, TraceEvent, Tracer};
+use grit_trace::{EventCategory, SplinterCause, TraceConfig, TraceEvent, Tracer};
 use grit_uvm::{FaultInfo, FaultKind, StaticPolicy, UvmDriver, WriteMode};
 
 /// Eight 2 MB frames of four base pages each in mixed mode.

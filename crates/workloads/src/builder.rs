@@ -224,7 +224,6 @@ impl MultiGpuWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grit_sim::AccessStream;
 
     #[test]
     fn every_app_generates_for_every_gpu() {

@@ -180,7 +180,7 @@ pub fn write_trace<W: Write>(workload: &MultiGpuWorkload, mut w: W) -> Result<()
         }
         let mut s = stream.clone();
         w.write_all(&(s.remaining() as u64).to_le_bytes())?;
-        while let Some(a) = grit_sim::AccessStream::next_access(&mut s) {
+        while let Some(a) = s.next_access() {
             w.write_all(&a.vpn.vpn().to_le_bytes())?;
             w.write_all(&a.line.to_le_bytes())?;
             w.write_all(&[u8::from(a.is_write())])?;
@@ -282,7 +282,6 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<MultiGpuWorkload, TraceIoError> {
 mod tests {
     use super::*;
     use crate::builder::WorkloadBuilder;
-    use grit_sim::AccessStream;
 
     fn sample(app: App) -> MultiGpuWorkload {
         WorkloadBuilder::new(app).scale(0.015).intensity(0.5).seed(3).build()

@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 
-use grit_sim::AccessStream;
 use grit_workloads::{App, WorkloadBuilder};
 
 fn app_strategy() -> impl Strategy<Value = App> {

@@ -3,7 +3,6 @@
 //! layer or block count can exceed the pages left for it.
 
 use grit_sim::spec::DEFAULT_INTENSITY;
-use grit_sim::AccessStream;
 use grit_workloads::{App, WorkloadBuilder};
 
 #[test]

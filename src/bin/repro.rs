@@ -1214,7 +1214,7 @@ type CampaignYield = (Vec<grit_serve::CellResult>, Vec<(u64, Json)>, Vec<String>
 /// attempt is made and any failure is final. With `retry`, connection
 /// failures, timeouts, and `busy` admission rejections trigger a
 /// reconnect that resubmits only the still-unresolved ids, backing off
-/// on the capped exponential schedule of [`grit_inject::Backoff`]
+/// on the capped exponential schedule of [`grit_sim::Backoff`]
 /// (2s/4s/8s/16s; base overridable via `GRIT_SUBMIT_RETRY_BASE_MS` for
 /// tests, floor also raised to any server-sent `retry_after_ms`).
 /// Resubmission is idempotent: the server keys its result store by
@@ -1231,7 +1231,7 @@ fn run_served_campaign(
     shutdown: bool,
     retry: bool,
 ) -> Result<CampaignYield, String> {
-    let mut backoff = grit_inject::Backoff::default();
+    let mut backoff = grit_sim::Backoff::default();
     if let Some(ms) = env::var("GRIT_SUBMIT_RETRY_BASE_MS")
         .ok()
         .and_then(|raw| raw.parse::<u64>().ok())

@@ -47,9 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use grit_sim::{
-    CancelState, CancelToken, CellError, RunSpec, SimConfig, TopologyConfig, TopologyKind,
-};
+use grit_sim::{CancelState, CancelToken, CellError, RunSpec, SimConfig};
 use grit_trace::{writer as trace_writer, CellMeta, CellTiming, TraceConfig, Tracer};
 use grit_uvm::{PlacementPolicy, Prefetcher};
 use grit_workloads::{App, MultiGpuWorkload};
@@ -217,7 +215,7 @@ impl CellSpec {
             spec = spec.page_size_mode(self.cfg.page_size_mode.name());
         }
         if self.cfg.topology != d.topology {
-            spec = spec.topology(topology_label(&self.cfg.topology));
+            spec = spec.topology(self.cfg.topology.to_string());
         }
         if !self.cfg.inject.is_empty() {
             spec = spec.inject(self.cfg.inject.to_string());
@@ -309,7 +307,7 @@ impl CellSpec {
         }
         let sim = builder.build().map_err(CellError::Config)?;
         let sim_start = Instant::now();
-        let mut out = sim.try_run().map_err(CellError::from)?;
+        let mut out = sim.try_run()?;
         out.timing = CellTiming {
             build_seconds,
             sim_seconds: sim_start.elapsed().as_secs_f64(),
@@ -507,18 +505,6 @@ fn apply_cell_overrides(mut cfg: SimConfig) -> SimConfig {
         eprintln!("override spec: {e}");
     }
     cfg
-}
-
-/// How a [`TopologyConfig`] is named on the [`RunSpec`] surface: the
-/// `--topology` grammar string that parses back to it (radix-qualified
-/// for non-default NVSwitch planes).
-fn topology_label(t: &TopologyConfig) -> String {
-    if t.kind == TopologyKind::NvSwitch && t.switch_radix != TopologyConfig::of(t.kind).switch_radix
-    {
-        format!("nvswitch:{}", t.switch_radix)
-    } else {
-        t.name().to_string()
-    }
 }
 
 /// Installs the process-wide [`BatchOptions`] that
@@ -803,7 +789,7 @@ pub fn run_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grit_sim::Scheme;
+    use grit_sim::{Scheme, TopologyConfig, TopologyKind};
 
     fn exp() -> ExpConfig {
         ExpConfig {

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates GRIT on healthy hardware; this study asks how
 //! gracefully each policy degrades when the node gets sick. Three
-//! deterministic fault scenarios from `grit-inject` — whole-fabric
+//! deterministic fault scenarios ([`grit_sim::inject`]) — whole-fabric
 //! bandwidth degradation, transient full-fabric outages, and ECC frame
 //! retirement — are swept against GPU count with GRIT, on-touch and
 //! first-touch over the Table II applications, through the resilient

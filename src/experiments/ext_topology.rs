@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates GRIT on an all-to-all NVLink node; this study asks
 //! how its advantage holds up when the wires get shared. Every topology
-//! from `grit-topo` is swept against GPU count with GRIT and the on-touch
+//! shape ([`grit_sim::TopologyKind`]) is swept against GPU count with GRIT and the on-touch
 //! baseline over the Table II applications, through the resilient batch
 //! harness (so `--jobs`, `--resume` and `run_report.json` all apply).
 //!

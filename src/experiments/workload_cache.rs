@@ -178,7 +178,6 @@ pub fn shared_workload_tracked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grit_sim::AccessStream;
 
     fn exp(seed: u64) -> ExpConfig {
         ExpConfig {

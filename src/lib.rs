@@ -55,8 +55,8 @@ pub mod prelude {
         CampaignOutcome, CellResult, ServeClient, ServeOptions, ServeSummary, SERVE_SCHEMA,
     };
     pub use grit_sim::{
-        Access, AccessKind, CancelToken, CellError, ConfigError, Cycle, GpuId, GritError, PageId,
-        RunSpec, Scheme, SimConfig, PAGE_SIZE_2M, PAGE_SIZE_4K,
+        Access, AccessKind, CancelToken, CellError, ConfigError, Cycle, GpuId, PageId, RunSpec,
+        Scheme, SimConfig, PAGE_SIZE_2M, PAGE_SIZE_4K,
     };
     pub use grit_uvm::{PlacementPolicy, StaticPolicy, UvmDriver};
     pub use grit_workloads::{App, MultiGpuWorkload, WorkloadBuilder};

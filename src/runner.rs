@@ -17,8 +17,8 @@ use grit_metrics::{
 };
 use grit_prof::{span, Phase};
 use grit_sim::{
-    Access, AccessKind, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle,
-    GpuId, GritError, MemLoc, MlpWindow, PageId, PageVec, SimConfig, SliceStream,
+    Access, AccessKind, CancelState, CancelToken, CellError, ConfigError, Cycle, GpuId, MemLoc,
+    MlpWindow, PageId, PageVec, SimConfig, SliceStream,
 };
 use grit_trace::{CellTiming, TraceEvent, Tracer};
 use grit_uvm::{
@@ -432,7 +432,7 @@ impl Simulation {
     /// budget expires, [`CellError::Cancelled`] when the shared abort flag
     /// is raised, and [`CellError::Invariant`] when post-run VM-state
     /// checks fail.
-    pub fn try_run(mut self) -> Result<RunOutput, GritError> {
+    pub fn try_run(mut self) -> Result<RunOutput, CellError> {
         let cancel_active = self.cancel.is_active();
         loop {
             if cancel_active && self.accesses & 0xFFF == 0 {
@@ -475,18 +475,17 @@ impl Simulation {
     }
 
     /// Raises the installed cancellation token's state as an error.
-    fn poll_cancel(&self) -> Result<(), GritError> {
+    fn poll_cancel(&self) -> Result<(), CellError> {
         match self.cancel.poll() {
             CancelState::Running => Ok(()),
-            CancelState::Cancelled => Err(CellError::Cancelled.into()),
+            CancelState::Cancelled => Err(CellError::Cancelled),
             CancelState::TimedOut => {
                 let cycles = self.gpus.iter().map(|g| g.last_done).max().unwrap_or(0);
                 Err(CellError::TimedOut {
                     budget_seconds: self.cancel.budget_seconds(),
                     cycles,
                     accesses: self.accesses,
-                }
-                .into())
+                })
             }
         }
     }
@@ -536,7 +535,7 @@ impl Simulation {
         }
     }
 
-    fn process(&mut self, g: usize, acc: Access) -> Result<(), GritError> {
+    fn process(&mut self, g: usize, acc: Access) -> Result<(), CellError> {
         let gpu = GpuId::new(g as u8);
         let vpn = acc.vpn;
         let issue_base = self.gpus[g].ready + acc.think as Cycle;
@@ -601,9 +600,7 @@ impl Simulation {
             self.tlb_fill(g, vpn);
         }
         let mut mapping = mapping.ok_or_else(|| {
-            GritError::Cell(CellError::Invariant(
-                "fault handling must establish a mapping".into(),
-            ))
+            CellError::Invariant("fault handling must establish a mapping".into())
         })?;
 
         // Writes to read-only replicas: protection fault (collapse) or GPS
@@ -625,9 +622,7 @@ impl Simulation {
             t = t.max(out.done_at);
             apply_outcome(&mut self.gpus, out);
             mapping = out.mapping.ok_or_else(|| {
-                GritError::Cell(CellError::Invariant(
-                    "collapse must leave the writer mapped".into(),
-                ))
+                CellError::Invariant("collapse must leave the writer mapped".into())
             })?;
             self.tlb_fill(g, vpn);
         }
@@ -712,14 +707,14 @@ impl Simulation {
         }
     }
 
-    fn finish(self) -> Result<RunOutput, GritError> {
+    fn finish(self) -> Result<RunOutput, CellError> {
         // The Ideal upper bound deliberately fakes local mappings on every
         // GPU; its state is exempt from the consistency invariants.
         if !self.driver.is_ideal() {
             if let Err(e) = self.driver.check_invariants() {
-                return Err(GritError::Cell(CellError::Invariant(format!(
+                return Err(CellError::Invariant(format!(
                     "VM state invariant violated after run: {e}"
-                ))));
+                )));
             }
         }
         let total_cycles = self.gpus.iter().map(|g| g.last_done).max().unwrap_or(0);
@@ -802,7 +797,10 @@ impl Simulation {
         // Multi-page-size telemetry; only large-page runs carry the
         // series, so uniform-4 KB outputs stay byte-identical.
         if self.driver.large_pages_active() {
-            metrics.set_aux("pagesize_counters", self.driver.pagesize_series());
+            metrics.set_aux(
+                "pagesize_counters",
+                self.driver.large_pages().counter_series(),
+            );
             let (l1_2m, l2_2m): (Vec<f64>, Vec<f64>) = self
                 .gpus
                 .iter()
@@ -1065,11 +1063,11 @@ mod tests {
             .build()
             .unwrap();
         match sim.try_run() {
-            Err(GritError::Cell(CellError::TimedOut {
+            Err(CellError::TimedOut {
                 budget_seconds,
                 accesses,
                 ..
-            })) => {
+            }) => {
                 assert_eq!(budget_seconds, 0.0);
                 assert_eq!(accesses, 0, "zero budget fires before the first access");
             }
@@ -1088,10 +1086,7 @@ mod tests {
         let token = CancelToken::shared();
         token.cancel();
         let sim = SimulationBuilder::new(two_gpu_cfg(), w, policy).cancel(token).build().unwrap();
-        assert!(matches!(
-            sim.try_run(),
-            Err(GritError::Cell(CellError::Cancelled))
-        ));
+        assert!(matches!(sim.try_run(), Err(CellError::Cancelled)));
     }
 
     #[test]

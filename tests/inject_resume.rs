@@ -22,7 +22,7 @@ fn exp() -> ExpConfig {
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("grit-inject-{tag}-{}", std::process::id()));
+    let d = std::env::temp_dir().join(format!("grit-resume-inject-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }

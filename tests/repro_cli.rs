@@ -313,6 +313,10 @@ fn bad_configurations_are_rejected_before_any_target_runs() {
             &["--page-size", "2097152", "--page-size-mode", "mixed"],
             "invalid page_size_mode",
         ),
+        (
+            &["--inject", "outage@0:wire=99:for=10"],
+            "wire 99 out of range",
+        ),
     ] {
         let mut argv = vec!["fig4", "--quick", "--jobs", "2"];
         argv.extend(args);

@@ -120,9 +120,11 @@ fn invalid_specs_become_error_results_not_dead_connections() {
         tiny_spec("BFS", "on-touch"),                // healthy again
         tiny_spec("FIR", "grit").timeout_secs(-1.0), // no such duration
         tiny_spec("FIR", "on-touch"),                // healthy again
+        tiny_spec("FIR", "grit").inject("outage@0:wire=99:for=10"), // no such wire
+        tiny_spec("GEMM", "on-touch"),               // healthy again
     ];
     let results = run_campaign(addr, &specs);
-    assert_eq!(results.len(), 6);
+    assert_eq!(results.len(), 8);
     assert_eq!(results[0].status, "ok");
     assert_eq!(results[1].status, "invalid-spec");
     assert!(results[1].error.as_deref().unwrap_or("").contains("QUAKE"));
@@ -132,6 +134,9 @@ fn invalid_specs_become_error_results_not_dead_connections() {
     assert_eq!(results[4].status, "invalid-spec");
     assert!(results[4].error.as_deref().unwrap_or("").contains("timeout_secs"));
     assert_eq!(results[5].status, "ok");
+    assert_eq!(results[6].status, "invalid-spec");
+    assert!(results[6].error.as_deref().unwrap_or("").contains("wire 99"));
+    assert_eq!(results[7].status, "ok");
 
     // JSON reads `1e400` as infinity: the cell is answered, never built,
     // and the next cell on the same connection still runs.
@@ -155,7 +160,7 @@ fn invalid_specs_become_error_results_not_dead_connections() {
     );
     assert_eq!(next.status, "ok", "{:?}", next.error);
     let summary = handle.join().expect("server thread");
-    assert_eq!(summary.errors, 4);
+    assert_eq!(summary.errors, 5);
 }
 
 #[test]

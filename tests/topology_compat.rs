@@ -3,7 +3,7 @@
 //! be byte-identical to the pre-topology code at `--jobs 1` and `--jobs 4`.
 //!
 //! The `tests/golden/` fixtures were captured from the tree *before*
-//! `grit-topo` landed (same commit series, one commit earlier), so a diff
+//! routed topologies landed (same commit series, one commit earlier), so a diff
 //! here means the refactor changed observable behaviour of the default
 //! fabric. Re-bless only for an intentional model change:
 //! `GRIT_BLESS=1 cargo test --test topology_compat`.
