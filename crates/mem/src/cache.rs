@@ -155,6 +155,21 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         false
     }
 
+    /// Counts a hit on `key`, which the caller knows is already the MRU
+    /// way of its set: the same statistics and LRU order as a hitting
+    /// [`SetAssocCache::get`], without the scan.
+    #[inline]
+    pub(crate) fn hit_mru(&mut self, key: &K) {
+        debug_assert!(self.is_mru(key), "hit_mru on a key that is not MRU");
+        self.stats.hits += 1;
+    }
+
+    /// Whether `key` is the MRU way of its set (no recency or statistics
+    /// effect).
+    fn is_mru(&self, key: &K) -> bool {
+        self.sets[self.set_of(key)].first().is_some_and(|w| &w.key == key)
+    }
+
     /// Looks the key up without touching recency or statistics.
     pub fn peek(&self, key: &K) -> Option<&V> {
         let set = self.set_of(key);
@@ -251,6 +266,22 @@ mod tests {
         assert_eq!(order, vec![4, 1, 3]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 4, 1));
+    }
+
+    #[test]
+    fn hit_mru_counts_like_a_hitting_get() {
+        let mut a: SetAssocCache<u64, ()> = SetAssocCache::new(2, 2);
+        let mut b = a.clone();
+        for c in [&mut a, &mut b] {
+            c.insert(1, ());
+            c.insert(3, ());
+        }
+        assert!(a.is_mru(&3) && !a.is_mru(&1));
+        a.hit_mru(&3);
+        assert!(b.get(&3).is_some());
+        assert_eq!(a.stats(), b.stats());
+        let order = |c: &SetAssocCache<u64, ()>| c.iter().map(|(&k, _)| k).collect::<Vec<_>>();
+        assert_eq!(order(&a), order(&b));
     }
 
     #[test]

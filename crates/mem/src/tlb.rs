@@ -37,6 +37,12 @@ impl Tlb {
         self.cache.get(&vpn).is_some()
     }
 
+    /// Counts a hit on a translation the caller knows is MRU in its set
+    /// (see [`SetAssocCache::hit_mru`]).
+    pub(crate) fn hit_mru(&mut self, vpn: PageId) {
+        self.cache.hit_mru(&vpn);
+    }
+
     /// Installs a translation.
     pub fn fill(&mut self, vpn: PageId) {
         self.cache.insert(vpn, ());
@@ -119,6 +125,15 @@ impl TlbHierarchy {
         (TranslationLevel::Walk, l1_lat + l2_lat)
     }
 
+    /// Replays an L1 hit on `vpn`, which the caller knows is MRU in its
+    /// L1 set: [`TlbHierarchy::translate`] would return
+    /// [`TranslationLevel::L1`] with the same statistics and LRU order.
+    /// Returns the L1 lookup latency.
+    pub fn hit_l1_mru(&mut self, vpn: PageId) -> Cycle {
+        self.l1.hit_mru(vpn);
+        self.l1.lookup_latency()
+    }
+
     /// Installs a translation into both levels (walk completion).
     pub fn fill(&mut self, vpn: PageId) {
         self.l2.fill(vpn);
@@ -187,6 +202,16 @@ mod tests {
         assert_eq!(level, TranslationLevel::L2);
         // Now L1 holds it again.
         assert_eq!(t.translate(PageId(7)).0, TranslationLevel::L1);
+    }
+
+    #[test]
+    fn l1_mru_hit_matches_translate() {
+        let mut a = hierarchy();
+        a.fill(PageId(4));
+        let mut b = a.clone();
+        assert_eq!(a.hit_l1_mru(PageId(4)), 1);
+        assert_eq!(b.translate(PageId(4)), (TranslationLevel::L1, 1));
+        assert_eq!(a.level_stats(), b.level_stats());
     }
 
     #[test]

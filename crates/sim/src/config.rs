@@ -614,7 +614,9 @@ impl SimConfig {
         (PAGE_SIZE_2M / self.page_size).max(1)
     }
 
-    /// Checks internal consistency.
+    /// Checks internal consistency and hands back the compiled fault
+    /// plan ([`FaultPlan::empty`] without `inject` events), so a cell
+    /// compiles its plan once, here.
     ///
     /// # Errors
     ///
@@ -622,7 +624,7 @@ impl SimConfig {
     /// non-power-of-two page size, cache geometry that does not divide
     /// evenly, a capacity ratio outside `(0, 2]`, or a fault plan naming
     /// a wire or GPU the machine lacks).
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub fn validate(&self) -> Result<FaultPlan, ConfigError> {
         if self.num_gpus == 0 {
             return Err(ConfigError::new("num_gpus", "must be at least 1"));
         }
@@ -681,11 +683,11 @@ impl SimConfig {
             return Err(ConfigError::new("links", "bandwidths must be positive"));
         }
         self.topology.validate()?;
-        if !self.inject.is_empty() {
-            let wires = TopoGraph::build(self.num_gpus, self.links, self.topology).links.len();
-            FaultPlan::compile(&self.inject, wires, self.num_gpus)?;
+        if self.inject.is_empty() {
+            return Ok(FaultPlan::empty());
         }
-        Ok(())
+        let wires = TopoGraph::build(self.num_gpus, self.links, self.topology).links.len();
+        FaultPlan::compile(&self.inject, wires, self.num_gpus)
     }
 
     /// The configuration flattened to `(name, value)` pairs, for embedding
@@ -897,6 +899,18 @@ mod tests {
         c.page_size_mode = PageSizeMode::Uniform4k;
         assert!(c.validate().is_ok());
         assert_eq!(c.pages_per_large_frame(), 1);
+    }
+
+    #[test]
+    fn validate_hands_back_the_compiled_fault_plan() {
+        let mut c = SimConfig::default();
+        assert!(c.validate().unwrap().is_empty());
+        c.inject = InjectConfig::parse("outage@10:wire=*:for=5").unwrap();
+        let plan = c.validate().unwrap();
+        let cycles: Vec<u64> = plan.transitions().iter().map(|t| t.cycle).collect();
+        assert_eq!(cycles, [10, 15], "the outage starts and recovers");
+        c.inject = InjectConfig::parse("outage@0:wire=99:for=10").unwrap();
+        assert_eq!(c.validate().unwrap_err().field, "inject");
     }
 
     #[test]

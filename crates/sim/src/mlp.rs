@@ -6,9 +6,12 @@
 //! up to `capacity` operations in flight per GPU: an access may *issue* as
 //! soon as a slot is free, and the GPU's trace front advances at issue time
 //! while the access completes in the background.
+//!
+//! In-flight completions are kept in ascending order: a completion almost
+//! always lands at or after the latest one (it is `push_back`), and
+//! retiring pops from the front.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::Cycle;
 
@@ -26,7 +29,8 @@ use crate::Cycle;
 #[derive(Clone, Debug)]
 pub struct MlpWindow {
     capacity: usize,
-    inflight: BinaryHeap<Reverse<Cycle>>,
+    /// In-flight completion cycles, ascending.
+    inflight: VecDeque<Cycle>,
     last_drain: Cycle,
     stall_cycles: Cycle,
 }
@@ -41,7 +45,7 @@ impl MlpWindow {
         assert!(capacity > 0, "MLP window capacity must be non-zero");
         MlpWindow {
             capacity,
-            inflight: BinaryHeap::with_capacity(capacity + 1),
+            inflight: VecDeque::with_capacity(capacity + 1),
             last_drain: 0,
             stall_cycles: 0,
         }
@@ -52,9 +56,9 @@ impl MlpWindow {
     /// that time.
     pub fn issue_at(&mut self, ready: Cycle) -> Cycle {
         // Retire operations that completed before the GPU is ready anyway.
-        while let Some(&Reverse(t)) = self.inflight.peek() {
+        while let Some(&t) = self.inflight.front() {
             if t <= ready {
-                self.inflight.pop();
+                self.inflight.pop_front();
             } else {
                 break;
             }
@@ -63,7 +67,7 @@ impl MlpWindow {
             ready
         } else {
             // Must wait for the earliest in-flight completion.
-            let Reverse(t) = self.inflight.pop().expect("window non-empty");
+            let t = self.inflight.pop_front().expect("window non-empty");
             let issue = t.max(ready);
             self.stall_cycles += issue - ready;
             issue
@@ -72,17 +76,22 @@ impl MlpWindow {
 
     /// Records that an operation issued earlier will complete at `done`.
     pub fn complete(&mut self, done: Cycle) {
-        self.inflight.push(Reverse(done));
+        match self.inflight.back() {
+            Some(&last) if last > done => {
+                let at = self.inflight.partition_point(|&t| t <= done);
+                self.inflight.insert(at, done);
+            }
+            _ => self.inflight.push_back(done),
+        }
     }
 
     /// Cycle by which everything currently in flight has completed.
     pub fn drain_time(&mut self) -> Cycle {
-        let mut last = self.last_drain;
-        while let Some(Reverse(t)) = self.inflight.pop() {
-            last = last.max(t);
+        if let Some(&t) = self.inflight.back() {
+            self.last_drain = self.last_drain.max(t);
         }
-        self.last_drain = last;
-        last
+        self.inflight.clear();
+        self.last_drain
     }
 
     /// Total cycles issues waited on a full window (issue time minus

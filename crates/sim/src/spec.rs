@@ -269,7 +269,7 @@ impl RunSpec {
         if let Some(secs) = self.timeout_secs {
             timeout_from_secs(secs)?;
         }
-        cfg.validate()
+        cfg.validate().map(drop)
     }
 
     /// Renders the spec as a stable single-line `key=value;` string in

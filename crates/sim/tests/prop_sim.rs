@@ -1,9 +1,56 @@
 //! Property tests for the simulation substrate: MLP window scheduling,
 //! GPU sets, scheme/group encodings and deterministic randomness.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use grit_sim::{GpuId, GpuSet, GroupSize, MlpWindow, PageId, Scheme, SimRng};
+use grit_sim::{Cycle, GpuId, GpuSet, GroupSize, MlpWindow, PageId, Scheme, SimRng};
+
+/// Reference MLP window: in-flight completions in a min-heap, retiring
+/// the earliest first. [`MlpWindow`] must match it step for step.
+struct HeapWindow {
+    capacity: usize,
+    inflight: BinaryHeap<Reverse<Cycle>>,
+    last_drain: Cycle,
+    stall_cycles: Cycle,
+}
+
+impl HeapWindow {
+    fn new(capacity: usize) -> Self {
+        HeapWindow {
+            capacity,
+            inflight: BinaryHeap::new(),
+            last_drain: 0,
+            stall_cycles: 0,
+        }
+    }
+
+    fn issue_at(&mut self, ready: Cycle) -> Cycle {
+        while self.inflight.peek().is_some_and(|&Reverse(t)| t <= ready) {
+            self.inflight.pop();
+        }
+        if self.inflight.len() < self.capacity {
+            return ready;
+        }
+        let Reverse(t) = self.inflight.pop().expect("window non-empty");
+        let issue = t.max(ready);
+        self.stall_cycles += issue - ready;
+        issue
+    }
+
+    fn complete(&mut self, done: Cycle) {
+        self.inflight.push(Reverse(done));
+    }
+
+    fn drain_time(&mut self) -> Cycle {
+        while let Some(Reverse(t)) = self.inflight.pop() {
+            self.last_drain = self.last_drain.max(t);
+        }
+        self.last_drain
+    }
+}
 
 proptest! {
     #[test]
@@ -39,6 +86,41 @@ proptest! {
         }
         prop_assert_eq!(w.drain_time(), max);
         prop_assert_eq!(w.in_flight(), 0);
+    }
+
+    #[test]
+    fn mlp_window_matches_a_heap_reference(
+        capacity in 1usize..6,
+        ops in prop::collection::vec((0u8..4, 0u64..2_000, 0u64..600), 1..300),
+    ) {
+        let mut w = MlpWindow::new(capacity);
+        let mut model = HeapWindow::new(capacity);
+        let mut now = 0;
+        for (op, a, b) in ops {
+            match op {
+                // The runner's pattern: issue at a non-decreasing ready
+                // cycle, then complete some latency later.
+                0 => {
+                    now += a % 50;
+                    let t = w.issue_at(now);
+                    prop_assert_eq!(t, model.issue_at(now));
+                    now = t;
+                    w.complete(t + b);
+                    model.complete(t + b);
+                }
+                // An arbitrary, possibly out-of-order completion.
+                1 => {
+                    w.complete(a);
+                    model.complete(a);
+                }
+                // An issue at an arbitrary ready cycle.
+                2 => prop_assert_eq!(w.issue_at(a), model.issue_at(a)),
+                _ => prop_assert_eq!(w.drain_time(), model.drain_time()),
+            }
+            prop_assert_eq!(w.in_flight(), model.inflight.len());
+            prop_assert_eq!(w.stall_cycles(), model.stall_cycles);
+        }
+        prop_assert_eq!(w.drain_time(), model.drain_time());
     }
 
     #[test]

@@ -129,6 +129,12 @@ pub struct UvmDriver {
     faults: FaultCounters,
     page_insertions: u64,
     next_epoch: Option<Cycle>,
+    /// No epoch boundary and no scheduled fault transition falls before
+    /// this cycle, so [`UvmDriver::maybe_run_epoch`] below it only
+    /// advances the clock. Recomputed whenever that call takes its slow
+    /// path; `handle_fault` and `record_remote_access` may apply
+    /// transitions early, which only leaves it low.
+    next_due: Cycle,
     /// Local + protection faults raised by each GPU (load-imbalance view).
     faults_per_gpu: Vec<u64>,
     /// End-to-end fault-handling latency distribution (fault raise to
@@ -200,7 +206,23 @@ impl UvmDriver {
         footprint_pages: u64,
         policy: Box<dyn PlacementPolicy>,
     ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        let plan = cfg.validate()?;
+        UvmDriver::with_fault_plan(cfg, footprint_pages, policy, plan)
+    }
+
+    /// Builds a driver from a configuration that already passed
+    /// [`SimConfig::validate`], with the fault plan that call returned;
+    /// only the footprint is checked here.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] on `footprint_pages` when the footprint is zero.
+    pub fn with_fault_plan(
+        cfg: SimConfig,
+        footprint_pages: u64,
+        policy: Box<dyn PlacementPolicy>,
+        plan: FaultPlan,
+    ) -> Result<Self, ConfigError> {
         if footprint_pages == 0 {
             return Err(ConfigError::new(
                 "footprint_pages",
@@ -210,7 +232,6 @@ impl UvmDriver {
         let cap = ((footprint_pages as f64 * cfg.capacity_ratio).ceil() as usize).max(1);
         let next_epoch = policy.epoch_len();
         let mut fabric = Fabric::with_topology(cfg.num_gpus, cfg.links, cfg.topology);
-        let plan = FaultPlan::compile(&cfg.inject, fabric.num_wire_links(), cfg.num_gpus)?;
         if !plan.is_empty() {
             fabric.set_fault_plan(plan.clone());
         }
@@ -237,6 +258,7 @@ impl UvmDriver {
             faults: FaultCounters::default(),
             page_insertions: 0,
             next_epoch,
+            next_due: 0,
             faults_per_gpu: vec![0; cfg.num_gpus],
             fault_latency: LatencyHistogram::new(),
             fault_occupancy: LatencyHistogram::new(),
@@ -628,9 +650,17 @@ impl UvmDriver {
     /// injections due by `now` are applied first either way. `None` when
     /// neither ran.
     pub fn maybe_run_epoch(&mut self, now: Cycle) -> Option<&DriverOutcome> {
+        if now < self.next_due {
+            self.clock = self.clock.max(now);
+            return None;
+        }
         self.begin(now);
         let injected = self.apply_injections(now).is_some();
         let epoch = self.run_due_epoch(now);
+        let transition = self.plan.transitions().get(self.next_transition);
+        self.next_due = transition
+            .map_or(Cycle::MAX, |tr| tr.cycle)
+            .min(self.next_epoch.unwrap_or(Cycle::MAX));
         (injected || epoch).then_some(&self.out)
     }
 

@@ -26,20 +26,40 @@ use grit_uvm::{
 };
 use grit_workloads::MultiGpuWorkload;
 
-/// L2 data-cache key: page + generation + line. Bumping a page's
-/// generation on invalidation makes all of its cached lines unreachable in
-/// O(1) instead of scanning the cache.
+/// Data-cache key: page, generation and line packed losslessly into one
+/// word, `vpn‹64› | generation‹32› | line‹16›`, so a way compares in one
+/// step. Bumping a page's generation on invalidation makes all of its
+/// cached lines unreachable in O(1) instead of scanning the cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct LineKey {
-    vpn: PageId,
-    generation: u32,
-    line: u16,
+struct LineKey(u128);
+
+impl LineKey {
+    fn new(vpn: PageId, generation: u32, line: u16) -> Self {
+        LineKey(u128::from(vpn.vpn()) << 48 | u128::from(generation) << 16 | u128::from(line))
+    }
+
+    fn vpn(self) -> PageId {
+        PageId((self.0 >> 48) as u64)
+    }
 }
 
 impl CacheKey for LineKey {
     fn index(&self) -> u64 {
-        (self.vpn.vpn() << 6) | self.line as u64 & 0x3f
+        (self.vpn().vpn() << 6) | self.0 as u64 & 0x3f
     }
+}
+
+/// A GPU's most recent translation, valid until the next driver outcome
+/// is applied. Its TLB key is MRU in the L1 TLB of the hierarchy that
+/// holds it: only the GPU's own accesses touch its TLBs, and the
+/// invalidations that could remove the key arrive through an outcome.
+#[derive(Clone, Copy, Debug)]
+struct LastTranslation {
+    vpn: PageId,
+    mapping: Mapping,
+    /// The 2 MB frame key when the 2 MB hierarchy holds the
+    /// translation; `None` for the base-page hierarchy.
+    large: Option<PageId>,
 }
 
 /// One GPU's frontend state.
@@ -63,6 +83,7 @@ struct GpuFrontend {
     l1: SetAssocCache<LineKey, ()>,
     l2: SetAssocCache<LineKey, ()>,
     line_generation: PageVec<u32>,
+    last: Option<LastTranslation>,
     finished: bool,
     last_done: Cycle,
 }
@@ -89,6 +110,7 @@ impl GpuFrontend {
             l1: SetAssocCache::with_entries(cfg.l1_cache.entries, cfg.l1_cache.ways),
             l2: SetAssocCache::with_entries(cfg.l2_cache.entries, cfg.l2_cache.ways),
             line_generation: PageVec::new(footprint_pages),
+            last: None,
             finished: false,
             last_done: 0,
         }
@@ -100,11 +122,7 @@ impl GpuFrontend {
     }
 
     fn line_key(&self, vpn: PageId, line: u16) -> LineKey {
-        LineKey {
-            vpn,
-            generation: *self.line_generation.get(vpn),
-            line,
-        }
+        LineKey::new(vpn, *self.line_generation.get(vpn), line)
     }
 
     fn invalidate_page(&mut self, vpn: PageId) {
@@ -123,8 +141,13 @@ impl GpuFrontend {
 }
 
 /// Applies a driver operation's side effects to the GPU frontends. The
-/// driver clears its outcome at its next call, so this runs first.
+/// driver clears its outcome at its next call, so this runs first. Every
+/// GPU's last translation is dropped: the operation may have remapped,
+/// invalidated, coalesced or splintered any page.
 fn apply_outcome(gpus: &mut [GpuFrontend], out: &DriverOutcome) {
+    for f in gpus.iter_mut() {
+        f.last = None;
+    }
     for &(gpu, until) in &out.stalls {
         let f = &mut gpus[gpu.index()];
         f.ready = f.ready.max(until);
@@ -352,7 +375,7 @@ impl Simulation {
         workload: MultiGpuWorkload,
         policy: Box<dyn PlacementPolicy>,
     ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        let plan = cfg.validate()?;
         if workload.streams.len() != cfg.num_gpus {
             return Err(ConfigError::new(
                 "workload",
@@ -364,7 +387,8 @@ impl Simulation {
                 ),
             ));
         }
-        let driver = UvmDriver::try_new(cfg.clone(), workload.footprint_pages, policy)?;
+        let driver =
+            UvmDriver::with_fault_plan(cfg.clone(), workload.footprint_pages, policy, plan)?;
         let gpus: Vec<GpuFrontend> = workload
             .streams
             .into_iter()
@@ -548,60 +572,15 @@ impl Simulation {
             self.driver.feed_access(t0, gpu, vpn, acc.kind);
         }
 
-        // Address translation. A coalesced frame owned by this GPU
-        // translates through the 2 MB hierarchy under the frame-base key;
-        // everything else through the base-page TLBs.
-        let large_key = match self.gpus[g].tlb_2m {
-            Some(_) => self.driver.large_translation(gpu, vpn),
-            None => None,
-        };
-        let (level, tlb_lat, mut mapping) = {
-            let _prof = span(Phase::Translate);
-            let (level, tlb_lat) = match (large_key, self.gpus[g].tlb_2m.as_mut()) {
-                (Some(base), Some(t2)) => t2.translate(base),
-                _ => self.gpus[g].tlb.translate(vpn),
-            };
-            (level, tlb_lat, self.driver.translate(gpu, vpn))
-        };
-        let mut t = t0 + tlb_lat;
-        if level == TranslationLevel::Walk || mapping.is_none() {
-            if level == TranslationLevel::Walk {
-                let scheme = self.driver.scheme_of(vpn);
-                self.scheme_mix.record(scheme);
-                if let Some(series) = &mut self.obs_scheme_timeline {
-                    let bucket = match scheme {
-                        grit_sim::Scheme::OnTouch => 0,
-                        grit_sim::Scheme::AccessCounter => 1,
-                        grit_sim::Scheme::Duplication => 2,
-                    };
-                    series.record(t0, bucket);
-                }
+        // Address translation: a repeat of the GPU's last page replays its
+        // L1-TLB hit; anything else goes through the TLBs, the walk and
+        // the fault path.
+        let (mut t, mut mapping) = match self.gpus[g].last {
+            Some(last) if last.vpn == vpn => {
+                (t0 + self.last_translation_hit(g, last), last.mapping)
             }
-            let walk = {
-                let _prof = span(Phase::Translate);
-                self.gpus[g].walker.walk(t, vpn)
-            };
-            self.driver.charge(LatencyClass::Local, walk.done_at - t);
-            t = walk.done_at;
-            if mapping.is_none() {
-                let out = self.driver.handle_fault(FaultInfo {
-                    now: t,
-                    gpu,
-                    vpn,
-                    kind: acc.kind,
-                    fault: FaultKind::Local,
-                });
-                t = t.max(out.done_at);
-                apply_outcome(&mut self.gpus, out);
-                // The outcome carries the mapping the mechanism installed,
-                // saving a second page-table lookup on the walk path.
-                mapping = out.mapping;
-            }
-            self.tlb_fill(g, vpn);
-        }
-        let mut mapping = mapping.ok_or_else(|| {
-            CellError::Invariant("fault handling must establish a mapping".into())
-        })?;
+            _ => self.translate(g, acc, t0)?,
+        };
 
         // Writes to read-only replicas: protection fault (collapse) or GPS
         // store broadcast.
@@ -624,7 +603,8 @@ impl Simulation {
             mapping = out.mapping.ok_or_else(|| {
                 CellError::Invariant("collapse must leave the writer mapped".into())
             })?;
-            self.tlb_fill(g, vpn);
+            let large = self.tlb_fill(g, vpn);
+            self.remember(g, vpn, large);
         }
 
         // Data access through the cache hierarchy. Each probe inserts the
@@ -668,20 +648,126 @@ impl Simulation {
         self.gpus[g].last_done = self.gpus[g].last_done.max(done);
     }
 
+    /// Counts the L1-TLB hit that translating the GPU's last page again
+    /// would score, without probing: the key is MRU in its L1 set, so the
+    /// probe would hit at position 0 and leave the LRU order as it is.
+    /// Returns the L1 lookup latency.
+    fn last_translation_hit(&mut self, g: usize, last: LastTranslation) -> Cycle {
+        debug_assert_eq!(
+            self.driver.translate(GpuId::new(g as u8), last.vpn),
+            Some(last.mapping),
+            "last translation of GPU {g} is stale"
+        );
+        debug_assert_eq!(self.large_key(g, last.vpn), last.large);
+        let f = &mut self.gpus[g];
+        match (last.large, f.tlb_2m.as_mut()) {
+            (Some(base), Some(t2)) => t2.hit_l1_mru(base),
+            _ => f.tlb.hit_l1_mru(last.vpn),
+        }
+    }
+
+    /// Translates the access's page through the TLBs, walking and faulting
+    /// on a miss, and remembers the result as the GPU's last translation.
+    /// Returns the cycle the translation is ready and the mapping.
+    fn translate(
+        &mut self,
+        g: usize,
+        acc: Access,
+        t0: Cycle,
+    ) -> Result<(Cycle, Mapping), CellError> {
+        let gpu = GpuId::new(g as u8);
+        let vpn = acc.vpn;
+        // A coalesced frame owned by this GPU translates through the 2 MB
+        // hierarchy under the frame-base key; everything else through the
+        // base-page TLBs.
+        let mut large = self.large_key(g, vpn);
+        let (level, tlb_lat, mut mapping) = {
+            let _prof = span(Phase::Translate);
+            let (level, tlb_lat) = match (large, self.gpus[g].tlb_2m.as_mut()) {
+                (Some(base), Some(t2)) => t2.translate(base),
+                _ => self.gpus[g].tlb.translate(vpn),
+            };
+            (level, tlb_lat, self.driver.translate(gpu, vpn))
+        };
+        let mut t = t0 + tlb_lat;
+        if level == TranslationLevel::Walk || mapping.is_none() {
+            if level == TranslationLevel::Walk {
+                let scheme = self.driver.scheme_of(vpn);
+                self.scheme_mix.record(scheme);
+                if let Some(series) = &mut self.obs_scheme_timeline {
+                    let bucket = match scheme {
+                        grit_sim::Scheme::OnTouch => 0,
+                        grit_sim::Scheme::AccessCounter => 1,
+                        grit_sim::Scheme::Duplication => 2,
+                    };
+                    series.record(t0, bucket);
+                }
+            }
+            let walk = {
+                let _prof = span(Phase::Translate);
+                self.gpus[g].walker.walk(t, vpn)
+            };
+            self.driver.charge(LatencyClass::Local, walk.done_at - t);
+            t = walk.done_at;
+            if mapping.is_none() {
+                let out = self.driver.handle_fault(FaultInfo {
+                    now: t,
+                    gpu,
+                    vpn,
+                    kind: acc.kind,
+                    fault: FaultKind::Local,
+                });
+                t = t.max(out.done_at);
+                apply_outcome(&mut self.gpus, out);
+                // The outcome carries the mapping the mechanism installed,
+                // saving a second page-table lookup on the walk path.
+                mapping = out.mapping;
+            }
+            large = self.tlb_fill(g, vpn);
+        }
+        let mapping = mapping.ok_or_else(|| {
+            CellError::Invariant("fault handling must establish a mapping".into())
+        })?;
+        self.remember(g, vpn, large);
+        Ok((t, mapping))
+    }
+
+    /// Records `vpn` as the GPU's last translation, held under `large` in
+    /// its TLBs. The mapping is read from the page table, not taken from a
+    /// fault's outcome: fills that ran after the fault (GPS group
+    /// duplication, prefetch) may have evicted the page again, and an
+    /// unmapped page leaves no entry.
+    fn remember(&mut self, g: usize, vpn: PageId, large: Option<PageId>) {
+        let mapping = self.driver.translate(GpuId::new(g as u8), vpn);
+        self.gpus[g].last = mapping.map(|mapping| LastTranslation {
+            vpn,
+            mapping,
+            large,
+        });
+    }
+
+    /// The 2 MB frame key under which `gpu` translates `vpn`: set when the
+    /// GPU owns a coalesced frame over the page, `None` otherwise.
+    fn large_key(&self, g: usize, vpn: PageId) -> Option<PageId> {
+        match self.gpus[g].tlb_2m {
+            Some(_) => self.driver.large_translation(GpuId::new(g as u8), vpn),
+            None => None,
+        }
+    }
+
     /// Fills the right TLB for `gpu`'s fresh translation of `vpn`: the
     /// 2 MB hierarchy under the frame key when the GPU owns a coalesced
     /// frame over the page (fault handling may just have coalesced or
-    /// splintered it), the base hierarchy otherwise.
-    fn tlb_fill(&mut self, g: usize, vpn: PageId) {
-        let key = match self.gpus[g].tlb_2m {
-            Some(_) => self.driver.large_translation(GpuId::new(g as u8), vpn),
-            None => None,
-        };
+    /// splintered it), the base hierarchy otherwise. Returns the key's
+    /// hierarchy as [`Simulation::large_key`] does.
+    fn tlb_fill(&mut self, g: usize, vpn: PageId) -> Option<PageId> {
+        let key = self.large_key(g, vpn);
         let f = &mut self.gpus[g];
         match (key, f.tlb_2m.as_mut()) {
             (Some(base), Some(t2)) => t2.fill(base),
             _ => f.tlb.fill(vpn),
         }
+        key
     }
 
     fn observe(&mut self, now: Cycle, g: usize, vpn: PageId, kind: AccessKind) {
@@ -1023,7 +1109,7 @@ mod tests {
         f.invalidate_page(PageId(7));
         let k2 = f.line_key(PageId(7), 3);
         assert_ne!(k1, k2, "invalidation must retire cached lines");
-        assert_eq!(k1.vpn, k2.vpn);
+        assert_eq!(k1.vpn(), k2.vpn());
     }
 
     #[test]
