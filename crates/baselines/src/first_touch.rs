@@ -12,7 +12,8 @@ use grit_uvm::{
 /// ```
 /// use grit_baselines::FirstTouchPolicy;
 /// use grit_uvm::PlacementPolicy;
-/// assert_eq!(FirstTouchPolicy::new().name(), "first-touch");
+/// // No epochs: every decision is made per fault.
+/// assert!(FirstTouchPolicy::new().epoch_len().is_none());
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FirstTouchPolicy;
@@ -25,10 +26,6 @@ impl FirstTouchPolicy {
 }
 
 impl PlacementPolicy for FirstTouchPolicy {
-    fn name(&self) -> String {
-        "first-touch".into()
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,

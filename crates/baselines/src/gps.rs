@@ -34,10 +34,6 @@ impl GpsPolicy {
 }
 
 impl PlacementPolicy for GpsPolicy {
-    fn name(&self) -> String {
-        "gps".into()
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,
@@ -105,6 +101,5 @@ mod tests {
     #[test]
     fn broadcast_write_mode() {
         assert_eq!(GpsPolicy::new().write_mode(), WriteMode::Broadcast);
-        assert_eq!(GpsPolicy::new().name(), "gps");
     }
 }

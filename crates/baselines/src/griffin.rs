@@ -39,7 +39,6 @@ pub const DPC_DOMINANCE: f64 = 0.6;
 /// use grit_baselines::GriffinDpcPolicy;
 /// use grit_uvm::PlacementPolicy;
 /// let p = GriffinDpcPolicy::new(4);
-/// assert_eq!(p.name(), "griffin-dpc");
 /// assert!(p.epoch_len().is_some());
 /// ```
 #[derive(Clone, Debug)]
@@ -79,10 +78,6 @@ impl GriffinDpcPolicy {
 }
 
 impl PlacementPolicy for GriffinDpcPolicy {
-    fn name(&self) -> String {
-        "griffin-dpc".into()
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,

@@ -25,10 +25,6 @@ impl IdealPolicy {
 }
 
 impl PlacementPolicy for IdealPolicy {
-    fn name(&self) -> String {
-        "ideal".into()
-    }
-
     fn on_fault(
         &mut self,
         _fault: &FaultInfo,
@@ -64,6 +60,5 @@ mod tests {
         let d = p.on_fault(&f, &st, &mut t);
         assert_eq!(d.resolution, Resolution::Ideal);
         assert_eq!(d.decision_latency, 0);
-        assert_eq!(p.name(), "ideal");
     }
 }

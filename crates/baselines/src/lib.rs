@@ -24,10 +24,10 @@
 //! ```
 //! use grit_baselines::{GpsPolicy, GriffinDpcPolicy};
 //! use grit_sim::SimConfig;
-//! use grit_uvm::UvmDriver;
+//! use grit_uvm::{UvmDriver, WriteMode};
 //!
 //! let driver = UvmDriver::new(SimConfig::default(), 1024, Box::new(GpsPolicy::new()));
-//! assert_eq!(driver.policy_name(), "gps");
+//! assert_eq!(driver.write_mode(), WriteMode::Broadcast);
 //! let driver = UvmDriver::new(
 //!     SimConfig::default(),
 //!     1024,

@@ -29,7 +29,6 @@ use grit_uvm::{
 /// profile.record(GpuId::new(1), PageId(1), AccessKind::Read);
 /// let oracle = OraclePolicy::from_profile(&profile);
 /// assert_eq!(oracle.scheme_for(PageId(1)), Scheme::Duplication);
-/// assert_eq!(oracle.name(), "oracle");
 /// ```
 #[derive(Clone, Debug)]
 pub struct OraclePolicy {
@@ -68,10 +67,6 @@ impl OraclePolicy {
 }
 
 impl PlacementPolicy for OraclePolicy {
-    fn name(&self) -> String {
-        "oracle".into()
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,

@@ -24,9 +24,11 @@ type OccupancyKey = (u64, GpuId);
 ///
 /// ```
 /// use grit_baselines::TreePrefetcher;
+/// use grit_sim::{GpuId, PageId};
 /// use grit_uvm::Prefetcher;
 /// let mut p = TreePrefetcher::new();
-/// assert_eq!(p.name(), "tree-prefetch");
+/// // One leaf of a pair is not yet a majority: nothing to prefetch.
+/// assert!(p.on_fill(GpuId::new(0), PageId(0), 1024).is_empty());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TreePrefetcher {
@@ -58,10 +60,6 @@ impl TreePrefetcher {
 }
 
 impl Prefetcher for TreePrefetcher {
-    fn name(&self) -> String {
-        "tree-prefetch".into()
-    }
-
     fn on_fill(&mut self, gpu: GpuId, vpn: PageId, footprint_pages: u64) -> Vec<PageId> {
         let region = Self::region_of(vpn);
         let leaf = Self::leaf_of(vpn);

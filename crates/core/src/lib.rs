@@ -34,7 +34,7 @@
 //! let cfg = SimConfig::default();
 //! let policy = GritPolicy::new(GritConfig::full(&cfg), 8192);
 //! let driver = UvmDriver::new(cfg, 8192, Box::new(policy));
-//! assert_eq!(driver.policy_name(), "grit");
+//! assert_eq!(driver.fault_counters().scheme_changes, 0);
 //! ```
 
 #![warn(missing_docs)]

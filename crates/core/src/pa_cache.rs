@@ -95,7 +95,7 @@ impl PaStore {
                 // Miss: fetch from the PA-Table (write-allocate); a brand
                 // new page registers directly in the cache.
                 let mut latency = self.cache_hit_latency + self.mem_latency;
-                let mut entry = self.table.load(vpn).unwrap_or_default();
+                let mut entry = self.table.get(vpn).unwrap_or_default();
                 entry.apply_fault(is_write);
                 if let Some((victim_vpn, victim)) = cache.insert(vpn, entry) {
                     // Write-back of the LRU victim.

@@ -53,8 +53,6 @@ impl PaEntry {
 pub struct PaTable {
     entries: PageVec<Option<PaEntry>>,
     len: usize,
-    reads: u64,
-    writes: u64,
 }
 
 impl PaTable {
@@ -63,8 +61,6 @@ impl PaTable {
         PaTable {
             entries: PageVec::new(footprint_pages),
             len: 0,
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -78,10 +74,8 @@ impl PaTable {
     }
 
     /// Registers (or updates) the entry for a faulting page and returns the
-    /// updated value. Counts one table read + one table write.
+    /// updated value.
     pub fn record_fault(&mut self, vpn: PageId, is_write: bool) -> PaEntry {
-        self.reads += 1;
-        self.writes += 1;
         let e = self.slot(vpn).get_or_insert_with(PaEntry::default);
         e.apply_fault(is_write);
         *e
@@ -94,15 +88,7 @@ impl PaTable {
 
     /// Overwrites an entry (PA-Cache write-back path).
     pub fn store(&mut self, vpn: PageId, entry: PaEntry) {
-        self.writes += 1;
         *self.slot(vpn) = Some(entry);
-    }
-
-    /// Loads an entry without modifying it (PA-Cache fill path); counts a
-    /// table read.
-    pub fn load(&mut self, vpn: PageId) -> Option<PaEntry> {
-        self.reads += 1;
-        *self.entries.get(vpn)
     }
 
     /// Deletes an entry (scheme change applied, §V-C).
@@ -122,11 +108,6 @@ impl PaTable {
     /// Whether no entries are registered.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// `(reads, writes)` to CPU memory performed by the table.
-    pub fn mem_ops(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 
@@ -185,9 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn load_store_round_trip_counts_ops() {
+    fn get_store_round_trip() {
         let mut t = PaTable::new(16);
-        assert_eq!(t.load(PageId(9)), None);
+        assert_eq!(t.get(PageId(9)), None);
         t.store(
             PageId(9),
             PaEntry {
@@ -196,13 +177,11 @@ mod tests {
             },
         );
         assert_eq!(
-            t.load(PageId(9)),
+            t.get(PageId(9)),
             Some(PaEntry {
                 write: true,
                 faults: 3
             })
         );
-        let (r, w) = t.mem_ops();
-        assert_eq!((r, w), (2, 1));
     }
 }

@@ -46,37 +46,6 @@ impl GritConfig {
             cpu_mem_latency: cfg.lat.cpu_mem_access,
         }
     }
-
-    /// Fig. 20 ablation: PA-Table only (no PA-Cache, no NAP).
-    pub fn table_only(cfg: &SimConfig) -> Self {
-        GritConfig {
-            pa_cache: false,
-            nap: false,
-            ..Self::full(cfg)
-        }
-    }
-
-    /// Fig. 20 ablation: PA-Table + PA-Cache (no NAP).
-    pub fn table_and_cache(cfg: &SimConfig) -> Self {
-        GritConfig {
-            nap: false,
-            ..Self::full(cfg)
-        }
-    }
-
-    /// Fig. 20 ablation: PA-Table + NAP (no PA-Cache).
-    pub fn table_and_nap(cfg: &SimConfig) -> Self {
-        GritConfig {
-            pa_cache: false,
-            ..Self::full(cfg)
-        }
-    }
-
-    /// Replaces the fault threshold (Fig. 21).
-    pub fn with_threshold(mut self, threshold: u8) -> Self {
-        self.fault_threshold = threshold;
-        self
-    }
 }
 
 /// The GRIT policy (paper §V).
@@ -90,11 +59,11 @@ impl GritConfig {
 /// ```
 /// use grit_core::{GritConfig, GritPolicy};
 /// use grit_sim::SimConfig;
-/// use grit_uvm::PlacementPolicy;
 ///
 /// let cfg = SimConfig::default();
 /// let p = GritPolicy::new(GritConfig::full(&cfg), 8192);
-/// assert_eq!(p.name(), "grit");
+/// assert_eq!(p.config().fault_threshold, 4);
+/// assert_eq!(p.scheme_changes(), 0);
 /// ```
 #[derive(Debug)]
 pub struct GritPolicy {
@@ -150,18 +119,6 @@ impl GritPolicy {
 }
 
 impl PlacementPolicy for GritPolicy {
-    fn name(&self) -> String {
-        if self.cfg.pa_cache && self.cfg.nap {
-            "grit".into()
-        } else {
-            format!(
-                "grit(pa-table{}{})",
-                if self.cfg.pa_cache { "+pa-cache" } else { "" },
-                if self.cfg.nap { "+nap" } else { "" }
-            )
-        }
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,
@@ -366,7 +323,14 @@ mod tests {
     fn ablations_change_decision_latency() {
         let sim = cfg();
         let mut full = GritPolicy::new(GritConfig::full(&sim), 64);
-        let mut table_only = GritPolicy::new(GritConfig::table_only(&sim), 64);
+        let mut table_only = GritPolicy::new(
+            GritConfig {
+                pa_cache: false,
+                nap: false,
+                ..GritConfig::full(&sim)
+            },
+            64,
+        );
         let mut t1 = CentralPageTable::new();
         let mut t2 = CentralPageTable::new();
         fire(&mut full, &mut t1, 0, 1, AccessKind::Read);
@@ -380,7 +344,13 @@ mod tests {
     #[test]
     fn threshold_sensitivity() {
         let sim = cfg();
-        let mut p = GritPolicy::new(GritConfig::full(&sim).with_threshold(2), 64);
+        let mut p = GritPolicy::new(
+            GritConfig {
+                fault_threshold: 2,
+                ..GritConfig::full(&sim)
+            },
+            64,
+        );
         let mut t = CentralPageTable::new();
         fire(&mut p, &mut t, 0, 1, AccessKind::Read);
         let d = fire(&mut p, &mut t, 1, 1, AccessKind::Read);
@@ -388,27 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn names_reflect_ablation() {
-        let sim = cfg();
-        assert_eq!(GritPolicy::new(GritConfig::full(&sim), 1).name(), "grit");
-        assert_eq!(
-            GritPolicy::new(GritConfig::table_only(&sim), 1).name(),
-            "grit(pa-table)"
-        );
-        assert_eq!(
-            GritPolicy::new(GritConfig::table_and_cache(&sim), 1).name(),
-            "grit(pa-table+pa-cache)"
-        );
-        assert_eq!(
-            GritPolicy::new(GritConfig::table_and_nap(&sim), 1).name(),
-            "grit(pa-table+nap)"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_threshold_rejected() {
         let sim = cfg();
-        let _ = GritPolicy::new(GritConfig::full(&sim).with_threshold(0), 1);
+        let _ = GritPolicy::new(
+            GritConfig {
+                fault_threshold: 0,
+                ..GritConfig::full(&sim)
+            },
+            1,
+        );
     }
 }

@@ -325,17 +325,6 @@ impl Fabric {
         t
     }
 
-    /// One-way fabric latency between two GPUs (control messages): the sum
-    /// of per-hop wire latencies along the routed path.
-    pub fn nvlink_latency(&self, a: GpuId, b: GpuId) -> Cycle {
-        assert!(a != b, "nvlink latency requires distinct endpoints");
-        self.routing
-            .route(a.index(), b.index())
-            .iter()
-            .map(|&wire| self.links[wire as usize].latency())
-            .sum()
-    }
-
     /// Number of GPUs in the fabric.
     pub fn num_gpus(&self) -> usize {
         self.num_gpus
@@ -651,10 +640,13 @@ mod tests {
 
     #[test]
     fn nvlink_latency_sums_over_hops() {
-        let f = fabric_of(TopologyKind::Ring, 8);
-        let one = f.nvlink_latency(GpuId::new(0), GpuId::new(1));
-        assert_eq!(one, LinkConfig::default().nvlink_latency);
-        assert_eq!(f.nvlink_latency(GpuId::new(0), GpuId::new(4)), 4 * one);
+        // On an idle ring every hop adds one wire's occupancy and latency.
+        let transfer = |to: u8| {
+            fabric_of(TopologyKind::Ring, 8).gpu_to_gpu(GpuId::new(0), GpuId::new(to), 0, 64)
+        };
+        let one = transfer(1);
+        assert_eq!(one, LinkConfig::default().nvlink_latency + 1);
+        assert_eq!(transfer(4), 4 * one);
     }
 
     #[test]

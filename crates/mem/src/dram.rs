@@ -268,11 +268,6 @@ impl GpuMemory {
         self.capacity_pages
     }
 
-    /// Occupancy in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        self.resident as f64 / self.capacity_pages as f64
-    }
-
     /// Total pages evicted so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -329,10 +324,10 @@ mod tests {
     #[test]
     fn occupancy_reporting() {
         let mut m = GpuMemory::new(4);
-        assert_eq!(m.occupancy(), 0.0);
+        assert_eq!(m.resident(), 0);
         m.insert(PageId(1));
         m.insert(PageId(2));
-        assert!((m.occupancy() - 0.5).abs() < 1e-12);
+        assert_eq!(m.resident(), 2);
         assert_eq!(m.capacity(), 4);
     }
 

@@ -51,7 +51,6 @@ impl Mapping {
 pub struct LocalPageTable {
     entries: PageVec<Option<Mapping>>,
     len: usize,
-    invalidations: u64,
 }
 
 impl LocalPageTable {
@@ -60,7 +59,6 @@ impl LocalPageTable {
         LocalPageTable {
             entries: PageVec::new(footprint_pages),
             len: 0,
-            invalidations: 0,
         }
     }
 
@@ -86,7 +84,6 @@ impl LocalPageTable {
         let present = self.entries.get_mut(vpn).take().is_some();
         if present {
             self.len -= 1;
-            self.invalidations += 1;
         }
         present
     }
@@ -99,11 +96,6 @@ impl LocalPageTable {
     /// Whether the table has no valid entries.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Count of PTE invalidations performed (coherence traffic indicator).
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
     }
 
     /// Iterates `(page, mapping)` pairs in ascending VPN order.
@@ -127,7 +119,6 @@ mod tests {
         assert!(pt.invalidate(PageId(3)));
         assert!(!pt.invalidate(PageId(3)));
         assert!(pt.is_empty());
-        assert_eq!(pt.invalidations(), 1);
     }
 
     #[test]

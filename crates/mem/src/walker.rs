@@ -131,11 +131,6 @@ impl WalkerPool {
         }
     }
 
-    /// Number of walks serviced so far.
-    pub fn walks(&self) -> u64 {
-        self.walks
-    }
-
     /// Mean levels fetched per walk (page-walk-cache effectiveness).
     pub fn mean_levels(&self) -> f64 {
         if self.walks == 0 {
@@ -148,11 +143,6 @@ impl WalkerPool {
     /// Walks that stalled on a full walk queue.
     pub fn queue_full_stalls(&self) -> u64 {
         self.queue_full_stalls
-    }
-
-    /// Flushes the page-walk cache (part of a full GPU flush).
-    pub fn flush_walk_cache(&mut self) {
-        self.walk_cache.clear();
     }
 }
 
@@ -199,15 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_forgets_prefixes() {
-        let mut w = pool();
-        w.walk(0, PageId(512));
-        w.flush_walk_cache();
-        let o = w.walk(1000, PageId(513));
-        assert_eq!(o.levels_fetched, 4);
-    }
-
-    #[test]
     fn full_walk_queue_stalls_arrivals() {
         let mut w = pool();
         // Saturate: 8 walkers + 64 queue slots of cold walks issued at 0.
@@ -226,7 +207,6 @@ mod tests {
         let mut w = pool();
         w.walk(0, PageId(0));
         w.walk(500, PageId(1));
-        assert_eq!(w.walks(), 2);
         assert!((w.mean_levels() - 2.5).abs() < 1e-9); // 4 then 1
     }
 }

@@ -50,7 +50,7 @@ pub fn normalize_to(baseline: u64, values: &[u64]) -> Vec<f64> {
         .collect()
 }
 
-/// A labelled numeric table rendered to aligned text, Markdown or CSV.
+/// A labelled numeric table rendered to aligned text or CSV.
 ///
 /// ```
 /// use grit_metrics::Table;
@@ -183,31 +183,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as a GitHub Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from("| app |");
-        for c in &self.columns {
-            out.push_str(&format!(" {c} |"));
-        }
-        out.push_str("\n|---|");
-        for _ in &self.columns {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for (label, values) in &self.rows {
-            out.push_str(&format!("| {label} |"));
-            for v in values {
-                if v.is_finite() {
-                    out.push_str(&format!(" {v:.3} |"));
-                } else {
-                    out.push_str(&format!(" {} |", Table::ERROR_MARKER));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -260,9 +235,9 @@ mod tests {
         assert_eq!(t.cell("missing", "a"), None);
         assert_eq!(t.cell("x", "missing"), None);
         assert!(t.to_text().contains("== T =="));
-        assert!(t.to_markdown().contains("| x | 1.000 | 2.000 |"));
         let csv = t.to_csv();
         assert!(csv.lines().count() == 4);
+        assert!(csv.contains("\nx,1.000000,2.000000\n"));
     }
 
     #[test]
@@ -276,7 +251,6 @@ mod tests {
         assert!((t.cell("GEOMEAN", "b").unwrap() - 8.0f64.sqrt()).abs() < 1e-12);
         assert!(t.to_text().contains(Table::ERROR_MARKER));
         assert!(t.to_csv().contains(",err!"));
-        assert!(t.to_markdown().contains("| err! |"));
         // Finite cells are untouched.
         assert!(t.to_text().contains("1.500"));
     }

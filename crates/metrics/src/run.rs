@@ -102,25 +102,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Speedup of this run relative to a baseline runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this run has zero cycles.
-    pub fn speedup_vs(&self, baseline_cycles: u64) -> f64 {
-        assert!(self.total_cycles > 0, "run produced no cycles");
-        baseline_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// Fraction of accesses that were remote.
-    pub fn remote_frac(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.remote_accesses as f64 / self.accesses as f64
-        }
-    }
-
     /// Stores an auxiliary named series.
     pub fn set_aux<S: Into<String>>(&mut self, key: S, values: Vec<f64>) {
         self.aux.insert(key.into(), values);
@@ -166,28 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_remote_frac() {
-        let m = RunMetrics {
-            total_cycles: 50,
-            accesses: 10,
-            remote_accesses: 4,
-            ..Default::default()
-        };
-        assert!((m.speedup_vs(100) - 2.0).abs() < 1e-12);
-        assert!((m.remote_frac() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
     fn aux_round_trip() {
         let mut m = RunMetrics::default();
         m.set_aux("per_gpu", vec![1.0, 2.0]);
         assert_eq!(m.aux("per_gpu"), Some(&[1.0, 2.0][..]));
         assert_eq!(m.aux("missing"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "no cycles")]
-    fn speedup_requires_cycles() {
-        let _ = RunMetrics::default().speedup_vs(10);
     }
 }

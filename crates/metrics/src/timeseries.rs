@@ -116,22 +116,6 @@ impl IntervalSeries {
             })
             .collect()
     }
-
-    /// Index of the dominant bucket per interval (`None` for empty rows).
-    pub fn dominant(&self) -> Vec<Option<usize>> {
-        self.rows
-            .iter()
-            .map(|r| {
-                let (idx, &max) =
-                    r.iter().enumerate().max_by_key(|&(_, v)| *v).expect("buckets > 0");
-                if max == 0 {
-                    None
-                } else {
-                    Some(idx)
-                }
-            })
-            .collect()
-    }
 }
 
 /// A pages × intervals attribute grid (Figs. 6–8): the execution is divided
@@ -258,15 +242,18 @@ mod tests {
         s.record(15, 1);
         let f = s.fractions();
         assert!((f[0][0] - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.dominant(), vec![Some(0), Some(1)]);
+        // Bucket 1 holds every event of interval 1.
+        assert_eq!(f[1], vec![0.0, 1.0]);
     }
 
     #[test]
     fn dominant_empty_row_is_none() {
         let mut s = IntervalSeries::new(10, 2);
         s.record(25, 0); // intervals 0 and 1 empty
-        assert_eq!(s.dominant()[0], None);
-        assert_eq!(s.dominant()[2], Some(0));
+                         // An empty interval has no share in any bucket.
+        let f = s.fractions();
+        assert_eq!(f[0], vec![0.0, 0.0]);
+        assert_eq!(f[2], vec![1.0, 0.0]);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl Phase {
         }
     }
 
-    /// Parses a [`Phase::name`] back to the phase.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.iter().copied().find(|p| p.name() == name)
-    }
-
     fn index(self) -> usize {
         self as usize
     }
@@ -449,13 +444,5 @@ mod tests {
         assert_eq!(current_phase(), None);
         set_track_current(false);
         set_enabled(false);
-    }
-
-    #[test]
-    fn phase_names_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Phase::from_name("nope"), None);
     }
 }

@@ -95,9 +95,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `HashMap` keyed by the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// `HashSet` keyed by the deterministic [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +135,7 @@ mod tests {
         let mut m: FxHashMap<u64, u32> = FxHashMap::default();
         m.insert(7, 70);
         assert_eq!(m.get(&7), Some(&70));
-        let mut s: FxHashSet<u64> = FxHashSet::default();
+        let mut s: std::collections::HashSet<u64, FxBuildHasher> = Default::default();
         assert!(s.insert(9));
         assert!(s.contains(&9));
     }

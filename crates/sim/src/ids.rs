@@ -159,13 +159,6 @@ impl GpuSet {
         GpuSet(0)
     }
 
-    /// A set containing exactly one GPU.
-    pub fn singleton(g: GpuId) -> Self {
-        let mut s = GpuSet(0);
-        s.insert(g);
-        s
-    }
-
     /// Inserts a GPU; returns `true` if it was newly added.
     pub fn insert(&mut self, g: GpuId) -> bool {
         let bit = 1u16 << g.index();
@@ -205,11 +198,6 @@ impl GpuSet {
     /// Iterates the members in ascending GPU index order.
     pub fn iter(self) -> impl Iterator<Item = GpuId> {
         (0..16u8).filter(move |i| self.0 & (1u16 << i) != 0).map(GpuId::new)
-    }
-
-    /// Set union.
-    pub fn union(self, other: GpuSet) -> GpuSet {
-        GpuSet(self.0 | other.0)
     }
 
     /// Members of `self` that are not `g`.
@@ -307,8 +295,7 @@ mod tests {
     #[test]
     fn gpu_set_union_and_without() {
         let a: GpuSet = [GpuId::new(0), GpuId::new(2)].into_iter().collect();
-        let b = GpuSet::singleton(GpuId::new(1));
-        let u = a.union(b);
+        let u: GpuSet = a.iter().chain([GpuId::new(1), GpuId::new(2)]).collect();
         assert_eq!(u.len(), 3);
         assert_eq!(u.without(GpuId::new(2)).len(), 2);
         assert_eq!(format!("{u}"), "{0,1,2}");

@@ -698,17 +698,6 @@ impl FaultPlan {
         self.wire_down(wire, t) || self.bw_scale(wire, t) < 1.0
     }
 
-    /// The cycle at which wire `wire`'s current outage (at `t`) ends, or
-    /// `None` when the wire is up at `t`.
-    pub fn down_until(&self, wire: usize, t: Cycle) -> Option<Cycle> {
-        self.outages
-            .get(wire)?
-            .iter()
-            .filter(|&&(s, e)| s <= t && t < e)
-            .map(|&(_, e)| e)
-            .max()
-    }
-
     /// The outage epochs (cycle at which the down-set changes, and the
     /// sorted set of down wires from then on). Always starts with the
     /// all-up epoch at cycle 0.

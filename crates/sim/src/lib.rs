@@ -54,7 +54,7 @@ pub use config::{
 };
 pub use error::{CancelState, CancelToken, CellError};
 pub use graph::{mesh_dims, HopClass, LinkSpec, TopoGraph};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use ids::{GpuId, GpuSet, MemLoc, PageId};
 pub use inject::{
     Backoff, FaultPlan, FaultSpec, FrameCount, InjectConfig, InjectedKind, ResilienceCounters,
@@ -142,8 +142,6 @@ mod tests {
         assert!(p.wire_down(1, 100));
         assert!(p.wire_down(1, 149));
         assert!(!p.wire_down(1, 150));
-        assert_eq!(p.down_until(1, 120), Some(150));
-        assert_eq!(p.down_until(1, 99), None);
         assert_eq!(p.bw_scale(0, 199), 1.0);
         assert_eq!(p.bw_scale(0, 200), 0.5);
         // Overlap compounds: both windows active in [250, 300).

@@ -120,16 +120,6 @@ impl GroupSize {
         }
     }
 
-    /// The next larger group (promotion), or `None` at 512 pages.
-    pub fn promote(self) -> Option<GroupSize> {
-        match self {
-            GroupSize::One => Some(GroupSize::Eight),
-            GroupSize::Eight => Some(GroupSize::SixtyFour),
-            GroupSize::SixtyFour => Some(GroupSize::FiveTwelve),
-            GroupSize::FiveTwelve => None,
-        }
-    }
-
     /// The next smaller group (degradation), or `None` at one page.
     pub fn demote(self) -> Option<GroupSize> {
         match self {
@@ -176,8 +166,6 @@ mod tests {
 
     #[test]
     fn promotion_chain() {
-        assert_eq!(GroupSize::One.promote(), Some(GroupSize::Eight));
-        assert_eq!(GroupSize::FiveTwelve.promote(), None);
         assert_eq!(GroupSize::FiveTwelve.demote(), Some(GroupSize::SixtyFour));
         assert_eq!(GroupSize::One.demote(), None);
     }

@@ -44,22 +44,9 @@ impl SliceStream {
         }
     }
 
-    /// Wraps an already-shared trace without copying it.
-    pub fn from_shared(trace: Arc<[Access]>) -> Self {
-        SliceStream { trace, pos: 0 }
-    }
-
     /// The shared trace backing this stream.
     pub fn shared(&self) -> Arc<[Access]> {
         Arc::clone(&self.trace)
-    }
-
-    /// A fresh stream over the same shared trace, rewound to the start.
-    pub fn reset_clone(&self) -> Self {
-        SliceStream {
-            trace: Arc::clone(&self.trace),
-            pos: 0,
-        }
     }
 
     /// Accesses remaining.
@@ -109,15 +96,10 @@ mod tests {
     #[test]
     fn clones_share_one_trace_with_private_cursors() {
         let mut a: SliceStream = (0..3).map(|i| Access::read(PageId(i), 0)).collect();
-        let shared = a.shared();
+        let b = a.clone();
         a.next_access();
-        let mut b = SliceStream::from_shared(shared);
-        assert!(Arc::ptr_eq(&a.trace, &b.trace));
+        assert!(Arc::ptr_eq(&a.shared(), &b.shared()));
         assert_eq!(a.remaining(), 2);
         assert_eq!(b.remaining(), 3);
-        assert_eq!(b.next_access(), Some(Access::read(PageId(0), 0)));
-        let c = a.reset_clone();
-        assert!(Arc::ptr_eq(&a.trace, &c.trace));
-        assert_eq!(c.remaining(), 3);
     }
 }

@@ -39,15 +39,6 @@ impl TraceConfig {
             ..TraceConfig::default()
         }
     }
-
-    /// This config downsampled to every Nth event per category (0 is
-    /// treated as 1).
-    pub fn sampled(self, sample_every: u64) -> Self {
-        TraceConfig {
-            sample_every: sample_every.max(1),
-            ..self
-        }
-    }
 }
 
 struct TraceBuffer {
@@ -188,7 +179,10 @@ mod tests {
 
     #[test]
     fn sampling_keeps_first_then_every_nth() {
-        let t = Tracer::new(TraceConfig::default().sampled(3));
+        let t = Tracer::new(TraceConfig {
+            sample_every: 3,
+            ..TraceConfig::default()
+        });
         for c in 0..7 {
             t.emit(EventCategory::Eviction, || eviction(c));
         }
@@ -209,13 +203,5 @@ mod tests {
             gpu: None,
         });
         assert_eq!(t.take_events().len(), 1);
-    }
-
-    #[test]
-    fn sample_every_zero_is_treated_as_one() {
-        let t = Tracer::new(TraceConfig::default().sampled(0));
-        t.emit(EventCategory::Eviction, || eviction(1));
-        t.emit(EventCategory::Eviction, || eviction(2));
-        assert_eq!(t.take_events().len(), 2);
     }
 }

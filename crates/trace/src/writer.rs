@@ -94,16 +94,6 @@ pub fn flush_global() -> io::Result<()> {
     }
 }
 
-/// Removes the global writer (flushing first); later submissions are
-/// dropped again. Primarily for tests.
-pub fn uninstall_global() {
-    let mut guard = GLOBAL.lock().expect("trace writer poisoned");
-    if let Some(global) = guard.as_mut() {
-        let _ = global.out.flush();
-    }
-    *guard = None;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,9 +119,7 @@ mod tests {
         };
         assert!(submit_global(&meta, &[ev]).unwrap());
         assert!(submit_global(&meta, &[]).unwrap());
-        uninstall_global();
-        assert_eq!(global_config(), None);
-        assert!(!submit_global(&meta, &[ev]).unwrap());
+        flush_global().unwrap();
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();

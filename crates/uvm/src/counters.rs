@@ -42,7 +42,6 @@ pub struct AccessCounters {
     /// Remote accesses since the last reset, `num_gpus` slots per counter
     /// unit: the 64 KB groups first, then the frames.
     counts: Vec<u32>,
-    triggers: u64,
 }
 
 impl AccessCounters {
@@ -67,7 +66,6 @@ impl AccessCounters {
             num_groups,
             num_frames,
             counts: vec![0; (num_groups + num_frames) as usize * num_gpus],
-            triggers: 0,
         }
     }
 
@@ -115,7 +113,6 @@ impl AccessCounters {
         *c += 1;
         if *c >= self.threshold {
             *c = 0;
-            self.triggers += 1;
             true
         } else {
             false
@@ -132,26 +129,11 @@ impl AccessCounters {
         self.counts[self.slots(group)][gpu.index()]
     }
 
-    /// Clears all counters for the group containing `vpn` (after the page
+    /// Clears every GPU's counter under a group key (after the page
     /// migrates, stale remote counts are meaningless).
-    pub fn reset_group(&mut self, vpn: PageId) {
-        self.reset_group_key(vpn.counter_group(self.page_size));
-    }
-
-    /// Clears every GPU's counter under an explicit group key.
     pub fn reset_group_key(&mut self, group: u64) {
         let slots = self.slots(group);
         self.counts[slots].fill(0);
-    }
-
-    /// Total threshold crossings so far.
-    pub fn triggers(&self) -> u64 {
-        self.triggers
-    }
-
-    /// Configured threshold.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 }
 
@@ -171,7 +153,6 @@ mod tests {
         assert!(c.record_remote(g0, PageId(15)));
         // Counter reset after trigger.
         assert_eq!(c.value(g0, PageId(0)), 0);
-        assert_eq!(c.triggers(), 1);
     }
 
     #[test]
@@ -190,7 +171,7 @@ mod tests {
         c.record_remote(GpuId::new(0), PageId(3));
         c.record_remote(GpuId::new(1), PageId(4));
         c.record_remote(GpuId::new(1), PageId(20));
-        c.reset_group(PageId(0));
+        c.reset_group_key(c.group_of(PageId(0)));
         assert_eq!(c.value(GpuId::new(0), PageId(3)), 0);
         assert_eq!(c.value(GpuId::new(1), PageId(4)), 0);
         assert_eq!(c.value(GpuId::new(1), PageId(20)), 1);
@@ -215,7 +196,6 @@ mod tests {
         assert_eq!(c.value(g, PageId(7 * 512)), 0);
         assert_eq!(c.value_grouped(g, frame_key), 1);
         assert!(c.record_remote_grouped(g, frame_key));
-        assert_eq!(c.triggers(), 1);
         c.record_remote_grouped(g, frame_key);
         c.reset_group_key(frame_key);
         assert_eq!(c.value_grouped(g, frame_key), 0);

@@ -176,7 +176,6 @@ pub struct UvmDriver {
 impl std::fmt::Debug for UvmDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UvmDriver")
-            .field("policy", &self.policy.name())
             .field("footprint_pages", &self.footprint_pages)
             .field("faults", &self.faults)
             .finish_non_exhaustive()
@@ -289,11 +288,6 @@ impl UvmDriver {
         self.prefetcher = Some(p);
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> String {
-        self.policy.name()
-    }
-
     /// Current local-page-table mapping of `vpn` on `gpu`.
     pub fn translate(&self, gpu: GpuId, vpn: PageId) -> Option<Mapping> {
         self.local_pts[gpu.index()].lookup(vpn)
@@ -387,11 +381,6 @@ impl UvmDriver {
     /// Read access to the centralized page table.
     pub fn central(&self) -> &CentralPageTable {
         &self.central
-    }
-
-    /// Resident pages per GPU.
-    pub fn residency(&self) -> Vec<usize> {
-        self.memories.iter().map(GpuMemory::resident).collect()
     }
 
     /// Faults raised by each GPU (local + protection).
@@ -1688,9 +1677,6 @@ mod tests {
         /// Nominates the page after each filled page.
         struct NextPage;
         impl Prefetcher for NextPage {
-            fn name(&self) -> String {
-                "next-page".into()
-            }
             fn on_fill(&mut self, _gpu: GpuId, vpn: PageId, footprint: u64) -> Vec<PageId> {
                 (vpn.vpn() + 1 < footprint).then(|| vpn.offset(1)).into_iter().collect()
             }
@@ -1821,9 +1807,6 @@ mod tests {
 
     struct Ideal;
     impl PlacementPolicy for Ideal {
-        fn name(&self) -> String {
-            "ideal".into()
-        }
         fn on_fault(
             &mut self,
             _f: &FaultInfo,
@@ -1978,9 +1961,6 @@ mod tests {
             };
             pub struct GpsLike;
             impl PlacementPolicy for GpsLike {
-                fn name(&self) -> String {
-                    "gps-like".into()
-                }
                 fn on_fault(
                     &mut self,
                     _f: &FaultInfo,
@@ -2019,9 +1999,6 @@ mod tests {
     fn epoch_profile_overhead_stalls_every_gpu() {
         struct EpochOnly;
         impl PlacementPolicy for EpochOnly {
-            fn name(&self) -> String {
-                "epoch-only".into()
-            }
             fn on_fault(
                 &mut self,
                 _f: &FaultInfo,

@@ -53,7 +53,7 @@ pub use policy::{
     Directive, FaultInfo, FaultKind, PlacementPolicy, PolicyDecision, Resolution, StaticPolicy,
     WriteMode,
 };
-pub use prefetch::{NullPrefetcher, Prefetcher};
+pub use prefetch::Prefetcher;
 pub use pte::{PaTableEntryBits, Pte};
 
 // Tests of the large-page table (the `pagesize` module).

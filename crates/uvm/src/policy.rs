@@ -104,9 +104,6 @@ pub enum Directive {
 /// Implementations must be deterministic: the reproduction re-runs every
 /// figure from fixed seeds.
 pub trait PlacementPolicy {
-    /// Human-readable policy name for reports.
-    fn name(&self) -> String;
-
     /// Decides how to resolve one fault. `page` is the authoritative state
     /// *after* sharer/written bookkeeping for this fault; `table` allows
     /// policies (GRIT) to read and update scheme/group bits of any page.
@@ -158,10 +155,11 @@ pub trait PlacementPolicy {
 /// baselines of Fig. 1/17.
 ///
 /// ```
-/// use grit_uvm::{StaticPolicy, PlacementPolicy};
+/// use grit_uvm::{PlacementPolicy, StaticPolicy, WriteMode};
 /// use grit_sim::Scheme;
-/// let p = StaticPolicy::new(Scheme::OnTouch);
-/// assert_eq!(p.name(), "on-touch");
+/// let p = StaticPolicy::new(Scheme::Duplication);
+/// // A write to a duplicated page collapses its replicas.
+/// assert_eq!(p.write_mode(), WriteMode::Collapse);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct StaticPolicy {
@@ -173,18 +171,9 @@ impl StaticPolicy {
     pub fn new(scheme: Scheme) -> Self {
         StaticPolicy { scheme }
     }
-
-    /// The configured scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
 }
 
 impl PlacementPolicy for StaticPolicy {
-    fn name(&self) -> String {
-        self.scheme.to_string()
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,

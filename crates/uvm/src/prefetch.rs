@@ -9,37 +9,8 @@ use grit_sim::{GpuId, PageId};
 
 /// A page prefetcher attached to the UVM driver.
 pub trait Prefetcher {
-    /// Human-readable name for reports.
-    fn name(&self) -> String;
-
     /// Called after `vpn` became resident on `gpu`; returns candidate pages
     /// to prefetch onto the same GPU. `footprint_pages` bounds the valid
     /// VPN range. The driver skips candidates that are already placed.
     fn on_fill(&mut self, gpu: GpuId, vpn: PageId, footprint_pages: u64) -> Vec<PageId>;
-}
-
-/// A prefetcher that never prefetches (useful in tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullPrefetcher;
-
-impl Prefetcher for NullPrefetcher {
-    fn name(&self) -> String {
-        "null".into()
-    }
-
-    fn on_fill(&mut self, _gpu: GpuId, _vpn: PageId, _footprint: u64) -> Vec<PageId> {
-        Vec::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_prefetcher_is_inert() {
-        let mut p = NullPrefetcher;
-        assert_eq!(p.name(), "null");
-        assert!(p.on_fill(GpuId::new(0), PageId(0), 100).is_empty());
-    }
 }

@@ -148,13 +148,6 @@ impl GpuTrace {
         }
     }
 
-    /// Appends `n` reads to sequential lines of `page` (streaming access).
-    pub fn stream_read(&mut self, page: PageId, n: u16) {
-        for l in 0..n.min(self.lines_per_page) {
-            self.accesses.push(Access::read(page, l).with_think(self.think));
-        }
-    }
-
     /// Appends a burst of `n` accesses to consecutive lines of `page`
     /// starting at a random line (wrapping), each a write with probability
     /// `p_write`. Real kernels touch most lines of every page they use —
@@ -304,15 +297,6 @@ mod tests {
         assert!(acc[1].is_write());
         assert!(acc[2].is_write());
         assert!(acc.iter().all(|a| a.line < 64));
-    }
-
-    #[test]
-    fn stream_read_is_sequential() {
-        let mut t = GpuTrace::new(SimRng::seeded(1), 64, 4);
-        t.stream_read(PageId(5), 4);
-        let acc = t.into_accesses();
-        assert_eq!(acc.len(), 4);
-        assert!(acc.iter().enumerate().all(|(i, a)| a.line == i as u16));
     }
 
     #[test]

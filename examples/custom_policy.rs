@@ -20,10 +20,6 @@ use grit_uvm::{CentralPageTable, FaultInfo, PageState, PolicyDecision, Resolutio
 struct ReadDupWriteMigrate;
 
 impl PlacementPolicy for ReadDupWriteMigrate {
-    fn name(&self) -> String {
-        "read-dup/write-migrate".into()
-    }
-
     fn on_fault(
         &mut self,
         fault: &FaultInfo,

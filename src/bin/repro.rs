@@ -1380,7 +1380,7 @@ fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
         }
         let cycles: Vec<f64> = outs
             .iter()
-            .map(|o| o.as_ref().map_or(0.0, |o| o.metrics.total_cycles as f64))
+            .map(|o| o.as_ref().map_or(f64::NAN, |o| o.metrics.total_cycles as f64))
             .collect();
         (cycles, hits, errs, trace_text)
     } else {
@@ -1419,7 +1419,16 @@ fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
             trace_text.push_str(&ev.to_string());
             trace_text.push('\n');
         }
-        let cycles: Vec<f64> = results.iter().map(|r| r.total_cycles as f64).collect();
+        let cycles: Vec<f64> = results
+            .iter()
+            .map(|r| {
+                if r.is_ok() {
+                    r.total_cycles as f64
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
         (cycles, hits, errs, trace_text)
     };
 

@@ -47,7 +47,7 @@ pub use batch::{
 };
 
 use grit_baselines::{FirstTouchPolicy, GpsPolicy, GriffinDpcPolicy, IdealPolicy};
-use grit_core::{GritConfig, GritPolicy};
+use grit_core::{GritConfig, GritPolicy, PA_CACHE_WAYS};
 use grit_metrics::Table;
 use grit_sim::{RunSpec, Scheme, SimConfig};
 use grit_uvm::{PlacementPolicy, StaticPolicy};
@@ -152,7 +152,9 @@ impl PolicyKind {
     /// Resolves a report label back to the policy recipe, the inverse of
     /// [`PolicyKind::label`]. This is how serialized [`grit_sim::RunSpec`]
     /// cells (CLI submissions, `grit-serve/v1` requests) name policies.
-    /// `None` for unknown labels.
+    /// `None` for unknown labels and for GRIT recipes that cannot be
+    /// built: a zero fault threshold, or a PA-Cache whose entry count is
+    /// not a positive multiple of [`PA_CACHE_WAYS`].
     pub fn parse(label: &str) -> Option<PolicyKind> {
         let label = label.trim();
         if let Some(s) = Scheme::ALL.into_iter().find(|s| s.to_string() == label) {
@@ -168,8 +170,9 @@ impl PolicyKind {
         }
         let body = label.strip_prefix("grit(")?.strip_suffix(')')?;
         if let Some(entries) = body.strip_prefix("pa-cache=") {
-            let entries = entries.parse().ok()?;
-            return Some(PolicyKind::GritWithCache { entries });
+            let entries: usize = entries.parse().ok()?;
+            let buildable = entries > 0 && entries.is_multiple_of(PA_CACHE_WAYS);
+            return buildable.then_some(PolicyKind::GritWithCache { entries });
         }
         let (mut threshold, mut pa_cache, mut nap) = (None, None, None);
         for part in body.split(',') {
@@ -182,7 +185,7 @@ impl PolicyKind {
             }
         }
         Some(PolicyKind::Grit {
-            threshold: threshold?,
+            threshold: threshold.filter(|&t| t > 0)?,
             pa_cache: pa_cache?,
             nap: nap?,
         })
@@ -329,6 +332,15 @@ mod tests {
         }
         assert_eq!(PolicyKind::parse("grit( t=4 )"), None);
         assert_eq!(PolicyKind::parse("belady"), None);
+        // Labels that parse as recipes but name a policy that cannot be
+        // built: no PA-Cache sets, a ragged last set, a zero threshold.
+        for label in [
+            "grit(pa-cache=0)",
+            "grit(pa-cache=6)",
+            "grit(t=0,cache=true,nap=true)",
+        ] {
+            assert_eq!(PolicyKind::parse(label), None, "{label}");
+        }
     }
 
     /// `RunSpec`'s documented experiment defaults are `ExpConfig`'s; the

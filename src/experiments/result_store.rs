@@ -464,10 +464,6 @@ fn encode_payload(out: &RunOutput) -> Json {
                 opt_to_json(&obs.grid_read_rw, grid_to_json),
             ),
             (
-                "grid_interval_cycles".into(),
-                Json::UInt(obs.grid_interval_cycles),
-            ),
-            (
                 "scheme_timeline".into(),
                 opt_to_json(&obs.scheme_timeline, series_to_json),
             ),
@@ -508,7 +504,6 @@ fn decode_payload(v: &Json) -> Option<RunOutput> {
                 Json::Null => None,
                 g => Some(grid_from_json(g)?),
             },
-            grid_interval_cycles: obs.get("grid_interval_cycles")?.as_u64()?,
             scheme_timeline: match obs.get("scheme_timeline")? {
                 Json::Null => None,
                 s => Some(series_from_json(s)?),

@@ -182,15 +182,6 @@ pub struct ObserverConfig {
 }
 
 impl ObserverConfig {
-    /// Tracks one page at the paper's one-million-cycle interval.
-    pub fn tracking(page: PageId) -> Self {
-        ObserverConfig {
-            track_page: Some(page),
-            interval_cycles: 1_000_000,
-            ..Default::default()
-        }
-    }
-
     /// Records the Figs. 6–8 attribute grids.
     pub fn with_grids(mut self, page_bins: usize) -> Self {
         self.grid_page_bins = page_bins;
@@ -212,8 +203,6 @@ pub struct RunObserver {
     pub grid_private_shared: Option<AttrGrid>,
     /// Read(1)/read-write(2) attribute grid over page bins (Fig. 7).
     pub grid_read_rw: Option<AttrGrid>,
-    /// Cycles per grid row (derived from the configured interval).
-    pub grid_interval_cycles: Cycle,
     /// Per-interval scheme mix at L2-TLB misses (buckets: on-touch,
     /// access-counter, duplication), when requested.
     pub scheme_timeline: Option<IntervalSeries>,
@@ -434,11 +423,6 @@ impl Simulation {
             self.obs_scheme_timeline = Some(IntervalSeries::new(cfg.interval_cycles.max(1), 3));
         }
         self.observer_cfg = cfg;
-    }
-
-    /// The active policy's name.
-    pub fn policy_name(&self) -> String {
-        self.driver.policy_name()
     }
 
     /// Runs the workload to completion and collects all metrics,
@@ -928,7 +912,6 @@ impl Simulation {
             page_rw: self.obs_page_rw.unwrap_or_else(|| IntervalSeries::new(1, 2)),
             grid_private_shared,
             grid_read_rw,
-            grid_interval_cycles: self.observer_cfg.interval_cycles,
             scheme_timeline: self.obs_scheme_timeline,
         });
         Ok(RunOutput {
@@ -1092,7 +1075,11 @@ mod tests {
         );
         let policy = Box::new(StaticPolicy::new(Scheme::OnTouch));
         let sim = SimulationBuilder::new(two_gpu_cfg(), w, policy)
-            .observer(ObserverConfig::tracking(PageId(1)))
+            .observer(ObserverConfig {
+                track_page: Some(PageId(1)),
+                interval_cycles: 1_000_000,
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let out = sim.try_run().unwrap();

@@ -2,7 +2,7 @@
 //! comparator must exhibit exactly the mechanism it models.
 
 use grit::experiments::workload_cache::shared_workload;
-use grit::experiments::{run_cell, ExpConfig, PolicyKind};
+use grit::experiments::{run_cell, run_cell_with, ExpConfig, PolicyKind};
 use grit::prelude::*;
 use grit_baselines::OraclePolicy;
 use grit_workloads::WorkloadBuilder;
@@ -32,6 +32,40 @@ fn first_touch_never_migrates_a_page_twice() {
             out.metrics.faults.collapses, 0,
             "{app}: first-touch never collapses"
         );
+    }
+}
+
+/// First-touch and Ideal fault once per (GPU, page) pair the trace
+/// holds, and first-touch lands each page once, so without capacity
+/// evictions their whole-run counters follow from the trace alone.
+#[test]
+fn first_touch_and_ideal_counters_follow_from_the_trace() {
+    let mut checked = Vec::new();
+    for gpus in [2, 4, 8, 16] {
+        let cfg = SimConfig::with_gpus(gpus);
+        for app in App::TABLE2 {
+            let attrs = shared_workload(app, &exp(), &cfg).page_attrs();
+            let pairs: u64 = attrs.iter_pages().map(|(_, sharers, _, _)| sharers as u64).sum();
+            let pages = attrs.summary().total_pages;
+            let run = |policy| run_cell_with(app, policy, &exp(), cfg.clone(), None).metrics.faults;
+            let ft = run(PolicyKind::FirstTouch);
+            if ft.evictions > 0 {
+                continue;
+            }
+            assert_eq!(ft.local_faults, pairs, "{app} x{gpus}: first-touch faults");
+            assert_eq!(
+                ft.migrations, pages,
+                "{app} x{gpus}: first-touch migrations"
+            );
+            let ideal = run(PolicyKind::Ideal);
+            assert_eq!(ideal.local_faults, pairs, "{app} x{gpus}: Ideal faults");
+            assert_eq!(ideal.migrations, 0, "{app} x{gpus}: Ideal migrations");
+            checked.push((app, gpus));
+        }
+    }
+    // The Table I machine has the room for every app.
+    for app in App::TABLE2 {
+        assert!(checked.contains(&(app, 4)), "{app}: evictions on 4 GPUs");
     }
 }
 

@@ -164,10 +164,14 @@ fn nap_accelerates_adaptation() {
 fn pa_cache_absorbs_table_traffic() {
     let cfg = SimConfig::default();
     let workload = WorkloadBuilder::new(App::St).scale(0.04).intensity(1.5).build();
-    // Isolate the cache: both runs keep NAP off (table_and_cache vs
-    // table_only differ only in the PA-Cache bit), so the comparison is
-    // identical but for where PA-Table lookups are served.
-    let policy = GritPolicy::new(GritConfig::table_and_cache(&cfg), workload.footprint_pages);
+    // Isolate the cache: both runs keep NAP off and differ only in the
+    // PA-Cache bit, so the comparison is identical but for where PA-Table
+    // lookups are served.
+    let no_nap = GritConfig {
+        nap: false,
+        ..GritConfig::full(&cfg)
+    };
+    let policy = GritPolicy::new(no_nap, workload.footprint_pages);
     // Drive through the full system, then inspect the policy indirectly:
     // a second, identical run with the PA-Cache disabled must charge more
     // decision latency, visible as extra host-class cycles.
@@ -180,7 +184,10 @@ fn pa_cache_absorbs_table_traffic() {
         .get(LatencyClass::Host);
     let workload = WorkloadBuilder::new(App::St).scale(0.04).intensity(1.5).build();
     let no_cache = GritPolicy::new(
-        grit_core::GritConfig::table_only(&cfg),
+        GritConfig {
+            pa_cache: false,
+            ..no_nap
+        },
         workload.footprint_pages,
     );
     let without_cache = Simulation::try_new(cfg, workload, Box::new(no_cache))

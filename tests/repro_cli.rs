@@ -443,6 +443,51 @@ fn fig10_honours_the_cell_timeout() {
     assert!(out.contains("err!"), "{out}");
 }
 
+/// A GRIT recipe that parses but names a policy that cannot be built is
+/// an unknown policy: rejected before any cell runs.
+#[test]
+fn submit_rejects_unbuildable_grit_recipes() {
+    for policy in [
+        "grit(pa-cache=0)",
+        "grit(pa-cache=6)",
+        "grit(t=0,cache=true,nap=true)",
+    ] {
+        let args = [
+            "submit",
+            "--local",
+            "--apps",
+            "FIR",
+            "--policies",
+            policy,
+            "--quick",
+        ];
+        let stderr = rejected(&args);
+        assert!(stderr.contains("unknown policy"), "{policy}: {stderr}");
+    }
+}
+
+/// `repro submit` prints a failed cell as `err!`, as the figure tables
+/// do, never as a zero cycle count; the process exits 1.
+#[test]
+fn submit_renders_failed_cells_as_errors() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "submit",
+            "--local",
+            "--apps",
+            "FIR",
+            "--policies",
+            "on-touch,grit",
+        ])
+        .args(["--quick", "--jobs", "1", "--cell-timeout", "0.0001"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("err!"), "{stdout}");
+    assert!(!stdout.contains("0.000"), "{stdout}");
+}
+
 /// `repro stats` runs its 8 x 5 grid as one batch: a failed cell prints
 /// an `APP POLICY err!` line in its place and the process still exits 0.
 #[test]
