@@ -59,11 +59,6 @@ impl OraclePolicy {
     pub fn scheme_for(&self, vpn: PageId) -> Scheme {
         self.schemes.get(&vpn).copied().unwrap_or(Scheme::OnTouch)
     }
-
-    /// Pages with a non-default classification.
-    pub fn classified_pages(&self) -> usize {
-        self.schemes.len()
-    }
 }
 
 impl PlacementPolicy for OraclePolicy {
@@ -118,7 +113,6 @@ mod tests {
         assert_eq!(o.scheme_for(PageId(2)), Scheme::Duplication);
         assert_eq!(o.scheme_for(PageId(3)), Scheme::AccessCounter);
         assert_eq!(o.scheme_for(PageId(99)), Scheme::OnTouch);
-        assert_eq!(o.classified_pages(), 3);
     }
 
     #[test]
@@ -141,7 +135,6 @@ mod tests {
             );
         }
         assert_eq!(oracles[0].scheme_for(PageId(90)), Scheme::AccessCounter);
-        assert!(oracles.iter().all(|o| o.classified_pages() == 4));
     }
 
     #[test]

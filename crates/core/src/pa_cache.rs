@@ -2,7 +2,7 @@
 //! 4-way set-associative, indexed by the low 4 bits of the VPN,
 //! write-allocate + write-back, LRU replacement.
 
-use grit_mem::{CacheStats, SetAssocCache};
+use grit_mem::SetAssocCache;
 use grit_sim::{Cycle, PageId};
 
 use crate::pa_table::{PaEntry, PaTable};
@@ -126,16 +126,6 @@ impl PaStore {
         self.table.get(vpn)
     }
 
-    /// PA-Cache hit/miss statistics (zeros when the cache is disabled).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.as_ref().map(SetAssocCache::stats).unwrap_or_default()
-    }
-
-    /// Whether the PA-Cache is enabled.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// The backing PA-Table.
     pub fn table(&self) -> &PaTable {
         &self.table
@@ -165,7 +155,6 @@ mod tests {
         let mut s = PaStore::new(false, 2, 250, 128);
         let (_, lat) = s.record_fault(PageId(1), false);
         assert_eq!(lat, 500);
-        assert!(!s.has_cache());
         let (_, lat2) = s.record_fault(PageId(1), false);
         assert_eq!(lat2, 500, "no cache: every fault pays memory latency");
     }
@@ -199,25 +188,28 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_track_hits() {
+    fn repeat_faults_hit_the_cache() {
         let mut s = store();
-        s.record_fault(PageId(3), false);
-        s.record_fault(PageId(3), false);
-        let st = s.cache_stats();
-        assert_eq!(st.hits, 1);
-        assert_eq!(st.misses, 1);
+        assert_eq!(
+            s.record_fault(PageId(3), false).1,
+            252,
+            "miss: cache + table"
+        );
+        assert_eq!(s.record_fault(PageId(3), false).1, 2, "hit: cache only");
     }
 
     #[test]
     fn custom_geometry_changes_capacity() {
-        let mut s = PaStore::with_geometry(Some(8), 2, 250, 128);
-        assert!(s.has_cache());
         // Only 2 sets of 4 ways: five conflicting VPNs overflow a set and
         // the write-back path engages far earlier than with 64 entries.
-        for k in 0..5u64 {
-            s.record_fault(PageId(2 * k), false);
-        }
-        assert!(s.cache_stats().evictions >= 1);
+        let fifth_latency = |mut s: PaStore| {
+            (0..5u64).map(|k| s.record_fault(PageId(2 * k), false).1).last().unwrap()
+        };
+        assert_eq!(
+            fifth_latency(PaStore::with_geometry(Some(8), 2, 250, 128)),
+            502
+        );
+        assert_eq!(fifth_latency(store()), 252);
     }
 
     #[test]

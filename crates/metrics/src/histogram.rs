@@ -19,7 +19,7 @@ use std::fmt;
 /// assert!(h.percentile(0.5) >= 64 && h.percentile(0.5) < 256);
 /// assert!(h.percentile(1.0) >= 2048);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; 48],
     samples: u64,
@@ -119,6 +119,32 @@ impl LatencyHistogram {
         self.total += other.total;
         self.max = self.max.max(other.max);
     }
+
+    /// The lossless flat form `[samples, sum, max, lb0, c0, lb1, c1, ...]`
+    /// over the non-empty buckets (`lb` = bucket lower bound in cycles,
+    /// `c` = sample count), as carried by a cell's `prof_*_hist` aux series.
+    pub fn to_flat(&self) -> Vec<f64> {
+        let mut v = vec![self.samples as f64, self.total as f64, self.max as f64];
+        for (lb, c) in self.iter() {
+            v.push(lb as f64);
+            v.push(c as f64);
+        }
+        v
+    }
+
+    /// Rebuilds a histogram from [`LatencyHistogram::to_flat`]'s form; a
+    /// series shorter than the three summary slots reads as empty.
+    pub fn from_flat(vs: &[f64]) -> Self {
+        let mut h = LatencyHistogram::new();
+        let [samples, total, max, pairs @ ..] = vs else {
+            return h;
+        };
+        (h.samples, h.total, h.max) = (*samples as u64, *total as u64, *max as u64);
+        for pair in pairs.chunks_exact(2) {
+            h.buckets[Self::bucket_of(pair[0] as u64)] += pair[1] as u64;
+        }
+        h
+    }
 }
 
 impl fmt::Display for LatencyHistogram {
@@ -185,6 +211,32 @@ mod tests {
         assert_eq!(a.samples(), 2);
         assert_eq!(a.max(), 10_000);
         assert!((a.mean() - 5005.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn flat_form_round_trips() {
+        let empty = LatencyHistogram::new();
+        let mut zero = LatencyHistogram::new();
+        zero.record(0);
+        let mut top = LatencyHistogram::new();
+        top.record(1 << 50);
+        top.record(3);
+        let mut merged = zero.clone();
+        merged.merge(&top);
+        merged.record(1_000);
+        for h in [empty, zero, top, merged] {
+            assert_eq!(
+                LatencyHistogram::from_flat(&h.to_flat()),
+                h,
+                "{:?}",
+                h.to_flat()
+            );
+        }
+        // Slot 1 is the sum, so merged means stay exact.
+        let mut a = LatencyHistogram::new();
+        a.record(10);
+        a.record(30);
+        assert_eq!(a.to_flat(), [2.0, 40.0, 30.0, 8.0, 1.0, 16.0, 1.0]);
     }
 
     #[test]

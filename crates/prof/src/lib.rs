@@ -29,7 +29,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -131,9 +131,6 @@ impl ThreadSlot {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static CAPTURE: AtomicBool = AtomicBool::new(false);
-static TRACK_PHASE: AtomicBool = AtomicBool::new(false);
-/// 0 = idle; otherwise `Phase` index + 1 of the innermost live span.
-static CURRENT_PHASE: AtomicUsize = AtomicUsize::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
 fn registry() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
@@ -172,28 +169,11 @@ pub fn set_capture(on: bool) {
     CAPTURE.store(on, Ordering::Relaxed);
 }
 
-/// Turns innermost-live-phase tracking (for progress heartbeats) on or
-/// off. Off by default: it adds two extra stores per span.
-pub fn set_track_current(on: bool) {
-    TRACK_PHASE.store(on, Ordering::Relaxed);
-}
-
-/// The innermost phase a live span is currently attributing time to on
-/// *any* thread, when [`set_track_current`] is on. Best-effort (races
-/// between threads resolve arbitrarily) — suitable for heartbeat lines,
-/// nothing else.
-pub fn current_phase() -> Option<Phase> {
-    match CURRENT_PHASE.load(Ordering::Relaxed) {
-        0 => None,
-        i => Some(Phase::ALL[i - 1]),
-    }
-}
-
 /// An RAII span: created by [`span`], attributes its lifetime's
 /// wall-clock duration to a phase on drop. Inert when profiling is
 /// disabled.
 pub struct SpanGuard {
-    live: Option<(Phase, Instant, usize)>,
+    live: Option<(Phase, Instant)>,
 }
 
 /// Opens a wall-clock span attributed to `phase`. When profiling is
@@ -203,19 +183,14 @@ pub fn span(phase: Phase) -> SpanGuard {
     if !ENABLED.load(Ordering::Relaxed) {
         return SpanGuard { live: None };
     }
-    let prev = if TRACK_PHASE.load(Ordering::Relaxed) {
-        CURRENT_PHASE.swap(phase.index() + 1, Ordering::Relaxed)
-    } else {
-        0
-    };
     SpanGuard {
-        live: Some((phase, Instant::now(), prev)),
+        live: Some((phase, Instant::now())),
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some((phase, start, prev)) = self.live.take() else {
+        let Some((phase, start)) = self.live.take() else {
             return;
         };
         let dur = start.elapsed();
@@ -239,9 +214,6 @@ impl Drop for SpanGuard {
                 }
             }
         });
-        if TRACK_PHASE.load(Ordering::Relaxed) {
-            CURRENT_PHASE.store(prev, Ordering::Relaxed);
-        }
     }
 }
 
@@ -423,26 +395,5 @@ mod tests {
         let t = phase_totals();
         let tr = t.iter().find(|p| p.phase == Phase::Translate).unwrap();
         assert_eq!(tr.count, 4);
-    }
-
-    #[test]
-    fn current_phase_tracks_nesting() {
-        let _g = guard();
-        reset();
-        set_enabled(true);
-        set_track_current(true);
-        assert_eq!(current_phase(), None);
-        {
-            let _outer = span(Phase::FaultHandling);
-            assert_eq!(current_phase(), Some(Phase::FaultHandling));
-            {
-                let _inner = span(Phase::FabricTransfer);
-                assert_eq!(current_phase(), Some(Phase::FabricTransfer));
-            }
-            assert_eq!(current_phase(), Some(Phase::FaultHandling));
-        }
-        assert_eq!(current_phase(), None);
-        set_track_current(false);
-        set_enabled(false);
     }
 }

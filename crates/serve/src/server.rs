@@ -86,9 +86,9 @@ pub struct SpecResult {
     /// Store files quarantined (failed an integrity check) while
     /// serving this cell.
     pub store_quarantined: u64,
-    /// Serialized trace events (one JSON object per entry) when the
+    /// Trace events, one `TraceEvent::to_json` object per entry, when the
     /// spec asked for tracing.
-    pub trace_lines: Vec<String>,
+    pub trace_lines: Vec<Json>,
 }
 
 /// A cell that did not complete.
@@ -581,17 +581,11 @@ fn worker_loop(shared: &Shared) {
         let mut lines = Vec::new();
         let result = match (shared.runner)(&job.spec) {
             Ok(res) => {
-                for ev in &res.trace_lines {
-                    // Trace lines were serialized by the runner; parse
-                    // so the wire carries a structured event, and skip
-                    // (rather than corrupt the stream with) any line
-                    // that is not valid JSON.
-                    if let Ok(event) = Json::parse(ev) {
-                        lines.push(format!(
-                            "{}\n",
-                            Response::Trace { id: job.id, event }.to_json()
-                        ));
-                    }
+                for event in res.trace_lines {
+                    lines.push(format!(
+                        "{}\n",
+                        Response::Trace { id: job.id, event }.to_json()
+                    ));
                 }
                 if res.store_hit {
                     shared.store_hits.fetch_add(1, Ordering::SeqCst);

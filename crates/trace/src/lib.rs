@@ -35,10 +35,7 @@ pub use event::{
     TRACE_SCHEMA,
 };
 pub use json::Json;
-pub use report::{
-    metrics_from_json, metrics_to_json, CellTiming, CycleProfile, HistReport, PhaseEntry,
-    ProfileReport, StoreCounters,
-};
+pub use report::{metrics_from_json, metrics_to_json, CellTiming, CycleProfile, StoreCounters};
 pub use sink::{TraceConfig, Tracer};
 pub use writer::CellMeta;
 

@@ -4,12 +4,16 @@
 //! records it (the experiment layer's report sink). This module holds the
 //! parts of that document other code also reads or writes: the per-cell
 //! metrics object, which the result store reads back through
-//! [`metrics_from_json`]; the `profile` object, which `repro profile` reads
-//! back through [`ProfileReport::from_json`]; and the `store` counters.
+//! [`metrics_from_json`]; the cycle-domain part of the `profile` object
+//! ([`CycleProfile`]); and the `store` counters. Like the rest of the
+//! report, the `profile` object is only written here: `repro profile`
+//! reads it through [`Json::get`].
 
 use std::collections::HashMap;
 
-use grit_metrics::{FaultCounters, LatencyBreakdown, LatencyClass, RunMetrics, SchemeMix};
+use grit_metrics::{
+    FaultCounters, LatencyBreakdown, LatencyClass, LatencyHistogram, RunMetrics, SchemeMix,
+};
 
 use crate::json::Json;
 
@@ -27,17 +31,6 @@ fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
 
 fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
     req(v, key)?.as_f64().ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    Ok(req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_string())
-}
-
-fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    req(v, key)?.as_arr().ok_or_else(|| format!("field {key:?} is not an array"))
 }
 
 fn faults_to_json(f: &FaultCounters) -> Json {
@@ -170,120 +163,16 @@ pub fn metrics_from_json(v: &Json) -> Result<RunMetrics, String> {
     })
 }
 
-/// Wall-clock totals of one profiled phase, summed across every thread
-/// that entered it; nested spans count inclusively toward their phase.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PhaseEntry {
-    /// Phase name (`grit-prof` snake_case, e.g. `"fault_handling"`).
-    pub phase: String,
-    /// Total nanoseconds spent inside the phase.
-    pub nanos: u64,
-    /// Spans recorded.
-    pub count: u64,
-}
-
-impl PhaseEntry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("phase".into(), Json::Str(self.phase.clone())),
-            ("nanos".into(), Json::UInt(self.nanos)),
-            ("count".into(), Json::UInt(self.count)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(PhaseEntry {
-            phase: req_str(v, "phase")?,
-            nanos: req_u64(v, "nanos")?,
-            count: req_u64(v, "count")?,
-        })
-    }
-}
-
-/// One cycle-domain histogram in report form: sample statistics plus
-/// the non-empty power-of-two buckets as `(lower_bound, count)` pairs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistReport {
-    /// Values recorded.
-    pub samples: u64,
-    /// Arithmetic mean of recorded values.
-    pub mean: f64,
-    /// Largest recorded value.
-    pub max: u64,
-    /// Non-empty buckets: `(lower_bound_cycles, count)`, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistReport {
-    /// Decodes the flattened aux form the runner records:
-    /// `[samples, mean, max, lb0, c0, lb1, c1, ...]`.
-    pub fn from_flat(vs: &[f64]) -> Self {
-        if vs.len() < 3 {
-            return HistReport::default();
-        }
-        HistReport {
-            samples: vs[0] as u64,
-            mean: vs[1],
-            max: vs[2] as u64,
-            buckets: vs[3..].chunks_exact(2).map(|p| (p[0] as u64, p[1] as u64)).collect(),
-        }
-    }
-
-    /// Accumulates another histogram with the same bucket geometry.
-    pub fn merge(&mut self, other: &HistReport) {
-        let total = self.mean * self.samples as f64 + other.mean * other.samples as f64;
-        self.samples += other.samples;
-        self.mean = if self.samples == 0 {
-            0.0
-        } else {
-            total / self.samples as f64
-        };
-        self.max = self.max.max(other.max);
-        for &(lb, c) in &other.buckets {
-            match self.buckets.iter_mut().find(|(b, _)| *b == lb) {
-                Some((_, n)) => *n += c,
-                None => self.buckets.push((lb, c)),
-            }
-        }
-        self.buckets.sort_unstable_by_key(|&(lb, _)| lb);
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("samples".into(), Json::UInt(self.samples)),
-            ("mean".into(), Json::Float(self.mean)),
-            ("max".into(), Json::UInt(self.max)),
-            (
-                "buckets".into(),
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(lb, c)| Json::Arr(vec![Json::UInt(lb), Json::UInt(c)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let mut buckets = Vec::new();
-        for pair in req_arr(v, "buckets")? {
-            let pair = pair.as_arr().ok_or("histogram bucket is not an array")?;
-            match pair {
-                [lb, c] => buckets.push((
-                    lb.as_u64().ok_or("bucket bound is not an integer")?,
-                    c.as_u64().ok_or("bucket count is not an integer")?,
-                )),
-                _ => return Err("histogram bucket is not a pair".into()),
-            }
-        }
-        Ok(HistReport {
-            samples: req_u64(v, "samples")?,
-            mean: req_f64(v, "mean")?,
-            max: req_u64(v, "max")?,
-            buckets,
-        })
-    }
+/// The report object of one cycle-domain histogram: sample statistics
+/// plus the non-empty power-of-two buckets as `[lower_bound, count]` pairs.
+fn hist_to_json(h: &LatencyHistogram) -> Json {
+    let buckets = h.iter().map(|(lb, c)| Json::Arr(vec![Json::UInt(lb), Json::UInt(c)]));
+    Json::Obj(vec![
+        ("samples".into(), Json::UInt(h.samples())),
+        ("mean".into(), Json::Float(h.mean())),
+        ("max".into(), Json::UInt(h.max())),
+        ("buckets".into(), Json::Arr(buckets.collect())),
+    ])
 }
 
 /// Deterministic cycle-domain profile sections, accumulated over every
@@ -292,11 +181,11 @@ impl HistReport {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CycleProfile {
     /// Per-fault queue wait behind the serial fault handler.
-    pub fault_occupancy: HistReport,
+    pub fault_occupancy: LatencyHistogram,
     /// Per-migration dispatch-to-done latency.
-    pub migration_latency: HistReport,
+    pub migration_latency: LatencyHistogram,
     /// Per-hop queue wait behind busy fabric wires.
-    pub fabric_queue: HistReport,
+    pub fabric_queue: LatencyHistogram,
     /// MLP-window stall cycles summed over every GPU of every cell.
     pub mlp_stall_cycles: u64,
 }
@@ -304,75 +193,34 @@ pub struct CycleProfile {
 impl CycleProfile {
     /// Accumulates one cell's `prof_*` aux series.
     pub fn absorb_aux(&mut self, aux: &HashMap<String, Vec<f64>>) {
-        let find = |name: &str| aux.get(name).map(Vec::as_slice);
-        if let Some(vs) = find("prof_fault_occupancy_hist") {
-            self.fault_occupancy.merge(&HistReport::from_flat(vs));
+        for (name, hist) in [
+            ("prof_fault_occupancy_hist", &mut self.fault_occupancy),
+            ("prof_migration_latency_hist", &mut self.migration_latency),
+            ("prof_fabric_queue_hist", &mut self.fabric_queue),
+        ] {
+            if let Some(vs) = aux.get(name) {
+                hist.merge(&LatencyHistogram::from_flat(vs));
+            }
         }
-        if let Some(vs) = find("prof_migration_latency_hist") {
-            self.migration_latency.merge(&HistReport::from_flat(vs));
-        }
-        if let Some(vs) = find("prof_fabric_queue_hist") {
-            self.fabric_queue.merge(&HistReport::from_flat(vs));
-        }
-        if let Some(vs) = find("prof_mlp_stall_cycles") {
+        if let Some(vs) = aux.get("prof_mlp_stall_cycles") {
             self.mlp_stall_cycles += vs.iter().map(|&v| v as u64).sum::<u64>();
         }
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("fault_occupancy".into(), self.fault_occupancy.to_json()),
-            ("migration_latency".into(), self.migration_latency.to_json()),
-            ("fabric_queue".into(), self.fabric_queue.to_json()),
-            ("mlp_stall_cycles".into(), Json::UInt(self.mlp_stall_cycles)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(CycleProfile {
-            fault_occupancy: HistReport::from_json(req(v, "fault_occupancy")?)?,
-            migration_latency: HistReport::from_json(req(v, "migration_latency")?)?,
-            fabric_queue: HistReport::from_json(req(v, "fabric_queue")?)?,
-            mlp_stall_cycles: req_u64(v, "mlp_stall_cycles")?,
-        })
-    }
-}
-
-/// The run's self-profile, emitted only when
-/// profiling was enabled. `wall` is wall-clock and thread-dependent;
-/// `cycle` is the deterministic comparison surface.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProfileReport {
-    /// Wall-clock phase totals, phases with at least one span.
-    pub wall: Vec<PhaseEntry>,
-    /// Deterministic cycle-domain sections.
-    pub cycle: CycleProfile,
-}
-
-impl ProfileReport {
-    /// Serializes to the report's `profile` object.
+    /// Serializes the report's `profile.cycle` object.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             (
-                "wall".into(),
-                Json::Arr(self.wall.iter().map(PhaseEntry::to_json).collect()),
+                "fault_occupancy".into(),
+                hist_to_json(&self.fault_occupancy),
             ),
-            ("cycle".into(), self.cycle.to_json()),
+            (
+                "migration_latency".into(),
+                hist_to_json(&self.migration_latency),
+            ),
+            ("fabric_queue".into(), hist_to_json(&self.fabric_queue)),
+            ("mlp_stall_cycles".into(), Json::UInt(self.mlp_stall_cycles)),
         ])
-    }
-
-    /// Parses the object form produced by [`ProfileReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let wall: Result<Vec<PhaseEntry>, String> =
-            req_arr(v, "wall")?.iter().map(PhaseEntry::from_json).collect();
-        Ok(ProfileReport {
-            wall: wall?,
-            cycle: CycleProfile::from_json(req(v, "cycle")?)?,
-        })
     }
 }
 
@@ -511,46 +359,38 @@ mod tests {
         }
     }
 
-    fn sample_profile() -> ProfileReport {
+    #[test]
+    fn cycle_profile_merges_flat_histograms() {
         let mut cycle = CycleProfile::default();
-        cycle.absorb_aux(&HashMap::from([
-            (
-                "prof_fault_occupancy_hist".into(),
-                vec![3.0, 10.0, 16.0, 8.0, 2.0, 16.0, 1.0],
-            ),
-            ("prof_mlp_stall_cycles".into(), vec![100.0, 50.0]),
-        ]));
-        ProfileReport {
-            wall: vec![PhaseEntry {
-                phase: "fault_handling".into(),
-                nanos: 123_456,
-                count: 42,
-            }],
-            cycle,
+        for flat in [
+            vec![2.0, 20.0, 12.0, 8.0, 2.0],
+            vec![1.0, 64.0, 64.0, 64.0, 1.0],
+        ] {
+            cycle.absorb_aux(&HashMap::from([
+                ("prof_fault_occupancy_hist".into(), flat),
+                ("prof_mlp_stall_cycles".into(), vec![100.0, 50.0]),
+            ]));
         }
-    }
-
-    #[test]
-    fn profile_report_round_trips() {
-        let p = sample_profile();
-        assert_eq!(p.cycle.fault_occupancy.samples, 3);
-        assert_eq!(p.cycle.fault_occupancy.buckets, vec![(8, 2), (16, 1)]);
-        assert_eq!(p.cycle.mlp_stall_cycles, 150);
-        let text = p.to_json().to_string();
-        let back = ProfileReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, p);
-        assert!(ProfileReport::from_json(&Json::Obj(Vec::new())).unwrap_err().contains("wall"));
-    }
-
-    #[test]
-    fn hist_report_merge_combines_samples_and_buckets() {
-        let mut a = HistReport::from_flat(&[2.0, 10.0, 16.0, 8.0, 2.0]);
-        let b = HistReport::from_flat(&[2.0, 40.0, 64.0, 8.0, 1.0, 64.0, 1.0]);
-        a.merge(&b);
-        assert_eq!(a.samples, 4);
-        assert_eq!(a.max, 64);
-        assert!((a.mean - 25.0).abs() < 1e-9);
-        assert_eq!(a.buckets, vec![(8, 3), (64, 1)]);
+        assert_eq!(cycle.fault_occupancy.samples(), 3);
+        assert_eq!(cycle.fault_occupancy.max(), 64);
+        assert_eq!(cycle.mlp_stall_cycles, 300);
+        let j = cycle.to_json();
+        let occupancy = j.get("fault_occupancy").unwrap();
+        assert_eq!(occupancy.get("mean").and_then(Json::as_f64), Some(28.0));
+        assert_eq!(
+            occupancy.get("buckets").unwrap().to_string(),
+            "[[8,2],[64,1]]"
+        );
+        let keys: Vec<&str> = j.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "fault_occupancy",
+                "migration_latency",
+                "fabric_queue",
+                "mlp_stall_cycles"
+            ]
+        );
     }
 
     #[test]

@@ -23,11 +23,11 @@ const FRAME_KEY: u64 = 1 << 63;
 /// use grit_sim::{GpuId, PageId};
 ///
 /// let mut c = AccessCounters::new(4, 4096, 2, 64);
-/// let g = GpuId::new(0);
+/// let (g, group) = (GpuId::new(0), c.group_of(PageId(5)));
 /// for _ in 0..3 {
-///     assert!(!c.record_remote(g, PageId(5)));
+///     assert!(!c.record_remote_grouped(g, group));
 /// }
-/// assert!(c.record_remote(g, PageId(5))); // threshold 4 reached
+/// assert!(c.record_remote_grouped(g, group)); // threshold 4 reached
 /// ```
 #[derive(Clone, Debug)]
 pub struct AccessCounters {
@@ -97,16 +97,11 @@ impl AccessCounters {
         start..start + self.num_gpus
     }
 
-    /// Records one remote access by `gpu` to `vpn`. Returns `true` when the
-    /// group counter reaches the threshold; the counter then resets.
-    pub fn record_remote(&mut self, gpu: GpuId, vpn: PageId) -> bool {
-        self.record_remote_grouped(gpu, vpn.counter_group(self.page_size))
-    }
-
-    /// Records one remote access under an explicit group key. Coalesced
-    /// 2 MB frames track remote traffic under a single frame-granularity
-    /// key, `1 << 63 | frame index`, rather than per 64 KB group, so the
-    /// driver supplies the key itself.
+    /// Records one remote access by `gpu` under a group key: a 64 KB group
+    /// from [`AccessCounters::group_of`], or, for a coalesced 2 MB frame,
+    /// the single frame-granularity key `1 << 63 | frame index`. Returns
+    /// `true` when the counter reaches the threshold; the counter then
+    /// resets.
     pub fn record_remote_grouped(&mut self, gpu: GpuId, group: u64) -> bool {
         let slots = self.slots(group);
         let c = &mut self.counts[slots][gpu.index()];
@@ -117,16 +112,6 @@ impl AccessCounters {
         } else {
             false
         }
-    }
-
-    /// Current counter value for a GPU/page's group.
-    pub fn value(&self, gpu: GpuId, vpn: PageId) -> u32 {
-        self.value_grouped(gpu, vpn.counter_group(self.page_size))
-    }
-
-    /// Current counter value under an explicit group key.
-    pub fn value_grouped(&self, gpu: GpuId, group: u64) -> u32 {
-        self.counts[self.slots(group)][gpu.index()]
     }
 
     /// Clears every GPU's counter under a group key (after the page
@@ -141,49 +126,51 @@ impl AccessCounters {
 mod tests {
     use super::*;
 
+    /// Records a remote access by GPU `gpu` to page `vpn`; `true` on a trip.
+    fn touch(c: &mut AccessCounters, gpu: u8, vpn: u64) -> bool {
+        let group = c.group_of(PageId(vpn));
+        c.record_remote_grouped(GpuId::new(gpu), group)
+    }
+
     #[test]
     fn counts_per_gpu_and_group() {
         let mut c = AccessCounters::new(2, 4096, 2, 64);
-        let g0 = GpuId::new(0);
-        let g1 = GpuId::new(1);
-        assert!(!c.record_remote(g0, PageId(0)));
+        assert!(!touch(&mut c, 0, 0));
         // Different GPU: separate counter.
-        assert!(!c.record_remote(g1, PageId(0)));
+        assert!(!touch(&mut c, 1, 0));
         // Same GPU, same 64 KB group (pages 0..16): second hit triggers.
-        assert!(c.record_remote(g0, PageId(15)));
-        // Counter reset after trigger.
-        assert_eq!(c.value(g0, PageId(0)), 0);
+        assert!(touch(&mut c, 0, 15));
+        // Counter reset after trigger: one more access does not trip.
+        assert!(!touch(&mut c, 0, 0));
     }
 
     #[test]
     fn different_groups_do_not_share_counters() {
         let mut c = AccessCounters::new(2, 4096, 2, 64);
-        let g = GpuId::new(0);
-        assert!(!c.record_remote(g, PageId(0)));
-        assert!(!c.record_remote(g, PageId(16))); // next 64 KB group
-        assert_eq!(c.value(g, PageId(0)), 1);
-        assert_eq!(c.value(g, PageId(16)), 1);
+        assert!(!touch(&mut c, 0, 0));
+        assert!(!touch(&mut c, 0, 16)); // next 64 KB group
+        assert!(touch(&mut c, 0, 0));
+        assert!(touch(&mut c, 0, 16));
     }
 
     #[test]
     fn reset_group_clears_all_gpus() {
-        let mut c = AccessCounters::new(10, 4096, 2, 64);
-        c.record_remote(GpuId::new(0), PageId(3));
-        c.record_remote(GpuId::new(1), PageId(4));
-        c.record_remote(GpuId::new(1), PageId(20));
+        let mut c = AccessCounters::new(2, 4096, 2, 64);
+        touch(&mut c, 0, 3);
+        touch(&mut c, 1, 4);
+        touch(&mut c, 1, 20);
         c.reset_group_key(c.group_of(PageId(0)));
-        assert_eq!(c.value(GpuId::new(0), PageId(3)), 0);
-        assert_eq!(c.value(GpuId::new(1), PageId(4)), 0);
-        assert_eq!(c.value(GpuId::new(1), PageId(20)), 1);
+        assert!(!touch(&mut c, 0, 3));
+        assert!(!touch(&mut c, 1, 4));
+        assert!(touch(&mut c, 1, 20), "other groups keep their counts");
     }
 
     #[test]
     fn large_pages_use_page_granularity() {
         let mut c = AccessCounters::new(2, 2 * 1024 * 1024, 1, 8);
-        let g = GpuId::new(0);
-        assert!(!c.record_remote(g, PageId(1)));
-        assert!(!c.record_remote(g, PageId(2))); // different "group"
-        assert!(c.record_remote(g, PageId(1)));
+        assert!(!touch(&mut c, 0, 1));
+        assert!(!touch(&mut c, 0, 2)); // different "group"
+        assert!(touch(&mut c, 0, 1));
     }
 
     #[test]
@@ -193,18 +180,20 @@ mod tests {
         let frame_key = (1u64 << 63) | 7;
         assert!(!c.record_remote_grouped(g, frame_key));
         // The same pages under their natural group stay untouched.
-        assert_eq!(c.value(g, PageId(7 * 512)), 0);
-        assert_eq!(c.value_grouped(g, frame_key), 1);
+        assert!(!touch(&mut c, 0, 7 * 512));
         assert!(c.record_remote_grouped(g, frame_key));
         c.record_remote_grouped(g, frame_key);
         c.reset_group_key(frame_key);
-        assert_eq!(c.value_grouped(g, frame_key), 0);
+        assert!(
+            !c.record_remote_grouped(g, frame_key),
+            "reset clears the frame key"
+        );
     }
 
     #[test]
     #[should_panic(expected = "outside the footprint of 64 pages")]
     fn groups_past_the_footprint_panic() {
-        AccessCounters::new(2, 4096, 1, 64).record_remote(GpuId::new(0), PageId(64));
+        touch(&mut AccessCounters::new(2, 4096, 1, 64), 0, 64);
     }
 
     #[test]

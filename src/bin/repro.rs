@@ -31,9 +31,7 @@ use grit::experiments::{self as ex, report_sink, ExpConfig};
 use grit_metrics::Table;
 use grit_sim::{RunSpec, SimConfig};
 use grit_trace::report::RUN_REPORT_SCHEMA;
-use grit_trace::{
-    writer as trace_writer, CategoryMask, HistReport, Json, PhaseEntry, ProfileReport,
-};
+use grit_trace::{writer as trace_writer, CategoryMask, Json};
 
 /// Everything the command line sets. Scale, intensity, seed, the machine
 /// overrides, the cell timeout and the trace knobs land in `spec`, the
@@ -179,7 +177,7 @@ const FLAGS: &[Flag] = &[
     },
     Flag {
         names: &["--progress"],
-        help: "1 Hz heartbeat: cells done, ETA, current phase",
+        help: "1 Hz heartbeat: cells done, ETA",
         set: Switch(|_| ex::set_progress(true)),
     },
     Flag {
@@ -753,13 +751,18 @@ fn session(
         ex::effective_jobs()
     );
     trace_writer::flush_global().map_err(|e| format!("trace: flush failed: {e}"))?;
-    let wall = a.profile.then(phase_entries);
-    if let Some(totals) = &wall {
-        if totals.is_empty() {
+    if a.profile {
+        let totals = grit_prof::phase_totals();
+        let rows: Vec<PhaseRow> = totals
+            .iter()
+            .filter(|t| t.count > 0)
+            .map(|t| (t.phase.name(), t.nanos, t.count))
+            .collect();
+        if rows.is_empty() {
             eprintln!("[repro] profile: no spans recorded");
         } else {
             eprintln!("[repro] wall-clock phases:");
-            eprint!("{}", render_phase_table(totals));
+            eprint!("{}", render_phase_table(rows));
         }
     }
     if let Some(path) = &a.profile_out {
@@ -774,7 +777,8 @@ fn session(
         );
     }
     if let Some(dir) = &a.metrics_dir {
-        let report = report_sink::build_report(&exp, ex::effective_jobs(), total_seconds, wall);
+        let report =
+            report_sink::build_report(&exp, ex::effective_jobs(), total_seconds, a.profile);
         let path = dir.join("run_report.json");
         fs::write(&path, format!("{report}\n"))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -945,55 +949,29 @@ fn trace_info(_: &Args, operands: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The wall-clock totals of every phase that recorded a span.
-fn phase_entries() -> Vec<PhaseEntry> {
-    grit_prof::phase_totals()
-        .iter()
-        .filter(|t| t.count > 0)
-        .map(|t| PhaseEntry {
-            phase: t.phase.name().to_string(),
-            nanos: t.nanos,
-            count: t.count,
-        })
-        .collect()
-}
+/// One wall-clock phase row: name, total nanoseconds, spans.
+type PhaseRow<'a> = (&'a str, u64, u64);
 
-/// Renders wall-clock phase totals as an aligned text table.
-fn render_phase_table(entries: &[PhaseEntry]) -> String {
+/// Renders wall-clock phase totals as an aligned text table, longest first.
+fn render_phase_table(mut rows: Vec<PhaseRow>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "  {:<22} {:>12} {:>10} {:>12}\n",
         "phase", "total ms", "spans", "mean us"
     ));
-    let mut rows: Vec<&PhaseEntry> = entries.iter().collect();
-    rows.sort_by_key(|e| std::cmp::Reverse(e.nanos));
-    for e in rows {
-        let ms = e.nanos as f64 / 1e6;
-        let mean_us = if e.count > 0 {
-            e.nanos as f64 / 1e3 / e.count as f64
+    rows.sort_by_key(|&(_, nanos, _)| std::cmp::Reverse(nanos));
+    for (phase, nanos, count) in rows {
+        let ms = nanos as f64 / 1e6;
+        let mean_us = if count > 0 {
+            nanos as f64 / 1e3 / count as f64
         } else {
             0.0
         };
         out.push_str(&format!(
-            "  {:<22} {:>12.2} {:>10} {:>12.2}\n",
-            e.phase, ms, e.count, mean_us
+            "  {phase:<22} {ms:>12.2} {count:>10} {mean_us:>12.2}\n"
         ));
     }
     out
-}
-
-/// Renders one cycle-domain histogram line (`samples / mean / max` plus the
-/// non-empty power-of-two buckets).
-fn render_hist(name: &str, h: &HistReport) -> String {
-    let buckets: Vec<String> = h.buckets.iter().map(|(lb, c)| format!("{lb}:{c}")).collect();
-    format!(
-        "  {:<22} samples={:<10} mean={:<10.1} max={:<10} buckets[{}]",
-        name,
-        h.samples,
-        h.mean,
-        h.max,
-        buckets.join(" ")
-    )
 }
 
 /// `repro profile <run_report.json>`: renders the report's `profile`
@@ -1014,21 +992,61 @@ fn cmd_profile(_: &Args, operands: &[String]) -> Result<(), String> {
             "{path} has no profile section; re-run repro with --profile --metrics-out"
         ));
     };
-    let profile =
-        ProfileReport::from_json(profile).map_err(|e| format!("{path}: not a run report: {e}"))?;
-    println!("== wall-clock phases ==");
-    print!("{}", render_phase_table(&profile.wall));
-    println!("\n== cycle-domain (deterministic) ==");
-    let c = &profile.cycle;
-    for (name, hist) in [
-        ("fault_occupancy", &c.fault_occupancy),
-        ("migration_latency", &c.migration_latency),
-        ("fabric_queue", &c.fabric_queue),
-    ] {
-        println!("{}", render_hist(name, hist));
-    }
-    println!("  mlp_stall_cycles       {}", c.mlp_stall_cycles);
+    let text = render_profile(profile).map_err(|e| format!("{path}: not a run report: {e}"))?;
+    print!("{text}");
     Ok(())
+}
+
+/// A report field that must be present.
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// A report field that must be an integer.
+fn num(v: &Json, key: &str) -> Result<u64, String> {
+    field(v, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not an integer"))
+}
+
+/// Renders a report's `profile` object: the wall-clock phase table, then
+/// one line per cycle-domain histogram (`samples / mean / max` plus the
+/// non-empty power-of-two buckets).
+fn render_profile(profile: &Json) -> Result<String, String> {
+    let mut rows = Vec::new();
+    for row in field(profile, "wall")?.as_arr().unwrap_or_default() {
+        let phase = field(row, "phase")?.as_str().unwrap_or_default();
+        rows.push((phase, num(row, "nanos")?, num(row, "count")?));
+    }
+    let mut out = format!("== wall-clock phases ==\n{}", render_phase_table(rows));
+    out.push_str("\n== cycle-domain (deterministic) ==\n");
+    let cycle = field(profile, "cycle")?;
+    for name in ["fault_occupancy", "migration_latency", "fabric_queue"] {
+        let h = field(cycle, name)?;
+        let mean = field(h, "mean")?.as_f64().unwrap_or_default();
+        let buckets: Vec<String> = field(h, "buckets")?
+            .as_arr()
+            .unwrap_or_default()
+            .iter()
+            .map(|pair| {
+                let n = |i: usize| pair.as_arr().and_then(|p| p.get(i)?.as_u64()).unwrap_or(0);
+                format!("{}:{}", n(0), n(1))
+            })
+            .collect();
+        out.push_str(&format!(
+            "  {:<22} samples={:<10} mean={:<10.1} max={:<10} buckets[{}]\n",
+            name,
+            num(h, "samples")?,
+            mean,
+            num(h, "max")?,
+            buckets.join(" ")
+        ));
+    }
+    out.push_str(&format!(
+        "  mlp_stall_cycles       {}\n",
+        num(cycle, "mlp_stall_cycles")?
+    ));
+    Ok(out)
 }
 
 /// `repro stats`: one line of counters per cell of the Table II apps

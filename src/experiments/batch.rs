@@ -459,13 +459,10 @@ static OVERRIDE_SPEC: Mutex<Option<RunSpec>> = Mutex::new(None);
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
 /// Turns the stderr progress heartbeat on or off for subsequent batches
-/// (the `repro --progress` flag). Also enables `grit-prof`
-/// current-phase tracking so the heartbeat can name the phase the
-/// process is in. Deliberately process-wide rather than a `SimConfig`
-/// field: resume keys must not depend on how a run is observed.
+/// (the `repro --progress` flag). Deliberately process-wide rather than a
+/// `SimConfig` field: resume keys must not depend on how a run is observed.
 pub fn set_progress(on: bool) {
     PROGRESS.store(on, Ordering::Relaxed);
-    grit_prof::set_track_current(on);
 }
 
 /// Whether the progress heartbeat is on.
@@ -611,8 +608,8 @@ pub(crate) fn run_batch_on(
         CancelToken::new()
     };
     // The heartbeat monitor: a detached-until-joined thread printing one
-    // stderr line per second with completed cells, an ETA extrapolated
-    // from the mean cell time so far, and the phase the process is in.
+    // stderr line per second with completed cells and an ETA extrapolated
+    // from the mean cell time so far.
     let done_count = Arc::new(AtomicUsize::new(0));
     let heartbeat_stop = Arc::new(AtomicBool::new(false));
     let monitor = (progress_enabled() && !cells.is_empty()).then(|| {
@@ -633,8 +630,7 @@ pub(crate) fn run_batch_on(
                 } else {
                     "?".into()
                 };
-                let phase = grit_prof::current_phase().map_or("-", |p| p.name());
-                eprintln!("progress: {d}/{total} cells done, {elapsed:.0}s elapsed, eta {eta}, phase {phase}");
+                eprintln!("progress: {d}/{total} cells done, {elapsed:.0}s elapsed, eta {eta}");
             }
         })
     });

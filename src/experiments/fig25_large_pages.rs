@@ -48,26 +48,6 @@ pub fn run(exp: &ExpConfig) -> Table {
     table
 }
 
-/// Convenience: the 4 KB-page GRIT-vs-on-touch average for the same
-/// enlarged inputs, used to show the 2 MB edge is smaller.
-pub fn gain_4k(exp: &ExpConfig) -> f64 {
-    let big = ExpConfig {
-        scale: exp.scale * INPUT_ENLARGEMENT / 8.0,
-        ..*exp
-    };
-    let policies = [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT];
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| policies.into_iter().map(move |p| CellSpec::new(app, p, &big)))
-        .collect();
-    let outputs = run_batch(&cells);
-    let speedups: Vec<f64> = outputs
-        .chunks(policies.len())
-        .map(|chunk| chunk[0].cycles() / chunk[1].cycles())
-        .collect();
-    grit_metrics::geomean(&speedups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +66,21 @@ mod tests {
         let exp = ExpConfig::quick();
         let t = run(&exp);
         let gain_2m = t.cell("GEOMEAN", "grit").unwrap();
-        let gain_4kb = gain_4k(&exp);
+        // The 4 KB-page GRIT-vs-on-touch geomean for comparably large inputs.
+        let big = ExpConfig {
+            scale: exp.scale * INPUT_ENLARGEMENT / 8.0,
+            ..exp
+        };
+        let policies = [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT];
+        let cells: Vec<CellSpec> = table2_apps()
+            .into_iter()
+            .flat_map(|app| policies.into_iter().map(move |p| CellSpec::new(app, p, &big)))
+            .collect();
+        let speedups: Vec<f64> = run_batch(&cells)
+            .chunks(policies.len())
+            .map(|chunk| chunk[0].cycles() / chunk[1].cycles())
+            .collect();
+        let gain_4kb = grit_metrics::geomean(&speedups);
         assert!(
             gain_2m < gain_4kb,
             "2MB gain ({gain_2m}) must trail the 4KB gain ({gain_4kb})"

@@ -16,7 +16,7 @@ use std::time::Instant;
 use grit_metrics::{IntervalSeries, RunMetrics};
 use grit_sim::{CellError, SimConfig};
 use grit_trace::report::RUN_REPORT_SCHEMA;
-use grit_trace::{metrics_to_json, CycleProfile, Json, PhaseEntry, ProfileReport, StoreCounters};
+use grit_trace::{metrics_to_json, CycleProfile, Json, StoreCounters};
 
 use crate::runner::RunOutput;
 
@@ -187,15 +187,10 @@ pub fn record_store(counters: StoreCounters) {
 }
 
 /// Assembles the full `run_report.json` document from everything recorded
-/// so far. `wall` holds the wall-clock phase totals of a profiled run; the
-/// `profile` object, and the `store` object of a run without store
-/// traffic, are left out when absent.
-pub fn build_report(
-    exp: &ExpConfig,
-    jobs: usize,
-    total_seconds: f64,
-    wall: Option<Vec<PhaseEntry>>,
-) -> Json {
+/// so far. A `profiled` run gets the `profile` object: the wall-clock
+/// totals of every phase that recorded a span, then the merged cycle
+/// profile. The `store` object of a run without store traffic is left out.
+pub fn build_report(exp: &ExpConfig, jobs: usize, total_seconds: f64, profiled: bool) -> Json {
     let st = state();
     let system = SimConfig::default().describe().into_iter().map(|(k, v)| (k, v.into()));
     let mut fields = vec![
@@ -210,9 +205,21 @@ pub fn build_report(
         ("batches", Json::Arr(st.batches.clone())),
         ("cells", Json::Arr(st.cells.clone())),
     ];
-    if let Some(wall) = wall {
-        let cycle = st.cycle.clone();
-        fields.push(("profile", ProfileReport { wall, cycle }.to_json()));
+    if profiled {
+        let wall = grit_prof::phase_totals().into_iter().filter(|t| t.count > 0).map(|t| {
+            obj(vec![
+                ("phase", t.phase.name().into()),
+                ("nanos", t.nanos.into()),
+                ("count", t.count.into()),
+            ])
+        });
+        fields.push((
+            "profile",
+            obj(vec![
+                ("wall", Json::Arr(wall.collect())),
+                ("cycle", st.cycle.to_json()),
+            ]),
+        ));
     }
     if st.store.any() {
         fields.push(("store", st.store.to_json()));
@@ -240,7 +247,7 @@ mod tests {
     #[test]
     fn empty_report_assembles() {
         let exp = ExpConfig::quick();
-        let report = build_report(&exp, 2, 0.0, None);
+        let report = build_report(&exp, 2, 0.0, false);
         assert_eq!(
             report.get("schema").and_then(Json::as_str),
             Some(RUN_REPORT_SCHEMA)
@@ -252,7 +259,7 @@ mod tests {
             Some(0)
         );
         assert!(report.get("profile").is_none() && report.get("store").is_none());
-        let profiled = build_report(&exp, 2, 0.0, Some(Vec::new()));
+        let profiled = build_report(&exp, 2, 0.0, true);
         assert!(profiled.get("profile").unwrap().get("cycle").is_some());
     }
 

@@ -57,7 +57,8 @@ use crate::runner::{RunObserver, RunOutput};
 /// files are re-run instead of misparsed. v4: a header line carrying the
 /// checksum of the payload line's bytes as written. v5: the payload has
 /// no per-page attribute rows (page attributes are read from the trace).
-pub const STORE_SCHEMA: &str = "grit-result-store/v5";
+/// v6: slot 1 of each `prof_*_hist` series is the sample sum, not the mean.
+pub const STORE_SCHEMA: &str = "grit-result-store/v6";
 
 /// Subdirectory (under the store root) holding files that failed an
 /// integrity check on load.
@@ -757,20 +758,40 @@ mod tests {
             .observed(observer)
             .run();
         let m = &out.metrics;
-        for series in [
+        let keys = |m: &grit_metrics::RunMetrics| {
+            let mut keys: Vec<String> = m.aux.keys().cloned().collect();
+            keys.sort_unstable();
+            keys
+        };
+        // Every run writes these twelve series (DESIGN §10) ...
+        let every_run = [
             "fabric_class_bytes",
             "fabric_queue_cycles",
-            "resilience_counters",
-            "pagesize_counters",
-            "tlb_l1_hit_rate_2m",
-            "tlb_l2_hit_rate_2m",
+            "fault_latency_summary",
+            "per_gpu_accesses",
+            "per_gpu_faults",
+            "per_gpu_finish_cycles",
+            "prof_fabric_queue_hist",
             "prof_fault_occupancy_hist",
             "prof_migration_latency_hist",
-            "prof_fabric_queue_hist",
             "prof_mlp_stall_cycles",
-        ] {
-            assert!(m.aux.contains_key(series), "runner did not write {series}");
-        }
+            "tlb_l1_hit_rate",
+            "tlb_l2_hit_rate",
+        ];
+        let healthy = CellSpec::new(App::Bfs, PolicyKind::GRIT, &tiny_exp())
+            .with_cfg(SimConfig::with_gpus(4))
+            .run();
+        assert_eq!(keys(&healthy.metrics), every_run);
+        // ... and an injected large-page run adds four more.
+        let mut all = every_run.to_vec();
+        all.extend([
+            "pagesize_counters",
+            "resilience_counters",
+            "tlb_l1_hit_rate_2m",
+            "tlb_l2_hit_rate_2m",
+        ]);
+        all.sort_unstable();
+        assert_eq!(keys(m), all);
         assert!(out.observer.is_some());
 
         let text = metrics_to_json(m).to_string();

@@ -12,8 +12,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use grit_mem::{CacheKey, Mapping, SetAssocCache, TlbHierarchy, TranslationLevel, WalkerPool};
 use grit_metrics::{
-    AttrGrid, IntervalSeries, LatencyClass, LatencyHistogram, PageAttrTracker, RunMetrics,
-    SchemeMix,
+    AttrGrid, IntervalSeries, LatencyClass, PageAttrTracker, RunMetrics, SchemeMix,
 };
 use grit_prof::{span, Phase};
 use grit_sim::{
@@ -888,15 +887,15 @@ impl Simulation {
         // never wall-clock time.
         metrics.set_aux(
             "prof_fault_occupancy_hist",
-            hist_aux(self.driver.fault_occupancy()),
+            self.driver.fault_occupancy().to_flat(),
         );
         metrics.set_aux(
             "prof_migration_latency_hist",
-            hist_aux(self.driver.migration_latency()),
+            self.driver.migration_latency().to_flat(),
         );
         metrics.set_aux(
             "prof_fabric_queue_hist",
-            hist_aux(self.driver.fabric_queue_wait()),
+            self.driver.fabric_queue_wait().to_flat(),
         );
         metrics.set_aux(
             "prof_mlp_stall_cycles",
@@ -921,18 +920,6 @@ impl Simulation {
             events: None,
         })
     }
-}
-
-/// Flattens a latency histogram into a self-describing aux series:
-/// `[samples, mean, max, lb0, c0, lb1, c1, ...]` over non-empty buckets
-/// (`lb` = bucket lower bound in cycles, `c` = sample count).
-fn hist_aux(h: &LatencyHistogram) -> Vec<f64> {
-    let mut v = vec![h.samples() as f64, h.mean(), h.max() as f64];
-    for (lb, c) in h.iter() {
-        v.push(lb as f64);
-        v.push(c as f64);
-    }
-    v
 }
 
 #[cfg(test)]

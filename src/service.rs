@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use grit_serve::{ServeOptions, ServeSummary, Server, SpecFailure, SpecResult, SpecRunner};
 use grit_sim::{RunSpec, SimConfig};
-use grit_trace::{CategoryMask, TraceConfig};
+use grit_trace::{CategoryMask, TraceConfig, TraceEvent};
 use grit_workloads::App;
 
 use crate::experiments::batch::{open_store, run_batch_on};
@@ -111,7 +111,7 @@ fn run_spec_on(
                 .as_deref()
                 .unwrap_or_default()
                 .iter()
-                .map(|ev| ev.to_json().to_string())
+                .map(TraceEvent::to_json)
                 .collect();
             Ok(res)
         }

@@ -9,7 +9,7 @@
 use grit::experiments::{run_batch_with, BatchOptions, CellSpec, ExpConfig, PolicyKind};
 use grit::runner::RunOutput;
 use grit_sim::{Scheme, SimConfig};
-use grit_trace::{CycleProfile, ProfileReport};
+use grit_trace::CycleProfile;
 use grit_workloads::App;
 
 fn exp() -> ExpConfig {
@@ -53,12 +53,7 @@ fn merged_cycle_json(outs: &[RunOutput]) -> String {
     for out in outs {
         cycle.absorb_aux(&out.metrics.aux);
     }
-    ProfileReport {
-        wall: Vec::new(),
-        cycle,
-    }
-    .to_json()
-    .to_string()
+    cycle.to_json().to_string()
 }
 
 fn run(cells: &[CellSpec], jobs: usize) -> Vec<RunOutput> {

@@ -334,7 +334,8 @@ fn stub_runner() -> (SpecRunner, Arc<AtomicU64>) {
         if spec.app == "STALL" {
             // ~4 MiB of valid trace JSON per cell: far past any socket
             // buffer, so a non-reading client forces the write timeout.
-            res.trace_lines = vec![format!("{{\"pad\":\"{}\"}}", "x".repeat(1024)); 4096];
+            let pad = Json::Obj(vec![("pad".into(), Json::Str("x".repeat(1024)))]);
+            res.trace_lines = vec![pad; 4096];
         }
         Ok(res)
     });

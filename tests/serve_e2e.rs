@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::thread;
 
-use grit::service::spec_runner;
+use grit::service::{parse_spec_cell, spec_runner};
 use grit_serve::{ServeClient, ServeOptions, Server};
 use grit_sim::RunSpec;
 
@@ -195,6 +195,16 @@ fn traced_cells_stream_their_events_before_the_result() {
         );
     }
     handle.join().expect("server thread");
+    // The served events are the in-process run's events, line for line.
+    let local = parse_spec_cell(&specs[0]).expect("valid spec").run();
+    let local: Vec<String> = local
+        .events
+        .expect("traced cell")
+        .iter()
+        .map(|ev| ev.to_json().to_string())
+        .collect();
+    let served: Vec<String> = outcome.traces.iter().map(|(_, ev)| ev.to_string()).collect();
+    assert_eq!(served, local);
 }
 
 /// Older clients may still send the retired spec fields `"sim_threads"`,
