@@ -18,6 +18,6 @@ pub mod timeseries;
 pub use breakdown::{LatencyBreakdown, LatencyClass};
 pub use histogram::LatencyHistogram;
 pub use page_attr::{PageAttrSummary, PageAttrTracker};
-pub use report::{geomean, normalize_to, Table};
+pub use report::{geomean, speedups, Table};
 pub use run::{FaultCounters, RunMetrics, SchemeMix};
 pub use timeseries::{AttrGrid, IntervalSeries};

@@ -32,22 +32,22 @@ pub fn geomean(values: &[f64]) -> f64 {
     (acc / finite.len() as f64).exp()
 }
 
-/// Normalizes each value to a baseline: `baseline / value` (cycle counts
-/// become speedups, as every figure in the paper is plotted).
+/// Speedup of every cell of a row over the row's first cell:
+/// `cycles[0] / cycles[i]`, the way every speedup figure of the paper is
+/// plotted. The baseline column reads exactly 1.0.
 ///
-/// A zero value (a run that never completed) normalizes to 0.0 instead of
-/// dividing by zero, keeping report generation total.
-pub fn normalize_to(baseline: u64, values: &[u64]) -> Vec<f64> {
-    values
-        .iter()
-        .map(|&v| {
-            if v == 0 {
-                0.0
-            } else {
-                baseline as f64 / v as f64
-            }
-        })
-        .collect()
+/// A failed cell's cycle count is NaN, so a failed variant is NaN in its
+/// own column only, and a failed baseline makes the whole row NaN;
+/// [`Table::push_geomean_row`] skips both.
+///
+/// ```
+/// use grit_metrics::speedups;
+/// assert_eq!(speedups([100.0, 50.0, 200.0]), vec![1.0, 2.0, 0.5]);
+/// ```
+pub fn speedups(cycles: impl IntoIterator<Item = f64>) -> Vec<f64> {
+    let mut cycles = cycles.into_iter().peekable();
+    let base = cycles.peek().copied().unwrap_or(f64::NAN);
+    cycles.map(|c| base / c).collect()
 }
 
 /// A labelled numeric table rendered to aligned text or CSV.
@@ -204,16 +204,37 @@ mod tests {
     }
 
     #[test]
-    fn normalize_makes_speedups() {
-        let v = normalize_to(100, &[100, 50, 200]);
-        assert_eq!(v, vec![1.0, 2.0, 0.5]);
+    fn speedups_are_relative_to_the_first_cell() {
+        let v = speedups([100.0, 50.0, 200.0, 100.0]);
+        assert_eq!(v, vec![1.0, 2.0, 0.5, 1.0]);
+        // The baseline column is exactly 1.0, not merely close.
+        assert_eq!(speedups([12_345.0, 1.0])[0].to_bits(), 1.0f64.to_bits());
+        assert!(speedups([]).is_empty());
     }
 
     #[test]
-    fn normalize_zero_value_yields_zero_not_infinity() {
-        assert_eq!(normalize_to(100, &[0, 50]), vec![0.0, 2.0]);
-        assert_eq!(normalize_to(0, &[10]), vec![0.0]);
-        assert_eq!(normalize_to(100, &[]), Vec::<f64>::new());
+    fn failed_cells_are_nan_in_their_own_column_only() {
+        let v = speedups([100.0, f64::NAN, 50.0]);
+        assert_eq!(v[0], 1.0);
+        assert!(v[1].is_nan());
+        assert_eq!(v[2], 2.0);
+        // A failed baseline leaves nothing to compare against.
+        assert!(speedups([f64::NAN, 50.0, 200.0]).iter().all(|s| s.is_nan()));
+    }
+
+    #[test]
+    fn geomean_row_skips_failed_speedups() {
+        let mut t = Table::new("T", vec!["base".into(), "v".into()]);
+        t.push_row("ok", speedups([100.0, 50.0]));
+        t.push_row("variant-failed", speedups([100.0, f64::NAN]));
+        t.push_row("ok2", speedups([100.0, 25.0]));
+        t.push_geomean_row();
+        assert_eq!(t.cell("GEOMEAN", "base"), Some(1.0));
+        assert!((t.cell("GEOMEAN", "v").unwrap() - 8.0f64.sqrt()).abs() < 1e-12);
+        let mut all_failed = Table::new("T", vec!["base".into(), "v".into()]);
+        all_failed.push_row("baseline-failed", speedups([f64::NAN, 50.0]));
+        all_failed.push_geomean_row();
+        assert!(all_failed.rows()[1].1.iter().all(|m| m.is_nan()));
     }
 
     #[test]

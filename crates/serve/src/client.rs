@@ -92,36 +92,19 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects with the default timeouts and consumes the server's
-    /// `hello` line.
+    /// Connects with the default socket timeouts, sets `TCP_NODELAY`,
+    /// and consumes the server's `hello` line.
     ///
     /// # Errors
     ///
     /// Connection failures and protocol violations.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServeClient, ClientError> {
-        ServeClient::connect_with(
-            addr,
-            Duration::from_millis(DEFAULT_CLIENT_READ_TIMEOUT_MS),
-            Duration::from_millis(DEFAULT_CLIENT_WRITE_TIMEOUT_MS),
-        )
-    }
-
-    /// Connects with explicit socket timeouts (`Duration::ZERO`
-    /// disables one), sets `TCP_NODELAY`, and consumes the server's
-    /// `hello` line.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures and protocol violations.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        read_timeout: Duration,
-        write_timeout: Duration,
-    ) -> Result<ServeClient, ClientError> {
         let write = TcpStream::connect(addr).map_err(|e| ClientError::io("connect", &e))?;
         let _ = write.set_nodelay(true);
-        let _ = write.set_read_timeout((!read_timeout.is_zero()).then_some(read_timeout));
-        let _ = write.set_write_timeout((!write_timeout.is_zero()).then_some(write_timeout));
+        let read_timeout = Duration::from_millis(DEFAULT_CLIENT_READ_TIMEOUT_MS);
+        let _ = write.set_read_timeout(Some(read_timeout));
+        let _ =
+            write.set_write_timeout(Some(Duration::from_millis(DEFAULT_CLIENT_WRITE_TIMEOUT_MS)));
         let read_half = write.try_clone().map_err(|e| ClientError::io("clone", &e))?;
         let mut read = BufReader::new(read_half);
         let mut line = String::new();

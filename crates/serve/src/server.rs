@@ -295,8 +295,8 @@ impl OrderedSink {
     }
 
     /// Sends one line immediately, outside the ordering buffer.
-    fn send_direct(&self, resp: &Response) {
-        let line = format!("{}\n", resp.to_json());
+    fn send_direct(&self, resp: Response) {
+        let line = format!("{}\n", resp.into_json());
         let mut st = self.state.lock().unwrap();
         st.write(&line);
         let died = st.dead;
@@ -380,7 +380,7 @@ impl Shared {
         if self.max_queued != 0 && q.len() >= self.max_queued {
             return false;
         }
-        job.sink.send_direct(&Response::Accepted { id: job.id });
+        job.sink.send_direct(Response::Accepted { id: job.id });
         q.push_back(job);
         drop(q);
         self.work_cv.notify_one();
@@ -574,7 +574,7 @@ fn worker_loop(shared: &Shared) {
             shared.cancelled.fetch_add(1, Ordering::SeqCst);
             continue;
         }
-        job.sink.send_direct(&Response::Progress {
+        job.sink.send_direct(Response::Progress {
             id: job.id,
             state: "running".into(),
         });
@@ -582,10 +582,8 @@ fn worker_loop(shared: &Shared) {
         let result = match (shared.runner)(&job.spec) {
             Ok(res) => {
                 for event in res.trace_lines {
-                    lines.push(format!(
-                        "{}\n",
-                        Response::Trace { id: job.id, event }.to_json()
-                    ));
+                    let trace = Response::Trace { id: job.id, event };
+                    lines.push(format!("{}\n", trace.into_json()));
                 }
                 if res.store_hit {
                     shared.store_hits.fetch_add(1, Ordering::SeqCst);
@@ -616,7 +614,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.cells.fetch_add(1, Ordering::SeqCst);
-        lines.push(format!("{}\n", Response::Result(result).to_json()));
+        lines.push(format!("{}\n", Response::Result(result).into_json()));
         job.sink.complete(job.seq, lines);
     }
 }
@@ -696,20 +694,20 @@ fn handle_line(raw: &[u8], shared: &Arc<Shared>, sink: &Arc<OrderedSink>, submit
                 *submitted += 1;
             } else {
                 shared.rejected.fetch_add(1, Ordering::SeqCst);
-                sink.send_direct(&Response::Busy {
+                sink.send_direct(Response::Busy {
                     id,
                     retry_after_ms: RETRY_AFTER_MS,
                 });
             }
         }
-        Ok(Request::Ping) => sink.send_direct(&Response::Pong),
+        Ok(Request::Ping) => sink.send_direct(Response::Pong),
         Ok(Request::Shutdown) => {
             // Honored after this connection's work is flushed; flag it
             // via the shared state so the accept loop stops taking new
             // connections right away.
             shared.shutdown.store(true, Ordering::SeqCst);
         }
-        Err(message) => sink.send_direct(&Response::Error { id: None, message }),
+        Err(message) => sink.send_direct(Response::Error { id: None, message }),
     }
 }
 
@@ -730,7 +728,7 @@ fn handle_connection(
         return;
     };
     let sink = Arc::new(OrderedSink::new(write_half, max_sink_bytes));
-    sink.send_direct(&Response::Hello {
+    sink.send_direct(Response::Hello {
         version: env!("CARGO_PKG_VERSION").into(),
     });
 
@@ -744,7 +742,7 @@ fn handle_connection(
             // everything it submitted is in flight. Wait for the sink
             // to flush all of it, then close the conversation.
             sink.wait_flushed(submitted);
-            sink.send_direct(&Response::Done { results: submitted });
+            sink.send_direct(Response::Done { results: submitted });
         }
         ReadEnd::Aborted => {
             // The client is gone; answer lines would hit a broken pipe.

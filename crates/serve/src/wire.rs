@@ -264,38 +264,39 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serializes the response as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> Json {
+    /// Serializes the response as one JSON object (no trailing newline),
+    /// moving its strings and trace event into the object.
+    pub fn into_json(self) -> Json {
         let mut fields: Vec<(String, Json)> =
             vec![("schema".into(), Json::Str(SERVE_SCHEMA.into()))];
         match self {
             Response::Hello { version } => {
                 fields.push(("type".into(), Json::Str("hello".into())));
-                fields.push(("version".into(), Json::Str(version.clone())));
+                fields.push(("version".into(), Json::Str(version)));
             }
             Response::Accepted { id } => {
                 fields.push(("type".into(), Json::Str("accepted".into())));
-                fields.push(("id".into(), Json::UInt(*id)));
+                fields.push(("id".into(), Json::UInt(id)));
             }
             Response::Busy { id, retry_after_ms } => {
                 fields.push(("type".into(), Json::Str("busy".into())));
-                fields.push(("id".into(), Json::UInt(*id)));
-                fields.push(("retry_after_ms".into(), Json::UInt(*retry_after_ms)));
+                fields.push(("id".into(), Json::UInt(id)));
+                fields.push(("retry_after_ms".into(), Json::UInt(retry_after_ms)));
             }
             Response::Progress { id, state } => {
                 fields.push(("type".into(), Json::Str("progress".into())));
-                fields.push(("id".into(), Json::UInt(*id)));
-                fields.push(("state".into(), Json::Str(state.clone())));
+                fields.push(("id".into(), Json::UInt(id)));
+                fields.push(("state".into(), Json::Str(state)));
             }
             Response::Trace { id, event } => {
                 fields.push(("type".into(), Json::Str("trace".into())));
-                fields.push(("id".into(), Json::UInt(*id)));
-                fields.push(("event".into(), event.clone()));
+                fields.push(("id".into(), Json::UInt(id)));
+                fields.push(("event".into(), event));
             }
             Response::Result(r) => {
                 fields.push(("type".into(), Json::Str("result".into())));
                 fields.push(("id".into(), Json::UInt(r.id)));
-                fields.push(("status".into(), Json::Str(r.status.clone())));
+                fields.push(("status".into(), Json::Str(r.status)));
                 fields.push(("store_hit".into(), Json::Bool(r.store_hit)));
                 fields.push(("total_cycles".into(), Json::UInt(r.total_cycles)));
                 fields.push(("accesses".into(), Json::UInt(r.accesses)));
@@ -315,21 +316,21 @@ impl Response {
                 if r.store_quarantined != 0 {
                     fields.push(("store_quarantined".into(), Json::UInt(r.store_quarantined)));
                 }
-                if let Some(e) = &r.error {
-                    fields.push(("error".into(), Json::Str(e.clone())));
+                if let Some(e) = r.error {
+                    fields.push(("error".into(), Json::Str(e)));
                 }
             }
             Response::Pong => fields.push(("type".into(), Json::Str("pong".into()))),
             Response::Error { id, message } => {
                 fields.push(("type".into(), Json::Str("error".into())));
                 if let Some(id) = id {
-                    fields.push(("id".into(), Json::UInt(*id)));
+                    fields.push(("id".into(), Json::UInt(id)));
                 }
-                fields.push(("message".into(), Json::Str(message.clone())));
+                fields.push(("message".into(), Json::Str(message)));
             }
             Response::Done { results } => {
                 fields.push(("type".into(), Json::Str("done".into())));
-                fields.push(("results".into(), Json::UInt(*results)));
+                fields.push(("results".into(), Json::UInt(results)));
             }
         }
         Json::Obj(fields)
@@ -481,7 +482,7 @@ mod tests {
             Response::Done { results: 4 },
         ];
         for m in msgs {
-            let line = m.to_json().to_string();
+            let line = m.clone().into_json().to_string();
             let back = Response::from_json(&Json::parse(&line).unwrap()).unwrap();
             assert_eq!(back, m);
         }
@@ -496,7 +497,7 @@ mod tests {
             status: "ok".into(),
             ..CellResult::default()
         });
-        let line = r.to_json().to_string();
+        let line = r.clone().into_json().to_string();
         assert!(!line.contains("store_hits"), "unexpected field in {line}");
         assert!(!line.contains("store_misses"));
         assert!(!line.contains("store_quarantined"));

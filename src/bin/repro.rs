@@ -1052,7 +1052,7 @@ fn render_profile(profile: &Json) -> Result<String, String> {
 /// `repro stats`: one line of counters per cell of the Table II apps
 /// under five policies, run as one batch; a failed cell prints `err!`.
 fn run_stats(exp: &ExpConfig) {
-    use grit::experiments::{run_grid, CellResultExt, PolicyKind};
+    use grit::experiments::{run_grid, CellResultExt, CellSpec, PolicyKind};
     use grit_sim::Scheme;
     let apps = grit_workloads::App::TABLE2;
     let policies = [
@@ -1062,7 +1062,7 @@ fn run_stats(exp: &ExpConfig) {
         PolicyKind::GRIT,
         PolicyKind::Ideal,
     ];
-    for (app, row) in apps.iter().zip(run_grid(&apps, &policies, exp)) {
+    for (app, row) in run_grid(&apps, |app| policies.map(|p| CellSpec::new(app, p, exp))) {
         for (p, cell) in policies.iter().zip(&row) {
             let Some(out) = cell.output() else {
                 println!("{:<5} {:<16} err!", app.abbr(), p.label());

@@ -127,11 +127,24 @@ impl CellSpec {
     /// [`set_override_spec`], so `repro --topology` / `--inject` reshape
     /// every figure driver).
     pub fn new(app: App, policy: impl Into<PolicySpec>, exp: &ExpConfig) -> Self {
+        CellSpec::pinned(app, policy, exp, apply_cell_overrides(SimConfig::default()))
+    }
+
+    /// A cell on exactly the machine `cfg` describes: the process-wide
+    /// override [`RunSpec`] does not touch it, so a study that sweeps the
+    /// topology, page-size mode or fault schedule itself keeps its own
+    /// values under `repro --topology` / `--page-size-mode` / `--inject`.
+    pub fn pinned(
+        app: App,
+        policy: impl Into<PolicySpec>,
+        exp: &ExpConfig,
+        cfg: SimConfig,
+    ) -> Self {
         CellSpec {
             app,
             policy: policy.into(),
             exp: *exp,
-            cfg: apply_cell_overrides(SimConfig::default()),
+            cfg,
             observer: None,
             prefetcher: None,
             trace: None,
@@ -139,10 +152,8 @@ impl CellSpec {
     }
 
     /// Replaces the system configuration. The process-wide overrides
-    /// still apply on top (drivers that must pin an explicit per-cell
-    /// topology or fault schedule — e.g. `ext_topology`,
-    /// `ext_resilience` — construct the `CellSpec` struct literally
-    /// instead).
+    /// still apply on top; [`CellSpec::pinned`] builds a cell they leave
+    /// alone.
     pub fn with_cfg(mut self, cfg: SimConfig) -> Self {
         self.cfg = apply_cell_overrides(cfg);
         self
@@ -585,6 +596,8 @@ pub(crate) fn run_batch_on(
     opts: &BatchOptions,
     store: Option<&ResultStore>,
 ) -> (Vec<Result<RunOutput, CellError>>, grit_trace::StoreCounters) {
+    #[cfg(test)]
+    tests::BATCHES_ON_THREAD.with(|n| n.set(n.get() + 1));
     let cache_before = workload_cache::global().stats();
     let start = Instant::now();
     // A one-cell batch (every served cell) runs on one worker whatever
@@ -761,25 +774,28 @@ pub fn run_scouted(
         .collect()
 }
 
-/// Runs an `apps x policies` grid — the shape of most figures — and
-/// returns one row of results per app, in declaration order.
-pub fn run_grid(
-    apps: &[App],
-    policies: &[PolicyKind],
-    exp: &ExpConfig,
-) -> Vec<Vec<Result<RunOutput, CellError>>> {
-    let cells: Vec<CellSpec> = apps
+/// Runs a figure's grid: `row(key)` declares the cells of each key's row
+/// (an app, or a tuple such as `(topology, gpus, app)`), every row runs
+/// in one batch in key order, and each key comes back with its row of
+/// results. Drivers read rows by key instead of computing batch offsets.
+pub fn run_grid<K: Copy, R: IntoIterator<Item = CellSpec>>(
+    keys: &[K],
+    row: impl Fn(K) -> R,
+) -> Vec<(K, Vec<Result<RunOutput, CellError>>)> {
+    let mut cells = Vec::new();
+    let widths: Vec<usize> = keys
         .iter()
-        .flat_map(|&app| policies.iter().map(move |&p| CellSpec::new(app, p, exp)))
+        .map(|&key| {
+            let before = cells.len();
+            cells.extend(row(key));
+            cells.len() - before
+        })
         .collect();
-    let mut results = run_batch(&cells);
-    let width = policies.len().max(1);
-    let mut rows = Vec::with_capacity(apps.len());
-    while !results.is_empty() {
-        let rest = results.split_off(width.min(results.len()));
-        rows.push(std::mem::replace(&mut results, rest));
-    }
-    rows
+    let mut results = run_batch(&cells).into_iter();
+    keys.iter()
+        .zip(widths)
+        .map(|(&key, width)| (key, results.by_ref().take(width).collect()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -823,17 +839,10 @@ mod tests {
 
     #[test]
     fn factory_policies_run() {
-        let cell = CellSpec {
-            app: App::Fir,
-            policy: PolicySpec::Factory(Arc::new(|_, _| {
-                Box::new(grit_uvm::StaticPolicy::new(Scheme::OnTouch))
-            })),
-            exp: exp(),
-            cfg: SimConfig::default(),
-            observer: None,
-            prefetcher: None,
-            trace: None,
-        };
+        let factory = PolicySpec::Factory(Arc::new(|_, _| {
+            Box::new(grit_uvm::StaticPolicy::new(Scheme::OnTouch))
+        }));
+        let cell = CellSpec::pinned(App::Fir, factory, &exp(), SimConfig::default());
         assert!(cell.resume_key().is_none(), "factories are not resumable");
         let by_factory = cell.run();
         let by_kind = CellSpec::new(App::Fir, PolicyKind::Static(Scheme::OnTouch), &exp()).run();
@@ -866,6 +875,37 @@ mod tests {
         assert!(plain.timeout.is_none());
     }
 
+    thread_local! {
+        /// Batches started on this thread, so a test can count the
+        /// batches behind one call without racing other tests.
+        pub(super) static BATCHES_ON_THREAD: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn run_grid_returns_rows_in_key_order_from_one_batch() {
+        let ot = PolicyKind::Static(Scheme::OnTouch);
+        let row = |app: App| {
+            let policies = if app == App::Fir {
+                vec![ot]
+            } else {
+                vec![ot, PolicyKind::GRIT]
+            };
+            policies.into_iter().map(move |p| CellSpec::new(app, p, &exp()))
+        };
+        let keys = [App::Fir, App::Bfs, App::Gemm];
+        let before = BATCHES_ON_THREAD.with(|n| n.get());
+        let rows = run_grid(&keys, row);
+        assert_eq!(BATCHES_ON_THREAD.with(|n| n.get()) - before, 1);
+        assert_eq!(rows.iter().map(|(k, _)| *k).collect::<Vec<_>>(), keys);
+        for (app, results) in &rows {
+            let expected: Vec<u64> = row(*app).map(|c| c.run().metrics.total_cycles).collect();
+            let got: Vec<u64> = results.iter().map(|r| r.cycles() as u64).collect();
+            assert_eq!(got, expected, "{app}");
+        }
+        assert!(run_grid(&[] as &[App], row).is_empty());
+    }
+
     #[test]
     fn empty_batch_is_fine() {
         assert!(run_batch(&[]).is_empty());
@@ -886,15 +926,7 @@ mod tests {
             topology: TopologyConfig::of(TopologyKind::Ring),
             ..SimConfig::default()
         };
-        let cell = CellSpec {
-            app: App::Fir,
-            policy: PolicySpec::Kind(PolicyKind::GRIT),
-            exp: exp(),
-            cfg,
-            observer: None,
-            prefetcher: None,
-            trace: None,
-        };
+        let cell = CellSpec::pinned(App::Fir, PolicyKind::GRIT, &exp(), cfg);
         let spec = cell.to_run_spec();
         assert_eq!(spec.app, "FIR");
         assert_eq!(spec.policy, "grit");

@@ -10,12 +10,11 @@
 use std::sync::Arc;
 
 use grit_baselines::OraclePolicy;
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{
-    run_batch, run_grid, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind, PolicySpec,
-};
+use super::{run_batch, run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind, PolicySpec};
 
 /// Runs the extension: speedups over on-touch for GRIT, the static oracle
 /// and the Ideal.
@@ -36,7 +35,7 @@ pub fn run(exp: &ExpConfig) -> Table {
     ];
     // One oracle cell per app, seeded with the whole-trace page
     // attributes (the knowledge the online policies never see).
-    let oracle_cells: Vec<CellSpec> = table2_apps()
+    let oracle_cells: Vec<CellSpec> = App::TABLE2
         .into_iter()
         .map(|app| {
             let profile = CellSpec::new(app, online[0], exp).workload().page_attrs();
@@ -46,19 +45,13 @@ pub fn run(exp: &ExpConfig) -> Table {
             CellSpec::new(app, factory, exp)
         })
         .collect();
-    let rows = run_grid(&table2_apps(), &online, exp);
+    let rows = run_grid(&App::TABLE2, |app| {
+        online.map(|p| CellSpec::new(app, p, exp))
+    });
     let oracles = run_batch(&oracle_cells);
-    for ((app, runs), oracle) in table2_apps().into_iter().zip(&rows).zip(&oracles) {
-        let base = runs[0].cycles();
-        table.push_row(
-            app.abbr(),
-            vec![
-                runs[0].metric(|_| 1.0),
-                base / runs[1].cycles(),
-                base / oracle.cycles(),
-                base / runs[2].cycles(),
-            ],
-        );
+    for ((app, row), oracle) in rows.into_iter().zip(&oracles) {
+        let cycles = [&row[0], &row[1], oracle, &row[2]].map(CellResultExt::cycles);
+        table.push_row(app.abbr(), speedups(cycles));
     }
     table.push_geomean_row();
     table

@@ -5,10 +5,11 @@
 //! absorbs nearly all PA-Table traffic because fault bursts are highly
 //! page-local, and growing it past 64 entries buys almost nothing.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// PA-Cache capacities swept (entries; 4-way sets).
 pub const CAPACITIES: [usize; 4] = [16, 64, 256, 1024];
@@ -31,11 +32,12 @@ pub fn run(exp: &ExpConfig) -> Table {
         },
     ];
     policies.extend(CAPACITIES.iter().map(|&entries| PolicyKind::GritWithCache { entries }));
-    let rows = run_grid(&table2_apps(), &policies, exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let base = runs[0].cycles();
-        let row: Vec<f64> = runs[1..].iter().map(|r| base / r.cycles()).collect();
-        table.push_row(app.abbr(), row);
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies.iter().map(move |&p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        let gains = speedups(row.iter().map(CellResultExt::cycles));
+        table.push_row(app.abbr(), gains[1..].to_vec());
     }
     table.push_geomean_row();
     table

@@ -25,7 +25,7 @@ use grit_metrics::{geomean, Table};
 use grit_sim::{CellError, PageSizeMode, Scheme, SimConfig};
 use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind, PolicySpec};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 use crate::runner::RunOutput;
 
@@ -81,29 +81,22 @@ pub fn study(apps: &[App], exp: &ExpConfig) -> PagesizeStudy {
         scale: exp.scale * INPUT_ENLARGEMENT,
         ..*exp
     };
-    // Cells are built literally (not via `CellSpec::new`) so each keeps
-    // its explicit mode even under a `--page-size-mode` global override.
-    let cell = |app: App, policy: PolicyKind, mode: PageSizeMode| CellSpec {
-        app,
-        policy: PolicySpec::Kind(policy),
-        exp: big,
-        cfg: SimConfig {
+    // Pinned cells keep their explicit mode even under a
+    // `--page-size-mode` global override.
+    let keys: Vec<(PageSizeMode, App)> = PageSizeMode::ALL
+        .into_iter()
+        .flat_map(|m| apps.iter().map(move |&a| (m, a)))
+        .collect();
+    let rows = run_grid(&keys, |(mode, app)| {
+        let cfg = SimConfig {
             page_size_mode: mode,
             ..SimConfig::default()
-        },
-        observer: None,
-        prefetcher: None,
-        trace: None,
-    };
-    let mut cells = Vec::new();
-    for mode in PageSizeMode::ALL {
-        for &app in apps {
-            for policy in policies() {
-                cells.push(cell(app, policy, mode));
-            }
-        }
-    }
-    let outputs = run_batch(&cells);
+        };
+        policies().map(|p| CellSpec::pinned(app, p, &big, cfg.clone()))
+    });
+    // The rows of one mode, in app order.
+    let rows_of =
+        |mode: PageSizeMode| rows.iter().filter(move |((m, _), _)| *m == mode).map(|(_, row)| row);
 
     let policy_cols: Vec<String> = policies().iter().map(|p| p.label()).collect();
     let mut speedup = Table::new(
@@ -130,25 +123,19 @@ pub fn study(apps: &[App], exp: &ExpConfig) -> PagesizeStudy {
         ],
     );
 
-    // Chunk layout mirrors the declaration loops: per mode, `apps.len()`
-    // consecutive runs of `policies().len()` policies.
-    let per_mode = apps.len() * policies().len();
-    let base = &outputs[..per_mode];
-    for (m, mode) in PageSizeMode::ALL.iter().enumerate() {
-        let chunk = &outputs[m * per_mode..(m + 1) * per_mode];
+    for mode in PageSizeMode::ALL {
         let speedups: Vec<f64> = (0..policies().len())
             .map(|p| {
-                let per_app: Vec<f64> = (0..apps.len())
-                    .map(|a| {
-                        base[a * policies().len() + p].cycles()
-                            / chunk[a * policies().len() + p].cycles()
-                    })
+                let per_app: Vec<f64> = rows_of(PageSizeMode::Uniform4k)
+                    .zip(rows_of(mode))
+                    .map(|(base, row)| base[p].cycles() / row[p].cycles())
                     .collect();
                 geomean(&per_app)
             })
             .collect();
         speedup.push_row(mode.name(), speedups);
 
+        let runs: Vec<&Result<RunOutput, CellError>> = rows_of(mode).flatten().collect();
         let rates: Vec<f64> = [
             "tlb_l1_hit_rate",
             "tlb_l2_hit_rate",
@@ -157,20 +144,20 @@ pub fn study(apps: &[App], exp: &ExpConfig) -> PagesizeStudy {
         ]
         .iter()
         .map(|name| {
-            let per_run: Vec<f64> = chunk.iter().map(|r| aux_mean(r, name)).collect();
+            let per_run: Vec<f64> = runs.iter().map(|r| aux_mean(r, name)).collect();
             per_run.iter().sum::<f64>() / per_run.len().max(1) as f64
         })
         .collect();
         tlb.push_row(mode.name(), rates);
 
-        let coalesces: f64 = chunk.iter().map(|r| counter_slot(r, 0)).sum();
-        let splinters: f64 = chunk
+        let coalesces: f64 = runs.iter().map(|r| counter_slot(r, 0)).sum();
+        let splinters: f64 = runs
             .iter()
             .map(|r| counter_slot(r, 1) + counter_slot(r, 2) + counter_slot(r, 3))
             .sum();
-        let trips_base: f64 = chunk.iter().map(|r| counter_slot(r, 4)).sum();
-        let trips_large: f64 = chunk.iter().map(|r| counter_slot(r, 5)).sum();
-        let aliased: f64 = chunk.iter().map(|r| counter_slot(r, 6)).sum();
+        let trips_base: f64 = runs.iter().map(|r| counter_slot(r, 4)).sum();
+        let trips_large: f64 = runs.iter().map(|r| counter_slot(r, 5)).sum();
+        let aliased: f64 = runs.iter().map(|r| counter_slot(r, 6)).sum();
         activity.push_row(
             mode.name(),
             vec![coalesces, splinters, trips_base, trips_large, aliased],
@@ -185,7 +172,7 @@ pub fn study(apps: &[App], exp: &ExpConfig) -> PagesizeStudy {
 
 /// Runs the full study: both page-size modes × three policies × Table II.
 pub fn run(exp: &ExpConfig) -> PagesizeStudy {
-    study(&table2_apps(), exp)
+    study(&App::TABLE2, exp)
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@ use grit_metrics::{geomean, Table};
 use grit_sim::{InjectConfig, ResilienceCounters, Scheme, SimConfig};
 use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind, PolicySpec};
-use crate::runner::RunOutput;
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// GPU counts swept against every scenario.
 pub const GPU_COUNTS: [usize; 3] = [2, 4, 8];
@@ -64,90 +63,61 @@ fn policies() -> [(&'static str, PolicyKind); 3] {
     ]
 }
 
-/// The resilience counters of one run (all-zero when uninjected).
-fn resilience_of(o: &RunOutput) -> ResilienceCounters {
-    ResilienceCounters::from_aux(o.metrics.aux("resilience_counters").unwrap_or_default())
-}
-
-fn add(acc: &mut ResilienceCounters, r: ResilienceCounters) {
-    acc.faults_injected += r.faults_injected;
-    acc.recoveries += r.recoveries;
-    acc.frames_retired += r.frames_retired;
-    acc.pages_force_evicted += r.pages_force_evicted;
-    acc.storm_stalled_faults += r.storm_stalled_faults;
-    acc.migrations_blocked += r.migrations_blocked;
-    acc.migration_retries += r.migration_retries;
-    acc.retry_successes += r.retry_successes;
-    acc.fallback_remote += r.fallback_remote;
-    acc.host_staged += r.host_staged;
-    acc.invariant_checks += r.invariant_checks;
-}
-
 /// Runs the sweep over an explicit app set and GPU counts (tests shrink
 /// both; [`run`] uses the full Table II set).
 pub fn study(apps: &[App], gpu_counts: &[usize], exp: &ExpConfig) -> ResilienceStudy {
-    // Cells are built literally (not via `CellSpec::new`) so each keeps
-    // its explicit fault schedule even under an `--inject` global
-    // override.
-    let cell = |app: App, policy: PolicyKind, gpus: usize, spec: &str| CellSpec {
-        app,
-        policy: PolicySpec::Kind(policy),
-        exp: *exp,
-        cfg: SimConfig {
+    // Pinned cells keep their explicit fault schedule even under an
+    // `--inject` global override.
+    let keys: Vec<((&'static str, &'static str), usize, App)> = SCENARIOS
+        .into_iter()
+        .flat_map(|s| gpu_counts.iter().flat_map(move |&g| apps.iter().map(move |&a| (s, g, a))))
+        .collect();
+    let rows = run_grid(&keys, |((_, spec), gpus, app)| {
+        let cfg = SimConfig {
             inject: InjectConfig::parse(spec).expect("scenario specs are valid"),
             ..SimConfig::with_gpus(gpus)
-        },
-        observer: None,
-        prefetcher: None,
-        trace: None,
+        };
+        policies().map(|(_, p)| CellSpec::pinned(app, p, exp, cfg.clone()))
+    });
+    let scenario_rows = |scenario: &'static str| {
+        rows.iter().filter(move |(((name, _), _, _), _)| *name == scenario)
     };
-    let mut cells = Vec::new();
-    for (_, spec) in SCENARIOS {
-        for &gpus in gpu_counts {
-            for &app in apps {
-                for (_, policy) in policies() {
-                    cells.push(cell(app, policy, gpus, spec));
-                }
+    // The rows of one (scenario, GPU count), in app order.
+    let rows_of = |scenario: &'static str, gpus: usize| {
+        scenario_rows(scenario)
+            .filter(move |((_, g, _), _)| *g == gpus)
+            .map(|(_, row)| row)
+    };
+
+    let counters: Vec<(&'static str, ResilienceCounters)> = SCENARIOS
+        .iter()
+        .map(|&(scenario, _)| {
+            let mut sums = [0.0; ResilienceCounters::AUX_LEN];
+            let outs = scenario_rows(scenario).flat_map(|(_, row)| row).filter_map(|r| r.output());
+            for series in outs.filter_map(|o| o.metrics.aux("resilience_counters")) {
+                sums.iter_mut().zip(series).for_each(|(sum, v)| *sum += v);
             }
-        }
-    }
-    let outputs = run_batch(&cells);
+            (scenario, ResilienceCounters::from_aux(&sums))
+        })
+        .collect();
 
     let cols: Vec<String> = gpu_counts.iter().map(|n| format!("{n} GPUs")).collect();
     let mut slowdown = Table::new(
         "ext-resilience: geomean slowdown vs same-policy healthy run",
         cols,
     );
-    // Chunk layout mirrors the declaration loops: per (scenario, gpus),
-    // `apps.len()` consecutive policy triples.
-    let per_combo = apps.len() * policies().len();
-    let per_scenario = per_combo * gpu_counts.len();
-    let healthy = &outputs[..per_scenario];
-    let mut counters: Vec<(&'static str, ResilienceCounters)> = Vec::new();
-    for (s, (scenario, _)) in SCENARIOS.iter().enumerate() {
-        let block = &outputs[s * per_scenario..(s + 1) * per_scenario];
-        let mut acc = ResilienceCounters::default();
-        for out in block {
-            if let Some(o) = out.output() {
-                add(&mut acc, resilience_of(o));
-            }
-        }
-        counters.push((scenario, acc));
-        if s == 0 {
-            continue; // the healthy scenario is the baseline, ratio 1.
-        }
+    // The healthy scenario is the baseline, ratio 1, so it has no rows.
+    let (healthy, _) = SCENARIOS[0];
+    for &(scenario, _) in &SCENARIOS[1..] {
         for (p, (pname, _)) in policies().iter().enumerate() {
-            let mut row = Vec::with_capacity(gpu_counts.len());
-            for (g, _) in gpu_counts.iter().enumerate() {
-                let per_app: Vec<f64> = (0..apps.len())
-                    .map(|a| {
-                        let idx = g * per_combo + a * policies().len() + p;
-                        block[idx].cycles() / healthy[idx].cycles()
-                    })
+            let row = gpu_counts.iter().map(|&g| {
+                let per_app: Vec<f64> = rows_of(scenario, g)
+                    .zip(rows_of(healthy, g))
+                    .map(|(sick, well)| sick[p].cycles() / well[p].cycles())
                     .collect();
-                row.push(geomean(&per_app));
-            }
-            slowdown.push_row(format!("{pname}/{scenario}"), row);
+                geomean(&per_app)
+            });
+            slowdown.push_row(format!("{pname}/{scenario}"), row.collect());
         }
     }
     ResilienceStudy { slowdown, counters }
@@ -155,7 +125,7 @@ pub fn study(apps: &[App], gpu_counts: &[usize], exp: &ExpConfig) -> ResilienceS
 
 /// Runs the full study: every scenario × [`GPU_COUNTS`] × Table II apps.
 pub fn run(exp: &ExpConfig) -> ResilienceStudy {
-    study(&table2_apps(), &GPU_COUNTS, exp)
+    study(&App::TABLE2, &GPU_COUNTS, exp)
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! * **Memory-level parallelism** — the CU-abstraction window; fault
 //!   latency tolerance scales with it.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::{Scheme, SimConfig};
 use grit_workloads::App;
 
-use super::{run_batch, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Capacity ratios swept.
 pub const CAPACITIES: [f64; 4] = [0.4, 0.55, 0.7, 1.0];
@@ -30,24 +30,16 @@ fn sweep_apps() -> [App; 4] {
 /// on-touch under that system configuration.
 fn sweep(title: &str, cols: Vec<String>, cfgs: &[SimConfig], exp: &ExpConfig) -> Table {
     let mut table = Table::new(title, cols);
-    let cells: Vec<CellSpec> = sweep_apps()
-        .into_iter()
-        .flat_map(|app| {
-            cfgs.iter().flat_map(move |cfg| {
-                [
-                    CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp)
-                        .with_cfg(cfg.clone()),
-                    CellSpec::new(app, PolicyKind::GRIT, exp).with_cfg(cfg.clone()),
-                ]
-            })
+    // One row per app: an (on-touch, GRIT) pair per configuration.
+    let rows = run_grid(&sweep_apps(), |app| {
+        cfgs.iter().flat_map(move |cfg| {
+            [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT]
+                .map(|p| CellSpec::new(app, p, exp).with_cfg(cfg.clone()))
         })
-        .collect();
-    let outputs = run_batch(&cells);
-    let per_app = 2 * cfgs.len();
-    for (app, chunk) in sweep_apps().into_iter().zip(outputs.chunks(per_app)) {
-        let row: Vec<f64> =
-            chunk.chunks(2).map(|pair| pair[0].cycles() / pair[1].cycles()).collect();
-        table.push_row(app.abbr(), row);
+    });
+    for (app, row) in rows {
+        let gains = row.chunks(2).map(|pair| speedups(pair.iter().map(CellResultExt::cycles))[1]);
+        table.push_row(app.abbr(), gains.collect());
     }
     table.push_geomean_row();
     table

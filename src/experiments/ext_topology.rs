@@ -16,11 +16,11 @@
 //!    wires (ring hops, switch trunks, the hierarchical bottleneck) show
 //!    up as ratios above 1.
 
-use grit_metrics::{geomean, Table};
+use grit_metrics::{geomean, speedups, Table};
 use grit_sim::{Scheme, SimConfig, TopologyConfig, TopologyKind};
 use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind, PolicySpec};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// GPU counts swept against every topology.
 pub const GPU_COUNTS: [usize; 2] = [4, 8];
@@ -46,31 +46,19 @@ fn queue_cycles(o: &crate::runner::RunOutput) -> f64 {
 /// Runs the sweep over an explicit app set and GPU counts (tests shrink
 /// both; [`run`] uses the full Table II set).
 pub fn study(apps: &[App], gpu_counts: &[usize], exp: &ExpConfig) -> TopologyStudy {
-    // Cells are built literally (not via `CellSpec::new`) so each keeps
-    // its explicit topology even under a `--topology` global override.
-    let cell = |app: App, policy: PolicyKind, gpus: usize, kind: TopologyKind| CellSpec {
-        app,
-        policy: PolicySpec::Kind(policy),
-        exp: *exp,
-        cfg: SimConfig {
+    // Pinned cells keep their explicit topology even under a
+    // `--topology` global override.
+    let keys: Vec<(TopologyKind, usize, App)> = TopologyKind::ALL
+        .into_iter()
+        .flat_map(|k| gpu_counts.iter().flat_map(move |&g| apps.iter().map(move |&a| (k, g, a))))
+        .collect();
+    let rows = run_grid(&keys, |(kind, gpus, app)| {
+        let cfg = SimConfig {
             topology: TopologyConfig::of(kind),
             ..SimConfig::with_gpus(gpus)
-        },
-        observer: None,
-        prefetcher: None,
-        trace: None,
-    };
-    let mut cells = Vec::new();
-    for kind in TopologyKind::ALL {
-        for &gpus in gpu_counts {
-            for &app in apps {
-                for policy in policies() {
-                    cells.push(cell(app, policy, gpus, kind));
-                }
-            }
-        }
-    }
-    let outputs = run_batch(&cells);
+        };
+        policies().map(|p| CellSpec::pinned(app, p, exp, cfg.clone()))
+    });
 
     let cols: Vec<String> = gpu_counts.iter().map(|n| format!("{n} GPUs")).collect();
     let mut speedup = Table::new(
@@ -78,26 +66,26 @@ pub fn study(apps: &[App], gpu_counts: &[usize], exp: &ExpConfig) -> TopologyStu
         cols.clone(),
     );
     let mut queue = Table::new("ext-topology: GRIT fabric queue cycles vs all-to-all", cols);
-    // Chunk layout mirrors the declaration loops: per (topology, gpus),
-    // `apps.len()` consecutive (on-touch, grit) pairs.
-    let per_combo = apps.len() * policies().len();
-    let mut chunks = outputs.chunks(per_combo);
     let mut queue_rows: Vec<(&'static str, Vec<f64>)> = Vec::new();
     for kind in TopologyKind::ALL {
-        let mut speedups = Vec::with_capacity(gpu_counts.len());
+        let mut gains = Vec::with_capacity(gpu_counts.len());
         let mut queues = Vec::with_capacity(gpu_counts.len());
-        for _ in gpu_counts {
-            let combo = chunks.next().expect("batch covers every combination");
-            let per_app: Vec<f64> = combo
-                .chunks(policies().len())
-                .map(|pair| pair[0].cycles() / pair[1].cycles())
+        for &gpus in gpu_counts {
+            // The (on-touch, GRIT) rows of this topology and GPU count,
+            // in app order.
+            let combo: Vec<_> = rows
+                .iter()
+                .filter(|((k, g, _), _)| *k == kind && *g == gpus)
+                .map(|(_, row)| row)
                 .collect();
-            speedups.push(geomean(&per_app));
-            queues.push(
-                combo.chunks(policies().len()).map(|pair| pair[1].metric(queue_cycles)).sum(),
-            );
+            let per_app: Vec<f64> = combo
+                .iter()
+                .map(|row| speedups(row.iter().map(CellResultExt::cycles))[1])
+                .collect();
+            gains.push(geomean(&per_app));
+            queues.push(combo.iter().map(|row| row[1].metric(queue_cycles)).sum());
         }
-        speedup.push_row(kind.name(), speedups);
+        speedup.push_row(kind.name(), gains);
         queue_rows.push((kind.name(), queues));
     }
     // Normalize queueing to the all-to-all row at the same GPU count.
@@ -110,7 +98,7 @@ pub fn study(apps: &[App], gpu_counts: &[usize], exp: &ExpConfig) -> TopologyStu
 
 /// Runs the full study: every topology × [`GPU_COUNTS`] × Table II apps.
 pub fn run(exp: &ExpConfig) -> TopologyStudy {
-    study(&table2_apps(), &GPU_COUNTS, exp)
+    study(&App::TABLE2, &GPU_COUNTS, exp)
 }
 
 #[cfg(test)]

@@ -10,11 +10,11 @@
 //! iteration, then all-local reads) is actually stronger — the same class
 //! of behaviour the paper concedes in §VI-A for BS/C2D/ST.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
 use grit_workloads::App;
 
-use super::{run_grid, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the extension: the Fig. 17 policy set on the extra workloads.
 pub fn run(exp: &ExpConfig) -> Table {
@@ -30,11 +30,11 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Extension: GRIT on SpMV and PageRank (speedup over on-touch)",
         cols,
     );
-    let rows = run_grid(&App::EXTRA, &policies, exp);
-    for (app, runs) in App::EXTRA.into_iter().zip(&rows) {
-        let cycles: Vec<f64> = runs.iter().map(CellResultExt::cycles).collect();
-        let base = cycles[0];
-        table.push_row(app.abbr(), cycles.iter().map(|&c| base / c).collect());
+    let rows = run_grid(&App::EXTRA, |app| {
+        policies.map(|p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table
 }

@@ -2,10 +2,11 @@
 //! each page placement scheme, plus the unrealizable Ideal, normalized to
 //! on-touch migration.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Policies compared by Fig. 1, in plot order.
 pub fn policies() -> [PolicyKind; 4] {
@@ -24,15 +25,11 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Fig 1: performance of each scheme relative to baseline on-touch migration",
         cols,
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| policies().map(|p| CellSpec::new(app, p, exp)))
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, runs) in table2_apps().into_iter().zip(outputs.chunks(policies().len())) {
-        let cycles: Vec<f64> = runs.iter().map(CellResultExt::cycles).collect();
-        let base = cycles[0];
-        table.push_row(app.abbr(), cycles.iter().map(|&c| base / c).collect());
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies().map(|p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table

@@ -4,8 +4,9 @@
 
 use grit_metrics::{LatencyClass, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure. Rows are `APP/SCHEME`, columns the six classes; values
 /// are fractions of that application's on-touch page-handling total, so a
@@ -18,14 +19,12 @@ pub fn run(exp: &ExpConfig) -> Table {
         cols,
     );
     let schemes = [Scheme::OnTouch, Scheme::AccessCounter, Scheme::Duplication];
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| schemes.map(|s| CellSpec::new(app, PolicyKind::Static(s), exp)))
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, chunk) in table2_apps().into_iter().zip(outputs.chunks(schemes.len())) {
-        let base_total = chunk[0].metric(|o| o.metrics.breakdown.total().max(1) as f64);
-        for (scheme, r) in schemes.iter().zip(chunk) {
+    let rows = run_grid(&App::TABLE2, |app| {
+        schemes.map(|s| CellSpec::new(app, PolicyKind::Static(s), exp))
+    });
+    for (app, row) in rows {
+        let base_total = row[0].metric(|o| o.metrics.breakdown.total().max(1) as f64);
+        for (scheme, r) in schemes.iter().zip(&row) {
             let row = match r.output() {
                 Some(o) => {
                     let b = o.metrics.breakdown;
@@ -72,7 +71,7 @@ mod tests {
         let t = run(&ExpConfig::quick());
         // Per app, on-touch spends more of the page-handling budget moving
         // pages than either alternative scheme does.
-        for app in super::super::table2_apps() {
+        for app in App::TABLE2 {
             let ot = t.cell(&format!("{}/OT", app.abbr()), "page-migration").unwrap();
             let d = t.cell(&format!("{}/D", app.abbr()), "page-migration").unwrap();
             assert!(ot >= d, "{app}: OT migration {ot} vs D {d}");

@@ -3,8 +3,9 @@
 
 use grit_metrics::Table;
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{table2_apps, CellSpec, ExpConfig, PolicyKind};
+use super::{CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure from each app's trace, read through the workload of
 /// its on-touch cell (nothing is simulated).
@@ -19,7 +20,7 @@ pub fn run(exp: &ExpConfig) -> Table {
             "shared-rw-pages".into(),
         ],
     );
-    for app in table2_apps() {
+    for app in App::TABLE2 {
         let cell = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
         let s = cell.workload().page_attrs().summary();
         let row = vec![

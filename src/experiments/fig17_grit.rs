@@ -3,10 +3,11 @@
 //! improvements of 60 % / 49 % / 29 % over on-touch / access-counter /
 //! duplication.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Policies compared by Fig. 17, in plot order.
 pub fn policies() -> [PolicyKind; 5] {
@@ -26,11 +27,11 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Fig 17: GRIT vs uniform schemes (speedup over on-touch)",
         cols,
     );
-    let rows = run_grid(&table2_apps(), &policies(), exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let cycles: Vec<f64> = runs.iter().map(CellResultExt::cycles).collect();
-        let base = cycles[0];
-        table.push_row(app.abbr(), cycles.iter().map(|&c| base / c).collect());
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies().map(|p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table
@@ -75,7 +76,10 @@ mod tests {
         let exp = ExpConfig::quick();
         let mut totals = grit_metrics::FaultCounters::default();
         let mut cells = 0;
-        for cell in run_grid(&table2_apps(), &policies(), &exp).iter().flatten() {
+        let rows = run_grid(&App::TABLE2, |app| {
+            policies().map(|p| CellSpec::new(app, p, &exp))
+        });
+        for cell in rows.iter().flat_map(|(_, row)| row) {
             let f = cell.as_ref().expect("fig17 cell completes").metrics.faults;
             totals.local_faults += f.local_faults;
             totals.protection_faults += f.protection_faults;

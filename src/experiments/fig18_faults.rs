@@ -5,7 +5,9 @@
 use grit_metrics::Table;
 use grit_sim::Scheme;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use grit_workloads::App;
+
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Policies compared (plot order).
 pub fn policies() -> [PolicyKind; 4] {
@@ -21,9 +23,11 @@ pub fn policies() -> [PolicyKind; 4] {
 pub fn run(exp: &ExpConfig) -> Table {
     let cols: Vec<String> = policies().iter().map(|p| p.label()).collect();
     let mut table = Table::new("Fig 18: GPU page faults (normalized to on-touch)", cols);
-    let rows = run_grid(&table2_apps(), &policies(), exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let faults: Vec<f64> = runs
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies().map(|p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        let faults: Vec<f64> = row
             .iter()
             .map(|r| r.metric(|o| o.metrics.faults.total_faults().max(1) as f64))
             .collect();

@@ -5,7 +5,9 @@
 
 use grit_metrics::Table;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use grit_workloads::App;
+
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure.
 pub fn run(exp: &ExpConfig) -> Table {
@@ -17,9 +19,11 @@ pub fn run(exp: &ExpConfig) -> Table {
             "duplication".into(),
         ],
     );
-    let rows = run_grid(&table2_apps(), &[PolicyKind::GRIT], exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let row = match runs[0].output() {
+    let rows = run_grid(&App::TABLE2, |app| {
+        [CellSpec::new(app, PolicyKind::GRIT, exp)]
+    });
+    for (app, row) in rows {
+        let row = match row[0].output() {
             Some(o) => {
                 let (ot, ac, d) = o.metrics.scheme_mix.fractions();
                 vec![100.0 * ot, 100.0 * ac, 100.0 * d]

@@ -2,10 +2,11 @@
 //! PA-Table + Neighboring-Aware Prediction, vs the full design, all
 //! normalized to on-touch (paper averages: 31 % / 47 % / 44 %).
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Ablation variants (plot order), ending with the full design.
 pub fn variants() -> [(&'static str, PolicyKind); 4] {
@@ -47,11 +48,12 @@ pub fn run(exp: &ExpConfig) -> Table {
     );
     let mut policies = vec![PolicyKind::Static(Scheme::OnTouch)];
     policies.extend(variants().iter().map(|(_, p)| *p));
-    let rows = run_grid(&table2_apps(), &policies, exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let base = runs[0].cycles();
-        let row: Vec<f64> = runs[1..].iter().map(|r| base / r.cycles()).collect();
-        table.push_row(app.abbr(), row);
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies.iter().map(move |&p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        let gains = speedups(row.iter().map(CellResultExt::cycles));
+        table.push_row(app.abbr(), gains[1..].to_vec());
     }
     table.push_geomean_row();
     table

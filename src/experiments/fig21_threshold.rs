@@ -2,10 +2,11 @@
 //! The paper reports 53 % / 60 % / 59 % / 48 % average improvements —
 //! saturating at threshold 4.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Thresholds swept by the figure.
 pub const THRESHOLDS: [u8; 4] = [2, 4, 8, 16];
@@ -23,11 +24,12 @@ pub fn run(exp: &ExpConfig) -> Table {
         pa_cache: true,
         nap: true,
     }));
-    let rows = run_grid(&table2_apps(), &policies, exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let base = runs[0].cycles();
-        let row: Vec<f64> = runs[1..].iter().map(|r| base / r.cycles()).collect();
-        table.push_row(app.abbr(), row);
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies.iter().map(move |&p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        let gains = speedups(row.iter().map(CellResultExt::cycles));
+        table.push_row(app.abbr(), gains[1..].to_vec());
     }
     table.push_geomean_row();
     table

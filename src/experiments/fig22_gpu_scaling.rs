@@ -2,10 +2,11 @@
 //! system size's own on-touch baseline (input size held constant, §VI-B2),
 //! with the accompanying page-fault reductions.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::{Scheme, SimConfig};
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Policies compared per GPU count.
 fn policies() -> [PolicyKind; 4] {
@@ -28,26 +29,15 @@ pub fn run_gpus(num_gpus: usize, exp: &ExpConfig) -> (Table, Table) {
         format!("Figs 22-24: {num_gpus}-GPU page faults normalized to on-touch"),
         cols,
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| {
-            policies()
-                .into_iter()
-                .map(move |p| CellSpec::new(app, p, exp).with_cfg(SimConfig::with_gpus(num_gpus)))
-        })
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, chunk) in table2_apps().into_iter().zip(outputs.chunks(policies().len())) {
-        let base_c = chunk[0].cycles();
-        let base_f = chunk[0].metric(|o| o.metrics.faults.total_faults().max(1) as f64);
-        perf.push_row(
-            app.abbr(),
-            chunk.iter().map(|r| base_c / r.cycles()).collect(),
-        );
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies().map(|p| CellSpec::new(app, p, exp).with_cfg(SimConfig::with_gpus(num_gpus)))
+    });
+    for (app, row) in rows {
+        let base_f = row[0].metric(|o| o.metrics.faults.total_faults().max(1) as f64);
+        perf.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
         faults.push_row(
             app.abbr(),
-            chunk
-                .iter()
+            row.iter()
                 .map(|r| r.metric(|o| o.metrics.faults.total_faults().max(1) as f64) / base_f)
                 .collect(),
         );

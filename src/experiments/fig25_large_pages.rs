@@ -3,10 +3,11 @@
 //! one translation unit (false sharing), so GRIT's edge shrinks relative
 //! to the 4 KB configuration (§VI-B3: 23 % vs 60 %).
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::{Scheme, SimConfig, PAGE_SIZE_2M};
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Input enlargement factor (the paper grows footprints to 0.5–3 GB to
 /// keep a meaningful number of 2 MB pages).
@@ -27,22 +28,11 @@ pub fn run(exp: &ExpConfig) -> Table {
         vec!["on-touch".into(), "grit".into()],
     );
     let policies = [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT];
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| {
-            let cfg = cfg.clone();
-            policies
-                .into_iter()
-                .map(move |p| CellSpec::new(app, p, &big).with_cfg(cfg.clone()))
-        })
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, chunk) in table2_apps().into_iter().zip(outputs.chunks(policies.len())) {
-        let base = chunk[0].cycles();
-        table.push_row(
-            app.abbr(),
-            vec![chunk[0].metric(|_| 1.0), base / chunk[1].cycles()],
-        );
+    let rows = run_grid(&App::TABLE2, |app| {
+        policies.map(|p| CellSpec::new(app, p, &big).with_cfg(cfg.clone()))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table
@@ -72,15 +62,13 @@ mod tests {
             ..exp
         };
         let policies = [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT];
-        let cells: Vec<CellSpec> = table2_apps()
-            .into_iter()
-            .flat_map(|app| policies.into_iter().map(move |p| CellSpec::new(app, p, &big)))
-            .collect();
-        let speedups: Vec<f64> = run_batch(&cells)
-            .chunks(policies.len())
-            .map(|chunk| chunk[0].cycles() / chunk[1].cycles())
-            .collect();
-        let gain_4kb = grit_metrics::geomean(&speedups);
+        let gains: Vec<f64> = run_grid(&App::TABLE2, |app| {
+            policies.map(|p| CellSpec::new(app, p, &big))
+        })
+        .into_iter()
+        .map(|(_, row)| speedups(row.iter().map(CellResultExt::cycles))[1])
+        .collect();
+        let gain_4kb = grit_metrics::geomean(&gains);
         assert!(
             gain_2m < gain_4kb,
             "2MB gain ({gain_2m}) must trail the 4KB gain ({gain_4kb})"

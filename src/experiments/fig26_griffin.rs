@@ -3,10 +3,11 @@
 //! reports GRIT 27 % over Griffin-DPC and GRIT+ACUD 16 % over Griffin.
 
 use grit_baselines::apply_acud;
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::SimConfig;
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure.
 pub fn run(exp: &ExpConfig) -> Table {
@@ -23,19 +24,13 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Fig 26: Griffin comparison (speedup over Griffin-DPC)",
         cols,
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| {
-            variants
-                .iter()
-                .map(move |(_, p, cfg)| CellSpec::new(app, *p, exp).with_cfg(cfg.clone()))
-        })
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, chunk) in table2_apps().into_iter().zip(outputs.chunks(variants.len())) {
-        let cycles: Vec<f64> = chunk.iter().map(CellResultExt::cycles).collect();
-        let base = cycles[0];
-        table.push_row(app.abbr(), cycles.iter().map(|&c| base / c).collect());
+    let rows = run_grid(&App::TABLE2, |app| {
+        variants
+            .iter()
+            .map(move |(_, p, cfg)| CellSpec::new(app, *p, exp).with_cfg(cfg.clone()))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table

@@ -2,9 +2,10 @@
 //! to GPS, plus the oversubscription rates behind the result (§VI-C2: GPS
 //! shows a 34 % higher page-oversubscription rate; GRIT wins by 15 %).
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
+use grit_workloads::App;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure: speedups over GPS and both policies' oversubscription
 /// rates.
@@ -18,18 +19,13 @@ pub fn run(exp: &ExpConfig) -> Table {
             "grit-oversub".into(),
         ],
     );
-    let rows = run_grid(&table2_apps(), &[PolicyKind::Gps, PolicyKind::GRIT], exp);
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        let (gps, grit) = (&runs[0], &runs[1]);
-        table.push_row(
-            app.abbr(),
-            vec![
-                gps.metric(|_| 1.0),
-                gps.cycles() / grit.cycles(),
-                gps.metric(|o| o.metrics.oversubscription_rate),
-                grit.metric(|o| o.metrics.oversubscription_rate),
-            ],
-        );
+    let rows = run_grid(&App::TABLE2, |app| {
+        [PolicyKind::Gps, PolicyKind::GRIT].map(|p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        let mut values = speedups(row.iter().map(CellResultExt::cycles));
+        values.extend(row.iter().map(|r| r.metric(|o| o.metrics.oversubscription_rate)));
+        table.push_row(app.abbr(), values);
     }
     table
 }

@@ -4,10 +4,11 @@
 //! accesses and migrations that Trans-FW only makes cheaper.
 
 use grit_baselines::apply_transfw;
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::SimConfig;
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure.
 pub fn run(exp: &ExpConfig) -> Table {
@@ -17,24 +18,14 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Fig 28: GRIT vs Griffin-DPC + Trans-FW (speedup over the combination)",
         vec!["dpc+transfw".into(), "grit".into()],
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| {
-            [
-                CellSpec::new(app, PolicyKind::GriffinDpc, exp).with_cfg(combo_cfg.clone()),
-                CellSpec::new(app, PolicyKind::GRIT, exp),
-            ]
-        })
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, chunk) in table2_apps().into_iter().zip(outputs.chunks(2)) {
-        table.push_row(
-            app.abbr(),
-            vec![
-                chunk[0].metric(|_| 1.0),
-                chunk[0].cycles() / chunk[1].cycles(),
-            ],
-        );
+    let rows = run_grid(&App::TABLE2, |app| {
+        [
+            CellSpec::new(app, PolicyKind::GriffinDpc, exp).with_cfg(combo_cfg.clone()),
+            CellSpec::new(app, PolicyKind::GRIT, exp),
+        ]
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table

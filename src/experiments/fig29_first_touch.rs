@@ -2,9 +2,10 @@
 //! peer-access afterwards). The paper reports GRIT 54 % ahead on average —
 //! marginal on private-dominated FIR/SC, large on shared-heavy GEMM/MM.
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
+use grit_workloads::App;
 
-use super::{run_grid, table2_apps, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure.
 pub fn run(exp: &ExpConfig) -> Table {
@@ -12,16 +13,11 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Fig 29: GRIT vs first-touch (speedup over first-touch)",
         vec!["first-touch".into(), "grit".into()],
     );
-    let rows = run_grid(
-        &table2_apps(),
-        &[PolicyKind::FirstTouch, PolicyKind::GRIT],
-        exp,
-    );
-    for (app, runs) in table2_apps().into_iter().zip(&rows) {
-        table.push_row(
-            app.abbr(),
-            vec![runs[0].metric(|_| 1.0), runs[0].cycles() / runs[1].cycles()],
-        );
+    let rows = run_grid(&App::TABLE2, |app| {
+        [PolicyKind::FirstTouch, PolicyKind::GRIT].map(|p| CellSpec::new(app, p, exp))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table

@@ -3,12 +3,13 @@
 //! and prefetching are complementary).
 
 use grit_baselines::TreePrefetcher;
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
+use grit_workloads::App;
 
-use super::{run_batch, table2_apps, CellResultExt, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
-fn prefetch_cell(app: grit_workloads::App, policy: PolicyKind, exp: &ExpConfig) -> CellSpec {
+fn prefetch_cell(app: App, policy: PolicyKind, exp: &ExpConfig) -> CellSpec {
     CellSpec::new(app, policy, exp).with_prefetcher(|| Box::new(TreePrefetcher::new()))
 }
 
@@ -18,24 +19,11 @@ pub fn run(exp: &ExpConfig) -> Table {
         "Fig 30: GRIT + prefetching vs on-touch + prefetching",
         vec!["on-touch+pf".into(), "grit+pf".into()],
     );
-    let cells: Vec<CellSpec> = table2_apps()
-        .into_iter()
-        .flat_map(|app| {
-            [
-                prefetch_cell(app, PolicyKind::Static(Scheme::OnTouch), exp),
-                prefetch_cell(app, PolicyKind::GRIT, exp),
-            ]
-        })
-        .collect();
-    let outputs = run_batch(&cells);
-    for (app, chunk) in table2_apps().into_iter().zip(outputs.chunks(2)) {
-        table.push_row(
-            app.abbr(),
-            vec![
-                chunk[0].metric(|_| 1.0),
-                chunk[0].cycles() / chunk[1].cycles(),
-            ],
-        );
+    let rows = run_grid(&App::TABLE2, |app| {
+        [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT].map(|p| prefetch_cell(app, p, exp))
+    });
+    for (app, row) in rows {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table.push_geomean_row();
     table
@@ -55,7 +43,7 @@ mod tests {
     #[test]
     fn prefetching_reduces_faults_for_adjacent_apps() {
         let exp = ExpConfig::quick();
-        let app = grit_workloads::App::Fir;
+        let app = App::Fir;
         let without = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp)
             .metrics
             .faults

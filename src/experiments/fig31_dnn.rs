@@ -1,11 +1,11 @@
 //! Fig. 31: GRIT on model-parallel DNN training — VGG16 and ResNet18 —
 //! normalized to their on-touch baselines (paper: 15 % and 18 %).
 
-use grit_metrics::Table;
+use grit_metrics::{speedups, Table};
 use grit_sim::Scheme;
 use grit_workloads::App;
 
-use super::{run_grid, CellResultExt, ExpConfig, PolicyKind};
+use super::{run_grid, CellResultExt, CellSpec, ExpConfig, PolicyKind};
 
 /// Runs the figure.
 pub fn run(exp: &ExpConfig) -> Table {
@@ -14,12 +14,10 @@ pub fn run(exp: &ExpConfig) -> Table {
         vec!["on-touch".into(), "grit".into()],
     );
     let policies = [PolicyKind::Static(Scheme::OnTouch), PolicyKind::GRIT];
-    let rows = run_grid(&App::DNN, &policies, exp);
-    for (app, runs) in App::DNN.into_iter().zip(&rows) {
-        table.push_row(
-            app.abbr(),
-            vec![runs[0].metric(|_| 1.0), runs[0].cycles() / runs[1].cycles()],
-        );
+    for (app, row) in run_grid(&App::DNN, |app| {
+        policies.map(|p| CellSpec::new(app, p, exp))
+    }) {
+        table.push_row(app.abbr(), speedups(row.iter().map(CellResultExt::cycles)));
     }
     table
 }

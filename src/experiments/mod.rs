@@ -265,16 +265,9 @@ pub fn run_cell_with(
     cfg: SimConfig,
     observer: Option<ObserverConfig>,
 ) -> RunOutput {
-    CellSpec {
-        app,
-        policy: PolicySpec::Kind(policy),
-        exp: *exp,
-        cfg,
-        observer,
-        prefetcher: None,
-        trace: None,
-    }
-    .run()
+    let mut cell = CellSpec::pinned(app, policy, exp, cfg);
+    cell.observer = observer;
+    cell.run()
 }
 
 /// The one-cell table a per-app figure shows in place of its own when
@@ -283,11 +276,6 @@ fn failed_table(title: String) -> Table {
     let mut t = Table::new(title, vec!["error".into()]);
     t.push_row("cell", vec![f64::NAN]);
     t
-}
-
-/// The eight Table II applications, the row set of most figures.
-pub fn table2_apps() -> [App; 8] {
-    App::TABLE2
 }
 
 #[cfg(test)]

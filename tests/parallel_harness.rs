@@ -4,8 +4,8 @@
 //! trace exactly once however many cells request it.
 
 use grit::experiments::{
-    fig17_grit, run_batch_with, set_batch_defaults, table2_apps, workload_cache, BatchOptions,
-    CellSpec, ExpConfig, PolicyKind,
+    fig17_grit, run_batch_with, set_batch_defaults, workload_cache, BatchOptions, CellSpec,
+    ExpConfig, PolicyKind,
 };
 use grit_sim::SimConfig;
 
@@ -35,7 +35,7 @@ fn fig17_grid_builds_each_app_trace_exactly_once() {
     };
     let _ = fig17_grit::run(&exp);
     let cfg = SimConfig::default();
-    for app in table2_apps() {
+    for app in grit_workloads::App::TABLE2 {
         let key = workload_cache::WorkloadKey::new(app, &exp, &cfg);
         assert_eq!(
             workload_cache::global().build_count(key),

@@ -85,7 +85,7 @@ fn exemplar_lines() -> Vec<String> {
     requests
         .iter()
         .map(|r| r.to_json().to_string())
-        .chain(responses.iter().map(|r| r.to_json().to_string()))
+        .chain(responses.into_iter().map(|r| r.into_json().to_string()))
         .collect()
 }
 
@@ -110,7 +110,7 @@ fn golden_v1_lines_parse_and_reserialize_byte_identically() {
             Ok(req) => req.to_json().to_string(),
             Err(_) => Response::from_json(&v)
                 .unwrap_or_else(|e| panic!("unparseable fixture line {line}: {e}"))
-                .to_json()
+                .into_json()
                 .to_string(),
         };
         assert_eq!(reserialized, line, "round trip changed the bytes");
