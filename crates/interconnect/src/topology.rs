@@ -119,10 +119,27 @@ impl Fabric {
     ///
     /// Panics if `num_gpus` is zero.
     pub fn with_topology(num_gpus: usize, cfg: LinkConfig, topo: TopologyConfig) -> Self {
+        Fabric::with_fault_plan(num_gpus, cfg, topo, FaultPlan::empty())
+    }
+
+    /// [`Fabric::with_topology`] with `plan` installed
+    /// ([`Fabric::set_fault_plan`]). A plan from `SimConfig::validate`
+    /// hands over the wire layout it was compiled against, which the
+    /// fabric adopts instead of laying it out again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_gpus` is zero.
+    pub fn with_fault_plan(
+        num_gpus: usize,
+        cfg: LinkConfig,
+        topo: TopologyConfig,
+        mut plan: FaultPlan,
+    ) -> Self {
         assert!(num_gpus > 0, "fabric needs at least one GPU");
-        let graph = TopoGraph::build(num_gpus, cfg, topo);
+        let graph = plan.take_graph().unwrap_or_else(|| TopoGraph::build(num_gpus, cfg, topo));
         let routing = Routing::compute(&graph);
-        Fabric {
+        let mut fabric = Fabric {
             num_gpus,
             links: graph.links.iter().map(|l| Link::new(l.bytes_per_cycle, l.latency)).collect(),
             classes: graph.links.iter().map(|l| l.class).collect(),
@@ -138,7 +155,14 @@ impl Fabric {
                 .collect(),
             queue_hist: LatencyHistogram::new(),
             tracer: Tracer::disabled(),
-        }
+        };
+        fabric.set_fault_plan(plan);
+        fabric
+    }
+
+    /// The installed fault plan (empty unless one was installed).
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 
     /// Attaches an event sink; link transfers are recorded through it.

@@ -1,6 +1,7 @@
 //! A small blocking client for the campaign server, used by
 //! `repro submit` and the integration tests.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -45,12 +46,6 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-impl From<ClientError> for String {
-    fn from(e: ClientError) -> String {
-        e.to_string()
-    }
-}
-
 impl ClientError {
     fn io(context: &str, e: &std::io::Error) -> ClientError {
         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
@@ -67,10 +62,9 @@ impl ClientError {
 #[non_exhaustive]
 pub struct CampaignOutcome {
     /// `result` lines in arrival order — which the server guarantees is
-    /// this client's submission order.
+    /// this client's submission order — each holding the events of the
+    /// `trace` lines that carried its id.
     pub results: Vec<CellResult>,
-    /// `(id, event)` pairs from `trace` lines, in arrival order.
-    pub traces: Vec<(u64, Json)>,
     /// Protocol-level `error` lines (not per-cell failures, which land
     /// in [`CampaignOutcome::results`] with a non-`ok` status).
     pub errors: Vec<String>,
@@ -87,8 +81,6 @@ pub struct CampaignOutcome {
 pub struct ServeClient {
     write: TcpStream,
     read: BufReader<TcpStream>,
-    /// Server version from the `hello` line.
-    pub server_version: String,
 }
 
 impl ServeClient {
@@ -112,16 +104,12 @@ impl ServeClient {
         let hello = Json::parse(&line)
             .map_err(|e| ClientError::Protocol(format!("hello: bad JSON {e:?}")))
             .and_then(|v| Response::from_json(&v).map_err(ClientError::Protocol))?;
-        let Response::Hello { version } = hello else {
+        let Response::Hello { .. } = hello else {
             return Err(ClientError::Protocol(format!(
                 "expected hello, got {hello:?}"
             )));
         };
-        Ok(ServeClient {
-            write,
-            read,
-            server_version: version,
-        })
+        Ok(ServeClient { write, read })
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
@@ -191,7 +179,8 @@ impl ServeClient {
     }
 
     /// Half-closes the write side (telling the server no more requests
-    /// are coming) and drains the stream until `done`/EOF.
+    /// are coming) and drains the stream until `done`/EOF. Each `trace`
+    /// line's event lands on the result with the same id.
     ///
     /// # Errors
     ///
@@ -199,10 +188,14 @@ impl ServeClient {
     pub fn finish(mut self) -> Result<CampaignOutcome, ClientError> {
         let _ = self.write.shutdown(Shutdown::Write);
         let mut outcome = CampaignOutcome::default();
+        let mut traces: HashMap<u64, Vec<Json>> = HashMap::new();
         while let Some(resp) = self.next_response()? {
             match resp {
-                Response::Result(r) => outcome.results.push(r),
-                Response::Trace { id, event } => outcome.traces.push((id, event)),
+                Response::Result(mut r) => {
+                    r.trace = traces.remove(&r.id).unwrap_or_default();
+                    outcome.results.push(r);
+                }
+                Response::Trace { id, event } => traces.entry(id).or_default().push(event),
                 Response::Busy { id, retry_after_ms } => {
                     outcome.busy.push((id, retry_after_ms));
                 }

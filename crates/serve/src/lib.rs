@@ -32,7 +32,5 @@ pub mod wire;
 
 pub use chaos::{ChaosFault, ChaosProxy};
 pub use client::{CampaignOutcome, ClientError, ServeClient};
-pub use server::{
-    ServeOptions, ServeSummary, Server, ShutdownHandle, SpecFailure, SpecResult, SpecRunner,
-};
+pub use server::{ServeOptions, ServeSummary, Server, ShutdownHandle, SpecFailure, SpecRunner};
 pub use wire::{CellResult, Request, Response, SERVE_SCHEMA};

@@ -63,34 +63,6 @@ pub const DEFAULT_WRITE_TIMEOUT_MS: u64 = 10_000;
 /// drain flag.
 const READ_POLL_MS: u64 = 500;
 
-/// A successfully executed cell, as produced by the [`SpecRunner`].
-#[derive(Clone, PartialEq, Debug, Default)]
-#[non_exhaustive]
-pub struct SpecResult {
-    /// The result came out of the shared store instead of a fresh run.
-    pub store_hit: bool,
-    /// Simulated cycles to completion.
-    pub total_cycles: u64,
-    /// Total memory accesses replayed.
-    pub accesses: u64,
-    /// GPU-local faults.
-    pub local_faults: u64,
-    /// Page migrations.
-    pub migrations: u64,
-    /// Wall-clock simulation seconds.
-    pub sim_seconds: f64,
-    /// Result-store loads answered while serving this cell.
-    pub store_hits: u64,
-    /// Result-store loads that missed while serving this cell.
-    pub store_misses: u64,
-    /// Store files quarantined (failed an integrity check) while
-    /// serving this cell.
-    pub store_quarantined: u64,
-    /// Trace events, one `TraceEvent::to_json` object per entry, when the
-    /// spec asked for tracing.
-    pub trace_lines: Vec<Json>,
-}
-
 /// A cell that did not complete.
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
@@ -112,11 +84,24 @@ impl SpecFailure {
     }
 }
 
-/// Executes one [`RunSpec`]. The callback is invoked concurrently from
-/// the worker pool, so it must be thread-safe; the `grit` crate's
-/// batch engine (which already serializes store access internally) is
-/// the intended implementation.
-pub type SpecRunner = Arc<dyn Fn(&RunSpec) -> Result<SpecResult, SpecFailure> + Send + Sync>;
+impl From<SpecFailure> for CellResult {
+    /// The result row of a failed cell: its status and message, every
+    /// counter zero.
+    fn from(fail: SpecFailure) -> Self {
+        CellResult {
+            status: fail.status,
+            error: Some(fail.message),
+            ..CellResult::default()
+        }
+    }
+}
+
+/// Executes one [`RunSpec`] and returns its finished [`CellResult`]
+/// (the server sets its `id`), trace events included. The callback is
+/// invoked concurrently from the worker pool, so it must be
+/// thread-safe; the `grit` crate's batch engine (which already
+/// serializes store access internally) is the intended implementation.
+pub type SpecRunner = Arc<dyn Fn(&RunSpec) -> Result<CellResult, SpecFailure> + Send + Sync>;
 
 /// Server configuration. Construct with [`ServeOptions::new`] and the
 /// builder methods; the struct is non-exhaustive so new knobs can be
@@ -578,41 +563,18 @@ fn worker_loop(shared: &Shared) {
             id: job.id,
             state: "running".into(),
         });
-        let mut lines = Vec::new();
-        let result = match (shared.runner)(&job.spec) {
-            Ok(res) => {
-                for event in res.trace_lines {
-                    let trace = Response::Trace { id: job.id, event };
-                    lines.push(format!("{}\n", trace.into_json()));
-                }
-                if res.store_hit {
-                    shared.store_hits.fetch_add(1, Ordering::SeqCst);
-                }
-                CellResult {
-                    id: job.id,
-                    status: "ok".into(),
-                    store_hit: res.store_hit,
-                    total_cycles: res.total_cycles,
-                    accesses: res.accesses,
-                    local_faults: res.local_faults,
-                    migrations: res.migrations,
-                    sim_seconds: res.sim_seconds,
-                    store_hits: res.store_hits,
-                    store_misses: res.store_misses,
-                    store_quarantined: res.store_quarantined,
-                    error: None,
-                }
-            }
-            Err(fail) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
-                CellResult {
-                    id: job.id,
-                    status: fail.status,
-                    error: Some(fail.message),
-                    ..CellResult::default()
-                }
-            }
-        };
+        let mut result = (shared.runner)(&job.spec).unwrap_or_else(|fail| {
+            shared.errors.fetch_add(1, Ordering::SeqCst);
+            CellResult::from(fail)
+        });
+        if result.store_hit {
+            shared.store_hits.fetch_add(1, Ordering::SeqCst);
+        }
+        result.id = job.id;
+        let mut lines: Vec<String> = std::mem::take(&mut result.trace)
+            .into_iter()
+            .map(|event| format!("{}\n", Response::Trace { id: job.id, event }.into_json()))
+            .collect();
         shared.cells.fetch_add(1, Ordering::SeqCst);
         lines.push(format!("{}\n", Response::Result(result).into_json()));
         job.sink.complete(job.seq, lines);

@@ -194,6 +194,10 @@ pub struct CellResult {
     pub store_quarantined: u64,
     /// Failure detail when `status != "ok"`.
     pub error: Option<String>,
+    /// The cell's own trace events (`TraceEvent::to_json` objects), when
+    /// its spec asked for tracing. The `result` line does not carry
+    /// them: they travel as the `trace` lines just before it.
+    pub trace: Vec<Json>,
 }
 
 impl CellResult {
@@ -265,7 +269,9 @@ pub enum Response {
 
 impl Response {
     /// Serializes the response as one JSON object (no trailing newline),
-    /// moving its strings and trace event into the object.
+    /// moving its strings and trace event into the object. A `result`
+    /// leaves its [`CellResult::trace`] behind: the server sends those
+    /// events as `trace` lines first.
     pub fn into_json(self) -> Json {
         let mut fields: Vec<(String, Json)> =
             vec![("schema".into(), Json::Str(SERVE_SCHEMA.into()))];
@@ -378,6 +384,7 @@ impl Response {
                 store_misses: v.get("store_misses").and_then(Json::as_u64).unwrap_or(0),
                 store_quarantined: v.get("store_quarantined").and_then(Json::as_u64).unwrap_or(0),
                 error: v.get("error").and_then(Json::as_str).map(String::from),
+                trace: Vec::new(),
             })),
             "pong" => Ok(Response::Pong),
             "error" => Ok(Response::Error {
@@ -473,6 +480,7 @@ mod tests {
                 store_misses: 0,
                 store_quarantined: 0,
                 error: None,
+                trace: Vec::new(),
             }),
             Response::Pong,
             Response::Error {

@@ -616,7 +616,9 @@ impl SimConfig {
 
     /// Checks internal consistency and hands back the compiled fault
     /// plan ([`FaultPlan::empty`] without `inject` events), so a cell
-    /// compiles its plan once, here.
+    /// compiles its plan once, here. An injected plan carries the
+    /// [`TopoGraph`] it was compiled against
+    /// ([`FaultPlan::take_graph`]), so the cell lays its wires out once.
     ///
     /// # Errors
     ///
@@ -686,8 +688,10 @@ impl SimConfig {
         if self.inject.is_empty() {
             return Ok(FaultPlan::empty());
         }
-        let wires = TopoGraph::build(self.num_gpus, self.links, self.topology).links.len();
-        FaultPlan::compile(&self.inject, wires, self.num_gpus)
+        let graph = TopoGraph::build(self.num_gpus, self.links, self.topology);
+        let mut plan = FaultPlan::compile(&self.inject, graph.links.len(), self.num_gpus)?;
+        plan.graph = Some(graph);
+        Ok(plan)
     }
 
     /// The configuration flattened to `(name, value)` pairs, for embedding
@@ -906,9 +910,14 @@ mod tests {
         let mut c = SimConfig::default();
         assert!(c.validate().unwrap().is_empty());
         c.inject = InjectConfig::parse("outage@10:wire=*:for=5").unwrap();
-        let plan = c.validate().unwrap();
+        let mut plan = c.validate().unwrap();
         let cycles: Vec<u64> = plan.transitions().iter().map(|t| t.cycle).collect();
         assert_eq!(cycles, [10, 15], "the outage starts and recovers");
+        // The plan hands over the wires it was compiled against.
+        let graph = plan.take_graph().expect("an injected plan carries its graph");
+        let wires = TopoGraph::build(c.num_gpus, c.links, c.topology).links.len();
+        assert_eq!(graph.links.len(), wires);
+        assert!(plan.take_graph().is_none(), "the graph is handed over once");
         c.inject = InjectConfig::parse("outage@0:wire=99:for=10").unwrap();
         assert_eq!(c.validate().unwrap_err().field, "inject");
     }

@@ -38,6 +38,7 @@
 use std::fmt;
 
 use crate::config::ConfigError;
+use crate::graph::TopoGraph;
 use crate::Cycle;
 
 /// Which fabric wire an event targets.
@@ -492,12 +493,22 @@ pub struct FaultPlan {
     /// Outage epochs: at `cycle`, the sorted set of down wires becomes
     /// exactly `wires`. Starts with an implicit all-up epoch at cycle 0.
     epochs: Vec<(Cycle, Vec<u32>)>,
+    /// The wire layout [`SimConfig::validate`](crate::SimConfig::validate)
+    /// compiled the plan against, until the fabric takes it.
+    pub(crate) graph: Option<TopoGraph>,
 }
 
 impl FaultPlan {
     /// An inert plan (every query reports healthy hardware).
     pub fn empty() -> Self {
         FaultPlan::default()
+    }
+
+    /// Takes the wire layout [`SimConfig::validate`](crate::SimConfig::validate)
+    /// laid out to compile this plan, so the fabric does not lay it out
+    /// again; `None` for a plan compiled from a bare wire count.
+    pub fn take_graph(&mut self) -> Option<TopoGraph> {
+        self.graph.take()
     }
 
     /// Compiles a schedule against a system shape.
@@ -519,6 +530,7 @@ impl FaultPlan {
             storms: vec![Vec::new(); num_gpus],
             transitions: Vec::new(),
             epochs: Vec::new(),
+            graph: None,
         };
         let wire_targets = |w: WireSel| -> Result<Vec<usize>, ConfigError> {
             match w {

@@ -10,7 +10,8 @@
 //! named by their stable string labels (`App::abbr()`,
 //! `PolicyKind::label()`), hardware overrides are optional strings in
 //! the same grammar the CLI accepts (`--topology`, `--inject`), and the
-//! experiment knobs carry the same defaults as `ExpConfig::default()`.
+//! experiment knobs carry the defaults `ExpConfig::default()` is built
+//! from.
 //! Higher layers resolve the strings into typed values; this crate only
 //! validates and applies the pieces it owns ([`SimConfig`]).
 //!
@@ -23,13 +24,11 @@ use std::time::Duration;
 use crate::config::{ConfigError, SimConfig, TopologyConfig};
 use crate::inject::InjectConfig;
 
-/// Default experiment scale (fraction of the paper's working-set size);
-/// must agree with `ExpConfig::default()` in the top-level crate.
+/// Default experiment scale (fraction of the paper's working-set size).
 pub const DEFAULT_SCALE: f64 = 0.10;
-/// Default compute-intensity multiplier; must agree with
-/// `ExpConfig::default()`.
+/// Default compute-intensity multiplier.
 pub const DEFAULT_INTENSITY: f64 = 2.0;
-/// Default workload seed; must agree with `ExpConfig::default()`.
+/// Default workload seed.
 pub const DEFAULT_SEED: u64 = 0xBEEF;
 
 /// The per-cell wall-clock budget `secs` as a [`Duration`]: the one check

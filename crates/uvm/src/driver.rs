@@ -112,6 +112,9 @@ pub struct UvmDriver {
     central: CentralPageTable,
     local_pts: Vec<LocalPageTable>,
     memories: Vec<GpuMemory>,
+    /// The interconnect, which also holds the compiled hardware-fault
+    /// schedule (empty unless `cfg.inject` has events; every query on an
+    /// empty plan is a no-op).
     fabric: Fabric,
     counters: AccessCounters,
     /// Which 2 MB frames are currently coalesced (inert under uniform
@@ -150,9 +153,6 @@ pub struct UvmDriver {
     fault_service_free: Cycle,
     /// Per-GPU earliest cycle the next peer request may issue.
     remote_port_free: Vec<Cycle>,
-    /// Compiled hardware-fault schedule (empty unless `cfg.inject` has
-    /// events; every query on an empty plan is a no-op).
-    plan: FaultPlan,
     /// Cursor into [`FaultPlan::transitions`]: the next not-yet-applied
     /// state change.
     next_transition: usize,
@@ -230,10 +230,7 @@ impl UvmDriver {
         }
         let cap = ((footprint_pages as f64 * cfg.capacity_ratio).ceil() as usize).max(1);
         let next_epoch = policy.epoch_len();
-        let mut fabric = Fabric::with_topology(cfg.num_gpus, cfg.links, cfg.topology);
-        if !plan.is_empty() {
-            fabric.set_fault_plan(plan.clone());
-        }
+        let fabric = Fabric::with_fault_plan(cfg.num_gpus, cfg.links, cfg.topology, plan);
         Ok(UvmDriver {
             central: CentralPageTable::with_footprint(footprint_pages),
             local_pts: (0..cfg.num_gpus).map(|_| LocalPageTable::new(footprint_pages)).collect(),
@@ -264,7 +261,6 @@ impl UvmDriver {
             migration_latency: LatencyHistogram::new(),
             fault_service_free: 0,
             remote_port_free: vec![0; cfg.num_gpus],
-            plan,
             next_transition: 0,
             retire_cursor: vec![0; cfg.num_gpus],
             backoff: Backoff::default(),
@@ -411,7 +407,7 @@ impl UvmDriver {
 
     /// Whether a fault-injection plan is active on this driver.
     pub fn injection_active(&self) -> bool {
-        !self.plan.is_empty()
+        !self.fabric.plan().is_empty()
     }
 
     /// Fault-injection outcome counters (all zero when no plan is active,
@@ -579,7 +575,7 @@ impl UvmDriver {
     fn apply_injections(&mut self, now: Cycle) -> Option<Cycle> {
         let mut done = now;
         let mut any = false;
-        while let Some(&tr) = self.plan.transitions().get(self.next_transition) {
+        while let Some(&tr) = self.fabric.plan().transitions().get(self.next_transition) {
             if tr.cycle > now {
                 break;
             }
@@ -619,7 +615,7 @@ impl UvmDriver {
     /// write-back completes.
     fn apply_retirement(&mut self, gpu: GpuId, now: Cycle) -> Cycle {
         let cursor = self.retire_cursor[gpu.index()];
-        let Some(&(_, count)) = self.plan.retirements(gpu.index()).get(cursor) else {
+        let Some(&(_, count)) = self.fabric.plan().retirements(gpu.index()).get(cursor) else {
             return now;
         };
         self.retire_cursor[gpu.index()] = cursor + 1;
@@ -646,7 +642,7 @@ impl UvmDriver {
         self.begin(now);
         let injected = self.apply_injections(now).is_some();
         let epoch = self.run_due_epoch(now);
-        let transition = self.plan.transitions().get(self.next_transition);
+        let transition = self.fabric.plan().transitions().get(self.next_transition);
         self.next_due = transition
             .map_or(Cycle::MAX, |tr| tr.cycle)
             .min(self.next_epoch.unwrap_or(Cycle::MAX));
@@ -743,7 +739,7 @@ impl UvmDriver {
         // An injected fault-handler stall storm occupies the serial driver
         // with background faults; this fault queues behind them. Always
         // zero without a plan.
-        let storm = self.plan.storm_stall(fault.gpu.index(), service_start);
+        let storm = self.fabric.plan().storm_stall(fault.gpu.index(), service_start);
         if storm > 0 {
             self.resilience.storm_stalled_faults += 1;
         }
@@ -858,7 +854,7 @@ impl UvmDriver {
         // double, so the counters pull hot 64 KB groups away from sick
         // links roughly twice as fast. Zero-cost without a plan.
         let mut tripped = self.counters.record_remote_grouped(gpu, group);
-        if !tripped && !self.plan.is_empty() {
+        if !tripped && !self.fabric.plan().is_empty() {
             if let MemLoc::Gpu(o) = self.central.page(vpn).owner {
                 if o != gpu && self.fabric.route_sick(gpu, o, now) {
                     tripped = self.counters.record_remote_grouped(gpu, group);
@@ -1173,7 +1169,7 @@ impl UvmDriver {
         // severed by an injected outage retries with capped exponential
         // backoff, then falls back to remote access or host staging
         // rather than panicking or losing the page.
-        if !self.plan.is_empty() {
+        if !self.fabric.plan().is_empty() {
             if let MemLoc::Gpu(src) = state.owner {
                 if src != dst && self.fabric.route_blocked(src, dst, now) {
                     return self.blocked_migration(dst, src, vpn, now, class);

@@ -9,6 +9,7 @@
 
 use grit::experiments::PolicyKind;
 use grit::prelude::*;
+use grit_metrics::LatencyHistogram;
 
 fn main() {
     let app = std::env::args()
@@ -40,19 +41,19 @@ fn main() {
         let p = policy.build(&cfg, w.footprint_pages);
         let sim = Simulation::try_new(cfg, w, p).expect("valid configuration");
         let out = sim.try_run().expect("run failed");
-        let fl = out
-            .metrics
-            .aux("fault_latency_summary")
-            .expect("runner always records the summary")
-            .to_vec();
+        let fl = LatencyHistogram::from_flat(
+            out.metrics
+                .aux("fault_latency_hist")
+                .expect("runner always records the histogram"),
+        );
         println!(
-            "{:<16} {:>8.0} {:>10.0} {:>10.0} {:>10.0} {:>12.0}",
+            "{:<16} {:>8} {:>10.0} {:>10} {:>10} {:>12}",
             policy.label(),
-            fl[0],
-            fl[1],
-            fl[2],
-            fl[3],
-            fl[4]
+            fl.samples(),
+            fl.mean(),
+            fl.percentile(0.5),
+            fl.percentile(0.99),
+            fl.max()
         );
     }
     println!("\nA fault's cost is dominated by the serial driver service under");

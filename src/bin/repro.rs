@@ -20,7 +20,7 @@
 //! row in the affected tables and as a structured error record in
 //! `run_report.json`; the process exits nonzero only under `--fail-fast`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::env;
 use std::fs;
 use std::path::PathBuf;
@@ -799,6 +799,15 @@ fn cmd_serve(a: &Args, _: &[String]) -> Result<(), String> {
         // client; served cells opt into tracing per spec.
         eprintln!("serve ignores --trace; clients request traces per cell");
     }
+    let spec = &a.spec;
+    if spec.topology.is_some()
+        || spec.page_size.is_some()
+        || spec.page_size_mode.is_some()
+        || spec.inject.is_some()
+    {
+        // A served cell runs exactly the machine its spec names.
+        eprintln!("serve ignores machine flags; each submitted spec names its own machine");
+    }
     session(a, 1, |_| {
         let sopts = a.serve.clone().jobs(ex::effective_jobs());
         let dir = a.batch.resume_dir.clone().unwrap_or_else(|| PathBuf::from(".grit-serve-store"));
@@ -1053,6 +1062,7 @@ fn render_profile(profile: &Json) -> Result<String, String> {
 /// under five policies, run as one batch; a failed cell prints `err!`.
 fn run_stats(exp: &ExpConfig) {
     use grit::experiments::{run_grid, CellResultExt, CellSpec, PolicyKind};
+    use grit_metrics::LatencyHistogram;
     use grit_sim::Scheme;
     let apps = grit_workloads::App::TABLE2;
     let policies = [
@@ -1069,7 +1079,7 @@ fn run_stats(exp: &ExpConfig) {
                 continue;
             };
             let m = &out.metrics;
-            let fl = m.aux("fault_latency_summary").unwrap_or(&[]).to_vec();
+            let fl = LatencyHistogram::from_flat(m.aux("fault_latency_hist").unwrap_or(&[]));
             println!(
                 "{:<5} {:<16} cycles={:<12} acc={:<9} faults(l={},p={}) migr={} dup={} col={} evic={} remote={} fault-lat(mean={:.0} p99={:.0}) bd[{}]",
                 app.abbr(),
@@ -1083,8 +1093,8 @@ fn run_stats(exp: &ExpConfig) {
                 m.faults.collapses,
                 m.faults.evictions,
                 m.remote_accesses,
-                fl.get(1).copied().unwrap_or(0.0),
-                fl.get(3).copied().unwrap_or(0.0),
+                fl.mean(),
+                fl.percentile(0.99),
                 m.breakdown,
             );
         }
@@ -1195,18 +1205,6 @@ fn split_list(raw: &str) -> Vec<String> {
         .collect()
 }
 
-/// Renders an app x policy campaign as a total-cycles table. Both the
-/// served and the `--local` paths funnel through here, so their stdout
-/// is comparable byte for byte.
-fn render_campaign(apps: &[String], pols: &[String], cycles: &[f64]) -> Table {
-    let mut t = Table::new("campaign total cycles", pols.to_vec());
-    for (ai, app) in apps.iter().enumerate() {
-        let row: Vec<f64> = (0..pols.len()).map(|pi| cycles[ai * pols.len() + pi]).collect();
-        t.push_row(app, row);
-    }
-    t
-}
-
 /// One connect → submit → drain pass over the given `(id, spec)` cells.
 fn campaign_attempt(
     addr: &str,
@@ -1223,12 +1221,9 @@ fn campaign_attempt(
     client.finish()
 }
 
-/// What a completed campaign hands back to `cmd_submit`: per-cell
-/// results in declaration order, trace lines tagged by cell id, and any
-/// server-side error strings.
-type CampaignYield = (Vec<grit_serve::CellResult>, Vec<(u64, Json)>, Vec<String>);
-
-/// Drives a served campaign to completion. Without `retry` a single
+/// Drives a served campaign to completion and returns each cell's
+/// result, its trace events included, in declaration order; server
+/// `error` lines go to stderr as they arrive. Without `retry` a single
 /// attempt is made and any failure is final. With `retry`, connection
 /// failures, timeouts, and `busy` admission rejections trigger a
 /// reconnect that resubmits only the still-unresolved ids, backing off
@@ -1248,7 +1243,7 @@ fn run_served_campaign(
     specs: &[grit_sim::RunSpec],
     shutdown: bool,
     retry: bool,
-) -> Result<CampaignYield, String> {
+) -> Result<Vec<grit_serve::CellResult>, String> {
     let mut backoff = grit_sim::Backoff::default();
     if let Some(ms) = env::var("GRIT_SUBMIT_RETRY_BASE_MS")
         .ok()
@@ -1257,8 +1252,6 @@ fn run_served_campaign(
         backoff.base = ms.max(1);
     }
     let mut resolved: HashMap<u64, grit_serve::CellResult> = HashMap::new();
-    let mut traces: Vec<(u64, Json)> = Vec::new();
-    let mut server_errors: Vec<String> = Vec::new();
     let mut shutdown_pending = shutdown;
     let mut attempt: u32 = 0;
     let sleep_then_retry = |attempt: &mut u32, busy_hint: u64, why: &str| -> Result<(), String> {
@@ -1286,17 +1279,12 @@ fn run_served_campaign(
         let send_shutdown = shutdown_pending && (!retry || pending.is_empty());
         match campaign_attempt(addr, &pending, send_shutdown) {
             Ok(outcome) => {
-                server_errors.extend(outcome.errors);
+                for e in &outcome.errors {
+                    eprintln!("[repro] server error: {e}");
+                }
                 // Duplicate `result` lines across attempts (or from a
-                // duplicating link) are harmless: first resolution wins,
-                // and traces are kept only for ids resolved just now.
-                let newly: HashSet<u64> = outcome
-                    .results
-                    .iter()
-                    .map(|r| r.id)
-                    .filter(|id| !resolved.contains_key(id))
-                    .collect();
-                traces.extend(outcome.traces.into_iter().filter(|(id, _)| newly.contains(id)));
+                // duplicating link) are harmless: first resolution wins.
+                let before = resolved.len();
                 for r in outcome.results {
                     resolved.entry(r.id).or_insert(r);
                 }
@@ -1318,7 +1306,7 @@ fn run_served_campaign(
                 if !retry {
                     return Err(format!("{why}; pass --retry to resubmit"));
                 }
-                if !newly.is_empty() {
+                if resolved.len() > before {
                     attempt = 0;
                 }
                 sleep_then_retry(&mut attempt, busy_hint, &why)?;
@@ -1331,21 +1319,16 @@ fn run_served_campaign(
             }
         }
     }
-    let mut results = Vec::with_capacity(specs.len());
-    for id in 0..specs.len() as u64 {
-        results.push(resolved.remove(&id).expect("loop exits only once every id resolved"));
-    }
-    // Arrival order within one connection is id order already; a stable
-    // sort normalizes trace order across multi-attempt campaigns while
-    // preserving per-cell event order.
-    traces.sort_by_key(|&(id, _)| id);
-    Ok((results, traces, server_errors))
+    Ok((0..specs.len() as u64)
+        .map(|id| resolved.remove(&id).expect("loop exits only once every id resolved"))
+        .collect())
 }
 
 /// `repro submit`: run an app x policy campaign against a server
-/// (`--connect`) or through the in-process engine (`--local`). Status
-/// goes to stderr; stdout carries only the table, so the two paths can
-/// be diffed directly.
+/// (`--connect`) or through the in-process engine (`--local`). Both
+/// paths produce the cells' results in declaration order, and one block
+/// reports them. Status goes to stderr; stdout carries only the table,
+/// so the two paths can be diffed directly.
 fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
     let apps = a.apps.as_deref().map(split_list).unwrap_or_default();
     let pols = a
@@ -1356,16 +1339,6 @@ fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
     if apps.is_empty() && !a.shutdown {
         return Err("submit needs --apps A,B,... (or --shutdown to only stop a server)".into());
     }
-    for app in &apps {
-        if grit_workloads::App::parse(app).is_none() {
-            return Err(format!("submit: unknown app '{app}'"));
-        }
-    }
-    for p in &pols {
-        if ex::PolicyKind::parse(p).is_none() {
-            return Err(format!("submit: unknown policy '{p}'"));
-        }
-    }
     let mut specs = Vec::new();
     for app in &apps {
         for p in &pols {
@@ -1375,68 +1348,57 @@ fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
             specs.push(s);
         }
     }
+    // Both paths resolve every spec first, so an unknown app or policy
+    // fails the campaign before any cell runs.
+    let cells = specs
+        .iter()
+        .map(grit::service::parse_spec_cell)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("submit: {e}"))?;
 
-    let (cycles, hits, errs, trace_text) = if a.local {
-        let mut cells = Vec::new();
-        for spec in &specs {
-            cells.push(grit::service::parse_spec_cell(spec).map_err(|e| format!("submit: {e}"))?);
+    let results = if a.local {
+        let mut results = Vec::with_capacity(cells.len());
+        for (id, out) in (0..).zip(ex::run_batch(&cells)) {
+            let mut r = grit::service::cell_result(out).unwrap_or_else(Into::into);
+            r.id = id;
+            results.push(r);
         }
-        let outs = ex::run_batch(&cells);
-        let mut errs = 0usize;
-        for (i, out) in outs.iter().enumerate() {
-            if let Err(e) = out {
-                errs += 1;
-                eprintln!("[repro] cell {i}: {}: {e}", e.status());
-            }
-        }
-        let hits = outs.iter().flatten().filter(|o| o.timing.resumed).count();
-        let mut trace_text = String::new();
-        for out in outs.iter().flatten() {
-            if let Some(evs) = &out.events {
-                trace_text.push_str(&grit_trace::events_to_jsonl(evs));
-            }
-        }
-        let cycles: Vec<f64> = outs
-            .iter()
-            .map(|o| o.as_ref().map_or(f64::NAN, |o| o.metrics.total_cycles as f64))
-            .collect();
-        (cycles, hits, errs, trace_text)
+        results
     } else {
         let addr = a.connect.as_deref().ok_or("submit needs --connect HOST:PORT (or --local)")?;
-        let (results, traces, server_errors) =
-            run_served_campaign(addr, &specs, a.shutdown, a.retry)
-                .map_err(|e| format!("submit: {e}"))?;
-        for e in &server_errors {
-            eprintln!("[repro] server error: {e}");
+        run_served_campaign(addr, &specs, a.shutdown, a.retry)
+            .map_err(|e| format!("submit: {e}"))?
+    };
+
+    let mut errs = 0usize;
+    for r in results.iter().filter(|r| !r.is_ok()) {
+        errs += 1;
+        eprintln!(
+            "[repro] cell {}: {}{}",
+            r.id,
+            r.status,
+            r.error.as_deref().map(|m| format!(": {m}")).unwrap_or_default()
+        );
+    }
+    let quarantined: u64 = results.iter().map(|r| r.store_quarantined).sum();
+    if quarantined > 0 {
+        eprintln!("[repro] submit: server quarantined {quarantined} corrupt store files");
+    }
+    if let Some(path) = &a.trace_path {
+        let mut text = String::new();
+        for ev in results.iter().flat_map(|r| &r.trace) {
+            text.push_str(&ev.to_string());
+            text.push('\n');
         }
-        if let Some((i, r)) = results.iter().enumerate().find(|(i, r)| r.id != *i as u64) {
-            return Err(format!(
-                "[repro] submit: result {i} carries id {} — declaration order broken",
-                r.id
-            ));
-        }
-        let mut errs = 0usize;
-        for r in &results {
-            if !r.is_ok() {
-                errs += 1;
-                eprintln!(
-                    "[repro] cell {}: {}{}",
-                    r.id,
-                    r.status,
-                    r.error.as_deref().map(|m| format!(": {m}")).unwrap_or_default()
-                );
-            }
-        }
-        let quarantined: u64 = results.iter().map(|r| r.store_quarantined).sum();
-        if quarantined > 0 {
-            eprintln!("[repro] submit: server quarantined {quarantined} corrupt store files");
-        }
-        let hits = results.iter().filter(|r| r.store_hit).count();
-        let mut trace_text = String::new();
-        for (_id, ev) in &traces {
-            trace_text.push_str(&ev.to_string());
-            trace_text.push('\n');
-        }
+        fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
+    eprintln!(
+        "[repro] submit: {} cells, {} store hits, {} errors",
+        specs.len(),
+        results.iter().filter(|r| r.store_hit).count(),
+        errs
+    );
+    if !specs.is_empty() {
         let cycles: Vec<f64> = results
             .iter()
             .map(|r| {
@@ -1447,21 +1409,11 @@ fn cmd_submit(a: &Args, _: &[String]) -> Result<(), String> {
                 }
             })
             .collect();
-        (cycles, hits, errs, trace_text)
-    };
-
-    if let Some(path) = &a.trace_path {
-        fs::write(path, &trace_text)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    eprintln!(
-        "[repro] submit: {} cells, {} store hits, {} errors",
-        specs.len(),
-        hits,
-        errs
-    );
-    if !specs.is_empty() {
-        print!("{}", render_campaign(&apps, &pols, &cycles).to_text());
+        let mut t = Table::new("campaign total cycles", pols.clone());
+        for (app, row) in apps.iter().zip(cycles.chunks(pols.len())) {
+            t.push_row(app, row.to_vec());
+        }
+        print!("{}", t.to_text());
     }
     if errs == 0 {
         Ok(())

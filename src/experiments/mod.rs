@@ -207,11 +207,12 @@ pub struct ExpConfig {
 }
 
 impl Default for ExpConfig {
+    /// The experiment knobs of a default [`RunSpec`].
     fn default() -> Self {
         ExpConfig {
-            scale: 0.10,
-            intensity: 2.0,
-            seed: 0xBEEF,
+            scale: grit_sim::spec::DEFAULT_SCALE,
+            intensity: grit_sim::spec::DEFAULT_INTENSITY,
+            seed: grit_sim::spec::DEFAULT_SEED,
         }
     }
 }
@@ -329,17 +330,6 @@ mod tests {
         ] {
             assert_eq!(PolicyKind::parse(label), None, "{label}");
         }
-    }
-
-    /// `RunSpec`'s documented experiment defaults are `ExpConfig`'s; the
-    /// constants live in `grit-sim`, which cannot see `ExpConfig`, so the
-    /// agreement is pinned here.
-    #[test]
-    fn run_spec_defaults_match_exp_config() {
-        let exp = ExpConfig::default();
-        assert_eq!(exp.scale, grit_sim::spec::DEFAULT_SCALE);
-        assert_eq!(exp.intensity, grit_sim::spec::DEFAULT_INTENSITY);
-        assert_eq!(exp.seed, grit_sim::spec::DEFAULT_SEED);
     }
 
     #[test]

@@ -767,7 +767,7 @@ mod tests {
         let every_run = [
             "fabric_class_bytes",
             "fabric_queue_cycles",
-            "fault_latency_summary",
+            "fault_latency_hist",
             "per_gpu_accesses",
             "per_gpu_faults",
             "per_gpu_finish_cycles",

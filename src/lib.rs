@@ -66,5 +66,5 @@ pub mod prelude {
         PolicyKind, PolicySpec,
     };
     pub use crate::runner::{ObserverConfig, RunOutput, Simulation, SimulationBuilder};
-    pub use crate::service::{parse_spec_cell, run_spec, spec_runner, spec_runner_with};
+    pub use crate::service::{parse_spec_cell, run_spec, spec_runner};
 }

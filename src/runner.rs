@@ -842,17 +842,7 @@ impl Simulation {
                 self.driver.resilience_counters().as_aux(),
             );
         }
-        let h = self.driver.fault_latency();
-        metrics.set_aux(
-            "fault_latency_summary",
-            vec![
-                h.samples() as f64,
-                h.mean(),
-                h.percentile(0.5) as f64,
-                h.percentile(0.99) as f64,
-                h.max() as f64,
-            ],
-        );
+        metrics.set_aux("fault_latency_hist", self.driver.fault_latency().to_flat());
         let (l1_rates, l2_rates): (Vec<f64>, Vec<f64>) = self
             .gpus
             .iter()

@@ -15,20 +15,24 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use grit_serve::{ServeOptions, ServeSummary, Server, SpecFailure, SpecResult, SpecRunner};
-use grit_sim::{RunSpec, SimConfig};
+use grit_serve::{CellResult, ServeOptions, ServeSummary, Server, SpecFailure, SpecRunner};
+use grit_sim::{CellError, RunSpec, SimConfig};
 use grit_trace::{CategoryMask, TraceConfig, TraceEvent};
 use grit_workloads::App;
 
 use crate::experiments::batch::{open_store, run_batch_on};
 use crate::experiments::result_store::ResultStore;
 use crate::experiments::{BatchOptions, CellSpec, ExpConfig, PolicyKind};
+use crate::runner::RunOutput;
 
 /// Per-cell deadline applied by the server when the spec carries none,
 /// so one runaway cell cannot wedge a shared campaign server forever.
 pub const DEFAULT_CELL_TIMEOUT_SECS: f64 = 600.0;
 
-/// Resolves a wire-level [`RunSpec`] into a runnable [`CellSpec`].
+/// Resolves a wire-level [`RunSpec`] into a runnable [`CellSpec`] on
+/// exactly the machine the spec names: the process-wide override spec
+/// (the server's own `--topology`, `--page-size`, `--inject`, ...) does
+/// not reach it.
 ///
 /// # Errors
 ///
@@ -40,7 +44,7 @@ pub fn parse_spec_cell(spec: &RunSpec) -> Result<CellSpec, String> {
         .ok_or_else(|| format!("unknown policy '{}'", spec.policy))?;
     let mut cfg = SimConfig::default();
     spec.apply_to(&mut cfg).map_err(|e| e.to_string())?;
-    let mut cell = CellSpec::new(app, policy, &ExpConfig::from(spec)).with_cfg(cfg);
+    let mut cell = CellSpec::pinned(app, policy, &ExpConfig::from(spec), cfg);
     if spec.trace {
         cell = cell.traced(trace_config(spec)?);
     }
@@ -63,6 +67,28 @@ pub fn trace_config(spec: &RunSpec) -> Result<TraceConfig, String> {
     })
 }
 
+/// A finished batch cell as its wire result: the counters, whether the
+/// store answered it, and its trace events; a failed cell is its
+/// status and message. The store-traffic counters and the `id` are the
+/// caller's to fill in.
+///
+/// # Errors
+///
+/// The failed cell's [`SpecFailure`].
+pub fn cell_result(out: Result<RunOutput, CellError>) -> Result<CellResult, SpecFailure> {
+    let out = out.map_err(|err| SpecFailure::new(err.status(), err.to_string()))?;
+    let mut res = CellResult::default();
+    res.status = "ok".into();
+    res.store_hit = out.timing.resumed;
+    res.total_cycles = out.metrics.total_cycles;
+    res.accesses = out.metrics.accesses;
+    res.local_faults = out.metrics.faults.local_faults;
+    res.migrations = out.metrics.faults.migrations;
+    res.sim_seconds = out.timing.sim_seconds;
+    res.trace = out.events.iter().flatten().map(TraceEvent::to_json).collect();
+    Ok(res)
+}
+
 /// Runs one spec through the batch engine, honoring the spec's own
 /// `timeout_secs`, on the store at `store_dir` (opened for this call).
 /// When the spec carries no deadline, `default_timeout` (if any) is
@@ -74,7 +100,7 @@ pub fn run_spec(
     store_dir: Option<&Path>,
     store_max_bytes: Option<u64>,
     default_timeout: Option<Duration>,
-) -> Result<SpecResult, SpecFailure> {
+) -> Result<CellResult, SpecFailure> {
     let store = store_dir.and_then(|dir| open_store(dir, store_max_bytes));
     run_spec_on(spec, store.as_ref(), default_timeout)
 }
@@ -84,7 +110,7 @@ fn run_spec_on(
     spec: &RunSpec,
     store: Option<&ResultStore>,
     default_timeout: Option<Duration>,
-) -> Result<SpecResult, SpecFailure> {
+) -> Result<CellResult, SpecFailure> {
     let cell =
         parse_spec_cell(spec).map_err(|message| SpecFailure::new("invalid-spec", message))?;
     let mut opts = BatchOptions::from(spec);
@@ -94,50 +120,29 @@ fn run_spec_on(
         }
     }
     let (mut results, store) = run_batch_on(std::slice::from_ref(&cell), &opts, store);
-    match results.pop().expect("one cell in, one result out") {
-        Ok(out) => {
-            let mut res = SpecResult::default();
-            res.store_hit = out.timing.resumed;
-            res.total_cycles = out.metrics.total_cycles;
-            res.accesses = out.metrics.accesses;
-            res.local_faults = out.metrics.faults.local_faults;
-            res.migrations = out.metrics.faults.migrations;
-            res.sim_seconds = out.timing.sim_seconds;
-            res.store_hits = store.hits;
-            res.store_misses = store.misses;
-            res.store_quarantined = store.quarantined;
-            res.trace_lines = out
-                .events
-                .as_deref()
-                .unwrap_or_default()
-                .iter()
-                .map(TraceEvent::to_json)
-                .collect();
-            Ok(res)
-        }
-        Err(err) => Err(SpecFailure::new(err.status(), err.to_string())),
-    }
+    let mut res = cell_result(results.pop().expect("one cell in, one result out"))?;
+    res.store_hits = store.hits;
+    res.store_misses = store.misses;
+    res.store_quarantined = store.quarantined;
+    Ok(res)
 }
 
 /// Builds the production [`SpecRunner`]: every cell (from any client)
 /// shares this process's workload cache and one result store, opened
 /// here once — so a bounded store keeps one running size instead of
 /// rescanning its directory per cell. Cells whose spec carries no
-/// deadline get none either — use [`spec_runner_with`] for the served
-/// default.
+/// deadline get none either; [`serve`] gives them
+/// [`DEFAULT_CELL_TIMEOUT_SECS`].
 pub fn spec_runner(store_dir: Option<PathBuf>, store_max_bytes: Option<u64>) -> SpecRunner {
     spec_runner_with(store_dir, store_max_bytes, None)
 }
 
-/// [`spec_runner`] with a server-side default per-cell deadline for
-/// specs that carry none (`repro serve` passes
-/// [`DEFAULT_CELL_TIMEOUT_SECS`] unless overridden).
-pub fn spec_runner_with(
+/// [`spec_runner`] with a deadline for specs that carry none.
+fn spec_runner_with(
     store_dir: Option<PathBuf>,
     store_max_bytes: Option<u64>,
-    default_timeout_secs: Option<f64>,
+    default_timeout: Option<Duration>,
 ) -> SpecRunner {
-    let default_timeout = default_timeout_secs.filter(|s| *s > 0.0).map(Duration::from_secs_f64);
     let store = store_dir.and_then(|dir| open_store(&dir, store_max_bytes));
     Arc::new(move |spec: &RunSpec| run_spec_on(spec, store.as_ref(), default_timeout))
 }
@@ -160,7 +165,8 @@ pub fn serve(
     store_dir: Option<PathBuf>,
     store_max_bytes: Option<u64>,
 ) -> Result<ServeSummary, String> {
-    let runner = spec_runner_with(store_dir, store_max_bytes, Some(DEFAULT_CELL_TIMEOUT_SECS));
+    let deadline = Duration::from_secs_f64(DEFAULT_CELL_TIMEOUT_SECS);
+    let runner = spec_runner_with(store_dir, store_max_bytes, Some(deadline));
     let server = Server::start(opts, runner)?;
     eprintln!("repro serve: listening on {}", server.local_addr());
     #[cfg(unix)]

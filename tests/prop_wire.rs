@@ -13,7 +13,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use grit_serve::{Request, Response, ServeOptions, Server, SpecResult, SpecRunner};
+use grit_serve::{CellResult, Request, Response, ServeOptions, Server, SpecRunner};
 use grit_sim::RunSpec;
 use grit_trace::Json;
 use proptest::prelude::*;
@@ -25,7 +25,8 @@ fn shared_server() -> SocketAddr {
     static ADDR: OnceLock<SocketAddr> = OnceLock::new();
     *ADDR.get_or_init(|| {
         let runner: SpecRunner = Arc::new(|spec: &RunSpec| {
-            let mut res = SpecResult::default();
+            let mut res = CellResult::default();
+            res.status = "ok".into();
             res.total_cycles = spec.seed;
             Ok(res)
         });

@@ -549,29 +549,25 @@ impl Drop for Reaped {
     }
 }
 
-/// `repro serve` keeps its results in the batch store directory, so
-/// `--resume-dir` chooses it as `--store` does.
-#[test]
-fn serve_stores_results_under_the_resume_dir() {
-    let dir = scratch_dir_for("serve-resume-dir");
-    let store = dir.join("store");
+/// Starts `repro serve` on an ephemeral port with `args`, and returns it
+/// with its address once the port file names one.
+fn spawn_server(dir: &std::path::Path, args: &[&str]) -> (Reaped, String) {
     let port_file = dir.join("port.txt");
     let mut server = Reaped(
         Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["serve", "--port", "0", "--jobs", "1", "--port-file"])
             .arg(&port_file)
-            .arg("--resume-dir")
-            .arg(&store)
+            .args(args)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
             .spawn()
             .expect("spawn repro serve"),
     );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let addr = loop {
+    loop {
         let text = fs::read_to_string(&port_file).unwrap_or_default();
         if !text.trim().is_empty() {
-            break text.trim().to_string();
+            return (server, text.trim().to_string());
         }
         assert!(
             server.0.try_wait().expect("poll server").is_none(),
@@ -579,7 +575,16 @@ fn serve_stores_results_under_the_resume_dir() {
         );
         assert!(std::time::Instant::now() < deadline, "no port file");
         std::thread::sleep(std::time::Duration::from_millis(50));
-    };
+    }
+}
+
+/// `repro serve` keeps its results in the batch store directory, so
+/// `--resume-dir` chooses it as `--store` does.
+#[test]
+fn serve_stores_results_under_the_resume_dir() {
+    let dir = scratch_dir_for("serve-resume-dir");
+    let store = dir.join("store");
+    let (mut server, addr) = spawn_server(&dir, &["--resume-dir", store.to_str().unwrap()]);
     let out = succeeded(&[
         "submit",
         "--connect",
@@ -600,4 +605,72 @@ fn serve_stores_results_under_the_resume_dir() {
         .count();
     assert_eq!(stored, 1, "one cell, one store file");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A served spec runs exactly the machine it names: the server's own
+/// machine flags do not reach it, so a campaign over `--connect` prints
+/// what the same campaign prints through `--local`.
+#[test]
+fn served_specs_ignore_the_server_machine_flags() {
+    let dir = scratch_dir_for("serve-machine-flags");
+    let store = dir.join("store");
+    let (mut server, addr) = spawn_server(
+        &dir,
+        &[
+            "--topology",
+            "ring",
+            "--page-size-mode",
+            "mixed",
+            "--store",
+            store.to_str().unwrap(),
+        ],
+    );
+    let campaign = ["--apps", "BFS", "--policies", "grit", "--quick"];
+    for machine in [&[][..], &["--topology", "nvswitch:4"][..]] {
+        let local = succeeded(&[&["submit", "--local"][..], &campaign, machine].concat());
+        let served = succeeded(
+            &[
+                &["submit", "--connect", addr.as_str()][..],
+                &campaign,
+                machine,
+            ]
+            .concat(),
+        );
+        assert_eq!(served, local, "{machine:?}");
+    }
+    succeeded(&["submit", "--connect", &addr, "--shutdown"]);
+    assert!(server.0.wait().expect("server exits").success());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// CI checks the schema tags of the files `repro` writes with `jq`; each
+/// tag it names must be the one the code writes, or the step fails.
+#[test]
+fn ci_names_the_current_schema_tags() {
+    let ci = fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/.github/workflows/ci.yml"
+    ))
+    .expect("read ci.yml");
+    for current in [
+        grit::experiments::result_store::STORE_SCHEMA,
+        grit_trace::report::RUN_REPORT_SCHEMA,
+    ] {
+        let (family, _) = current.rsplit_once('/').expect("schema tags are `name/vN`");
+        let prefix = format!("{family}/v");
+        let named: Vec<String> = ci
+            .match_indices(&prefix)
+            .map(|(at, _)| {
+                let digits = ci[at + prefix.len()..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect::<String>();
+                format!("{prefix}{digits}")
+            })
+            .collect();
+        assert!(!named.is_empty(), "ci.yml checks no {family} tag");
+        for tag in named {
+            assert_eq!(tag, current, "ci.yml names a stale {family} tag");
+        }
+    }
 }

@@ -28,7 +28,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use grit_serve::{
-    ChaosFault, ChaosProxy, Request, Response, ServeClient, ServeOptions, Server, SpecResult,
+    CellResult, ChaosFault, ChaosProxy, Request, Response, ServeClient, ServeOptions, Server,
     SpecRunner,
 };
 use grit_sim::RunSpec;
@@ -329,13 +329,14 @@ fn stub_runner() -> (SpecRunner, Arc<AtomicU64>) {
     let ran2 = Arc::clone(&ran);
     let runner: SpecRunner = Arc::new(move |spec: &RunSpec| {
         ran2.fetch_add(1, Ordering::SeqCst);
-        let mut res = SpecResult::default();
+        let mut res = CellResult::default();
+        res.status = "ok".into();
         res.total_cycles = spec.seed;
         if spec.app == "STALL" {
             // ~4 MiB of valid trace JSON per cell: far past any socket
             // buffer, so a non-reading client forces the write timeout.
             let pad = Json::Obj(vec![("pad".into(), Json::Str("x".repeat(1024)))]);
-            res.trace_lines = vec![pad; 4096];
+            res.trace = vec![pad; 4096];
         }
         Ok(res)
     });
@@ -425,7 +426,8 @@ fn queue_overflow_answers_busy_and_resubmission_succeeds() {
         if spec.app == "GATE" {
             gate.lock().unwrap().recv().expect("gate");
         }
-        let mut res = SpecResult::default();
+        let mut res = CellResult::default();
+        res.status = "ok".into();
         res.total_cycles = spec.seed;
         Ok(res)
     });

@@ -170,9 +170,10 @@ fn traced_cells_stream_their_events_before_the_result() {
     let addr = server.local_addr();
     let handle = thread::spawn(move || server.run());
 
+    // Two traced cells, so an event attached to the wrong result shows.
     let specs = [
         tiny_spec("FIR", "grit").trace(true).trace_filter("fault"),
-        tiny_spec("FIR", "on-touch"),
+        tiny_spec("FIR", "on-touch").trace(true).trace_filter("fault"),
     ];
     let mut client = ServeClient::connect(addr).expect("connect");
     for (id, spec) in specs.iter().enumerate() {
@@ -180,31 +181,27 @@ fn traced_cells_stream_their_events_before_the_result() {
     }
     client.shutdown_server().expect("shutdown");
     let outcome = client.finish().expect("finish");
-    assert_eq!(outcome.results.len(), 2);
-    assert!(
-        !outcome.traces.is_empty(),
-        "a traced cell must stream events"
-    );
-    // Only the traced submission may emit trace lines.
-    assert!(outcome.traces.iter().all(|(id, _)| *id == 0));
-    for (_, ev) in &outcome.traces {
-        assert_eq!(
-            ev.get("type").and_then(grit_trace::Json::as_str),
-            Some("fault"),
-            "the fault filter leaked another category"
-        );
-    }
     handle.join().expect("server thread");
-    // The served events are the in-process run's events, line for line.
-    let local = parse_spec_cell(&specs[0]).expect("valid spec").run();
-    let local: Vec<String> = local
-        .events
-        .expect("traced cell")
-        .iter()
-        .map(|ev| ev.to_json().to_string())
-        .collect();
-    let served: Vec<String> = outcome.traces.iter().map(|(_, ev)| ev.to_string()).collect();
-    assert_eq!(served, local);
+    assert_eq!(outcome.results.len(), 2);
+    for (spec, served) in specs.iter().zip(&outcome.results) {
+        assert!(!served.trace.is_empty(), "a traced cell must carry events");
+        for ev in &served.trace {
+            assert_eq!(
+                ev.get("type").and_then(grit_trace::Json::as_str),
+                Some("fault"),
+                "the fault filter leaked another category"
+            );
+        }
+        // Each result's events are its own in-process run's, line for line.
+        let local = parse_spec_cell(spec).expect("valid spec").run();
+        let local = grit_trace::events_to_jsonl(&local.events.expect("traced cell"));
+        let served: String = served.trace.iter().map(|ev| format!("{ev}\n")).collect();
+        assert_eq!(served, local, "{}", spec.canonical());
+    }
+    assert_ne!(
+        outcome.results[0].trace, outcome.results[1].trace,
+        "the two policies fault differently"
+    );
 }
 
 /// Older clients may still send the retired spec fields `"sim_threads"`,
