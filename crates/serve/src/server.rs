@@ -96,11 +96,12 @@ impl From<SpecFailure> for CellResult {
     }
 }
 
-/// Executes one [`RunSpec`] and returns its finished [`CellResult`]
-/// (the server sets its `id`), trace events included. The callback is
-/// invoked concurrently from the worker pool, so it must be
-/// thread-safe; the `grit` crate's batch engine (which already
-/// serializes store access internally) is the intended implementation.
+/// Executes one [`RunSpec`] and returns its finished [`CellResult`],
+/// trace events included; the server sets its `id`, and the status
+/// `"ok"` of an `Ok`. The callback is invoked concurrently from the
+/// worker pool, so it must be thread-safe; the `grit` crate's batch
+/// engine (which already serializes store access internally) is the
+/// intended implementation.
 pub type SpecRunner = Arc<dyn Fn(&RunSpec) -> Result<CellResult, SpecFailure> + Send + Sync>;
 
 /// Server configuration. Construct with [`ServeOptions::new`] and the
@@ -563,10 +564,15 @@ fn worker_loop(shared: &Shared) {
             id: job.id,
             state: "running".into(),
         });
-        let mut result = (shared.runner)(&job.spec).unwrap_or_else(|fail| {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            CellResult::from(fail)
-        });
+        let mut result = (shared.runner)(&job.spec)
+            .map(|ok| CellResult {
+                status: "ok".into(),
+                ..ok
+            })
+            .unwrap_or_else(|fail| {
+                shared.errors.fetch_add(1, Ordering::SeqCst);
+                CellResult::from(fail)
+            });
         if result.store_hit {
             shared.store_hits.fetch_add(1, Ordering::SeqCst);
         }

@@ -1,10 +1,11 @@
 //! The serializable description of one simulation cell.
 //!
-//! [`RunSpec`] is the single source of truth for "which cell is this":
-//! the `repro` CLI's batch-override flags, the on-disk `ResultStore`
-//! cache key, `run_report.json` cell rows, and the `grit-serve/v1` wire
-//! protocol all derive from one `RunSpec` instead of four parallel
-//! ad-hoc encodings.
+//! [`RunSpec`] names a cell: the `repro` CLI's batch-override flags,
+//! `run_report.json` cell rows and the `grit-serve/v1` wire protocol all
+//! derive from one `RunSpec` instead of parallel ad-hoc encodings. Its
+//! canonical form is also the backbone of the on-disk `ResultStore`
+//! key, which adds what the spec does not name: the `Debug` form of the
+//! cell's `SimConfig` and of its observer.
 //!
 //! The struct is deliberately plain data: applications and policies are
 //! named by their stable string labels (`App::abbr()`,
@@ -272,11 +273,12 @@ impl RunSpec {
     }
 
     /// Renders the spec as a stable single-line `key=value;` string in
-    /// fixed field order. Two specs describe the same cell if and only
-    /// if their canonical forms are equal, so this string is the
-    /// backbone of the `ResultStore` cache key and the `spec` column of
-    /// `run_report.json` cell rows. Unset optional fields render as
-    /// `-`; floats use Rust's shortest round-trip formatting.
+    /// fixed field order: the `spec` column of `run_report.json` cell
+    /// rows and the backbone of the `ResultStore` cache key. Cells that
+    /// differ only beyond the spec surface (a latency sweep's
+    /// `SimConfig`, an observer) share a canonical form, so the store
+    /// key adds the `Debug` form of both. Unset optional fields render
+    /// as `-`; floats use Rust's shortest round-trip formatting.
     pub fn canonical(&self) -> String {
         fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
             match v {

@@ -7,7 +7,7 @@
 //! cargo run --release --example page_attribute_analysis [APP]
 //! ```
 
-use grit::experiments::{run_cell, run_cell_with, ExpConfig, PolicyKind};
+use grit::experiments::{run_cell_with, ExpConfig, PolicyKind};
 use grit::prelude::*;
 
 fn main() {
@@ -59,14 +59,12 @@ fn main() {
         100.0 * s.shared_read_write_frac()
     );
 
-    // Track the hottest shared page over time (Fig. 5 style); an
-    // on-touch run sizes the intervals.
+    // Track the hottest shared page over 24 intervals of the run (Fig. 5
+    // style).
     if let Some(page) = attrs.hottest(2) {
-        let scout = run_cell(app, PolicyKind::Static(Scheme::OnTouch), &exp);
-        let interval = (scout.metrics.total_cycles / 24).max(1);
         let obs = ObserverConfig {
             track_page: Some(page),
-            interval_cycles: interval,
+            intervals: 24,
             grid_page_bins: 64,
             scheme_timeline: false,
         };
@@ -81,7 +79,8 @@ fn main() {
 
         println!("\nhottest shared page: {page}");
         println!("per-interval access mix (each row: % by GPU0..GPU3):");
-        for (i, fr) in observer.page_by_gpu.fractions().iter().enumerate().take(16) {
+        let by_gpu = observer.page_by_gpu.expect("page tracked");
+        for (i, fr) in by_gpu.fractions().iter().enumerate().take(16) {
             let bars: String = fr
                 .iter()
                 .map(|f| match (f * 4.0).round() as u32 {

@@ -17,8 +17,7 @@
 //! land there), and [`run_batch`] runs under them.
 //!
 //! Every cell runs through this executor: [`CellSpec::run`] is a one-cell
-//! [`run_batch`], and [`run_scouted`] is the two-pass shape (a scout run,
-//! then a rerun sized from it) of the timeline figures.
+//! [`run_batch`], and [`run_grid`] is the keyed shape of a figure's grid.
 //!
 //! Fault isolation is three-layered:
 //! 1. `catch_unwind` around each cell converts panics into
@@ -749,31 +748,6 @@ pub(crate) fn run_batch_on(
     (results, store_counters)
 }
 
-/// Runs `first` as one batch, then `next(cell, &scout)` for every
-/// successful scout as a second batch: the scout-then-observed-rerun
-/// shape of the timeline figures. Each entry is the rerun cell and its
-/// output, in the order of `first`, or `None` when either run failed.
-pub fn run_scouted(
-    first: &[CellSpec],
-    next: impl Fn(&CellSpec, &RunOutput) -> CellSpec,
-) -> Vec<Option<(CellSpec, RunOutput)>> {
-    let picked: Vec<Option<CellSpec>> = first
-        .iter()
-        .zip(run_batch(first))
-        .map(|(cell, scout)| scout.ok().map(|s| next(cell, &s)))
-        .collect();
-    let reruns: Vec<CellSpec> = picked.iter().flatten().cloned().collect();
-    let mut outs = run_batch(&reruns).into_iter();
-    picked
-        .into_iter()
-        .map(|pick| {
-            let cell = pick?;
-            let out = outs.next().expect("one result per rerun cell").ok()?;
-            Some((cell, out))
-        })
-        .collect()
-}
-
 /// Runs a figure's grid: `row(key)` declares the cells of each key's row
 /// (an app, or a tuple such as `(topology, gpus, app)`), every row runs
 /// in one batch in key order, and each key comes back with its row of
@@ -954,8 +928,10 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert!(a.contains(&format!(";model={MODEL_HASH};")));
-        let observed = CellSpec::new(App::Bfs, PolicyKind::GRIT, &exp())
-            .observed(ObserverConfig::default().with_grids(50));
+        let observed = CellSpec::new(App::Bfs, PolicyKind::GRIT, &exp()).observed(ObserverConfig {
+            grid_page_bins: 50,
+            ..ObserverConfig::default()
+        });
         assert_ne!(observed.resume_key().unwrap(), a);
     }
 

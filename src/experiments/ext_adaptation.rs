@@ -10,24 +10,11 @@
 use grit_metrics::Table;
 use grit_workloads::App;
 
-use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
+use super::{failed_table, run_grid, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
 /// Number of timeline rows reported.
 pub const INTERVALS: usize = 16;
-
-/// The rerun of `scout_cell` with the timeline observer, sized from the
-/// scout run.
-fn observed_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
-    let interval = (scout.metrics.total_cycles / INTERVALS as u64).max(1);
-    let obs = ObserverConfig {
-        track_page: None,
-        interval_cycles: interval,
-        grid_page_bins: 0,
-        scheme_timeline: true,
-    };
-    scout_cell.clone().observed(obs)
-}
 
 /// Assembles the timeline table from an observed run.
 fn table_for(app: App, out: &RunOutput) -> Table {
@@ -59,23 +46,26 @@ fn table_for(app: App, out: &RunOutput) -> Table {
     table
 }
 
-/// Runs the timeline for the two most adaptive applications under GRIT:
-/// a scout run for the run length, then a rerun with the timeline
-/// observer. An app whose scout or observed run failed yields a one-cell
-/// error table.
+/// Runs the timeline for the two most adaptive applications under GRIT,
+/// as one batch. An app whose cell failed yields a one-cell error table.
 pub fn run(exp: &ExpConfig) -> Vec<Table> {
-    let apps = [App::Gemm, App::St];
-    let scouts = apps.map(|a| CellSpec::new(a, PolicyKind::GRIT, exp));
-    apps.iter()
-        .zip(run_scouted(&scouts, observed_cell))
-        .map(|(&app, run)| match run {
-            Some((_, out)) => table_for(app, &out),
-            None => failed_table(format!(
-                "Extension: GRIT adaptation timeline for {} (cell failed)",
-                app.abbr()
-            )),
-        })
-        .collect()
+    let obs = ObserverConfig {
+        intervals: INTERVALS,
+        scheme_timeline: true,
+        ..Default::default()
+    };
+    run_grid(&[App::Gemm, App::St], |app| {
+        [CellSpec::new(app, PolicyKind::GRIT, exp).observed(obs.clone())]
+    })
+    .into_iter()
+    .map(|(app, row)| match row.into_iter().next() {
+        Some(Ok(out)) => table_for(app, &out),
+        _ => failed_table(format!(
+            "Extension: GRIT adaptation timeline for {} (cell failed)",
+            app.abbr()
+        )),
+    })
+    .collect()
 }
 
 #[cfg(test)]

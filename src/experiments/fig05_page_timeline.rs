@@ -6,32 +6,27 @@ use grit_metrics::Table;
 use grit_sim::{Scheme, SimConfig};
 use grit_workloads::App;
 
-use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
+use super::{failed_table, run_batch, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
-fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
-    // Pass 1: time the run, to size the intervals.
-    CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp)
-}
-
-fn tracked_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
+fn tracked_cell(app: App, exp: &ExpConfig) -> CellSpec {
+    let cell = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
     // The paper picks "a certain page" with significant sharing: the
     // trace's hottest page touched by more than one GPU.
-    let page = scout_cell
+    let page = cell
         .workload()
         .page_attrs()
         .hottest(2)
         .expect("workload must have at least one shared page");
-    // Pass 2: rerun with the tracked-page observer. The interval shrinks
-    // with the scaled runs so several intervals land inside the page's
-    // active window (producer-consumer pages live in a narrow span).
-    let interval = (scout.metrics.total_cycles / 192).max(1);
+    // The intervals shrink with the scaled runs so several of them land
+    // inside the page's active window (producer-consumer pages live in a
+    // narrow span).
     let obs = ObserverConfig {
         track_page: Some(page),
-        interval_cycles: interval,
+        intervals: 192,
         ..Default::default()
     };
-    scout_cell.clone().observed(obs)
+    cell.observed(obs)
 }
 
 fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
@@ -47,7 +42,8 @@ fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
         ),
         cols,
     );
-    for (i, fracs) in observer.page_by_gpu.fractions().into_iter().enumerate() {
+    let by_gpu = observer.page_by_gpu.as_ref().expect("page tracked");
+    for (i, fracs) in by_gpu.fractions().into_iter().enumerate() {
         table.push_row(
             format!("interval{i}"),
             fracs.iter().map(|f| 100.0 * f).collect(),
@@ -56,19 +52,19 @@ fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
     table
 }
 
-/// Runs the figure for the paper's two exemplars, C2D and ST. Both
-/// scout passes run as one batch, then both observed passes. An app whose
-/// scout or observed run failed yields a one-cell error table instead of
-/// aborting the figure.
+/// Runs the figure for the paper's two exemplars, C2D and ST, as one
+/// batch. An app whose cell failed yields a one-cell error table instead
+/// of aborting the figure.
 pub fn run(exp: &ExpConfig) -> Vec<Table> {
-    let apps = [App::C2d, App::St];
-    apps.iter()
-        .zip(run_scouted(&apps.map(|a| scout_cell(a, exp)), tracked_cell))
-        .map(|(app, run)| match run {
-            Some((cell, out)) => table_for(&cell, &out),
-            None => failed_table(format!(
+    let cells = [App::C2d, App::St].map(|app| tracked_cell(app, exp));
+    cells
+        .iter()
+        .zip(run_batch(&cells))
+        .map(|(cell, out)| match out {
+            Ok(out) => table_for(cell, &out),
+            Err(_) => failed_table(format!(
                 "Fig 5: access mix over time for {} (cell failed)",
-                app.abbr()
+                cell.app.abbr()
             )),
         })
         .collect()

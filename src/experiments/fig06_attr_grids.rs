@@ -8,7 +8,7 @@ use grit_metrics::{AttrGrid, Table};
 use grit_sim::Scheme;
 use grit_workloads::App;
 
-use super::{run_scouted, CellSpec, ExpConfig, PolicyKind};
+use super::{run_grid, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput, GRID_INTERVALS};
 
 /// Grids for one application.
@@ -19,20 +19,14 @@ struct AppGrids {
     read_rw: AttrGrid,
 }
 
-fn scout_cell(app: App, exp: &ExpConfig) -> CellSpec {
-    CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp)
-}
-
-fn grid_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
-    // The scout run sizes the grid rows to the execution length.
-    let interval = (scout.metrics.total_cycles / GRID_INTERVALS as u64).max(1);
+/// An on-touch cell recording its grids over 64 page bins.
+fn grid_cell(app: App, exp: &ExpConfig) -> CellSpec {
     let obs = ObserverConfig {
-        track_page: None,
-        interval_cycles: interval,
+        intervals: GRID_INTERVALS,
         grid_page_bins: 64,
-        scheme_timeline: false,
+        ..Default::default()
     };
-    scout_cell.clone().observed(obs)
+    CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp).observed(obs)
 }
 
 fn grids_from(out: &RunOutput) -> AppGrids {
@@ -45,12 +39,11 @@ fn grids_from(out: &RunOutput) -> AppGrids {
 
 /// Runs Figs. 6–8 and reports neighbor agreement plus attribute mix.
 /// Each distinct application records its grids once (Figs. 6 and 7 read
-/// the same GEMM run), and the scout/grid passes run batched.
+/// the same GEMM run), and both runs go in one batch.
 pub fn run(exp: &ExpConfig) -> Table {
-    let apps = [App::Gemm, App::St];
-    let mut grids = run_scouted(&apps.map(|a| scout_cell(a, exp)), grid_cell)
+    let mut grids = run_grid(&[App::Gemm, App::St], |app| [grid_cell(app, exp)])
         .into_iter()
-        .map(|run| run.map(|(_, out)| grids_from(&out)));
+        .map(|(_, row)| row.into_iter().next().and_then(Result::ok).map(|out| grids_from(&out)));
     let gemm = grids.next().flatten();
     let st = grids.next().flatten();
 

@@ -6,24 +6,24 @@ use grit_metrics::Table;
 use grit_sim::Scheme;
 use grit_workloads::App;
 
-use super::{failed_table, run_scouted, CellSpec, ExpConfig, PolicyKind};
+use super::{failed_table, run_batch, CellSpec, ExpConfig, PolicyKind};
 use crate::runner::{ObserverConfig, RunOutput};
 
-/// The rerun of `scout_cell` tracking its trace's hottest shared
-/// read-write page, with the interval sized from the scout run.
-fn observed_cell(scout_cell: &CellSpec, scout: &RunOutput) -> CellSpec {
-    let page = scout_cell
+/// An on-touch cell tracking its trace's hottest shared read-write page
+/// over 32 intervals.
+fn observed_cell(app: App, exp: &ExpConfig) -> CellSpec {
+    let cell = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
+    let page = cell
         .workload()
         .page_attrs()
         .hottest_written(2)
         .expect("workload must have a shared read-write page");
-    let interval = (scout.metrics.total_cycles / 32).max(1);
     let obs = ObserverConfig {
         track_page: Some(page),
-        interval_cycles: interval,
+        intervals: 32,
         ..Default::default()
     };
-    scout_cell.clone().observed(obs)
+    cell.observed(obs)
 }
 
 fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
@@ -37,7 +37,8 @@ fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
         ),
         vec!["reads%".into(), "writes%".into()],
     );
-    for (i, fracs) in observer.page_rw.fractions().into_iter().enumerate() {
+    let rw = observer.page_rw.as_ref().expect("page tracked");
+    for (i, fracs) in rw.fractions().into_iter().enumerate() {
         table.push_row(
             format!("interval{i}"),
             fracs.iter().map(|f| 100.0 * f).collect(),
@@ -46,17 +47,15 @@ fn table_for(cell: &CellSpec, out: &RunOutput) -> Table {
     table
 }
 
-/// Runs the figure for the paper's exemplar, ST: a scout run picks the
-/// page, an observed rerun records its mix. A failed run yields a
+/// Runs the figure for the paper's exemplar, ST. A failed run yields a
 /// one-cell error table.
 pub fn run(exp: &ExpConfig) -> Table {
-    let app = App::St;
-    let scout = CellSpec::new(app, PolicyKind::Static(Scheme::OnTouch), exp);
-    match run_scouted(&[scout], observed_cell).pop().flatten() {
-        Some((cell, out)) => table_for(&cell, &out),
-        None => failed_table(format!(
+    let cell = observed_cell(App::St, exp);
+    match run_batch(std::slice::from_ref(&cell)).pop() {
+        Some(Ok(out)) => table_for(&cell, &out),
+        _ => failed_table(format!(
             "Fig 10: read/write mix over time for {} (cell failed)",
-            app.abbr()
+            cell.app.abbr()
         )),
     }
 }

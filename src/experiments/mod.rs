@@ -42,8 +42,8 @@ pub mod workload_cache;
 
 pub use batch::{
     effective_jobs, fail_fast_triggered, override_spec, run_batch, run_batch_with, run_grid,
-    run_scouted, set_batch_defaults, set_override_spec, set_progress, BatchOptions, CellResultExt,
-    CellSpec, PolicySpec,
+    set_batch_defaults, set_override_spec, set_progress, BatchOptions, CellResultExt, CellSpec,
+    PolicySpec,
 };
 
 use grit_baselines::{FirstTouchPolicy, GpsPolicy, GriffinDpcPolicy, IdealPolicy};

@@ -75,9 +75,10 @@ pub fn record_cell(spec: &CellSpec, result: Result<&RunOutput, &CellError>) {
     }
 }
 
-/// One `cells` row: the cell's identity, what running it produced, and its
-/// canonical `RunSpec` (also the result-store key). A failed cell's row has
-/// zeroed metrics, a machine-readable `status` label and the error message.
+/// One `cells` row: the cell's identity, what running it produced (with
+/// the observer series it asked for), and its canonical `RunSpec`. A
+/// failed cell's row has zeroed metrics, a machine-readable `status`
+/// label and the error message.
 fn cell_row(seq: u64, spec: &CellSpec, result: Result<&RunOutput, &CellError>) -> Json {
     let mut fields = vec![
         ("seq", seq.into()),
@@ -93,10 +94,14 @@ fn cell_row(seq: u64, spec: &CellSpec, result: Result<&RunOutput, &CellError>) -
         Ok(out) => {
             let mut series = Vec::new();
             if let Some(obs) = &out.observer {
-                series.push(series_row("page_by_gpu", &obs.page_by_gpu));
-                series.push(series_row("page_rw", &obs.page_rw));
-                if let Some(timeline) = &obs.scheme_timeline {
-                    series.push(series_row("scheme_timeline", timeline));
+                for (name, s) in [
+                    ("page_by_gpu", &obs.page_by_gpu),
+                    ("page_rw", &obs.page_rw),
+                    ("scheme_timeline", &obs.scheme_timeline),
+                ] {
+                    if let Some(s) = s {
+                        series.push(series_row(name, s));
+                    }
                 }
             }
             [

@@ -58,7 +58,9 @@ use crate::runner::{RunObserver, RunOutput};
 /// checksum of the payload line's bytes as written. v5: the payload has
 /// no per-page attribute rows (page attributes are read from the trace).
 /// v6: slot 1 of each `prof_*_hist` series is the sample sum, not the mean.
-pub const STORE_SCHEMA: &str = "grit-result-store/v6";
+/// v7: the observer's `page_by_gpu` and `page_rw` series are `null` when
+/// no page was tracked.
+pub const STORE_SCHEMA: &str = "grit-result-store/v7";
 
 /// Subdirectory (under the store root) holding files that failed an
 /// integrity check on load.
@@ -450,12 +452,24 @@ fn opt_to_json<T>(v: &Option<T>, f: impl Fn(&T) -> Json) -> Json {
     }
 }
 
+/// The inverse of [`opt_to_json`]: `null` is `Some(None)`, anything else
+/// must decode.
+fn opt_from_json<T>(v: &Json, f: impl Fn(&Json) -> Option<T>) -> Option<Option<T>> {
+    match v {
+        Json::Null => Some(None),
+        x => f(x).map(Some),
+    }
+}
+
 /// The payload object: everything of a [`RunOutput`] the store keeps.
 fn encode_payload(out: &RunOutput) -> Json {
     let observer = opt_to_json(&out.observer, |obs| {
         Json::Obj(vec![
-            ("page_by_gpu".into(), series_to_json(&obs.page_by_gpu)),
-            ("page_rw".into(), series_to_json(&obs.page_rw)),
+            (
+                "page_by_gpu".into(),
+                opt_to_json(&obs.page_by_gpu, series_to_json),
+            ),
+            ("page_rw".into(), opt_to_json(&obs.page_rw, series_to_json)),
             (
                 "grid_private_shared".into(),
                 opt_to_json(&obs.grid_private_shared, grid_to_json),
@@ -495,20 +509,11 @@ fn decode_payload(v: &Json) -> Option<RunOutput> {
     let observer = match v.get("observer")? {
         Json::Null => None,
         obs => Some(RunObserver {
-            page_by_gpu: series_from_json(obs.get("page_by_gpu")?)?,
-            page_rw: series_from_json(obs.get("page_rw")?)?,
-            grid_private_shared: match obs.get("grid_private_shared")? {
-                Json::Null => None,
-                g => Some(grid_from_json(g)?),
-            },
-            grid_read_rw: match obs.get("grid_read_rw")? {
-                Json::Null => None,
-                g => Some(grid_from_json(g)?),
-            },
-            scheme_timeline: match obs.get("scheme_timeline")? {
-                Json::Null => None,
-                s => Some(series_from_json(s)?),
-            },
+            page_by_gpu: opt_from_json(obs.get("page_by_gpu")?, series_from_json)?,
+            page_rw: opt_from_json(obs.get("page_rw")?, series_from_json)?,
+            grid_private_shared: opt_from_json(obs.get("grid_private_shared")?, grid_from_json)?,
+            grid_read_rw: opt_from_json(obs.get("grid_read_rw")?, grid_from_json)?,
+            scheme_timeline: opt_from_json(obs.get("scheme_timeline")?, series_from_json)?,
         }),
     };
     let timing = v.get("timing")?;
@@ -749,7 +754,7 @@ mod tests {
             ..SimConfig::with_gpus(4)
         };
         let observer = ObserverConfig {
-            interval_cycles: 100_000,
+            intervals: 16,
             scheme_timeline: true,
             ..ObserverConfig::default()
         };
@@ -800,7 +805,14 @@ mod tests {
         let dir = tmp_dir("per-layer");
         let store = ResultStore::open(&dir).unwrap();
         store.save("k", &out).unwrap();
-        assert_eq!(&store.load("k").expect("stored result loads").metrics, m);
+        let loaded = store.load("k").expect("stored result loads");
+        assert_eq!(&loaded.metrics, m);
+        // The observer keeps exactly the series it asked for.
+        let timeline = |o: &RunObserver| o.scheme_timeline.as_ref().map(IntervalSeries::fractions);
+        let (obs, back) = (out.observer.as_ref().unwrap(), loaded.observer.unwrap());
+        assert!(back.page_by_gpu.is_none() && back.page_rw.is_none());
+        assert!(timeline(obs).is_some_and(|t| !t.is_empty()));
+        assert_eq!(timeline(&back), timeline(obs));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -169,9 +169,10 @@ pub struct ObserverConfig {
     /// Track a single page's per-GPU and read/write activity over
     /// intervals (Figs. 5 and 10).
     pub track_page: Option<PageId>,
-    /// Interval length in cycles for the tracked-page series (paper: one
-    /// million cycles).
-    pub interval_cycles: Cycle,
+    /// Rows the figure shows: every series divides the run into
+    /// intervals of `total_cycles / intervals` cycles (at least one),
+    /// sized once the run has finished.
+    pub intervals: usize,
     /// Record [`GRID_INTERVALS`] × pages attribute grids (Figs. 6–8),
     /// with this many page bins. Zero disables the grids.
     pub grid_page_bins: usize,
@@ -180,30 +181,20 @@ pub struct ObserverConfig {
     pub scheme_timeline: bool,
 }
 
-impl ObserverConfig {
-    /// Records the Figs. 6–8 attribute grids.
-    pub fn with_grids(mut self, page_bins: usize) -> Self {
-        self.grid_page_bins = page_bins;
-        if self.interval_cycles == 0 {
-            self.interval_cycles = 1_000_000;
-        }
-        self
-    }
-}
-
-/// Recorded time-series instrumentation of a run.
+/// Recorded time-series instrumentation of a run: each field is present
+/// when its [`ObserverConfig`] asked for it.
 #[derive(Clone, Debug)]
 pub struct RunObserver {
     /// Per-interval access counts by GPU for the tracked page (Fig. 5).
-    pub page_by_gpu: IntervalSeries,
+    pub page_by_gpu: Option<IntervalSeries>,
     /// Per-interval read(0)/write(1) counts for the tracked page (Fig. 10).
-    pub page_rw: IntervalSeries,
+    pub page_rw: Option<IntervalSeries>,
     /// Private(1)/shared(2) attribute grid over page bins (Figs. 6 & 8).
     pub grid_private_shared: Option<AttrGrid>,
     /// Read(1)/read-write(2) attribute grid over page bins (Fig. 7).
     pub grid_read_rw: Option<AttrGrid>,
     /// Per-interval scheme mix at L2-TLB misses (buckets: on-touch,
-    /// access-counter, duplication), when requested.
+    /// access-counter, duplication).
     pub scheme_timeline: Option<IntervalSeries>,
 }
 
@@ -236,21 +227,65 @@ pub struct Simulation {
     local_accesses: u64,
     remote_accesses: u64,
     footprint_pages: u64,
-    observer_cfg: ObserverConfig,
-    obs_page_by_gpu: Option<IntervalSeries>,
-    obs_page_rw: Option<IntervalSeries>,
-    obs_grids: Option<GridObserver>,
-    obs_scheme_timeline: Option<IntervalSeries>,
+    observed: Option<Observed>,
     cancel: CancelToken,
 }
 
-/// The Figs. 6–8 attribute grids and the running tracker they read: each
-/// access is marked with its page's class *so far*, not over the whole
-/// run, so the tracker records as the run goes.
-struct GridObserver {
-    attrs: PageAttrTracker,
-    private_shared: AttrGrid,
-    read_rw: AttrGrid,
+/// The samples an observed run keeps as it goes: interval lengths depend
+/// on the run's length, so [`Observed::replay`] files the samples into
+/// their series once `total_cycles` is known.
+#[derive(Default)]
+struct Observed {
+    cfg: ObserverConfig,
+    /// The tracked page's accesses: cycle, `gpu << 1 | is_write`.
+    page: Vec<(Cycle, u8)>,
+    /// L2-TLB-missing accesses: cycle, scheme bucket.
+    timeline: Vec<(Cycle, u8)>,
+    /// The grids' running tracker (each access is marked with its page's
+    /// class *so far*) and one sample per access.
+    grids: Option<(PageAttrTracker, Vec<GridSample>)>,
+}
+
+/// A grid-observed access (16 bytes): cycle, page bin, and whether its
+/// page was shared and written so far.
+type GridSample = (Cycle, u32, bool, bool);
+
+impl Observed {
+    /// Files the samples into the series the configuration asked for,
+    /// with intervals of `total_cycles / intervals` cycles.
+    fn replay(self, total_cycles: Cycle, num_gpus: usize) -> RunObserver {
+        let interval = (total_cycles / self.cfg.intervals.max(1) as Cycle).max(1);
+        let series = |on: bool, buckets, samples: &[(Cycle, u8)], bucket: fn(u8) -> u8| {
+            on.then(|| {
+                let mut s = IntervalSeries::new(interval, buckets);
+                for &(at, code) in samples {
+                    s.record(at, bucket(code).into());
+                }
+                s
+            })
+        };
+        let (grid_private_shared, grid_read_rw) = self
+            .grids
+            .map(|(_, samples)| {
+                let mut ps = AttrGrid::new(GRID_INTERVALS, self.cfg.grid_page_bins);
+                let mut rw = ps.clone();
+                for (at, bin, shared, written) in samples {
+                    let row = ((at / interval) as usize).min(GRID_INTERVALS - 1);
+                    ps.mark(row, bin as usize, 1 + u8::from(shared));
+                    rw.mark(row, bin as usize, 1 + u8::from(written));
+                }
+                (ps, rw)
+            })
+            .unzip();
+        let tracked = self.cfg.track_page.is_some();
+        RunObserver {
+            page_by_gpu: series(tracked, num_gpus, &self.page, |code| code >> 1),
+            page_rw: series(tracked, 2, &self.page, |code| code & 1),
+            grid_private_shared,
+            grid_read_rw,
+            scheme_timeline: series(self.cfg.scheme_timeline, 3, &self.timeline, |code| code),
+        }
+    }
 }
 
 /// Fluent constructor for [`Simulation`], absorbing the old
@@ -264,7 +299,11 @@ struct GridObserver {
 /// let cfg = SimConfig::default();
 /// let w = WorkloadBuilder::new(App::Bfs).num_gpus(cfg.num_gpus).scale(0.02).build();
 /// let sim = SimulationBuilder::new(cfg, w, Box::new(StaticPolicy::new(grit_sim::Scheme::OnTouch)))
-///     .observer(ObserverConfig::default().with_grids(50))
+///     .observer(ObserverConfig {
+///         intervals: 50,
+///         grid_page_bins: 64,
+///         ..ObserverConfig::default()
+///     })
 ///     .build()
 ///     .expect("valid configuration");
 /// let out = sim.try_run().expect("run failed");
@@ -335,10 +374,18 @@ impl SimulationBuilder {
     ///
     /// Returns the first violated configuration constraint.
     pub fn build(self) -> Result<Simulation, ConfigError> {
+        let accesses = self.workload.total_accesses() as usize;
         let mut sim = Simulation::try_new(self.cfg, self.workload, self.policy)?;
-        if let Some(obs) = self.observer {
-            sim.set_observer(obs);
-        }
+        sim.observed = self.observer.map(|cfg| Observed {
+            grids: (cfg.grid_page_bins > 0).then(|| {
+                (
+                    PageAttrTracker::new(sim.footprint_pages),
+                    Vec::with_capacity(accesses),
+                )
+            }),
+            cfg,
+            ..Observed::default()
+        });
         if let Some(p) = self.prefetcher {
             sim.driver.set_prefetcher(p);
         }
@@ -393,35 +440,10 @@ impl Simulation {
             local_accesses: 0,
             remote_accesses: 0,
             footprint_pages: workload.footprint_pages,
-            observer_cfg: ObserverConfig::default(),
-            obs_page_by_gpu: None,
-            obs_page_rw: None,
-            obs_grids: None,
-            obs_scheme_timeline: None,
+            observed: None,
             cancel: CancelToken::new(),
             cfg,
         })
-    }
-
-    /// Enables time-series instrumentation (builder-internal; external
-    /// callers configure this through [`SimulationBuilder::observer`]).
-    fn set_observer(&mut self, cfg: ObserverConfig) {
-        if cfg.track_page.is_some() {
-            let interval = cfg.interval_cycles.max(1);
-            self.obs_page_by_gpu = Some(IntervalSeries::new(interval, self.cfg.num_gpus));
-            self.obs_page_rw = Some(IntervalSeries::new(interval, 2));
-        }
-        if cfg.grid_page_bins > 0 {
-            self.obs_grids = Some(GridObserver {
-                attrs: PageAttrTracker::new(self.footprint_pages),
-                private_shared: AttrGrid::new(GRID_INTERVALS, cfg.grid_page_bins),
-                read_rw: AttrGrid::new(GRID_INTERVALS, cfg.grid_page_bins),
-            });
-        }
-        if cfg.scheme_timeline {
-            self.obs_scheme_timeline = Some(IntervalSeries::new(cfg.interval_cycles.max(1), 3));
-        }
-        self.observer_cfg = cfg;
     }
 
     /// Runs the workload to completion and collects all metrics,
@@ -677,13 +699,13 @@ impl Simulation {
             if level == TranslationLevel::Walk {
                 let scheme = self.driver.scheme_of(vpn);
                 self.scheme_mix.record(scheme);
-                if let Some(series) = &mut self.obs_scheme_timeline {
+                if let Some(obs) = self.observed.as_mut().filter(|o| o.cfg.scheme_timeline) {
                     let bucket = match scheme {
                         grit_sim::Scheme::OnTouch => 0,
                         grit_sim::Scheme::AccessCounter => 1,
                         grit_sim::Scheme::Duplication => 2,
                     };
-                    series.record(t0, bucket);
+                    obs.timeline.push((t0, bucket));
                 }
             }
             let walk = {
@@ -754,25 +776,18 @@ impl Simulation {
     }
 
     fn observe(&mut self, now: Cycle, g: usize, vpn: PageId, kind: AccessKind) {
-        if self.observer_cfg.track_page == Some(vpn) {
-            if let Some(s) = &mut self.obs_page_by_gpu {
-                s.record(now, g);
-            }
-            if let Some(s) = &mut self.obs_page_rw {
-                s.record(now, usize::from(kind.is_write()));
-            }
+        let Some(obs) = &mut self.observed else {
+            return;
+        };
+        if obs.cfg.track_page == Some(vpn) {
+            obs.page.push((now, (g as u8) << 1 | u8::from(kind.is_write())));
         }
-        if let Some(grids) = &mut self.obs_grids {
-            grids.attrs.record(GpuId::new(g as u8), vpn, kind);
-            let interval =
-                ((now / self.observer_cfg.interval_cycles.max(1)) as usize).min(GRID_INTERVALS - 1);
-            let bin = (vpn.vpn() as usize * self.observer_cfg.grid_page_bins
-                / self.footprint_pages.max(1) as usize)
-                .min(self.observer_cfg.grid_page_bins - 1);
-            let ps_code = if grids.attrs.is_shared(vpn) { 2 } else { 1 };
-            grids.private_shared.mark(interval, bin, ps_code);
-            let rw_code = if grids.attrs.is_written(vpn) { 2 } else { 1 };
-            grids.read_rw.mark(interval, bin, rw_code);
+        if let Some((attrs, samples)) = &mut obs.grids {
+            attrs.record(GpuId::new(g as u8), vpn, kind);
+            let bins = obs.cfg.grid_page_bins;
+            let bin =
+                (vpn.vpn() as usize * bins / self.footprint_pages.max(1) as usize).min(bins - 1);
+            samples.push((now, bin as u32, attrs.is_shared(vpn), attrs.is_written(vpn)));
         }
     }
 
@@ -891,18 +906,8 @@ impl Simulation {
             "prof_mlp_stall_cycles",
             self.gpus.iter().map(|g| g.window.stall_cycles() as f64).collect(),
         );
-        let any_observer = self.obs_page_by_gpu.is_some()
-            || self.obs_grids.is_some()
-            || self.obs_scheme_timeline.is_some();
-        let (grid_private_shared, grid_read_rw) =
-            self.obs_grids.map(|g| (g.private_shared, g.read_rw)).unzip();
-        let observer = any_observer.then(|| RunObserver {
-            page_by_gpu: self.obs_page_by_gpu.unwrap_or_else(|| IntervalSeries::new(1, 1)),
-            page_rw: self.obs_page_rw.unwrap_or_else(|| IntervalSeries::new(1, 2)),
-            grid_private_shared,
-            grid_read_rw,
-            scheme_timeline: self.obs_scheme_timeline,
-        });
+        let num_gpus = self.cfg.num_gpus;
+        let observer = self.observed.map(|o| o.replay(total_cycles, num_gpus));
         Ok(RunOutput {
             metrics,
             observer,
@@ -1054,14 +1059,15 @@ mod tests {
         let sim = SimulationBuilder::new(two_gpu_cfg(), w, policy)
             .observer(ObserverConfig {
                 track_page: Some(PageId(1)),
-                interval_cycles: 1_000_000,
+                intervals: 4,
                 ..Default::default()
             })
             .build()
             .unwrap();
         let out = sim.try_run().unwrap();
         let obs = out.observer.expect("observer configured");
-        let total: u64 = obs.page_by_gpu.iter().map(|(_, r)| r.iter().sum::<u64>()).sum();
+        let series = obs.page_by_gpu.expect("page tracked");
+        let total: u64 = series.iter().map(|(_, r)| r.iter().sum::<u64>()).sum();
         assert_eq!(total, 2, "only page 1's two accesses are recorded");
     }
 

@@ -114,3 +114,32 @@ fn extension_shapes() {
     check(&ex::ext_sweeps::run_remote_gap(&tiny()), 5);
     check(&ex::ext_sweeps::run_mlp(&tiny()), 5);
 }
+
+/// The observed figures (Figs. 5–8 and 10, the adaptation timeline) at
+/// the tiny scale, pinned byte for byte: their intervals are sized from
+/// the run itself, so any drift in the observer shows here. Re-bless
+/// only for an intentional model change:
+/// `GRIT_BLESS=1 cargo test --test figures_smoke`.
+#[test]
+fn observed_figures_match_golden() {
+    let exp = tiny();
+    let mut tables = ex::fig05_page_timeline::run(&exp);
+    tables.push(ex::fig06_attr_grids::run(&exp));
+    tables.push(ex::fig10_rw_timeline::run(&exp));
+    tables.extend(ex::ext_adaptation::run(&exp));
+    let actual: String = tables.iter().map(|t| format!("{}\n", t.to_text())).collect();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/observed_tables.txt");
+    if std::env::var_os("GRIT_BLESS").is_some() {
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    assert_eq!(
+        actual,
+        expected,
+        "observed figure tables drifted from {}",
+        path.display()
+    );
+}

@@ -26,7 +26,6 @@ fn shared_server() -> SocketAddr {
     *ADDR.get_or_init(|| {
         let runner: SpecRunner = Arc::new(|spec: &RunSpec| {
             let mut res = CellResult::default();
-            res.status = "ok".into();
             res.total_cycles = spec.seed;
             Ok(res)
         });

@@ -444,13 +444,58 @@ fn attribute_figures_simulate_no_cells() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// fig10's scout and observed runs go through the batch executor, so a
-/// cell budget no run can meet yields the one-cell error table.
+/// fig10's observed run goes through the batch executor, so a cell
+/// budget no run can meet yields the one-cell error table.
 #[test]
 fn fig10_honours_the_cell_timeout() {
     let out = succeeded(&["fig10", "--quick", "--cell-timeout", "0.0001"]);
     assert!(out.contains("(cell failed)"), "{out}");
     assert!(out.contains("err!"), "{out}");
+}
+
+/// Every observed figure runs each of its cells once, and each cell row
+/// carries only the series its observer asked for: the tracked-page
+/// pair for Figs. 5 and 10, none for the grids of Figs. 6-8 (they are
+/// not report series), the scheme timeline for the adaptation timeline.
+#[test]
+fn observed_figures_write_one_row_per_cell() {
+    let dir = scratch_dir_for("observed");
+    succeeded(&[
+        "fig5",
+        "fig6",
+        "fig10",
+        "adapt",
+        "--quick",
+        "--metrics-out",
+        dir.to_str().unwrap(),
+    ]);
+    let report = Json::parse(&fs::read_to_string(dir.join("run_report.json")).unwrap()).unwrap();
+    let rows: Vec<(String, Vec<String>)> = report
+        .get("cells")
+        .and_then(Json::as_arr)
+        .expect("cells array")
+        .iter()
+        .map(|cell| {
+            let app = cell.get("app").and_then(Json::as_str).unwrap().to_string();
+            let series = cell.get("series").and_then(Json::as_arr).unwrap();
+            let names = series.iter().map(|s| s.get("name").and_then(Json::as_str).unwrap());
+            (app, names.map(String::from).collect())
+        })
+        .collect();
+    let tracked = || vec!["page_by_gpu".to_string(), "page_rw".to_string()];
+    let timeline = || vec!["scheme_timeline".to_string()];
+    let expected = [
+        ("C2D", tracked()),
+        ("ST", tracked()),
+        ("GEMM", vec![]),
+        ("ST", vec![]),
+        ("ST", tracked()),
+        ("GEMM", timeline()),
+        ("ST", timeline()),
+    ]
+    .map(|(app, names)| (app.to_string(), names));
+    assert_eq!(rows, expected);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A GRIT recipe that parses but names a policy that cannot be built is
@@ -510,8 +555,8 @@ fn stats_renders_failed_cells_as_error_rows() {
     );
 }
 
-/// Both of fig10's passes land in the result store, so a second run
-/// serves them without simulating.
+/// fig10's one observed cell lands in the result store, so a second run
+/// serves it without simulating.
 #[test]
 fn fig10_cells_resume_from_the_store() {
     let dir = scratch_dir_for("fig10-resume");
@@ -534,7 +579,7 @@ fn fig10_cells_resume_from_the_store() {
     let report = Json::parse(&text).expect("valid JSON");
     let store = report.get("store").expect("store counters recorded");
     let count = |key: &str| store.get(key).and_then(Json::as_u64);
-    assert_eq!((count("hits"), count("misses")), (Some(2), Some(0)));
+    assert_eq!((count("hits"), count("misses")), (Some(1), Some(0)));
     let _ = fs::remove_dir_all(&dir);
 }
 

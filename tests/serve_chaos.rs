@@ -15,6 +15,7 @@
 //!   timeout) while concurrent clients keep declaration order.
 //! * An over-bound queue answers `busy` + `retry_after_ms`, and backing
 //!   off then resubmitting succeeds.
+//! * A runner's `Ok` result reaches the client as `"ok"`.
 //! * A request stream truncated mid-line yields a per-line `error`
 //!   response and the server keeps serving.
 
@@ -330,7 +331,6 @@ fn stub_runner() -> (SpecRunner, Arc<AtomicU64>) {
     let runner: SpecRunner = Arc::new(move |spec: &RunSpec| {
         ran2.fetch_add(1, Ordering::SeqCst);
         let mut res = CellResult::default();
-        res.status = "ok".into();
         res.total_cycles = spec.seed;
         if spec.app == "STALL" {
             // ~4 MiB of valid trace JSON per cell: far past any socket
@@ -427,7 +427,6 @@ fn queue_overflow_answers_busy_and_resubmission_succeeds() {
             gate.lock().unwrap().recv().expect("gate");
         }
         let mut res = CellResult::default();
-        res.status = "ok".into();
         res.total_cycles = spec.seed;
         Ok(res)
     });
@@ -505,6 +504,27 @@ fn queue_overflow_answers_busy_and_resubmission_succeeds() {
     let summary = server_thread.join().expect("server thread");
     assert_eq!(summary.rejected, rejections, "every bounce was counted");
     assert_eq!(summary.cells, 3);
+}
+
+/// A runner's `Ok` is the cell's success: the server marks it `"ok"`
+/// on the wire whatever status the runner left on the result.
+#[test]
+fn ok_runner_result_is_served_as_ok() {
+    let runner: SpecRunner = Arc::new(|_: &RunSpec| Ok(CellResult::default()));
+    let server = Server::start(&ServeOptions::new().jobs(1), runner).expect("start server");
+    let addr = server.local_addr();
+    let server_thread = thread::spawn(move || server.run());
+
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.submit(0, &RunSpec::new("GEMM", "grit")).expect("submit");
+    let outcome = client.finish().expect("finish");
+    assert_eq!(outcome.results.len(), 1);
+    assert!(outcome.results[0].is_ok(), "{:?}", outcome.results[0]);
+
+    let mut closer = ServeClient::connect(addr).expect("connect closer");
+    closer.shutdown_server().expect("shutdown");
+    drop(closer.finish());
+    assert_eq!(server_thread.join().expect("server thread").errors, 0);
 }
 
 /// End-to-end flavor of the overflow scenario: a real campaign against
